@@ -1,18 +1,19 @@
-"""Perf — wall-clock of the fast ordering engine vs the reference.
+"""Perf — wall-clock of the fast ordering scorer vs the reference scan.
 
 Runs every pinned bench-suite workload (``repro.bench.PINNED_SUITE``)
 through the PHOENIX frontend once (group + simplify), then times
-``order_groups`` with both the fast (batched geometry, broadcast window
-scoring) engine and the reference (per-pair ``assembling_cost``) engine.
-The orderings must be bit-identical on every job — this is the golden
-equivalence gate for the fast engine — and the speedups are recorded in
+``order_groups`` (batched geometry, broadcast window scoring) against the
+test-oracle reference scan ``_order_indices_reference`` (per-pair
+``assembling_cost``).  The orderings must be bit-identical on every job —
+this is the golden equivalence gate for the fast scorer — and the
+speedups are recorded in
 ``benchmarks/results/perf_ordering_speedup.txt`` (human-readable) and
 ``benchmarks/results/BENCH_ordering.json`` (machine-readable) to track the
 perf trajectory across PRs.
 
 Setting ``REPRO_PERF_SMOKE=1`` restricts the run to three representative
 jobs (one molecular, one random-Pauli, one hardware-routed) and turns on
-the wall-clock gate — the CI perf-smoke job uses this to catch fast-engine
+the wall-clock gate — the CI perf-smoke job uses this to catch fast-scorer
 regressions without paying for the full suite.  The default (tier-1) run
 only checks bit-identity: timing assertions and result-file writes are
 gated so a contended runner cannot flake the functional suite.
@@ -22,10 +23,16 @@ import json
 import os
 import time
 
-from benchmarks.conftest import FULL_SUITE, RESULTS_DIR, write_report
+from benchmarks.conftest import (
+    FULL_SUITE,
+    RESULTS_DIR,
+    ReferenceOrderStage,
+    compile_with_stages,
+    write_report,
+)
 from repro.bench import PINNED_SUITE
 from repro.core.grouping import group_terms
-from repro.core.ordering import order_groups
+from repro.core.ordering import _order_indices_reference, order_groups
 from repro.core.simplify import simplify_group
 from repro.experiments import format_table
 from repro.workloads.registry import workload_from_spec
@@ -35,9 +42,9 @@ import pytest
 pytestmark = [pytest.mark.slow, pytest.mark.perf]
 
 #: Perf-smoke gate.  The smoke jobs measure ~4-7x over the reference
-#: engine, so a floor of 2x fails loudly once the fast engine loses most
+#: scan, so a floor of 2x fails loudly once the fast scorer loses most
 #: of its advantage while keeping headroom for noisy CI runners (the ratio
-#: is contention-robust: both engines share the machine).
+#: is contention-robust: both scorers share the machine).
 SMOKE_MIN_SPEEDUP = 2.0
 
 PERF_SMOKE = os.environ.get("REPRO_PERF_SMOKE", "0") not in ("0", "", "false")
@@ -81,17 +88,14 @@ def test_perf_ordering_fast_vs_reference():
         simplified = [simplify_group(g) for g in group_terms(terms)]
 
         start = time.perf_counter()
-        ordered_ref = order_groups(
-            simplified, num_qubits, routing_aware=routing_aware, engine="reference"
-        )
+        order_ref = _order_indices_reference(simplified, num_qubits, 10, routing_aware)
+        ordered_ref = [simplified[i] for i in order_ref]
         seconds_ref = time.perf_counter() - start
         start = time.perf_counter()
-        ordered_fast = order_groups(
-            simplified, num_qubits, routing_aware=routing_aware, engine="fast"
-        )
+        ordered_fast = order_groups(simplified, num_qubits, routing_aware=routing_aware)
         seconds_fast = time.perf_counter() - start
 
-        # Golden gate: the engines must produce the identical permutation.
+        # Golden gate: both scans must produce the identical permutation.
         assert [id(g) for g in ordered_fast] == [id(g) for g in ordered_ref], (
             f"{name}: fast ordering diverged from the reference"
         )
@@ -135,7 +139,7 @@ def test_perf_ordering_fast_vs_reference():
         rows,
         headers=["Job", "#Pauli", "#Group", "routed", "ref (s)", "fast (s)", "speedup"],
     )
-    print("\nPerf — order_groups fast engine vs reference\n" + table)
+    print("\nPerf — order_groups fast scorer vs reference scan\n" + table)
     # Only the full run records the perf trajectory, so a tier-1 run cannot
     # overwrite the committed numbers with a small slice.
     if FULL_SUITE and not PERF_SMOKE:
@@ -147,13 +151,13 @@ def test_perf_ordering_fast_vs_reference():
 
 
 def test_full_pipeline_bit_identical_across_ordering_engines():
-    """End-to-end: both ordering engines compile to the exact same circuit."""
+    """End-to-end: the reference order stage compiles the same circuit."""
     from repro.core.compiler import PhoenixCompiler
 
     terms = workload_from_spec("uccsd:electrons=4,orbitals=10").to_terms()
-    fast = PhoenixCompiler(ordering_engine="fast").compile(terms)
-    reference = PhoenixCompiler(ordering_engine="reference").compile(terms)
+    fast = PhoenixCompiler().compile(terms)
+    reference = compile_with_stages(terms, ReferenceOrderStage())
     fast_gates = [(g.name, g.qubits, g.params) for g in fast.circuit]
     ref_gates = [(g.name, g.qubits, g.params) for g in reference.circuit]
-    assert fast_gates == ref_gates, "ordering engines compiled different circuits"
+    assert fast_gates == ref_gates, "ordering scans compiled different circuits"
     assert fast.metrics == reference.metrics

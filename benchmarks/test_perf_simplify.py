@@ -1,16 +1,18 @@
-"""Perf — wall-clock of the fast Clifford2Q search engine vs the reference.
+"""Perf — wall-clock of the fast Clifford2Q scorer vs the reference scan.
 
 Runs the Table I UCCSD suite through ``simplify_group`` with both the fast
-(incremental, bit-packed) engine and the reference (copy-and-rescore)
-engine, checks the outputs are bit-identical, and records the speedups in
+(incremental, bit-packed) scorer — the stock Eq. (6) cost — and the
+reference copy-and-rescore scan — reached by passing the test-oracle cost
+``bsf_cost_reference`` — checks the outputs are bit-identical, and records
+the speedups in
 ``benchmarks/results/perf_simplify_speedup.txt`` (human-readable) and
 ``benchmarks/results/BENCH_simplify.json`` (machine-readable: suite,
 seconds, speedup) to track the perf trajectory across PRs.
 
 Setting ``REPRO_PERF_SMOKE=1`` restricts the run to the two smallest
 molecules of the selection and turns on the wall-clock gate — the CI
-perf-smoke job uses this to catch fast-engine regressions without paying
-for the full suite.  The default (tier-1) run only checks engine
+perf-smoke job uses this to catch fast-scorer regressions without paying
+for the full suite.  The default (tier-1) run only checks scorer
 equivalence: timing assertions and result-file writes are gated so that a
 contended CI runner cannot flake the functional suite, and so that tier-1
 runs do not overwrite the full-suite numbers recorded in
@@ -21,7 +23,14 @@ import json
 import os
 import time
 
-from benchmarks.conftest import FULL_SUITE, RESULTS_DIR, write_report
+from benchmarks.conftest import (
+    FULL_SUITE,
+    RESULTS_DIR,
+    ReferenceSimplifyStage,
+    compile_with_stages,
+    write_report,
+)
+from repro.core.cost import bsf_cost, bsf_cost_reference
 from repro.core.grouping import group_terms
 from repro.core.simplify import simplify_group
 from repro.experiments import format_table
@@ -31,9 +40,9 @@ import pytest
 pytestmark = [pytest.mark.slow, pytest.mark.perf]
 
 #: Perf-smoke gate.  The smoke molecules measure ~11-13x over the
-#: reference engine, so a floor of 5x fails loudly once the fast engine
+#: reference scan, so a floor of 5x fails loudly once the fast scorer
 #: loses more than ~2x of its advantage while keeping ample headroom for
-#: noisy CI runners (the ratio is contention-robust: both engines share
+#: noisy CI runners (the ratio is contention-robust: both scorers share
 #: the machine).
 SMOKE_MIN_SPEEDUP = 5.0
 
@@ -48,9 +57,9 @@ def _term_keys(simplified):
     return [(t.string.to_label(), t.coefficient) for t in simplified.final_terms]
 
 
-def _time_engine(groups, engine):
+def _time_scorer(groups, cost_function):
     start = time.perf_counter()
-    simplified = [simplify_group(group, engine=engine) for group in groups]
+    simplified = [simplify_group(group, cost_function=cost_function) for group in groups]
     return time.perf_counter() - start, simplified
 
 
@@ -63,10 +72,10 @@ def test_perf_simplify_fast_vs_reference(uccsd_programs):
     instances = {}
     for name, terms in programs:
         groups = group_terms(terms)
-        seconds_ref, simplified_ref = _time_engine(groups, "reference")
-        seconds_fast, simplified_fast = _time_engine(groups, "fast")
+        seconds_ref, simplified_ref = _time_scorer(groups, bsf_cost_reference)
+        seconds_fast, simplified_fast = _time_scorer(groups, bsf_cost)
 
-        # The engines must agree bit for bit, group by group.
+        # The scorers must agree bit for bit, group by group.
         for ref, fast in zip(simplified_ref, simplified_fast):
             assert _clifford_keys(ref) == _clifford_keys(fast)
             assert _term_keys(ref) == _term_keys(fast)
@@ -93,7 +102,7 @@ def test_perf_simplify_fast_vs_reference(uccsd_programs):
         }
         if PERF_SMOKE:
             assert speedup >= SMOKE_MIN_SPEEDUP, (
-                f"{name}: fast engine only {speedup:.2f}x over reference "
+                f"{name}: fast scorer only {speedup:.2f}x over reference "
                 f"(smoke threshold {SMOKE_MIN_SPEEDUP}x)"
             )
 
@@ -114,7 +123,7 @@ def test_perf_simplify_fast_vs_reference(uccsd_programs):
         rows,
         headers=["Benchmark", "#Pauli", "#Group", "#Clifford", "ref (s)", "fast (s)", "speedup"],
     )
-    print("\nPerf — simplify_group fast engine vs reference\n" + table)
+    print("\nPerf — simplify_group fast scorer vs reference scan\n" + table)
     # Only the full Table I run records the perf trajectory, so a default
     # tier-1 run cannot overwrite the committed numbers with a small slice.
     if FULL_SUITE and not PERF_SMOKE:
@@ -126,13 +135,13 @@ def test_perf_simplify_fast_vs_reference(uccsd_programs):
 
 
 def test_full_pipeline_bit_identical_across_engines(uccsd_programs):
-    """End-to-end: both engines compile to the exact same circuit."""
+    """End-to-end: the reference simplify stage compiles the same circuit."""
     from repro.core.compiler import PhoenixCompiler
 
     name, terms = min(uccsd_programs.items(), key=lambda kv: (len(kv[1]), kv[0]))
-    fast = PhoenixCompiler(simplify_engine="fast").compile(terms)
-    reference = PhoenixCompiler(simplify_engine="reference").compile(terms)
+    fast = PhoenixCompiler().compile(terms)
+    reference = compile_with_stages(terms, ReferenceSimplifyStage())
     fast_gates = [(g.name, g.qubits, g.params) for g in fast.circuit]
     ref_gates = [(g.name, g.qubits, g.params) for g in reference.circuit]
-    assert fast_gates == ref_gates, f"{name}: engines compiled different circuits"
+    assert fast_gates == ref_gates, f"{name}: scorers compiled different circuits"
     assert fast.metrics == reference.metrics

@@ -25,16 +25,11 @@ import argparse
 import time
 
 import repro.obs as obs
-from repro import PhoenixCompiler, register_compiler
+from repro import CompileOptions, PhoenixCompiler, register_compiler
 from repro.chemistry import benchmark_program
 from repro.experiments import format_table
 from repro.pipeline import FunctionStage
-from repro.service import (
-    CompilationJob,
-    CompilationService,
-    CompilerOptions,
-    open_cache,
-)
+from repro.service import CompilationJob, CompilationService, open_cache
 
 BENCHMARKS = ["LiH_frz_BK", "LiH_frz_JW", "NH_frz_BK", "NH_frz_JW"]
 
@@ -81,19 +76,19 @@ def main() -> None:
     )
     args = parser.parse_args()
     cache_dir = args.cache_dir
-    service = CompilationService(cache=open_cache(cache_dir))
+    service = CompilationService(cache=open_cache(f"disk:{cache_dir}"))
 
     # One registration makes the ablation batchable/cacheable service-wide.
     register_compiler("phoenix-noorder", NoOrderingPhoenix)
 
     jobs = [
-        CompilationJob(name, benchmark_program(name), CompilerOptions())
+        CompilationJob(name, benchmark_program(name), CompileOptions())
         for name in BENCHMARKS
     ] + [
         CompilationJob(
             f"{name}/noorder",
             benchmark_program(name),
-            CompilerOptions(compiler="phoenix-noorder"),
+            CompileOptions(compiler="phoenix-noorder"),
         )
         for name in BENCHMARKS[:1]
     ]

@@ -10,7 +10,7 @@ dependencies; any HTTP client could do the same.
 
 Start a server first (in another terminal, or backgrounded)::
 
-    phoenix serve --port 8077 --cache-dir .phoenix-cache
+    phoenix serve --port 8077 --cache disk:.phoenix-cache
 
 then::
 

@@ -34,10 +34,10 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.profile import aggregate_stage_timings, format_stage_table
+from repro.pipeline.options import CompileOptions
 from repro.serialize.jsonutil import canonical_json_bytes
 from repro.serialize.results import result_to_dict
 from repro.service.cache import open_cache
-from repro.service.registry import CompilerOptions
 from repro.service.service import CompilationJob, CompilationService, JobResult
 
 logger = logging.getLogger(__name__)
@@ -81,11 +81,8 @@ def bench_jobs(
     jobs = []
     for name, spec, overrides in suite:
         workload = workload_from_spec(spec)
-        options = dict(CompilerOptions().as_dict())
-        options.update(overrides)
-        jobs.append(
-            CompilationJob(name, workload.to_terms(), CompilerOptions.from_dict(options))
-        )
+        options = CompileOptions.from_dict(overrides)
+        jobs.append(CompilationJob(name, workload.to_terms(), options))
     return jobs
 
 

@@ -70,15 +70,6 @@ class PhoenixCompiler(PipelineCompiler):
         0 = raw emission, 2 = inverse cancellation + rotation merging
         (the PHOENIX default), 3 = additionally commutation cancellation and
         1Q fusion (the paper's "+ Qiskit O3" configuration).
-    simplify_engine:
-        Candidate scorer of the Clifford2Q search: ``"fast"`` (incremental
-        bit-packed scoring), ``"reference"`` (the original copy-and-rescore
-        scan), or ``"auto"`` (fast; both produce bit-identical circuits).
-    ordering_engine:
-        Window scorer of the Tetris-like group ordering: ``"fast"``
-        (batched block geometry + broadcast window costs), ``"reference"``
-        (the original per-pair loop), or ``"auto"`` (fast; both produce
-        bit-identical orderings).
     cache:
         Optional cache store with ``get(key) -> dict | None`` and
         ``put(key, dict)`` (see :mod:`repro.service.cache`).  When set,
@@ -99,8 +90,6 @@ class PhoenixCompiler(PipelineCompiler):
         optimization_level: int = 2,
         seed: int = 0,
         cache=None,
-        simplify_engine: str = "auto",
-        ordering_engine: str = "auto",
     ):
         super().__init__(
             isa=isa,
@@ -108,19 +97,17 @@ class PhoenixCompiler(PipelineCompiler):
             optimization_level=optimization_level,
             seed=seed,
             lookahead=lookahead,
-            simplify_engine=simplify_engine,
-            ordering_engine=ordering_engine,
             cache=cache,
         )
 
     # ------------------------------------------------------------------
     def config_dict(self) -> Dict[str, Any]:
         """The complete compile-affecting configuration as plain data."""
-        return self.options.config_dict(self.name)
+        return self.options.config_dict()
 
     def config_fingerprint(self) -> str:
         """Stable digest of :meth:`config_dict`, used as a cache-key part."""
-        return self.options.config_fingerprint(self.name)
+        return self.options.config_fingerprint()
 
     # ------------------------------------------------------------------
     def build_pipeline(self) -> Pipeline:

@@ -13,13 +13,13 @@ appended.  The assembling cost combines
    interaction graph of the preceding block and the head interaction graph
    of the succeeding block (more similar -> smaller routing transition).
 
-Ordering engines
-----------------
+Window scorers
+--------------
 Two equivalent scorers implement the greedy window scan:
 
-* ``engine="fast"`` (the ``"auto"`` default) never materialises the per-group
-  circuits.  A simplified group's 2Q gate sequence is symbolically
-  ``[C_1..C_k] + [weight-2 final rotations] + [C_k..C_1]``, so the engine
+* :func:`order_groups` never materialises the per-group circuits.  A
+  simplified group's 2Q gate sequence is symbolically
+  ``[C_1..C_k] + [weight-2 final rotations] + [C_k..C_1]``, so it
   batch-precomputes every block's endian geometry
   (:func:`repro.circuits.dag.two_qubit_geometry`), packs supports and
   zero-endian masks into ``np.uint64`` words, encodes boundary-Clifford runs
@@ -31,7 +31,7 @@ Two equivalent scorers implement the greedy window scan:
   costs are exact integers in float64, and the final scan replicates the
   reference's sequential strict-improvement tie-breaking, so orderings are
   bit-identical.
-* ``engine="reference"`` is the original per-pair
+* :func:`_order_indices_reference` is the original per-pair
   :func:`build_block`/:func:`assembling_cost` loop, kept as the oracle for
   the equivalence tests.
 """
@@ -50,9 +50,6 @@ from repro.core.simplify import SimplifiedGroup
 from repro.paulis.packed import pack_bits, pack_index_masks, popcount
 
 _MIN_SIMILARITY = 1e-3
-
-#: Valid values for the ``engine`` argument of :func:`order_groups`.
-ORDERING_ENGINES = ("auto", "fast", "reference")
 
 #: Seam-cancellation heuristic: Clifford names that match with swapped qubits.
 _SYMMETRIC_CLIFFORDS = ("cxx", "cyy", "czz")
@@ -239,7 +236,7 @@ def assembling_cost(
 
 
 # ----------------------------------------------------------------------
-# Fast engine: batch block geometry + broadcast window scoring
+# Fast scorer: batch block geometry + broadcast window scoring
 # ----------------------------------------------------------------------
 def _symbolic_two_qubit_pairs(
     simplified: SimplifiedGroup,
@@ -484,26 +481,9 @@ def order_groups(
     num_qubits: int,
     lookahead: int = 10,
     routing_aware: bool = False,
-    engine: str = "auto",
 ) -> List[SimplifiedGroup]:
-    """Tetris-like greedy ordering of simplified IR groups.
-
-    ``engine`` selects the window scorer (see the module docstring):
-    ``"fast"`` and ``"reference"`` produce identical orderings; ``"auto"``
-    uses the fast engine.
-    """
-    if engine not in ORDERING_ENGINES:
-        raise ValueError(
-            f"unknown ordering engine {engine!r}; expected one of {ORDERING_ENGINES}"
-        )
+    """Tetris-like greedy ordering of simplified IR groups."""
     if not simplified_groups:
         return []
-    if engine == "reference":
-        ordered = _order_indices_reference(
-            simplified_groups, num_qubits, lookahead, routing_aware
-        )
-    else:
-        ordered = _order_indices_fast(
-            simplified_groups, num_qubits, lookahead, routing_aware
-        )
+    ordered = _order_indices_fast(simplified_groups, num_qubits, lookahead, routing_aware)
     return [simplified_groups[i] for i in ordered]

@@ -8,13 +8,15 @@ conjugated tableau, and the best candidate is applied.  The loop ends when
 the total weight of Eq. (4) drops to at most two, at which point the
 remaining rows are plain one- or two-qubit Pauli rotations.
 
-Search engines
---------------
-Two provably-equivalent candidate scorers are available:
+Candidate scorers
+-----------------
+Two provably-equivalent candidate scorers exist; :func:`simplify_group`
+picks by the cost function it is given:
 
-* ``engine="fast"`` (the default when the cost is Eq. (6)) scores all
+* the fast scorer (used iff the cost is the stock Eq. (6),
+  :func:`~repro.core.cost.bsf_cost`) scores all
   ~9 * O(k^2) candidates incrementally: a candidate conjugation only
-  rewrites the two qubit columns it touches, so the engine packs every
+  rewrites the two qubit columns it touches, so the scorer packs every
   column into ``np.uint64`` words (one word per column for groups of up to
   64 rows), applies the sign-free tableau rules of all six generator kinds
   to just those columns in batched numpy ops, and evaluates the Eq. (6)
@@ -22,9 +24,11 @@ Two provably-equivalent candidate scorers are available:
   candidate instead of a full-tableau copy plus an O(rows^2 * qubits)
   rescore.  All candidate costs are exact integers (doubled), so the
   arg-min reproduces the reference tie-breaking bit for bit.
-* ``engine="reference"`` is the original copy-and-rescore loop; it remains
-  the fallback for custom cost functions (e.g. the ablation study) and the
-  oracle for the equivalence property tests.
+* the reference scan, :func:`_best_clifford_reference`, is the original
+  copy-and-rescore loop; it serves every other cost function (e.g. the
+  ablation study) and, with
+  :func:`~repro.core.cost.bsf_cost_reference`, is the test oracle for the
+  fast scorer.
 
 Output structure
 ----------------
@@ -113,7 +117,7 @@ class SimplifiedGroup:
 
 
 # ----------------------------------------------------------------------
-# Candidate enumeration (shared by both engines)
+# Candidate enumeration (shared by both scorers)
 # ----------------------------------------------------------------------
 def _candidate_pair_arrays(support: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorised candidate pairs: both columns active, >= 1 shared row.
@@ -136,7 +140,7 @@ def _candidate_pairs(bsf: BSF) -> List[Tuple[int, int]]:
 
 
 #: The nine (generator kind, swap control/target) orientations per qubit
-#: pair, in the exact enumeration order of the reference engine.
+#: pair, in the exact enumeration order of the reference scan.
 _ORIENTATIONS: Tuple[Tuple[str, bool], ...] = (
     ("xx", False),
     ("yy", False),
@@ -159,7 +163,7 @@ def _candidate_cliffords(pairs: Sequence[Tuple[int, int]]) -> List[Clifford2Q]:
 
 
 # ----------------------------------------------------------------------
-# Fast engine: incremental column-local candidate scoring
+# Fast scorer: incremental column-local candidate scoring
 # ----------------------------------------------------------------------
 def _pair_program(kind: str) -> Tuple[Tuple[str, Optional[int]], ...]:
     """The elementary-gate program of ``C(s0, s1)`` on symbolic qubits (0, 1)."""
@@ -334,8 +338,8 @@ def _candidate_scores2(
 def fast_candidate_costs(bsf: BSF) -> List[Tuple[Clifford2Q, float]]:
     """Every candidate Clifford with its incrementally-scored Eq. (6) cost.
 
-    The costs are exact (the engine works in doubled-integer units), in the
-    same candidate order as the reference engine; used by the equivalence
+    The costs are exact (the scorer works in doubled-integer units), in the
+    same candidate order as the reference scan; used by the equivalence
     property tests.
     """
     a_idx, b_idx, cost2 = _candidate_scores2(bsf)
@@ -352,7 +356,7 @@ def _best_clifford_fast(
     bsf: BSF, support: np.ndarray, row_weights: np.ndarray
 ) -> Optional[Clifford2Q]:
     """Arg-min candidate under Eq. (6); ties resolve to the first candidate,
-    matching the reference engine's strict-improvement scan."""
+    matching the reference scan's strict improvement."""
     a_idx, b_idx, cost2 = _candidate_scores2(bsf, support, row_weights)
     if len(a_idx) == 0:
         return None
@@ -364,7 +368,7 @@ def _best_clifford_fast(
 
 
 # ----------------------------------------------------------------------
-# Reference engine: copy the tableau and rescore from scratch
+# Reference scan: copy the tableau and rescore from scratch
 # ----------------------------------------------------------------------
 def _best_clifford_reference(bsf: BSF, cost_function) -> Tuple[Clifford2Q, BSF]:
     """The original O(candidates * rows^2 * qubits) scan, kept as the
@@ -418,23 +422,15 @@ def simplify_group(
     group: IRGroup,
     max_epochs: Optional[int] = None,
     cost_function=bsf_cost,
-    engine: str = "auto",
 ) -> SimplifiedGroup:
     """Run Algorithm 1 on one IR group.
 
-    ``engine`` selects the candidate scorer: ``"fast"`` (incremental,
-    bit-packed), ``"reference"`` (copy-and-rescore), or ``"auto"`` (fast
-    when the cost is the stock Eq. (6), reference otherwise).  Both engines
-    choose bit-identical Clifford sequences.
+    The stock Eq. (6) cost (:func:`~repro.core.cost.bsf_cost`) is scored
+    incrementally; any other ``cost_function`` goes through the reference
+    copy-and-rescore scan.  For Eq. (6) both choose bit-identical Clifford
+    sequences.
     """
-    if engine not in ("auto", "fast", "reference"):
-        raise ValueError(f"unknown simplify engine {engine!r}")
-    if engine == "fast" and cost_function is not bsf_cost:
-        raise ValueError(
-            "engine='fast' scores the stock Eq. (6) cost only; use "
-            "engine='auto' or 'reference' for custom cost functions"
-        )
-    use_fast = engine == "fast" or (engine == "auto" and cost_function is bsf_cost)
+    use_fast = cost_function is bsf_cost
     terms = group.terms
     if not terms:
         raise ValueError("cannot simplify an empty IR group")

@@ -15,8 +15,8 @@ from repro.core.compiler import CompilationResult
 from repro.hardware.topology import Topology
 from repro.metrics.circuit_metrics import optimization_rate
 from repro.paulis.pauli import PauliTerm
-from repro.pipeline.options import as_terms
-from repro.pipeline.registry import get_compiler_factory
+from repro.pipeline.options import CompileOptions, as_terms
+from repro.pipeline.registry import COMPILERS, get_compiler_factory
 from repro.utils.maths import geometric_mean
 
 #: Anything ``run_suite`` accepts as one program: prebuilt terms, a
@@ -55,23 +55,22 @@ def default_compilers(include_naive: bool = False) -> List[CompilerSpec]:
 def _service_options(
     spec: CompilerSpec, isa: str, topology: Optional[Topology], optimization_level: int
 ):
-    """The plain-data job spec equivalent to ``spec.build(...)``, or ``None``
-    when the combination cannot be shipped through the service (a custom
-    factory or an unregistered topology)."""
-    from repro.service.registry import COMPILERS, CompilerOptions, topology_to_spec
-
+    """The job options equivalent to ``spec.build(...)``, or ``None`` when
+    the combination cannot be shipped through the service as plain data (a
+    custom factory or a topology no spec reproduces)."""
     if COMPILERS.get(spec.name) is not spec.factory:
         return None
-    try:
-        topology_spec = topology_to_spec(topology)
-    except ValueError:
-        return None
-    return CompilerOptions(
+    options = CompileOptions(
         compiler=spec.name,
         isa=isa,
-        topology=topology_spec,
+        topology=topology,
         optimization_level=optimization_level,
     )
+    try:
+        options.to_dict()
+    except ValueError:
+        return None
+    return options
 
 
 def resolve_program(value: ProgramSpec) -> List[PauliTerm]:

@@ -4,11 +4,17 @@ Provides the topologies used in the paper's evaluation: all-to-all
 (logical-level compilation), and the IBM heavy-hex lattice (the 64-qubit
 Manhattan-style coupling graph used for hardware-aware compilation), plus
 line and grid topologies for tests and examples.
+
+:func:`resolve_topology` / :func:`topology_to_spec` translate between
+topologies and the textual specs (``"heavy-hex"``, ``"grid-4x4"``, ...)
+that compile options carry as plain data.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -175,3 +181,70 @@ class Topology:
             f"Topology(name={self.name!r}, num_qubits={self.num_qubits}, "
             f"edges={self.graph.number_of_edges()})"
         )
+
+
+# ----------------------------------------------------------------------
+# Textual topology specs
+# ----------------------------------------------------------------------
+def _canonical_spec(spec: str) -> str:
+    """The canonical spelling of a topology spec; raises on an unknown one."""
+    if spec in ("heavy-hex", "manhattan"):
+        return "heavy-hex"
+    match = re.fullmatch(r"(line|ring)-(\d+)", spec)
+    if match:
+        return f"{match.group(1)}-{int(match.group(2))}"
+    match = re.fullmatch(r"grid-(\d+)x(\d+)", spec)
+    if match:
+        return f"grid-{int(match.group(1))}x{int(match.group(2))}"
+    raise ValueError(
+        f"unknown topology spec {spec!r}; expected 'all-to-all', 'heavy-hex', "
+        f"'manhattan', 'line-N', 'ring-N', or 'grid-RxC'"
+    )
+
+
+@functools.lru_cache(maxsize=_DISTANCE_CACHE_MAX_ENTRIES)
+def _build_spec(canonical: str) -> Topology:
+    if canonical == "heavy-hex":
+        return Topology.ibm_manhattan()
+    kind, _, size = canonical.partition("-")
+    if kind == "grid":
+        rows, _, cols = size.partition("x")
+        return Topology.grid(int(rows), int(cols))
+    return (Topology.line if kind == "line" else Topology.ring)(int(size))
+
+
+def resolve_topology(spec: Optional[str]) -> Optional[Topology]:
+    """Build a topology from a textual spec.
+
+    Accepted specs: ``None`` / ``"all-to-all"`` (logical-level compilation),
+    ``"line-N"``, ``"ring-N"``, ``"grid-RxC"``, ``"heavy-hex"`` and its alias
+    ``"manhattan"`` (the paper's 64-qubit device).  Resolution is memoised
+    (up to 64 specs): every spelling of one spec returns the *same*
+    instance, so options built from equal plain data compare and hash
+    equal (treat it as read-only).
+    """
+    if spec is None or spec == "all-to-all":
+        return None
+    return _build_spec(_canonical_spec(spec))
+
+
+def topology_to_spec(topology: Optional[Topology]) -> Optional[str]:
+    """The canonical spec string that rebuilds ``topology`` (``None`` for none).
+
+    Raises ``ValueError`` for a topology no spec reproduces (callers that
+    cannot ship such a topology as plain data should fall back to
+    in-process compilation).  A topology that came from
+    :func:`resolve_topology` is recognised by identity, without hashing.
+    """
+    if topology is None:
+        return None
+    candidate = "heavy-hex" if topology.name.startswith("heavy-hex") else topology.name
+    try:
+        resolved = resolve_topology(candidate)
+    except ValueError:
+        resolved = None
+    if resolved is not None and (
+        resolved is topology or resolved.fingerprint() == topology.fingerprint()
+    ):
+        return _canonical_spec(candidate)
+    raise ValueError(f"topology {topology!r} matches no registered spec")

@@ -12,8 +12,8 @@ with ``cache=...`` is transparently wrapped by
 :class:`~repro.pipeline.caching.CachingCompiler` at :meth:`compile` time.
 
 Note on fingerprints: the base class deliberately does **not** define
-``config_fingerprint``.  The service's ``CompilerOptions.fingerprint()``
-hashes its own plain-data spec for compilers without one, and that is
+``config_fingerprint``.  ``CompileOptions.fingerprint()`` hashes the
+legacy plain-data spec for compilers without one, and that is
 exactly how baseline cache keys were derived before the redesign — adding
 a fingerprint here would silently invalidate every existing baseline cache
 entry.  PHOENIX overrides it (its extra pipeline knobs must key the cache).
@@ -42,18 +42,15 @@ class PipelineCompiler:
         optimization_level: int = 2,
         seed: int = 0,
         lookahead: int = 10,
-        simplify_engine: str = "auto",
-        ordering_engine: str = "auto",
         cache=None,
     ):
         self.options = CompileOptions(
+            compiler=self.name,
             isa=isa,
             topology=topology,
             optimization_level=optimization_level,
             lookahead=lookahead,
             seed=seed,
-            simplify_engine=simplify_engine,
-            ordering_engine=ordering_engine,
         )
         self.cache = cache
 
@@ -63,7 +60,7 @@ class PipelineCompiler:
         """Instantiate from one :class:`CompileOptions` value.
 
         Only the options the subclass constructor actually accepts are
-        passed (the baselines take no ``lookahead`` / ``simplify_engine``),
+        passed (the baselines take no ``lookahead``),
         so registered third-party compilers with narrower signatures work.
         """
         parameters = inspect.signature(cls.__init__).parameters
@@ -83,8 +80,6 @@ class PipelineCompiler:
             "optimization_level": options.optimization_level,
             "seed": options.seed,
             "lookahead": options.lookahead,
-            "simplify_engine": options.simplify_engine,
-            "ordering_engine": options.ordering_engine,
         }
         kwargs = {key: value for key, value in candidate.items() if key in accepted}
         if cache is not None and "cache" in accepted:
@@ -133,22 +128,6 @@ class PipelineCompiler:
     @seed.setter
     def seed(self, value: int) -> None:
         self.options = self.options.replace(seed=value)
-
-    @property
-    def simplify_engine(self) -> str:
-        return self.options.simplify_engine
-
-    @simplify_engine.setter
-    def simplify_engine(self, value: str) -> None:
-        self.options = self.options.replace(simplify_engine=value)
-
-    @property
-    def ordering_engine(self) -> str:
-        return self.options.ordering_engine
-
-    @ordering_engine.setter
-    def ordering_engine(self, value: str) -> None:
-        self.options = self.options.replace(ordering_engine=value)
 
     # ------------------------------------------------------------------
     def build_pipeline(self) -> Pipeline:

@@ -1,10 +1,17 @@
 """The single source of truth for compile-affecting configuration.
 
-:class:`CompileOptions` replaces the per-layer re-declarations of the same
-knobs (compiler constructor arguments, ``CompilerSpec`` build parameters,
-``CompilerOptions`` scalar fields, CLI flags).  Its
-:meth:`~CompileOptions.config_dict` / :meth:`~CompileOptions.config_fingerprint`
-are byte-identical to the pre-pipeline ``PhoenixCompiler`` implementations,
+:class:`CompileOptions` is the one compile-configuration value of every
+layer: compiler constructors, the registry, the batch service and its
+process-pool payloads, the CLI, manifests, ``phoenix serve`` and the
+bench.  It crosses process boundaries as plain data through
+:meth:`~CompileOptions.to_dict` / :meth:`~CompileOptions.from_dict`
+(the topology as a spec string, see
+:func:`repro.hardware.topology.resolve_topology`).
+
+Its :meth:`~CompileOptions.config_dict` /
+:meth:`~CompileOptions.config_fingerprint` are byte-identical to the
+pre-pipeline ``PhoenixCompiler`` implementations, and
+:meth:`~CompileOptions.fingerprint` keeps the baselines' legacy spec hash,
 so content-addressed cache entries written before the redesign stay valid.
 
 :func:`as_terms` is the one program normaliser (Hamiltonian or term
@@ -19,7 +26,7 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.hardware.topology import Topology
+from repro.hardware.topology import Topology, resolve_topology, topology_to_spec
 from repro.paulis.hamiltonian import Hamiltonian
 from repro.paulis.pauli import PauliTerm
 
@@ -27,8 +34,6 @@ from repro.paulis.pauli import PauliTerm
 Program = Union[Hamiltonian, Sequence[PauliTerm]]
 
 ISAS = ("cnot", "su4")
-SIMPLIFY_ENGINES = ("auto", "fast", "reference")
-ORDERING_ENGINES = ("auto", "fast", "reference")
 
 
 def as_terms(program: Program, allow_empty: bool = False) -> List[PauliTerm]:
@@ -46,12 +51,19 @@ def as_terms(program: Program, allow_empty: bool = False) -> List[PauliTerm]:
     return terms
 
 
+def _digest(payload: Dict[str, Any]) -> str:
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 @dataclass(frozen=True)
 class CompileOptions:
-    """Every compile-affecting knob of the stage pipeline, as one value.
+    """Every compile-affecting knob, as one value.
 
     Parameters
     ----------
+    compiler:
+        Name of the compiler in the global registry
+        (:mod:`repro.pipeline.registry`); resolved by :meth:`build`.
     isa:
         ``"cnot"`` for the {CNOT, U3} ISA or ``"su4"`` for the continuous
         SU(4) ISA.
@@ -64,38 +76,19 @@ class CompileOptions:
         Look-ahead window of the Tetris-like ``order`` stage.
     seed:
         Routing seed of the ``route`` stage.
-    simplify_engine:
-        Candidate scorer of the Clifford2Q search used by the ``simplify``
-        stage: ``"fast"``, ``"reference"``, or ``"auto"``.
-    ordering_engine:
-        Window scorer of the Tetris-like ``order`` stage: ``"fast"``
-        (batched block geometry + broadcast window costs), ``"reference"``
-        (the original per-pair loop), or ``"auto"`` (fast; both produce
-        bit-identical orderings).
     """
 
+    compiler: str = "phoenix"
     isa: str = "cnot"
     topology: Optional[Topology] = None
     optimization_level: int = 2
     lookahead: int = 10
     seed: int = 0
-    simplify_engine: str = "auto"
-    ordering_engine: str = "auto"
 
     def __post_init__(self):
         if self.isa not in ISAS:
             raise ValueError(
                 f"unsupported ISA {self.isa!r}; expected 'cnot' or 'su4'"
-            )
-        if self.simplify_engine not in SIMPLIFY_ENGINES:
-            raise ValueError(
-                f"unsupported simplify engine {self.simplify_engine!r}; "
-                "expected 'auto', 'fast' or 'reference'"
-            )
-        if self.ordering_engine not in ORDERING_ENGINES:
-            raise ValueError(
-                f"unsupported ordering engine {self.ordering_engine!r}; "
-                "expected 'auto', 'fast' or 'reference'"
             )
         object.__setattr__(self, "optimization_level", int(self.optimization_level))
         object.__setattr__(self, "lookahead", int(self.lookahead))
@@ -107,21 +100,67 @@ class CompileOptions:
         """Whether mapping/routing runs (a real, non-complete topology)."""
         return self.topology is not None and not self.topology.is_all_to_all()
 
+    @property
+    def order_sensitive(self) -> bool:
+        """Whether cache keys must preserve the input term order."""
+        from repro.pipeline.registry import is_order_sensitive
+
+        return is_order_sensitive(self.compiler)
+
     def replace(self, **changes: Any) -> "CompileOptions":
         """A copy with the given fields changed (options are frozen)."""
         return replace(self, **changes)
 
     # ------------------------------------------------------------------
-    def config_dict(self, compiler: str = "phoenix") -> Dict[str, Any]:
-        """The complete compile-affecting configuration as plain data.
+    def to_dict(self) -> Dict[str, Any]:
+        """Lossless plain data: :meth:`from_dict` rebuilds an equal value.
 
-        Byte-identical to the pre-pipeline ``PhoenixCompiler.config_dict``
-        (``simplify_engine`` and ``ordering_engine`` are deliberately
-        excluded: each knob's engines produce bit-identical circuits, so
-        they must not split cache entries).
+        Raises ``ValueError`` when the topology matches no spec string.
         """
         return {
-            "compiler": compiler,
+            "compiler": self.compiler,
+            "isa": self.isa,
+            "topology": topology_to_spec(self.topology),
+            "optimization_level": self.optimization_level,
+            "lookahead": self.lookahead,
+            "seed": self.seed,
+        }
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "CompileOptions":
+        """Options from plain data (missing keys take the defaults).
+
+        The plain-data edge (manifests, payloads, ``phoenix serve``)
+        validates eagerly: an unknown compiler or topology spec raises
+        ``ValueError``.
+        """
+        from repro.pipeline.registry import get_compiler_factory
+
+        compiler = data.get("compiler", "phoenix")
+        get_compiler_factory(compiler)
+        return cls(
+            compiler=compiler,
+            isa=data.get("isa", "cnot"),
+            topology=resolve_topology(data.get("topology")),
+            optimization_level=data.get("optimization_level", 2),
+            lookahead=data.get("lookahead", 10),
+            seed=data.get("seed", 0),
+        )
+
+    def build(self, cache=None):
+        """Instantiate the configured compiler from the global registry."""
+        from repro.pipeline.registry import build_compiler
+
+        return build_compiler(self.compiler, self, cache=cache)
+
+    # ------------------------------------------------------------------
+    def config_dict(self) -> Dict[str, Any]:
+        """The complete compile-affecting configuration as plain data.
+
+        Byte-identical to the pre-pipeline ``PhoenixCompiler.config_dict``.
+        """
+        return {
+            "compiler": self.compiler,
             "isa": self.isa,
             "lookahead": self.lookahead,
             "optimization_level": self.optimization_level,
@@ -129,7 +168,29 @@ class CompileOptions:
             "topology": self.topology.fingerprint() if self.topology is not None else None,
         }
 
-    def config_fingerprint(self, compiler: str = "phoenix") -> str:
-        """Stable digest of :meth:`config_dict`, used as a cache-key part."""
-        payload = json.dumps(self.config_dict(compiler), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    def config_fingerprint(self) -> str:
+        """Stable digest of :meth:`config_dict`."""
+        return _digest(self.config_dict())
+
+    def fingerprint(self) -> str:
+        """Stable digest of the resolved configuration, as a cache-key part.
+
+        Compilers with a ``config_fingerprint`` (PHOENIX and its
+        subclasses) key on the built instance's, so a registered subclass
+        with its own defaults keys what actually runs.  The others (the
+        baselines) hash the legacy plain-data spec, which has no
+        ``lookahead``.
+        """
+        from repro.pipeline.registry import get_compiler_factory
+
+        if hasattr(get_compiler_factory(self.compiler), "config_fingerprint"):
+            return self.build().config_fingerprint()
+        return _digest(
+            {
+                "compiler": self.compiler,
+                "isa": self.isa,
+                "topology": topology_to_spec(self.topology),
+                "optimization_level": self.optimization_level,
+                "seed": self.seed,
+            }
+        )

@@ -1,17 +1,17 @@
 """The global compiler registry.
 
 One name -> factory table shared by every layer that needs to resolve a
-compiler: ``experiments.harness.default_compilers``, the service's
-plain-data :class:`~repro.service.registry.CompilerOptions`, and the
-``phoenix`` CLI's ``--compiler`` flag all read from here (the per-layer
-tables they used to keep are gone).
+compiler: ``experiments.harness.default_compilers``,
+:meth:`CompileOptions.build() <repro.pipeline.options.CompileOptions.build>`
+(and through it the batch service), and the ``phoenix`` CLI's
+``--compiler`` flag all read from here.
 
 A factory is a class (or callable) accepting the keyword arguments
 ``isa, topology, optimization_level, seed``; factories that additionally
 expose a ``from_options(options, cache=None)`` classmethod (every
 :class:`~repro.pipeline.compiler.PipelineCompiler` does) receive the full
 :class:`~repro.pipeline.options.CompileOptions`, including the
-PHOENIX-specific knobs (``lookahead``, ``simplify_engine``).
+PHOENIX-specific ``lookahead``.
 """
 
 from __future__ import annotations

@@ -57,10 +57,7 @@ class SimplifyStage:
     name = "simplify"
 
     def run(self, context: CompileContext) -> None:
-        engine = context.options.simplify_engine
-        context.groups = [
-            simplify_group(group, engine=engine) for group in context.groups
-        ]
+        context.groups = [simplify_group(group) for group in context.groups]
 
 
 class OrderStage:
@@ -74,7 +71,6 @@ class OrderStage:
             context.num_qubits,
             lookahead=context.options.lookahead,
             routing_aware=context.hardware_aware,
-            engine=context.options.ordering_engine,
         )
 
 

@@ -10,7 +10,7 @@ the matching blocking client.
 
 ``phoenix cache serve`` (:mod:`repro.serve.cacheapp`) reuses the same
 HTTP stack to run a shared cache server: a
-:class:`~repro.service.shardcache.ShardedDiskCacheStore` addressable by
+:class:`~repro.service.shardcache.DiskCacheStore` addressable by
 URL from any :class:`~repro.service.remotecache.RemoteCacheStore` tier.
 """
 

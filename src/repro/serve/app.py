@@ -71,10 +71,8 @@ class ServeConfig:
     timeout: Optional[float] = None  # per-program compile budget, seconds
     retries: int = 1
     retry_errors: bool = False
-    #: Cache spec (memory:, disk:/path, http://host:port, composed tiers);
-    #: wins over the legacy ``cache_dir`` when both are set.
+    #: Cache spec (memory:, disk:/path, http://host:port, composed tiers).
     cache: Optional[str] = None
-    cache_dir: Optional[str] = None
     journal: Optional[str] = None  # WAL path; also anchors the pending manifest
     resume: bool = False  # replay terminal outcomes already in the journal
     history: int = 256  # finished jobs kept for GET /v1/jobs/<id>
@@ -118,21 +116,18 @@ class ServeApp:
 
     @staticmethod
     def _build_service(config: ServeConfig) -> CompilationService:
-        retry_policy = None
-        if config.retry_errors:
-            # The resident server retries transient *errors* too (a flaky
-            # worker should not fail a remote client's job), not just the
-            # timeouts/crashes the batch CLI retries by default.
-            retry_policy = RetryPolicy(
-                max_retries=config.retries, retry_errors=True, base_delay=0.05
-            )
-        cache: CacheStore = open_cache(config.cache or config.cache_dir)
+        # ``retry_errors`` also retries transient *errors* (a flaky worker
+        # should not fail a remote client's job), not just the
+        # timeouts/crashes the batch CLI retries by default.
+        retry_policy = RetryPolicy(
+            max_retries=config.retries, retry_errors=config.retry_errors
+        )
+        cache: CacheStore = open_cache(config.cache)
         return CompilationService(
             cache=cache,
             executor=config.executor,
             max_workers=config.workers,
             timeout=config.timeout,
-            retries=config.retries,
             retry_policy=retry_policy,
             keep_alive=True,
         )

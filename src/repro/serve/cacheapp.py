@@ -1,6 +1,6 @@
 """The resident cache server behind ``phoenix cache serve``.
 
-A :class:`~repro.service.shardcache.ShardedDiskCacheStore` fronted by the
+A :class:`~repro.service.shardcache.DiskCacheStore` fronted by the
 same asyncio HTTP stack as ``phoenix serve``, speaking the wire protocol
 :class:`~repro.service.remotecache.RemoteCacheStore` consumes:
 
@@ -44,7 +44,7 @@ from ..obs import metrics as obs_metrics
 from ..serialize.jsonutil import canonical_json_bytes
 from ..service.remotecache import valid_key
 from ..service.resilience import shutdown_guard
-from ..service.shardcache import ShardedDiskCacheStore
+from ..service.shardcache import DiskCacheStore
 from .http import Request, Response, Router, read_request
 from .supervisor import Supervisor
 
@@ -79,11 +79,11 @@ class CacheServeApp:
     def __init__(
         self,
         config: CacheServeConfig,
-        store: Optional[ShardedDiskCacheStore] = None,
+        store: Optional[DiskCacheStore] = None,
         drain_token: Optional[threading.Event] = None,
     ) -> None:
         self.config = config
-        self.store = store if store is not None else ShardedDiskCacheStore(
+        self.store = store if store is not None else DiskCacheStore(
             config.cache_dir, depth=config.depth, width=config.width
         )
         self.supervisor = Supervisor()

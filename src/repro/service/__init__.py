@@ -1,12 +1,12 @@
 """Batch compilation service: caching, parallel workers, CLI.
 
 This subpackage is the serving layer over the compilers: a
-content-addressed compilation cache (:mod:`repro.service.cache`, with a
-sharded prunable disk tier in :mod:`repro.service.shardcache`), pluggable
+content-addressed compilation cache (:mod:`repro.service.cache`, with its
+sharded, prunable disk tier in :mod:`repro.service.shardcache`), pluggable
 serial/process execution backends (:mod:`repro.service.executor`), a
-parallel batch compiler (:class:`CompilationService`), plain-data compiler
-specs that survive process boundaries (:mod:`repro.service.registry`), and
-the ``phoenix`` command line (:mod:`repro.service.cli`).
+parallel batch compiler (:class:`CompilationService`) whose jobs carry
+:class:`repro.pipeline.CompileOptions` across process boundaries as plain
+data, and the ``phoenix`` command line (:mod:`repro.service.cli`).
 
 Resilience lives in three sibling modules: retry/breaker/shutdown
 policies (:mod:`repro.service.resilience`), the crash-safe batch journal
@@ -18,8 +18,6 @@ policies (:mod:`repro.service.resilience`), the crash-safe batch journal
 from repro.service.cache import (
     CacheStats,
     CacheStore,
-    DiskCacheStore,
-    DoctorReport,
     MemoryCacheStore,
     TieredCache,
     compilation_cache_key,
@@ -33,7 +31,6 @@ from repro.service.executor import (
     resolve_executor,
 )
 from repro.service.journal import BatchJournal, load_journal
-from repro.service.registry import CompilerOptions, compiler_names, resolve_topology
 from repro.service.resilience import (
     CircuitBreaker,
     RetryPolicy,
@@ -47,7 +44,7 @@ from repro.service.service import (
     ProgressEvent,
 )
 from repro.service.remotecache import RemoteCacheStore, RemoteCacheUnavailable
-from repro.service.shardcache import PruneReport, ShardedDiskCacheStore
+from repro.service.shardcache import DiskCacheStore, DoctorReport, PruneReport
 
 __all__ = [
     "CacheStats",
@@ -55,7 +52,6 @@ __all__ = [
     "MemoryCacheStore",
     "DiskCacheStore",
     "DoctorReport",
-    "ShardedDiskCacheStore",
     "PruneReport",
     "RemoteCacheStore",
     "RemoteCacheUnavailable",
@@ -65,9 +61,6 @@ __all__ = [
     "is_remote_spec",
     "open_cache",
     "parse_spec",
-    "CompilerOptions",
-    "compiler_names",
-    "resolve_topology",
     "CompilationJob",
     "CompilationService",
     "JobResult",

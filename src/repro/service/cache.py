@@ -8,12 +8,10 @@ store satisfies the :class:`CacheStore` protocol — the uniform
 ``stats`` counter block — so callers never special-case tiers:
 
 * :class:`MemoryCacheStore` — a thread-safe in-process dict.
-* :class:`DiskCacheStore` — one ``<key>.json`` file per entry, sharded into
-  256 two-hex-character subdirectories so that directories stay small under
-  production-scale entry counts.  Writes are atomic (temp file + rename) so
-  concurrent workers can share a cache directory.
-  (:class:`repro.service.shardcache.ShardedDiskCacheStore` is the
-  configurable-fan-out, prunable production variant.)
+* :class:`repro.service.shardcache.DiskCacheStore` — one ``<key>.json``
+  file per entry under sharded subdirectories, with atomic writes so
+  concurrent workers can share a cache directory, quarantine of corrupt
+  entries, and LRU pruning.
 * :class:`repro.service.remotecache.RemoteCacheStore` — a ``phoenix cache
   serve`` instance across the network, addressed by URL.
 * :class:`TieredCache` — memory in front of disk in front of (optionally)
@@ -23,57 +21,39 @@ store satisfies the :class:`CacheStore` protocol — the uniform
 Stores are built from URL-style *specs* by
 :func:`repro.service.cachespec.cache_from_spec` (``memory:``,
 ``disk:/path?depth=2``, ``http://host:port``, comma-composed tiers);
-:func:`open_cache` accepts either a spec or a bare directory path.
+:func:`open_cache` is the one-call entry point.
 
 All stores count hits and misses (:attr:`CacheStats`).
 
-**The disk tier degrades, it does not raise.**  A cache is an accelerator:
-no I/O failure on the read or write path may take a compilation down.
-Concretely,
-
-* a corrupt entry (bad JSON, truncated file, wrong encoding) becomes a
-  logged **miss** and the file is **quarantined** into a ``corrupt/``
-  sidecar directory (``repro_cache_quarantined_total``), where
-  ``phoenix cache doctor`` can inspect, restore, or purge it;
-* an I/O error (``ENOSPC``, ``EACCES``, a yanked network mount...)
-  becomes a logged miss / dropped write (``repro_cache_io_errors_total``);
-* every disk outcome optionally feeds a
-  :class:`~repro.service.resilience.CircuitBreaker`; while the breaker is
-  open, :class:`TieredCache` stops touching the disk tier entirely and
-  serves memory-only until the half-open probe succeeds.
-
-Only :class:`ValueError` from key validation still raises — an invalid
-key is a caller bug, not an infrastructure failure.
+**Tiers degrade, they do not raise.**  A cache is an accelerator: no I/O
+failure on the read or write path may take a compilation down.  The disk
+store turns corrupt entries and I/O errors into logged misses (see
+:mod:`repro.service.shardcache`) and feeds an optional
+:class:`~repro.service.resilience.CircuitBreaker`; while the breaker is
+open, :class:`TieredCache` stops touching the disk tier entirely and
+serves memory-only until the half-open probe succeeds.
 """
 
 from __future__ import annotations
 
-import json
-import logging
-import os
-import tempfile
 import threading
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     Iterator,
     Optional,
     Protocol,
-    Union,
     runtime_checkable,
 )
 
 from repro.obs import metrics as obs_metrics
 from repro.paulis.fingerprint import ProgramLike, program_fingerprint
-from repro.service import faultlab
 from repro.service.resilience import CircuitBreaker
 
-logger = logging.getLogger(__name__)
-
-#: Sidecar directory (under the cache root) holding quarantined entries.
-QUARANTINE_DIRNAME = "corrupt"
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.service.shardcache import DiskCacheStore
 
 
 def compilation_cache_key(
@@ -135,7 +115,7 @@ class CacheStore(Protocol):
     meant a new store (the remote tier) could not be named at all and
     callers special-cased tiers for accounting.  It is now a real
     :class:`typing.Protocol`: anything with this surface — memory, disk,
-    sharded disk, remote, tiered — is a cache store, checked structurally
+    remote, tiered — is a cache store, checked structurally
     by mypy and (``runtime_checkable``) by ``isinstance`` in tests.
 
     Contract notes beyond the signatures:
@@ -232,266 +212,6 @@ class MemoryCacheStore:
 
     def close(self) -> None:
         """No resources held; part of the uniform store surface."""
-
-
-@dataclass(frozen=True)
-class DoctorReport:
-    """What one :meth:`DiskCacheStore.doctor` scan found and did."""
-
-    scanned: int = 0
-    healthy: int = 0
-    corrupt: int = 0
-    quarantined: int = 0
-    restored: int = 0
-    purged: int = 0
-    quarantine_backlog: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "scanned": self.scanned,
-            "healthy": self.healthy,
-            "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
-            "restored": self.restored,
-            "purged": self.purged,
-            "quarantine_backlog": self.quarantine_backlog,
-        }
-
-
-class DiskCacheStore:
-    """One JSON file per entry under ``root/<key[:2]>/<key>.json``."""
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.stats = CacheStats()
-        #: Optional :class:`CircuitBreaker` fed by every disk outcome;
-        #: :class:`TieredCache` consults it to degrade to memory-only.
-        self.breaker: Optional[CircuitBreaker] = None
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.root / QUARANTINE_DIRNAME
-
-    def _path(self, key: str) -> Path:
-        if not key or any(ch in key for ch in "/\\"):
-            raise ValueError(f"invalid cache key {key!r}")
-        return self.root / key[:2] / f"{key}.json"
-
-    def _is_live(self, path: Path) -> bool:
-        """Entry files only — never the quarantine sidecar's contents."""
-        return self.quarantine_dir not in path.parents
-
-    # -- degradation helpers --------------------------------------------
-    def _disk_outcome(self, ok: bool) -> None:
-        if self.breaker is not None:
-            if ok:
-                self.breaker.record_success()
-            else:
-                self.breaker.record_failure()
-
-    def _quarantine(self, key: str, path: Path, reason: str) -> None:
-        """Move a corrupt entry into the sidecar; the get stays a miss."""
-        if not path.exists():
-            # Nothing on disk to isolate (e.g. the decode failed before the
-            # entry was ever written): it is just a miss.
-            return
-        self.stats.quarantined += 1
-        obs_metrics.counter("repro_cache_quarantined_total").inc()
-        moved = False
-        try:
-            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, self.quarantine_dir / path.name)
-            moved = True
-        except OSError:
-            pass  # racing reader already moved it, or the dir is read-only
-        logger.warning(
-            "quarantined corrupt cache entry %s (%s)%s",
-            key,
-            reason.strip().splitlines()[-1] if reason.strip() else reason,
-            "" if moved else " [move failed; entry left in place]",
-        )
-
-    def _io_error(self, op: str, key: str, exc: BaseException) -> None:
-        self.stats.io_errors += 1
-        obs_metrics.counter("repro_cache_io_errors_total", op=op).inc()
-        logger.warning("cache %s failed for %s: %s", op, key, exc)
-
-    # -- store surface ---------------------------------------------------
-    def get(self, key: str) -> Optional[Dict[str, Any]]:
-        path = self._path(key)
-        try:
-            faultlab.fire("cache.get", key=key)
-            with path.open("r", encoding="utf-8") as handle:
-                value = json.load(handle)
-        except FileNotFoundError:
-            self._disk_outcome(ok=True)  # the disk worked; the entry is absent
-            self.stats.misses += 1
-            return None
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
-            self._quarantine(key, path, str(exc))
-            self._disk_outcome(ok=False)
-            self.stats.misses += 1
-            return None
-        except OSError as exc:
-            self._io_error("get", key, exc)
-            self._disk_outcome(ok=False)
-            self.stats.misses += 1
-            return None
-        self._disk_outcome(ok=True)
-        self.stats.hits += 1
-        return value
-
-    def _write(self, path: Path, value: Dict[str, Any]) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(value, handle)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except FileNotFoundError:
-                pass
-            raise
-
-    def put(self, key: str, value: Dict[str, Any]) -> None:
-        path = self._path(key)  # invalid keys still raise: caller bug
-        try:
-            faultlab.fire("cache.put", key=key)
-            self._write(path, value)
-        except (OSError, faultlab.InjectedFault) as exc:
-            # A dropped write is a future miss, never a batch failure.
-            self._io_error("put", key, exc)
-            self._disk_outcome(ok=False)
-            return
-        self._disk_outcome(ok=True)
-        self.stats.puts += 1
-
-    def delete(self, key: str) -> bool:
-        try:
-            self._path(key).unlink()
-            return True
-        except FileNotFoundError:
-            return False
-
-    def keys(self) -> Iterator[str]:
-        for path in sorted(self.root.glob("*/*.json")):
-            if self._is_live(path):
-                yield path.stem
-
-    def clear(self) -> int:
-        count = 0
-        for path in self.root.glob("*/*.json"):
-            if not self._is_live(path):
-                continue
-            path.unlink()
-            count += 1
-        return count
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
-
-    def usage(self) -> Dict[str, Any]:
-        """Entry/byte accounting (the sharded subclass reports more)."""
-        entries = 0
-        total_bytes = 0
-        for path in self.root.glob("*/*.json"):
-            if not self._is_live(path):
-                continue
-            entries += 1
-            try:
-                total_bytes += path.stat().st_size
-            except OSError:
-                continue
-        return {
-            "root": str(self.root),
-            "entries": entries,
-            "total_bytes": total_bytes,
-            "session": self.stats.as_dict(),
-        }
-
-    def close(self) -> None:
-        """No handles held open between calls; uniform surface only."""
-
-    # -- doctor ----------------------------------------------------------
-    def _validate_file(self, path: Path) -> bool:
-        try:
-            with path.open("r", encoding="utf-8") as handle:
-                json.load(handle)
-            return True
-        except (OSError, ValueError, UnicodeDecodeError):
-            return False
-
-    def doctor(self, repair: bool = True, purge: bool = False) -> DoctorReport:
-        """Scan every entry; quarantine corrupt ones, restore healthy ones.
-
-        ``repair=False`` only reports.  ``purge=True`` additionally deletes
-        whatever remains in the quarantine sidecar after restoration.
-        Restoration never overwrites a live entry (the recompiled entry,
-        if any, is fresher than the quarantined copy).
-        """
-        scanned = healthy = corrupt = quarantined = restored = purged = 0
-        for key in list(self.keys()):
-            path = self._path(key)
-            scanned += 1
-            if self._validate_file(path):
-                healthy += 1
-                continue
-            corrupt += 1
-            if repair:
-                self._quarantine(key, path, "doctor scan: unreadable entry")
-                quarantined += 1
-        if self.quarantine_dir.is_dir():
-            for path in sorted(self.quarantine_dir.glob("*.json")):
-                key = path.stem
-                if repair and self._validate_file(path):
-                    try:
-                        target = self._path(key)
-                        if not target.exists():
-                            target.parent.mkdir(parents=True, exist_ok=True)
-                            os.replace(path, target)
-                            restored += 1
-                            continue
-                    except (OSError, ValueError):
-                        pass
-                if purge:
-                    try:
-                        path.unlink()
-                        purged += 1
-                    except OSError:
-                        pass
-        backlog = (
-            sum(1 for _ in self.quarantine_dir.glob("*.json"))
-            if self.quarantine_dir.is_dir()
-            else 0
-        )
-        report = DoctorReport(
-            scanned=scanned,
-            healthy=healthy,
-            corrupt=corrupt,
-            quarantined=quarantined,
-            restored=restored,
-            purged=purged,
-            quarantine_backlog=backlog,
-        )
-        logger.info(
-            "cache doctor on %s: scanned %d, healthy %d, corrupt %d "
-            "(quarantined %d, restored %d, purged %d, backlog %d)",
-            self.root,
-            report.scanned,
-            report.healthy,
-            report.corrupt,
-            report.quarantined,
-            report.restored,
-            report.purged,
-            report.quarantine_backlog,
-        )
-        return report
 
 
 class TieredCache:
@@ -665,34 +385,18 @@ class TieredCache:
             self.remote.close()
 
 
-def open_cache(
-    cache_dir: Optional[Union[str, Path]] = None,
-    depth: Optional[int] = None,
-    width: Optional[int] = None,
-    breaker: Optional[CircuitBreaker] = None,
-) -> TieredCache:
-    """A tiered cache for ``cache_dir`` — a directory path *or* a spec.
+def open_cache(spec: Optional[str] = None) -> TieredCache:
+    """The tiered cache a spec names; ``None`` is a memory-only cache.
 
-    String targets are treated as cache specs and delegated to
-    :func:`repro.service.cachespec.cache_from_spec`, so every entry point
-    that historically took a bare directory now also accepts ``memory:``,
-    ``disk:/path?depth=2&width=16``, ``http://host:port``, or a
-    comma-composed tier list (a bare path keeps meaning "disk cache in
-    that directory").  ``None`` returns a memory-only cache.
-
-    For a disk tier, the store is a
-    :class:`repro.service.shardcache.ShardedDiskCacheStore` whose default
-    layout is byte-compatible with :class:`DiskCacheStore` directories;
-    ``depth``/``width`` configure the shard fan-out for new caches (an
-    existing cache keeps its recorded layout).  The tier is guarded by
-    ``breaker`` (a default disk breaker when omitted): repeated I/O
-    failures open it and the cache degrades until the disk recovers.
+    Specs are parsed by :func:`repro.service.cachespec.cache_from_spec`:
+    ``memory:``, ``disk:/path?depth=2&width=16``, ``http://host:port``, or
+    a comma-composed tier list.  A disk tier is guarded by a default
+    breaker: repeated I/O failures open it and the cache degrades until
+    the disk recovers.
     """
-    if cache_dir is None:
+    if spec is None:
         return TieredCache(disk=None)
     # Imported here: cachespec builds the stores this module defines.
     from repro.service.cachespec import cache_from_spec
 
-    return cache_from_spec(
-        str(cache_dir), depth=depth, width=width, breaker=breaker
-    )
+    return cache_from_spec(spec)

@@ -3,16 +3,17 @@
 A *spec* names a cache tier, or a comma-separated composition of tiers:
 
 * ``memory:`` (or just ``memory``) — the in-process tier only,
-* ``disk:/path`` — a sharded disk cache in that directory; shard layout
+* ``disk:/path`` — a disk cache in that directory; shard layout
   via query params: ``disk:/path?depth=2&width=16``,
 * ``http://host:port`` / ``https://host:port`` — a ``phoenix cache
   serve`` instance, with an optional ``?timeout=2.0`` for the per-request
   network timeout,
 * ``disk:/path,http://host:port`` — tiers composed memory → disk →
   remote (the memory tier is always present; order of parts is free,
-  but at most one disk and one remote tier per spec),
-* a bare path (``/var/cache/phoenix``, ``.cache``) — back-compatible
-  shorthand for ``disk:`` of that path.
+  but at most one disk and one remote tier per spec).
+
+A part without a scheme (a bare directory path) is an error: write
+``disk:PATH``.
 
 :func:`cache_from_spec` parses a spec into a
 :class:`~repro.service.cache.TieredCache`, so every caller gets the same
@@ -111,17 +112,13 @@ def parse_spec(spec: str) -> CacheSpec:
                         f"cache spec {spec!r}: timeout must be a number"
                     ) from None
             remote_url = split._replace(query="", fragment="").geturl()
-        elif scheme == "disk" or not scheme:
+        elif scheme == "disk":
             if disk_path is not None:
                 raise ValueError(f"cache spec {spec!r} names two disk tiers")
-            if scheme == "disk":
-                # urlsplit keeps everything after "disk:" in .path; peel
-                # an explicit query off by hand so query-less paths with
-                # unusual characters survive untouched.
-                raw = part[len("disk:"):]
-                path, _, query = raw.partition("?")
-            else:
-                path, query = part, ""
+            # urlsplit keeps everything after "disk:" in .path; peel an
+            # explicit query off by hand so query-less paths with unusual
+            # characters survive untouched.
+            path, _, query = part[len("disk:"):].partition("?")
             if not path:
                 raise ValueError(f"cache spec {spec!r} has an empty disk path")
             params = parse_qs(query)
@@ -130,6 +127,11 @@ def parse_spec(spec: str) -> CacheSpec:
             if "width" in params:
                 disk_width = _positive_int(params["width"][0], "width", spec)
             disk_path = path
+        elif not scheme:
+            raise ValueError(
+                f"cache spec {spec!r}: {part!r} has no scheme; write "
+                f"disk:{part} for a disk cache in that directory"
+            )
         else:
             raise ValueError(
                 f"cache spec {spec!r}: unknown scheme {scheme!r} "
@@ -145,48 +147,35 @@ def parse_spec(spec: str) -> CacheSpec:
     )
 
 
-def cache_from_spec(
-    spec: str,
-    depth: Optional[int] = None,
-    width: Optional[int] = None,
-    breaker: Optional[CircuitBreaker] = None,
-    timeout: Optional[float] = None,
-) -> TieredCache:
+def cache_from_spec(spec: str) -> TieredCache:
     """Build a :class:`TieredCache` from a spec string.
 
-    ``depth``/``width`` are defaults for a disk tier that does not name
-    its own (query params win); ``breaker`` guards the disk tier (the
-    remote tier always carries its own); ``timeout`` is the default
-    remote request timeout.  Raises :class:`ValueError` on an empty spec,
-    an unknown scheme, or a duplicated tier.
+    A disk tier gets its own circuit breaker (the remote tier carries its
+    own inside :class:`~repro.service.remotecache.RemoteCacheStore`); the
+    remote request timeout defaults to 2 s.  Raises :class:`ValueError` on
+    an empty spec, a part without a scheme, an unknown scheme, or a
+    duplicated tier.
     """
     # Imported here: these modules import cache.py, which lazily calls us.
     from repro.service.remotecache import RemoteCacheStore
-    from repro.service.shardcache import ShardedDiskCacheStore
+    from repro.service.shardcache import DiskCacheStore
 
     parsed = parse_spec(spec)
     disk = None
     if parsed.has_disk:
-        disk = ShardedDiskCacheStore(
-            parsed.disk_path,
-            depth=parsed.disk_depth if parsed.disk_depth is not None else depth,
-            width=parsed.disk_width if parsed.disk_width is not None else width,
+        disk = DiskCacheStore(
+            parsed.disk_path, depth=parsed.disk_depth, width=parsed.disk_width
         )
     remote = None
     if parsed.has_remote:
         remote_timeout = parsed.remote_timeout
-        if remote_timeout is None:
-            remote_timeout = timeout if timeout is not None else 2.0
-        remote = RemoteCacheStore(parsed.remote_url, timeout=remote_timeout)
-
-    if parsed.memory_only and disk is None and remote is None:
-        return TieredCache(disk=None)
-    disk_breaker = None
-    if disk is not None:
-        disk_breaker = breaker if breaker is not None else CircuitBreaker(
-            "cache.disk", window=16, cooldown=15.0
+        remote = RemoteCacheStore(
+            parsed.remote_url, timeout=2.0 if remote_timeout is None else remote_timeout
         )
-    return TieredCache(disk=disk, breaker=disk_breaker, remote=remote)
+    breaker = (
+        CircuitBreaker("cache.disk", window=16, cooldown=15.0) if disk is not None else None
+    )
+    return TieredCache(disk=disk, breaker=breaker, remote=remote)
 
 
 def describe_spec(spec: str) -> str:

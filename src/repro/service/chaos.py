@@ -114,7 +114,7 @@ def run_chaos(
     with tempfile.TemporaryDirectory(prefix="phoenix-chaos-") as tmp:
         # A real disk tier (with its breaker) so cache faults exercise the
         # quarantine/degradation machinery, not just the in-memory dict.
-        cache = open_cache(tmp)
+        cache = open_cache(f"disk:{tmp}")
         service = CompilationService(
             cache=cache,
             executor=executor,

@@ -5,21 +5,21 @@ registry::
 
     phoenix compile --benchmark LiH_frz_JW --format metrics
     phoenix compile --input program.json --format qasm --output out.qasm
-    phoenix batch LiH_frz_JW NH_frz_BK --workers 4 --cache-dir .phoenix-cache
+    phoenix batch LiH_frz_JW NH_frz_BK --workers 4 --cache disk:.phoenix-cache
     phoenix batch --manifest jobs.json --executor process --timeout 120
     phoenix batch --manifest jobs.json --trace-out trace.jsonl \
         --metrics-out metrics.prom --log-level info
     phoenix batch --manifest jobs.json --journal run.wal --resume
     phoenix profile --limit 4
     phoenix profile --input batch-summaries.json
-    phoenix cache stats --cache-dir .phoenix-cache
-    phoenix cache prune --cache-dir .phoenix-cache --max-bytes 200M --max-age 7d
-    phoenix cache doctor --cache-dir .phoenix-cache
+    phoenix cache stats --cache disk:.phoenix-cache
+    phoenix cache prune --cache disk:.phoenix-cache --max-bytes 200M --max-age 7d
+    phoenix cache doctor --cache disk:.phoenix-cache
     phoenix cache serve --cache disk:.phoenix-cache --port 8078
     phoenix cache stats --cache http://cachehost:8078
     phoenix batch --manifest jobs.json --cache disk:.cache,http://cachehost:8078
     phoenix chaos --scenario ci-smoke --seed 7 --limit 4
-    phoenix serve --port 8077 --cache-dir .phoenix-cache --journal serve.wal
+    phoenix serve --port 8077 --cache disk:.phoenix-cache --journal serve.wal
     phoenix workload list
     phoenix workload build "tfim:n=12,lattice=ring" --output program.json
     phoenix workload compile "heisenberg:n=16,lattice=grid,rows=4,cols=4" \
@@ -59,6 +59,9 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 import repro.obs as obs
+from repro.hardware.topology import resolve_topology
+from repro.pipeline.options import CompileOptions
+from repro.pipeline.registry import compiler_names
 from repro.serialize.results import (
     result_to_dict,
     terms_from_dict,
@@ -67,7 +70,6 @@ from repro.serialize.results import (
 )
 from repro.service.cache import open_cache
 from repro.service.journal import BatchJournal
-from repro.service.registry import CompilerOptions, compiler_names
 from repro.service.resilience import shutdown_guard
 from repro.service.service import (
     CompilationJob,
@@ -76,7 +78,7 @@ from repro.service.service import (
     ProgressEvent,
     job_summary,
 )
-from repro.service.shardcache import ShardedDiskCacheStore
+from repro.service.shardcache import DiskCacheStore
 
 
 def _load_program(args: argparse.Namespace) -> List:
@@ -90,11 +92,11 @@ def _load_program(args: argparse.Namespace) -> List:
     raise SystemExit("error: provide --benchmark NAME or --input FILE")
 
 
-def _options_from_args(args: argparse.Namespace) -> CompilerOptions:
-    return CompilerOptions(
+def _options_from_args(args: argparse.Namespace) -> CompileOptions:
+    return CompileOptions(
         compiler=args.compiler,
         isa=args.isa,
-        topology=args.topology,
+        topology=resolve_topology(args.topology),
         optimization_level=args.opt_level,
         seed=args.seed,
     )
@@ -180,14 +182,6 @@ def _parse_age(text: str) -> float:
         raise ValueError(f"invalid age {text!r}; expected e.g. 3600, 90m, 12h, 7d")
 
 
-def _cache_target(args: argparse.Namespace) -> Optional[str]:
-    """The cache spec to open: ``--cache`` wins over legacy ``--cache-dir``."""
-    spec = getattr(args, "cache", None)
-    if spec:
-        return spec
-    return getattr(args, "cache_dir", None)
-
-
 def _add_compiler_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--compiler", default="phoenix", choices=compiler_names(),
@@ -215,16 +209,11 @@ def _add_compiler_flags(parser: argparse.ArgumentParser) -> None:
              "comma-composed tier list, e.g. disk:/path,http://host:port "
              "(default: memory only)",
     )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="directory of the on-disk result cache (deprecated: use "
-             "--cache disk:DIR; a bare path still works)",
-    )
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
     program = _load_program(args)
-    service = CompilationService(cache=open_cache(_cache_target(args)))
+    service = CompilationService(cache=open_cache(args.cache))
     name = args.benchmark or Path(args.input).stem
     job_result = service.compile(program, _options_from_args(args), name=name)
     if not job_result.ok:
@@ -239,7 +228,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
 
 def jobs_from_entries(
-    entries: List[Dict[str, Any]], defaults: Optional[CompilerOptions] = None
+    entries: List[Dict[str, Any]], defaults: Optional[CompileOptions] = None
 ) -> List[CompilationJob]:
     """Build compilation jobs from manifest-style entry dicts.
 
@@ -251,7 +240,7 @@ def jobs_from_entries(
     """
     from repro.chemistry.molecules import benchmark_program
 
-    defaults = defaults if defaults is not None else CompilerOptions()
+    defaults = defaults if defaults is not None else CompileOptions()
     jobs = []
     for position, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -272,17 +261,17 @@ def jobs_from_entries(
             "name",
             entry.get("benchmark", entry.get("workload", f"job-{position}")),
         )
-        merged = dict(defaults.as_dict())
+        merged = defaults.to_dict()
         merged.update(
             {k: entry[k] for k in
              ("compiler", "isa", "topology", "optimization_level", "seed")
              if k in entry}
         )
-        jobs.append(CompilationJob(name, program, CompilerOptions.from_dict(merged)))
+        jobs.append(CompilationJob(name, program, CompileOptions.from_dict(merged)))
     return jobs
 
 
-def _jobs_from_manifest(path: str, defaults: CompilerOptions) -> List[CompilationJob]:
+def _jobs_from_manifest(path: str, defaults: CompileOptions) -> List[CompilationJob]:
     entries = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(entries, list):
         raise SystemExit("error: manifest must be a JSON list of job entries")
@@ -309,7 +298,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         raise SystemExit("error: --resume needs --journal PATH")
 
-    service = CompilationService(cache=open_cache(_cache_target(args)))
+    service = CompilationService(cache=open_cache(args.cache))
     progress = None if args.quiet else _stderr_progress
     trace_sink: Optional[obs.JsonlSink] = None
     previous_sink = None
@@ -430,7 +419,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             suite = PINNED_SUITE[: args.limit] if args.limit else PINNED_SUITE
             jobs = bench_jobs(suite)
             source = f"bench suite ({len(jobs)} of {len(PINNED_SUITE)} jobs)"
-        service = CompilationService(cache=open_cache(_cache_target(args)))
+        service = CompilationService(cache=open_cache(args.cache))
         progress = None if args.quiet else _stderr_progress
         job_results = service.compile_many(
             jobs, workers=1, executor="serial", progress=progress
@@ -485,17 +474,10 @@ def _cmd_workload_compile(args: argparse.Namespace) -> int:
     from repro.workloads.registry import workload_from_spec
 
     workload = workload_from_spec(args.spec)
-    topology = args.topology
-    if topology == "auto":
-        topology = workload.suggested_topology
-    options = CompilerOptions(
-        compiler=args.compiler,
-        isa=args.isa,
-        topology=topology,
-        optimization_level=args.opt_level,
-        seed=args.seed,
-    )
-    service = CompilationService(cache=open_cache(_cache_target(args)))
+    if args.topology == "auto":
+        args.topology = workload.suggested_topology
+    options = _options_from_args(args)
+    service = CompilationService(cache=open_cache(args.cache))
     job_result = service.compile(workload.to_terms(), options, name=workload.name)
     if not job_result.ok:
         sys.stderr.write(
@@ -510,7 +492,7 @@ def _cmd_workload_compile(args: argparse.Namespace) -> int:
             f"fingerprint: {workload.fingerprint()}",
             f"qubits: {workload.num_qubits}",
             f"terms: {workload.num_terms}",
-            f"topology: {topology or 'all-to-all'}",
+            f"topology: {args.topology or 'all-to-all'}",
             f"cached: {job_result.cached}",
         ],
         workload=workload,
@@ -530,8 +512,7 @@ def _cmd_cache_serve(args: argparse.Namespace, spec) -> int:
         return 2
     if not spec.has_disk:
         sys.stderr.write(
-            "error: 'cache serve' needs a disk cache to front "
-            "(--cache disk:DIR or --cache-dir DIR)\n"
+            "error: 'cache serve' needs a disk cache to front (--cache disk:DIR)\n"
         )
         return 2
     config = CacheServeConfig(
@@ -591,9 +572,9 @@ def _cmd_cache_remote(args: argparse.Namespace, spec) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.service.cachespec import parse_spec
 
-    target = _cache_target(args)
+    target = args.cache
     if target is None:
-        sys.stderr.write("error: provide --cache SPEC or --cache-dir DIR\n")
+        sys.stderr.write("error: provide --cache SPEC\n")
         return 2
     spec = parse_spec(target)
     if args.action == "serve":
@@ -613,12 +594,12 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         )
         return 2
     cache_dir = spec.disk_path
-    # Inspection must not create state: a typo'd --cache-dir should fail,
+    # Inspection must not create state: a typo'd directory should fail,
     # not report a fresh empty cache.
     if not Path(cache_dir).is_dir():
         sys.stderr.write(f"error: no cache directory at {cache_dir!r}\n")
         return 2
-    store = ShardedDiskCacheStore(cache_dir, depth=spec.disk_depth, width=spec.disk_width)
+    store = DiskCacheStore(cache_dir, depth=spec.disk_depth, width=spec.disk_width)
     if args.action == "info":
         usage = store.usage()
         print(f"cache: {cache_dir}")
@@ -712,7 +693,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         retries=args.retries,
         retry_errors=args.retry_errors,
         cache=args.cache,
-        cache_dir=args.cache_dir,
         journal=args.journal,
         resume=args.resume,
     )
@@ -842,10 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
              "fresh stage timings; default: memory only)",
     )
     profile_parser.add_argument(
-        "--cache-dir", default=None,
-        help="result cache directory (deprecated: use --cache disk:DIR)",
-    )
-    profile_parser.add_argument(
         "--quiet", action="store_true",
         help="suppress the per-job k/N progress lines on stderr",
     )
@@ -908,10 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache spec: disk:/path?depth=2&width=16 or http://host:port "
              "(stats/info/ls/clear work against a server; prune/doctor are "
              "local-only)",
-    )
-    cache_parser.add_argument(
-        "--cache-dir", default=None,
-        help="cache directory (deprecated: use --cache disk:DIR)",
     )
     cache_parser.add_argument(
         "--host", default="127.0.0.1", help="serve: bind address"
@@ -1027,11 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", default=None, metavar="SPEC",
         help="result cache spec: memory:, disk:/path, http://host:port, or "
              "a comma-composed tier list (default: memory only)",
-    )
-    serve_parser.add_argument(
-        "--cache-dir", default=None,
-        help="directory of the on-disk result cache (deprecated: use "
-             "--cache disk:DIR)",
     )
     serve_parser.add_argument(
         "--journal", default=None, metavar="PATH",

@@ -77,14 +77,14 @@ def default_worker_count(num_jobs: int) -> int:
 
 
 def _compile_payload(payload: Dict[str, Any]) -> RawResult:
+    from repro.pipeline.options import CompileOptions
     from repro.serialize.results import result_to_dict, terms_from_dict
-    from repro.service.registry import CompilerOptions
 
     started = time.perf_counter()
     try:
         faultlab.fire("worker.compile", name=payload.get("name"))
         terms = terms_from_dict(payload["program"])
-        compiler = CompilerOptions.from_dict(payload["options"]).build()
+        compiler = CompileOptions.from_dict(payload["options"]).build()
         result = compiler.compile(terms)
         return {
             "index": payload.get("index"),
@@ -229,18 +229,6 @@ def _pool_worker_init(warmup: bool) -> None:
         warm_worker_process()
 
 
-def _resolve_policy(
-    retries: Optional[int], retry_policy: Optional[RetryPolicy], default_retries: int
-) -> RetryPolicy:
-    """Reconcile the legacy ``retries`` count with a full ``retry_policy``."""
-    if retry_policy is None:
-        count = default_retries if retries is None else max(0, int(retries))
-        return RetryPolicy(max_retries=count)
-    if retries is not None and int(retries) != retry_policy.max_retries:
-        return retry_policy.with_retries(int(retries))
-    return retry_policy
-
-
 def _retryable(policy: RetryPolicy, raw: RawResult) -> bool:
     """Should this attempt's outcome be retried (budget permitting)?"""
     if raw.get("cancelled"):
@@ -251,18 +239,22 @@ def _retryable(policy: RetryPolicy, raw: RawResult) -> bool:
 
 
 class SerialExecutor:
-    """Run payloads inline, in order, with the same timeout/retry contract."""
+    """Run payloads inline, in order, with the same timeout/retry contract.
+
+    ``retry_policy`` defaults to no retries.
+    """
 
     name = "serial"
 
     def __init__(
         self,
         timeout: Optional[float] = None,
-        retries: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ):
         self.timeout = timeout
-        self.retry_policy = _resolve_policy(retries, retry_policy, default_retries=0)
+        self.retry_policy = (
+            retry_policy if retry_policy is not None else RetryPolicy(max_retries=0)
+        )
 
     @property
     def retries(self) -> int:
@@ -323,7 +315,7 @@ class ProcessExecutor:
     1) so stragglers rebalance while tiny jobs still amortize dispatch.
     Inline retry after a broken pool assumes failures are transient
     infrastructure issues, not jobs that deterministically kill their
-    interpreter.
+    interpreter.  ``retry_policy`` defaults to one retry.
 
     ``keep_alive=True`` turns the fork pool into a **persistent warm
     pool**: the first ``run()`` call forks and warms the workers, later
@@ -346,7 +338,6 @@ class ProcessExecutor:
         self,
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
-        retries: Optional[int] = None,
         chunk_size: Optional[int] = None,
         warmup: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
@@ -355,7 +346,7 @@ class ProcessExecutor:
     ):
         self.max_workers = max_workers
         self.timeout = timeout
-        self.retry_policy = _resolve_policy(retries, retry_policy, default_retries=1)
+        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.chunk_size = chunk_size
         self.warmup = warmup
         self.breaker = breaker
@@ -720,7 +711,6 @@ def resolve_executor(
     num_jobs: int = 0,
     max_workers: Optional[int] = None,
     timeout: Optional[float] = None,
-    retries: Optional[int] = 1,
     retry_policy: Optional[RetryPolicy] = None,
     breaker: Optional[CircuitBreaker] = None,
     keep_alive: bool = False,
@@ -745,11 +735,10 @@ def resolve_executor(
     if spec == "auto":
         spec = "process" if num_jobs > 1 and workers > 1 else "serial"
     if spec == "serial":
-        return SerialExecutor(timeout=timeout, retries=retries, retry_policy=retry_policy)
+        return SerialExecutor(timeout=timeout, retry_policy=retry_policy)
     return ProcessExecutor(
         max_workers=workers,
         timeout=timeout,
-        retries=retries,
         retry_policy=retry_policy,
         breaker=breaker,
         keep_alive=keep_alive,

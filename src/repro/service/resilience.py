@@ -112,12 +112,6 @@ class RetryPolicy:
         """Open the per-batch session (starts the deadline clock)."""
         return RetrySession(self)
 
-    def with_retries(self, max_retries: int) -> "RetryPolicy":
-        """This policy with a different retry count (executor back-compat)."""
-        from dataclasses import replace
-
-        return replace(self, max_retries=max(0, int(max_retries)))
-
 
 class RetrySession:
     """Per-batch retry state: deadline accounting plus backoff sleeps."""

@@ -33,7 +33,7 @@ from repro.core.compiler import CompilationResult
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.paulis.pauli import PauliTerm
-from repro.pipeline.options import as_terms
+from repro.pipeline.options import CompileOptions, as_terms
 from repro.serialize.results import result_from_dict, result_to_dict, terms_to_dict
 from repro.service.cache import CacheStore, MemoryCacheStore, compilation_cache_key
 from repro.service.executor import (
@@ -44,7 +44,6 @@ from repro.service.executor import (
     resolve_executor,
 )
 from repro.service.journal import BatchJournal, open_journal
-from repro.service.registry import CompilerOptions
 from repro.service.resilience import CircuitBreaker, RetryPolicy
 
 logger = logging.getLogger(__name__)
@@ -56,11 +55,19 @@ def _count_job(outcome: str) -> None:
 
 @dataclass(frozen=True)
 class CompilationJob:
-    """One unit of batch work: a named program plus a compiler spec."""
+    """One unit of batch work: a named program plus its compile options.
+
+    The options must be expressible as plain data (a registered topology
+    spec), because misses are dispatched as JSON payloads; a topology no
+    spec reproduces raises ``ValueError`` here rather than mid-batch.
+    """
 
     name: str
     program: Sequence[PauliTerm]
-    options: CompilerOptions = field(default_factory=CompilerOptions)
+    options: CompileOptions = field(default_factory=CompileOptions)
+
+    def __post_init__(self):
+        self.options.to_dict()
 
     def terms(self) -> List[PauliTerm]:
         # allow_empty: an empty program must fail *per job* at fingerprint
@@ -126,7 +133,8 @@ class CompilationService:
     """Cached, parallel front end over the registered compilers.
 
     ``executor``, ``max_workers``, ``timeout`` (seconds per job), and
-    ``retries`` set the service-wide execution defaults;
+    ``retry_policy`` (default: one retry of a timed-out or crashed job) set
+    the service-wide execution defaults;
     :meth:`compile_many` can override the executor, worker budget, and
     timeout per batch.
 
@@ -144,7 +152,6 @@ class CompilationService:
         executor: Union[str, Executor, None] = "auto",
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
-        retries: Optional[int] = None,
         retry_policy: Optional[RetryPolicy] = None,
         pool_breaker: Optional[CircuitBreaker] = None,
         keep_alive: bool = False,
@@ -153,14 +160,8 @@ class CompilationService:
         self.executor = executor if executor is not None else "auto"
         self.max_workers = max_workers
         self.timeout = timeout
-        self.retry_policy = retry_policy
+        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.keep_alive = keep_alive
-        if retries is not None:
-            self.retries = int(retries)
-        elif retry_policy is not None:
-            self.retries = retry_policy.max_retries
-        else:
-            self.retries = 1
         # One breaker per service: pool health learned in one batch keeps
         # later batches from re-paying the broken-pool discovery cost.
         # min_calls=2 means two straight pool/warmup failures are enough to
@@ -174,7 +175,7 @@ class CompilationService:
         #: The persistent warm executor, created lazily by the first batch
         #: that resolves to process execution (``keep_alive=True`` only).
         self._persistent: Optional[Executor] = None
-        self._options_fingerprints: Dict[CompilerOptions, str] = {}
+        self._options_fingerprints: Dict[CompileOptions, str] = {}
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -224,11 +225,11 @@ class CompilationService:
     def compile(
         self,
         program: Sequence[PauliTerm],
-        options: Optional[CompilerOptions] = None,
+        options: Optional[CompileOptions] = None,
         name: str = "program",
     ) -> JobResult:
         """Compile a single program through the cache (inline, no workers)."""
-        job = CompilationJob(name, program, options or CompilerOptions())
+        job = CompilationJob(name, program, options or CompileOptions())
         return self.compile_many([job], workers=1)[0]
 
     def compile_many(
@@ -438,7 +439,7 @@ class CompilationService:
                     "index": index,
                     "name": job.name,
                     "program": terms_to_dict(job.terms()),
-                    "options": job.options.as_dict(),
+                    "options": job.options.to_dict(),
                 }
                 trace_context = job_span.context()
                 if trace_context is not None:
@@ -458,7 +459,6 @@ class CompilationService:
                 num_jobs=len(pending),
                 max_workers=worker_count,
                 timeout=self.timeout if timeout is _UNSET else timeout,
-                retries=self.retries,
                 retry_policy=self.retry_policy,
                 breaker=self.pool_breaker,
                 keep_alive=self.keep_alive,

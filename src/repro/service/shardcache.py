@@ -1,26 +1,33 @@
-"""Sharded content-addressed disk cache with usage stats and LRU pruning.
+"""The content-addressed disk cache: sharded, self-healing, prunable.
 
-:class:`ShardedDiskCacheStore` is a drop-in
-:class:`~repro.service.cache.DiskCacheStore` (same ``get``/``put``/
-``delete``/``keys``/``clear`` surface, same atomic temp-file + rename
-writes, so any number of worker processes can share one cache directory)
-that adds:
+:class:`DiskCacheStore` keeps one JSON file per entry and satisfies the
+:class:`~repro.service.cache.CacheStore` protocol:
 
 * a configurable shard fan-out — keys land in
   ``root/<k[:w]>/<k[w:2w]>/.../<key>.json`` for ``depth`` levels of
   ``width`` hex characters.  The default ``depth=1, width=2`` layout is
-  byte-identical to the flat store's ``root/<k[:2]>/<key>.json``, so
-  existing cache directories and keys resolve unchanged;
+  ``root/<k[:2]>/<key>.json``, so cache directories written before the
+  layout became configurable resolve unchanged;
 * a layout marker (``shard-layout.json``) written into the cache root so
   reopening never silently mis-shards an existing directory;
+* atomic temp-file + rename writes through the canonical JSON encoder, so
+  any number of worker processes can share one directory and concurrent
+  writers of one key produce byte-identical files;
+* degradation instead of failure: a corrupt entry is a logged miss and is
+  **quarantined** into a ``corrupt/`` sidecar (``repro_cache_quarantined_total``)
+  that :meth:`DiskCacheStore.doctor` can inspect, restore, or purge; an
+  I/O error is a logged miss or dropped write (``repro_cache_io_errors_total``);
+  every outcome optionally feeds a
+  :class:`~repro.service.resilience.CircuitBreaker`;
 * access-time tracking (hits bump the entry mtime) feeding
-  :meth:`prune` — LRU-by-mtime eviction to a byte budget and/or a
-  maximum entry age, tolerant of concurrent writers and pruners; and
-* :meth:`usage` — entry/byte/shard accounting for ``phoenix cache stats``.
+  :meth:`~DiskCacheStore.prune` — LRU-by-mtime eviction to a byte budget
+  and/or a maximum entry age, tolerant of concurrent writers and pruners;
+  and
+* :meth:`~DiskCacheStore.usage` — entry/byte/shard accounting for
+  ``phoenix cache stats``.
 
-Values are written through :func:`repro.serialize.jsonutil.canonical_json`
-so identical payloads are identical files regardless of which worker
-wrote them.
+Only :class:`ValueError` from key validation raises — an invalid key is a
+caller bug, not an infrastructure failure.
 """
 
 from __future__ import annotations
@@ -32,26 +39,54 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.obs import metrics as obs_metrics
 from repro.serialize.jsonutil import canonical_json
 from repro.service import faultlab
-from repro.service.cache import DiskCacheStore
+from repro.service.cache import CacheStats
+from repro.service.resilience import CircuitBreaker
 
 logger = logging.getLogger(__name__)
 
 #: Name of the layout marker file kept in the cache root.
 LAYOUT_FILE = "shard-layout.json"
 
+#: Sidecar directory (under the cache root) holding quarantined entries.
+QUARANTINE_DIRNAME = "corrupt"
+
 #: Age (seconds) past which an orphaned ``*.tmp`` file from a crashed
-#: writer is reclaimed by :meth:`ShardedDiskCacheStore.prune`.
+#: writer is reclaimed by :meth:`DiskCacheStore.prune`.
 STALE_TMP_SECONDS = 3600.0
 
 
 @dataclass(frozen=True)
+class DoctorReport:
+    """What one :meth:`DiskCacheStore.doctor` scan found and did."""
+
+    scanned: int = 0
+    healthy: int = 0
+    corrupt: int = 0
+    quarantined: int = 0
+    restored: int = 0
+    purged: int = 0
+    quarantine_backlog: int = 0
+
+    def as_dict(self) -> Dict[str, int]:
+        return {
+            "scanned": self.scanned,
+            "healthy": self.healthy,
+            "corrupt": self.corrupt,
+            "quarantined": self.quarantined,
+            "restored": self.restored,
+            "purged": self.purged,
+            "quarantine_backlog": self.quarantine_backlog,
+        }
+
+
+@dataclass(frozen=True)
 class PruneReport:
-    """What one :meth:`ShardedDiskCacheStore.prune` call removed and kept."""
+    """What one :meth:`DiskCacheStore.prune` call removed and kept."""
 
     removed_entries: int = 0
     removed_bytes: int = 0
@@ -69,8 +104,8 @@ class PruneReport:
         }
 
 
-class ShardedDiskCacheStore(DiskCacheStore):
-    """Sharded, prunable variant of the one-file-per-entry disk store."""
+class DiskCacheStore:
+    """One JSON file per entry under a sharded root; see the module docstring."""
 
     def __init__(
         self,
@@ -79,7 +114,13 @@ class ShardedDiskCacheStore(DiskCacheStore):
         width: Optional[int] = None,
         touch_on_hit: bool = True,
     ):
-        super().__init__(root)
+        self.root = Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.stats = CacheStats()
+        #: Optional :class:`CircuitBreaker` fed by every disk outcome;
+        #: :class:`~repro.service.cache.TieredCache` consults it to degrade
+        #: to memory-only.
+        self.breaker: Optional[CircuitBreaker] = None
         self.depth, self.width = self._load_layout(depth, width)
         self.touch_on_hit = touch_on_hit
 
@@ -89,8 +130,8 @@ class ShardedDiskCacheStore(DiskCacheStore):
     ) -> Tuple[int, int]:
         """Reconcile requested fan-out with the directory's marker file.
 
-        An unmarked directory (fresh, or written by the flat store) is the
-        legacy ``depth=1, width=2`` layout unless told otherwise; explicit
+        An unmarked directory (fresh, or written before the marker existed)
+        is the ``depth=1, width=2`` layout unless told otherwise; explicit
         arguments that contradict an existing marker are an error, not a
         silent re-shard — and so is a marker that exists but cannot be
         parsed, since guessing a layout would orphan every existing entry.
@@ -120,14 +161,9 @@ class ShardedDiskCacheStore(DiskCacheStore):
         if resolved[0] < 1 or resolved[1] < 1:
             raise ValueError(f"shard depth/width must be >= 1, got {resolved}")
         try:
-            # Same atomic temp-file + rename as entries: a crash mid-write
-            # must never leave a truncated marker behind.
-            fd, tmp_name = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(
-                    canonical_json({"depth": resolved[0], "width": resolved[1]})
-                )
-            os.replace(tmp_name, marker)
+            self._atomic_write(
+                marker, canonical_json({"depth": resolved[0], "width": resolved[1]})
+            )
         except OSError:  # pragma: no cover - read-only cache directory
             pass
         return resolved
@@ -136,10 +172,14 @@ class ShardedDiskCacheStore(DiskCacheStore):
     def _entry_glob(self) -> str:
         return "/".join(["*"] * self.depth) + "/*.json"
 
+    @property
+    def quarantine_dir(self) -> Path:
+        return self.root / QUARANTINE_DIRNAME
+
     def _path(self, key: str) -> Path:
         if not key or any(ch in key for ch in "/\\"):
             raise ValueError(f"invalid cache key {key!r}")
-        if len(key) < self.depth * self.width + 1:
+        if len(key) < self.depth * self.width:
             raise ValueError(
                 f"cache key {key!r} is too short for a depth={self.depth}, "
                 f"width={self.width} shard layout"
@@ -149,13 +189,53 @@ class ShardedDiskCacheStore(DiskCacheStore):
             shard = shard / key[level * self.width : (level + 1) * self.width]
         return shard / f"{key}.json"
 
+    def _is_live(self, path: Path) -> bool:
+        """Entry files only — never the quarantine sidecar's contents."""
+        return self.quarantine_dir not in path.parents
+
+    # -- degradation helpers --------------------------------------------
+    def _disk_outcome(self, ok: bool) -> None:
+        if self.breaker is not None:
+            if ok:
+                self.breaker.record_success()
+            else:
+                self.breaker.record_failure()
+
+    def _quarantine(self, key: str, path: Path, reason: str) -> None:
+        """Move a corrupt entry into the sidecar; the get stays a miss."""
+        if not path.exists():
+            # Nothing on disk to isolate (e.g. the decode failed before the
+            # entry was ever written): it is just a miss.
+            return
+        self.stats.quarantined += 1
+        obs_metrics.counter("repro_cache_quarantined_total").inc()
+        moved = False
+        try:
+            self.quarantine_dir.mkdir(parents=True, exist_ok=True)
+            os.replace(path, self.quarantine_dir / path.name)
+            moved = True
+        except OSError:
+            pass  # racing reader already moved it, or the dir is read-only
+        logger.warning(
+            "quarantined corrupt cache entry %s (%s)%s",
+            key,
+            reason.strip().splitlines()[-1] if reason.strip() else reason,
+            "" if moved else " [move failed; entry left in place]",
+        )
+
+    def _io_error(self, op: str, key: str, exc: BaseException) -> None:
+        self.stats.io_errors += 1
+        obs_metrics.counter("repro_cache_io_errors_total", op=op).inc()
+        logger.warning("cache %s failed for %s: %s", op, key, exc)
+
     # -- store surface ---------------------------------------------------
     def touch(self, key: str) -> None:
         """Bump the entry mtime so LRU pruning sees this access.
 
-        Called on every direct hit, and by :class:`TieredCache` when its
-        memory tier absorbs a hit that would otherwise leave the disk
-        entry looking cold.
+        Called on every direct hit, and by
+        :class:`~repro.service.cache.TieredCache` when its memory tier
+        absorbs a hit that would otherwise leave the disk entry looking
+        cold.
         """
         if not self.touch_on_hit:
             return
@@ -165,20 +245,36 @@ class ShardedDiskCacheStore(DiskCacheStore):
             pass
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        value = super().get(key)
-        if value is not None:
-            self.touch(key)
+        path = self._path(key)
+        try:
+            faultlab.fire("cache.get", key=key)
+            with path.open("r", encoding="utf-8") as handle:
+                value = json.load(handle)
+        except FileNotFoundError:
+            self._disk_outcome(ok=True)  # the disk worked; the entry is absent
+            self.stats.misses += 1
+            return None
+        except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
+            self._quarantine(key, path, str(exc))
+            self._disk_outcome(ok=False)
+            self.stats.misses += 1
+            return None
+        except OSError as exc:
+            self._io_error("get", key, exc)
+            self._disk_outcome(ok=False)
+            self.stats.misses += 1
+            return None
+        self._disk_outcome(ok=True)
+        self.stats.hits += 1
+        self.touch(key)
         return value
 
-    def _write(self, path: Path, value: Dict[str, Any]) -> None:
-        # Same atomic temp-file + rename as the base class, but through the
-        # canonical encoder so concurrent writers of one key produce
-        # byte-identical files and either rename wins losslessly.
-        path.parent.mkdir(parents=True, exist_ok=True)
+    @staticmethod
+    def _atomic_write(path: Path, text: str) -> None:
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(canonical_json(value))
+                handle.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -191,7 +287,10 @@ class ShardedDiskCacheStore(DiskCacheStore):
         path = self._path(key)  # invalid keys still raise: caller bug
         try:
             faultlab.fire("cache.put", key=key)
-            self._write(path, value)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            # The canonical encoder makes concurrent writers of one key
+            # produce byte-identical files, so either rename wins losslessly.
+            self._atomic_write(path, canonical_json(value))
         except (OSError, faultlab.InjectedFault) as exc:
             # Degrade, never raise: a dropped write is a future miss.
             self._io_error("put", key, exc)
@@ -200,7 +299,14 @@ class ShardedDiskCacheStore(DiskCacheStore):
         self._disk_outcome(ok=True)
         self.stats.puts += 1
 
-    def keys(self):
+    def delete(self, key: str) -> bool:
+        try:
+            self._path(key).unlink()
+            return True
+        except FileNotFoundError:
+            return False
+
+    def keys(self) -> Iterator[str]:
         for path in sorted(self.root.glob(self._entry_glob)):
             if self._is_live(path):
                 yield path.stem
@@ -222,6 +328,9 @@ class ShardedDiskCacheStore(DiskCacheStore):
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()
+
+    def close(self) -> None:
+        """No handles held open between calls; uniform surface only."""
 
     # -- accounting and eviction -----------------------------------------
     def _entries(self) -> List[Tuple[Path, float, int]]:
@@ -348,3 +457,79 @@ class ShardedDiskCacheStore(DiskCacheStore):
                         shard.rmdir()  # only succeeds when empty
                     except OSError:
                         pass
+
+    # -- doctor ----------------------------------------------------------
+    @staticmethod
+    def _validate_file(path: Path) -> bool:
+        try:
+            with path.open("r", encoding="utf-8") as handle:
+                json.load(handle)
+            return True
+        except (OSError, ValueError, UnicodeDecodeError):
+            return False
+
+    def doctor(self, repair: bool = True, purge: bool = False) -> DoctorReport:
+        """Scan every entry; quarantine corrupt ones, restore healthy ones.
+
+        ``repair=False`` only reports.  ``purge=True`` additionally deletes
+        whatever remains in the quarantine sidecar after restoration.
+        Restoration never overwrites a live entry (the recompiled entry,
+        if any, is fresher than the quarantined copy).
+        """
+        scanned = healthy = corrupt = quarantined = restored = purged = 0
+        for key in list(self.keys()):
+            path = self._path(key)
+            scanned += 1
+            if self._validate_file(path):
+                healthy += 1
+                continue
+            corrupt += 1
+            if repair:
+                self._quarantine(key, path, "doctor scan: unreadable entry")
+                quarantined += 1
+        if self.quarantine_dir.is_dir():
+            for path in sorted(self.quarantine_dir.glob("*.json")):
+                key = path.stem
+                if repair and self._validate_file(path):
+                    try:
+                        target = self._path(key)
+                        if not target.exists():
+                            target.parent.mkdir(parents=True, exist_ok=True)
+                            os.replace(path, target)
+                            restored += 1
+                            continue
+                    except (OSError, ValueError):
+                        pass
+                if purge:
+                    try:
+                        path.unlink()
+                        purged += 1
+                    except OSError:
+                        pass
+        backlog = (
+            sum(1 for _ in self.quarantine_dir.glob("*.json"))
+            if self.quarantine_dir.is_dir()
+            else 0
+        )
+        report = DoctorReport(
+            scanned=scanned,
+            healthy=healthy,
+            corrupt=corrupt,
+            quarantined=quarantined,
+            restored=restored,
+            purged=purged,
+            quarantine_backlog=backlog,
+        )
+        logger.info(
+            "cache doctor on %s: scanned %d, healthy %d, corrupt %d "
+            "(quarantined %d, restored %d, purged %d, backlog %d)",
+            self.root,
+            report.scanned,
+            report.healthy,
+            report.corrupt,
+            report.quarantined,
+            report.restored,
+            report.purged,
+            report.quarantine_backlog,
+        )
+        return report

@@ -74,7 +74,7 @@ class Workload:
         The ordered Pauli-exponentiation program.
     suggested_topology:
         A topology spec string (``"line-8"``, ``"grid-2x4"``, ...)
-        resolvable by :func:`repro.service.registry.resolve_topology`, or
+        resolvable by :func:`repro.hardware.topology.resolve_topology`, or
         ``None`` when all-to-all/logical compilation is the natural target.
     """
 

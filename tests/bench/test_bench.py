@@ -48,7 +48,7 @@ class TestPinnedSuite:
         jobs = bench_jobs()
         by_name = {job.name: job for job in jobs}
         assert by_name["uccsd-10q-tetris"].options.compiler == "tetris"
-        assert by_name["tfim-grid25-routed"].options.topology == "grid-5x5"
+        assert by_name["tfim-grid25-routed"].options.to_dict()["topology"] == "grid-5x5"
         assert by_name["uccsd-12q-phoenix"].options.compiler == "phoenix"
 
 
@@ -97,13 +97,13 @@ class TestRunBench:
 
 class TestResultContentBytes:
     def test_drops_wall_clock_but_keeps_key(self, tiny_report):
-        from repro.service.registry import CompilerOptions
+        from repro.pipeline.options import CompileOptions
         from repro.service.service import CompilationJob, CompilationService
         from repro.workloads.registry import workload_from_spec
 
         service = CompilationService(executor="serial")
         terms = workload_from_spec("tfim:n=6,lattice=chain").to_terms()
-        job = CompilationJob("a", terms, CompilerOptions())
+        job = CompilationJob("a", terms, CompileOptions())
         first = service.compile_many([job], workers=1)[0]
         second = CompilationService(executor="serial").compile_many(
             [job], workers=1

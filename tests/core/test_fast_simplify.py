@@ -1,9 +1,11 @@
-"""Equivalence property tests for the fast Clifford2Q search engine.
+"""Equivalence property tests for the fast Clifford2Q candidate scorer.
 
-The fast engine must be an *exact* drop-in for the reference engine: the
+The fast scorer must be an *exact* drop-in for the reference scan: the
 incremental candidate scores equal the Eq. (6) cost recomputed from scratch
 on a conjugated copy, and ``simplify_group`` picks bit-identical Clifford
-sequences and final terms through either engine.
+sequences and final terms whether it scores Eq. (6) incrementally (the
+stock :func:`bsf_cost`) or through the reference scan (the test oracle
+:func:`bsf_cost_reference`).
 """
 
 import numpy as np
@@ -78,10 +80,15 @@ class TestIncrementalScores:
             assert fast_cost == bsf_cost_reference(trial)
 
 
-class TestEnginesChooseIdentically:
+def simplify_reference(group, **kwargs):
+    """Algorithm 1 through the reference copy-and-rescore scan."""
+    return simplify_group(group, cost_function=bsf_cost_reference, **kwargs)
+
+
+class TestScorersChooseIdentically:
     def _assert_identical(self, group):
-        fast = simplify_group(group, engine="fast")
-        reference = simplify_group(group, engine="reference")
+        fast = simplify_group(group)
+        reference = simplify_reference(group)
         assert [_clifford_key(c) for c in fast.cliffords] == [
             _clifford_key(c) for c in reference.cliffords
         ]
@@ -111,42 +118,46 @@ class TestEnginesChooseIdentically:
         self._assert_identical(group_terms(terms)[0])
 
     def test_fallback_epochs_bit_identical(self, rng):
-        # Exhausted greedy budget: both engines defer to the same fallback.
+        # Exhausted greedy budget: both scorers defer to the same fallback.
         terms = [random_term(rng, [0, 1, 2, 3], 4) for _ in range(5)]
         group = group_terms(terms)[0]
-        fast = simplify_group(group, max_epochs=0, engine="fast")
-        reference = simplify_group(group, max_epochs=0, engine="reference")
+        fast = simplify_group(group, max_epochs=0)
+        reference = simplify_reference(group, max_epochs=0)
         assert [_clifford_key(c) for c in fast.cliffords] == [
             _clifford_key(c) for c in reference.cliffords
         ]
 
-    def test_auto_uses_reference_for_custom_cost(self, rng):
-        # A custom cost function cannot be scored incrementally; the auto
-        # engine must route it through the reference scan unchanged.
+    def test_custom_cost_goes_through_the_reference_scan(self, rng, monkeypatch):
+        # A custom cost function cannot be scored incrementally: only the
+        # stock Eq. (6) object takes the fast path.
+        import repro.core.simplify as simplify_module
+
+        calls = []
+        real = simplify_module._best_clifford_reference
+
+        def spy(bsf, cost_function):
+            calls.append(cost_function)
+            return real(bsf, cost_function)
+
+        monkeypatch.setattr(simplify_module, "_best_clifford_reference", spy)
         terms = [random_term(rng, [0, 1, 2, 3], 4) for _ in range(5)]
         group = group_terms(terms)[0]
+        fast = simplify_group(group)
+        assert calls == []
         custom = lambda b: float(b.total_weight())  # noqa: E731
-        auto = simplify_group(group, cost_function=custom, engine="auto")
-        reference = simplify_group(group, cost_function=custom, engine="reference")
-        assert [_clifford_key(c) for c in auto.cliffords] == [
-            _clifford_key(c) for c in reference.cliffords
+        simplify_group(group, cost_function=custom)
+        assert calls and all(cost is custom for cost in calls)
+        # A numerically identical custom cost chooses what the fast path does.
+        same = simplify_group(group, cost_function=lambda b: bsf_cost(b))
+        assert [_clifford_key(c) for c in same.cliffords] == [
+            _clifford_key(c) for c in fast.cliffords
         ]
 
-    def test_unknown_engine_rejected(self, rng):
+    def test_engine_knob_is_gone(self, rng):
         terms = [random_term(rng, [0, 1, 2], 3) for _ in range(3)]
         group = group_terms(terms)[0]
-        with pytest.raises(ValueError):
-            simplify_group(group, engine="warp")
-
-    def test_fast_engine_rejects_custom_cost(self, rng):
-        # The fast scorer is hard-wired to Eq. (6); silently optimising the
-        # wrong objective would be a footgun, so it must refuse.
-        terms = [random_term(rng, [0, 1, 2], 3) for _ in range(3)]
-        group = group_terms(terms)[0]
-        with pytest.raises(ValueError, match="custom cost"):
-            simplify_group(
-                group, cost_function=lambda b: float(b.total_weight()), engine="fast"
-            )
+        with pytest.raises(TypeError):
+            simplify_group(group, engine="fast")
 
 
 class TestClosedFormCost:

@@ -6,6 +6,7 @@ import pytest
 from repro.core.grouping import group_terms
 from repro.core.ordering import (
     _all_pairs_bfs_distances,
+    _order_indices_reference,
     assembling_cost,
     build_block,
     order_groups,
@@ -114,14 +115,20 @@ def _workload_simplified(spec):
     return [simplify_group(g) for g in group_terms(terms)], num_qubits
 
 
+def order_reference(simplified, num_qubits, lookahead=10, routing_aware=False):
+    """The ordering through the reference per-pair scan (the test oracle)."""
+    order = _order_indices_reference(simplified, num_qubits, lookahead, routing_aware)
+    return [simplified[i] for i in order]
+
+
 class TestFastEngine:
-    def test_invalid_engine_rejected(self, small_program):
+    def test_engine_knob_is_gone(self, small_program):
         simplified = [simplify_group(g) for g in group_terms(small_program)]
-        with pytest.raises(ValueError, match="unknown ordering engine"):
-            order_groups(simplified, 5, engine="magic")
+        with pytest.raises(TypeError):
+            order_groups(simplified, 5, engine="reference")
 
     def test_symbolic_structure_matches_emitted_circuit(self):
-        """The fast engine's symbolic 2Q view must equal the real circuit's.
+        """The fast scorer's symbolic 2Q view must equal the real circuit's.
 
         For every group of a real workload, the symbolic pair sequence must
         list exactly the emitted circuit's 2Q gates, and the symbolic
@@ -151,28 +158,21 @@ class TestFastEngine:
     )
     def test_fast_matches_reference_bit_for_bit(self, spec, routing_aware):
         simplified, num_qubits = _workload_simplified(spec)
-        reference = order_groups(
-            simplified, num_qubits, routing_aware=routing_aware, engine="reference"
-        )
-        fast = order_groups(
-            simplified, num_qubits, routing_aware=routing_aware, engine="fast"
-        )
+        reference = order_reference(simplified, num_qubits, routing_aware=routing_aware)
+        fast = order_groups(simplified, num_qubits, routing_aware=routing_aware)
         assert [id(g) for g in fast] == [id(g) for g in reference]
 
     @pytest.mark.parametrize("lookahead", [1, 3, 25])
     def test_fast_matches_reference_across_lookaheads(self, lookahead):
         simplified, num_qubits = _workload_simplified("xxz:n=14,lattice=chain")
-        reference = order_groups(
-            simplified, num_qubits, lookahead=lookahead, engine="reference"
-        )
-        fast = order_groups(simplified, num_qubits, lookahead=lookahead, engine="fast")
+        reference = order_reference(simplified, num_qubits, lookahead=lookahead)
+        fast = order_groups(simplified, num_qubits, lookahead=lookahead)
         assert [id(g) for g in fast] == [id(g) for g in reference]
 
-    def test_auto_uses_fast(self, small_program):
+    def test_small_program_matches_reference(self, small_program):
         simplified = [simplify_group(g) for g in group_terms(small_program)]
-        auto = order_groups(simplified, 5, engine="auto")
-        fast = order_groups(simplified, 5, engine="fast")
-        assert [id(g) for g in auto] == [id(g) for g in fast]
+        fast = order_groups(simplified, 5)
+        assert [id(g) for g in fast] == [id(g) for g in order_reference(simplified, 5)]
 
 
 class TestSeamCreditsAreRealized:

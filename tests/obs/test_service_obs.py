@@ -17,9 +17,10 @@ import pytest
 from repro.obs import metrics, trace
 from repro.service.cache import open_cache
 from repro.service.executor import ProcessExecutor, SerialExecutor
-from repro.service.registry import CompilerOptions
+from repro.service.resilience import RetryPolicy
+from repro.pipeline.options import CompileOptions
 from repro.service.service import CompilationJob, CompilationService
-from repro.service.shardcache import ShardedDiskCacheStore
+from repro.service.shardcache import DiskCacheStore
 from repro.workloads.registry import workload_from_spec
 
 needs_fork = pytest.mark.skipif(
@@ -34,14 +35,14 @@ def tiny_jobs(count=2):
         "heisenberg:n=4,lattice=chain",
     ]
     return [
-        CompilationJob(spec, workload_from_spec(spec).to_terms(), CompilerOptions())
+        CompilationJob(spec, workload_from_spec(spec).to_terms(), CompileOptions())
         for spec in specs[:count]
     ]
 
 
 class TestCounterWiring:
     def test_miss_then_hit_counters_through_a_batch(self, tmp_path):
-        service = CompilationService(cache=open_cache(str(tmp_path / "cache")))
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         jobs = tiny_jobs(2)
         service.compile_many(jobs, workers=1, executor="serial")
         snap = metrics.REGISTRY.snapshot()
@@ -58,7 +59,7 @@ class TestCounterWiring:
         assert snap["repro_stage_seconds"]["stage=simplify"]["count"] == 2
 
     def test_hit_and_dedup_elapsed_are_real_wall_clock(self, tmp_path):
-        service = CompilationService(cache=open_cache(str(tmp_path / "cache")))
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         (job,) = tiny_jobs(1)
         twin = CompilationJob("twin", job.terms(), job.options)
         events = []
@@ -75,7 +76,7 @@ class TestCounterWiring:
         assert outcomes["twin"].elapsed > 0.0
 
     def test_batch_summary_log_line(self, tmp_path, caplog):
-        service = CompilationService(cache=open_cache(str(tmp_path / "cache")))
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         with caplog.at_level(logging.INFO, logger="repro.service.service"):
             service.compile_many(tiny_jobs(2), workers=1, executor="serial")
         summary = [
@@ -95,7 +96,7 @@ class TestExecutorCounters:
                 time.sleep(30)
             return {"index": payload["index"], "status": "ok"}
 
-        raws = SerialExecutor(timeout=0.3, retries=1).run(
+        raws = SerialExecutor(timeout=0.3, retry_policy=RetryPolicy(max_retries=1)).run(
             [{"index": 0}], runner=flaky
         )
         assert raws[0]["status"] == "ok" and raws[0]["attempts"] == 2
@@ -110,7 +111,7 @@ class TestCrossProcessSpans:
         sink = trace.RecordingSink()
         trace.set_sink(sink)
         service = CompilationService(
-            cache=open_cache(str(tmp_path / "cache")),
+            cache=open_cache(f"disk:{tmp_path / 'cache'}"),
             executor=ProcessExecutor(max_workers=2, warmup=False),
         )
         results = service.compile_many(tiny_jobs(2), workers=2)
@@ -147,7 +148,7 @@ class TestCrossProcessSpans:
     def test_serial_batch_tree_without_fork(self, tmp_path):
         sink = trace.RecordingSink()
         trace.set_sink(sink)
-        service = CompilationService(cache=open_cache(str(tmp_path / "cache")))
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         service.compile_many(tiny_jobs(1), workers=1, executor="serial")
         trace.set_sink(None)
         names = [event["name"] for event in sink.events]
@@ -159,7 +160,7 @@ class TestCrossProcessSpans:
         # With tracing off, batches must not ship trace contexts to
         # workers (zero-cost guarantee, and forked children skip the
         # recording path entirely).
-        service = CompilationService(cache=open_cache(str(tmp_path / "cache")))
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         results = service.compile_many(tiny_jobs(1), workers=1, executor="serial")
         assert results[0].ok
         assert trace.get_sink() is None
@@ -167,7 +168,7 @@ class TestCrossProcessSpans:
 
 class TestPruneObservability:
     def test_prune_increments_eviction_counters_and_logs(self, tmp_path, caplog):
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         for index in range(3):
             store.put(f"{index:02d}abcdef", {"payload": "x" * 64})
         with caplog.at_level(logging.INFO, logger="repro.service.shardcache"):
@@ -180,7 +181,7 @@ class TestPruneObservability:
         assert len(pruned) == 1
 
     def test_empty_prune_stays_quiet_on_counters(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         report = store.prune(max_bytes=10**9)
         assert report.removed_entries == 0
         snap = metrics.REGISTRY.snapshot()
@@ -197,7 +198,7 @@ class TestBatchTraceFile:
         code = cli_main(
             [
                 "batch", "LiH_frz_BK",
-                "--cache-dir", str(tmp_path / "cache"),
+                "--cache", f"disk:{tmp_path / 'cache'}",
                 "--workers", "1",
                 "--quiet",
                 "--trace-out", str(trace_path),

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.hardware.topology import Topology
+from repro.hardware.topology import Topology, resolve_topology
 from repro.paulis.hamiltonian import Hamiltonian
 from repro.paulis.pauli import PauliTerm
 from repro.pipeline.options import CompileOptions, as_terms
+from repro.pipeline.registry import compiler_names
+
+#: Every topology spec family, at sizes that are not all-to-all.
+SPEC_TOPOLOGIES = (None, "heavy-hex", "manhattan", "line-5", "ring-6", "grid-2x3")
 
 
 class TestAsTerms:
@@ -40,28 +44,24 @@ class TestAsTerms:
 class TestCompileOptionsValidation:
     def test_defaults(self):
         options = CompileOptions()
+        assert options.compiler == "phoenix"
         assert options.isa == "cnot"
         assert options.topology is None
         assert options.optimization_level == 2
         assert options.lookahead == 10
         assert options.seed == 0
-        assert options.simplify_engine == "auto"
         assert not options.hardware_aware
 
     def test_invalid_isa_rejected(self):
         with pytest.raises(ValueError, match="unsupported ISA"):
             CompileOptions(isa="xy")
 
-    def test_invalid_simplify_engine_rejected(self):
-        with pytest.raises(ValueError, match="unsupported simplify engine"):
-            CompileOptions(simplify_engine="magic")
+    def test_six_settable_fields(self):
+        from dataclasses import fields
 
-    def test_invalid_ordering_engine_rejected(self):
-        with pytest.raises(ValueError, match="unsupported ordering engine"):
-            CompileOptions(ordering_engine="magic")
-
-    def test_ordering_engine_defaults_to_auto(self):
-        assert CompileOptions().ordering_engine == "auto"
+        assert [f.name for f in fields(CompileOptions)] == [
+            "compiler", "isa", "topology", "optimization_level", "lookahead", "seed",
+        ]
 
     def test_scalars_coerced_to_int(self):
         options = CompileOptions(optimization_level="3", lookahead="5", seed="1")
@@ -106,9 +106,7 @@ class TestConfigFingerprint:
         assert (
             PhoenixCompiler().config_fingerprint() == self.GOLDEN_PHOENIX_DEFAULT
         )
-        assert PhoenixCompiler().config_dict() == CompileOptions().config_dict(
-            "phoenix"
-        )
+        assert PhoenixCompiler().config_dict() == CompileOptions().config_dict()
 
     def test_config_dict_shape(self):
         config = CompileOptions().config_dict()
@@ -121,16 +119,8 @@ class TestConfigFingerprint:
             "topology": None,
         }
 
-    def test_simplify_engine_must_not_split_cache_entries(self):
-        fast = CompileOptions(simplify_engine="fast")
-        reference = CompileOptions(simplify_engine="reference")
-        assert fast.config_fingerprint() == reference.config_fingerprint()
-
-    def test_ordering_engine_must_not_split_cache_entries(self):
-        fast = CompileOptions(ordering_engine="fast")
-        reference = CompileOptions(ordering_engine="reference")
-        assert fast.config_fingerprint() == reference.config_fingerprint()
-        assert "ordering_engine" not in fast.config_dict()
+    def test_fingerprint_keys_on_the_built_phoenix_compiler(self):
+        assert CompileOptions().fingerprint() == self.GOLDEN_PHOENIX_DEFAULT
 
     def test_every_compile_affecting_knob_changes_the_digest(self):
         base = CompileOptions().config_fingerprint()
@@ -143,3 +133,51 @@ class TestConfigFingerprint:
         ]
         digests = {base} | {v.config_fingerprint() for v in variants}
         assert len(digests) == len(variants) + 1
+
+
+class TestPlainDataRoundTrip:
+    """``to_dict``/``from_dict`` carry options across process boundaries."""
+
+    @pytest.mark.parametrize("compiler", compiler_names())
+    @pytest.mark.parametrize("isa", ["cnot", "su4"])
+    @pytest.mark.parametrize("topology", SPEC_TOPOLOGIES)
+    def test_round_trip_is_lossless(self, compiler, isa, topology):
+        options = CompileOptions(
+            compiler=compiler,
+            isa=isa,
+            topology=resolve_topology(topology),
+            optimization_level=3,
+            lookahead=4,
+            seed=7,
+        )
+        data = options.to_dict()
+        assert data["lookahead"] == 4
+        rebuilt = CompileOptions.from_dict(data)
+        assert rebuilt == options
+        assert hash(rebuilt) == hash(options)
+        assert rebuilt.fingerprint() == options.fingerprint()
+
+    def test_equal_plain_data_compares_and_hashes_equal(self):
+        data = {"compiler": "tket", "topology": "grid-2x3", "seed": 1}
+        first, second = CompileOptions.from_dict(data), CompileOptions.from_dict(data)
+        assert first == second and hash(first) == hash(second)
+        assert {first: "memo"}[second] == "memo"
+
+    def test_spec_aliases_resolve_to_one_topology(self):
+        assert resolve_topology("manhattan") is resolve_topology("heavy-hex")
+        assert resolve_topology("line-05") is resolve_topology("line-5")
+
+    def test_spec_equivalent_topology_encodes_to_its_spec(self):
+        options = CompileOptions(topology=Topology.grid(2, 3))
+        assert options.to_dict()["topology"] == "grid-2x3"
+
+    def test_custom_topology_is_not_plain_data(self):
+        custom = CompileOptions(topology=Topology(3, [(0, 1)], name="weird"))
+        with pytest.raises(ValueError, match="matches no registered spec"):
+            custom.to_dict()
+
+    def test_from_dict_rejects_unknown_names(self):
+        with pytest.raises(ValueError, match="unknown compiler"):
+            CompileOptions.from_dict({"compiler": "qiskit"})
+        with pytest.raises(ValueError, match="unknown topology"):
+            CompileOptions.from_dict({"topology": "torus-4"})

@@ -3,7 +3,7 @@
 Two families of guarantees:
 
 * the facade constructors, the registry (``build_compiler``), and the
-  service spec (``CompilerOptions.build``) all produce bit-identical
+  service options (``CompileOptions.build``) all produce bit-identical
   circuits, metrics, and content-addressed cache keys for every registered
   compiler x ISA x topology combination; and
 * the pipeline reproduces the pre-refactor code paths exactly — asserted
@@ -21,10 +21,10 @@ from repro.core.grouping import group_terms
 from repro.core.ordering import order_groups
 from repro.core.simplify import simplify_group
 from repro.hardware.routing.sabre import route_circuit
+from repro.hardware.topology import resolve_topology
 from repro.metrics.circuit_metrics import circuit_metrics
 from repro.pipeline import CompileOptions, build_compiler, compiler_names
 from repro.service.cache import MemoryCacheStore, compilation_cache_key
-from repro.service.registry import CompilerOptions, resolve_topology
 from repro.service.service import CompilationService
 from repro.synthesis.consolidate import consolidate_su4
 from repro.synthesis.rebase import rebase_to_cx
@@ -54,7 +54,9 @@ class TestRegistryMatchesFacade:
     ):
         for name in compiler_names():
             program = program_for(name, uccsd_program, qaoa_line_program)
-            spec = CompilerOptions(compiler=name, isa=isa, topology=topology_spec)
+            spec = CompileOptions(
+                compiler=name, isa=isa, topology=resolve_topology(topology_spec)
+            )
             via_spec = spec.build().compile(list(program))
             via_registry = build_compiler(
                 name,
@@ -162,7 +164,7 @@ class TestLegacyPathReplica:
             job = CompilationJob(
                 "golden",
                 list(uccsd_program),
-                CompilerOptions(compiler=name, isa=isa, topology=topo),
+                CompileOptions(compiler=name, isa=isa, topology=resolve_topology(topo)),
             )
             assert service.job_key(job) == expected
 
@@ -176,7 +178,7 @@ class TestLegacyPathReplica:
             "tket": "3567aeaac4223fcbc64c62d46a3fe4c36aef5094ac397f12437f5a7a0073e85c",
         }
         for name, expected in golden.items():
-            assert CompilerOptions(compiler=name).fingerprint() == expected
+            assert CompileOptions(compiler=name).fingerprint() == expected
 
 
 class TestStageTimingsSurface:

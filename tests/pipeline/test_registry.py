@@ -58,7 +58,7 @@ class TestBuildCompiler:
         assert phoenix.seed == 7
 
     def test_baselines_take_only_their_knobs(self):
-        # Baselines accept no lookahead/simplify_engine; from_options must
+        # Baselines accept no lookahead; from_options must
         # filter rather than crash.
         options = CompileOptions(optimization_level=1, lookahead=3)
         naive = build_compiler("naive", options)
@@ -90,16 +90,16 @@ class TestBuildCompiler:
 
 
 class TestSingleTableAcrossLayers:
-    def test_service_registry_is_the_global_table(self):
-        import repro.pipeline.registry as pipeline_registry
-        import repro.service.registry as service_registry
+    def test_service_options_resolve_from_the_global_table(self):
+        import importlib.util
 
-        assert service_registry.COMPILERS is pipeline_registry.COMPILERS
-        assert (
-            service_registry.ORDER_SENSITIVE_COMPILERS
-            is pipeline_registry.ORDER_SENSITIVE_COMPILERS
-        )
-        assert service_registry.compiler_names is pipeline_registry.compiler_names
+        # The service keeps no spec type or table of its own.
+        assert importlib.util.find_spec("repro.service.registry") is None
+        table = registered_compilers()
+        for name in compiler_names():
+            options = CompileOptions(compiler=name)
+            assert options.order_sensitive == is_order_sensitive(name)
+            assert type(options.build()) is table[name]
 
     def test_harness_default_lineup_resolves_from_the_registry(self):
         from repro.experiments.harness import default_compilers
@@ -124,7 +124,6 @@ class TestSingleTableAcrossLayers:
 
     def test_custom_registration_is_visible_to_the_service(self, tiny_program):
         from repro.core.compiler import PhoenixCompiler
-        from repro.service.registry import CompilerOptions
         from repro.service.service import CompilationService
 
         class LowLookaheadPhoenix(PhoenixCompiler):
@@ -146,7 +145,7 @@ class TestSingleTableAcrossLayers:
                 LowLookaheadPhoenix().config_fingerprint()
             )
             result = CompilationService().compile(
-                tiny_program, CompilerOptions(compiler="phoenix-la3")
+                tiny_program, CompileOptions(compiler="phoenix-la3")
             )
             assert result.ok
             assert result.result.metrics.cx_count > 0

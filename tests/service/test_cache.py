@@ -7,14 +7,14 @@ from repro.hardware.topology import Topology
 from repro.paulis.fingerprint import program_fingerprint
 from repro.paulis.hamiltonian import Hamiltonian
 from repro.paulis.pauli import PauliTerm
+from repro.pipeline.options import CompileOptions
 from repro.service.cache import (
-    DiskCacheStore,
     MemoryCacheStore,
     TieredCache,
     compilation_cache_key,
     open_cache,
 )
-from repro.service.registry import CompilerOptions
+from repro.service.shardcache import DiskCacheStore
 
 
 class TestProgramFingerprint:
@@ -68,11 +68,11 @@ class TestConfigFingerprint:
 
     def test_options_fingerprint_tracks_compiler(self):
         # For PHOENIX the spec delegates to the compiler's own fingerprint.
-        options = CompilerOptions()
+        options = CompileOptions()
         assert options.fingerprint() == PhoenixCompiler().config_fingerprint()
         assert (
-            CompilerOptions(compiler="naive").fingerprint()
-            != CompilerOptions(compiler="tetris").fingerprint()
+            CompileOptions(compiler="naive").fingerprint()
+            != CompileOptions(compiler="tetris").fingerprint()
         )
 
     def test_cache_key_combines_both(self, tiny_program):
@@ -140,9 +140,9 @@ class TestStores:
 
     def test_open_cache_memory_only_and_disk(self, tmp_path):
         assert open_cache(None).disk is None
-        cache = open_cache(tmp_path / "cache")
+        cache = open_cache(f"disk:{tmp_path / 'cache'}")
         cache.put("key", self.PAYLOAD)
-        assert open_cache(tmp_path / "cache").get("key") == self.PAYLOAD
+        assert open_cache(f"disk:{tmp_path / 'cache'}").get("key") == self.PAYLOAD
 
 
 class TestDegradation:

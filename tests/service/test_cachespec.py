@@ -4,7 +4,6 @@ import pytest
 
 from repro.service.cache import (
     CacheStore,
-    DiskCacheStore,
     MemoryCacheStore,
     TieredCache,
     open_cache,
@@ -16,7 +15,7 @@ from repro.service.cachespec import (
     parse_spec,
 )
 from repro.service.remotecache import RemoteCacheStore
-from repro.service.shardcache import ShardedDiskCacheStore
+from repro.service.shardcache import DiskCacheStore
 
 
 class TestParseSpec:
@@ -33,10 +32,10 @@ class TestParseSpec:
         assert parsed.disk_width == 32
         assert not parsed.has_remote
 
-    def test_bare_path_is_disk_shorthand(self):
-        parsed = parse_spec(".cache")
-        assert parsed.disk_path == ".cache"
-        assert parsed.disk_depth is None
+    def test_bare_path_is_rejected_with_a_pointer_to_disk(self):
+        for bare in (".cache", "/var/cache/phoenix", "disk:/a,/b"):
+            with pytest.raises(ValueError, match="write disk:"):
+                parse_spec(bare)
 
     def test_remote_with_timeout(self):
         parsed = parse_spec("http://cachehost:8078?timeout=0.5")
@@ -75,7 +74,7 @@ class TestParseSpec:
         assert is_remote_spec("http://host:8078")
         assert is_remote_spec("disk:/a,https://host:8078")
         assert not is_remote_spec("disk:/a")
-        assert not is_remote_spec("/var/cache/phoenix")
+        assert not is_remote_spec("memory:")
 
     def test_describe_spec(self):
         assert describe_spec("disk:/a, http://h:1") == "disk:/a + http://h:1"
@@ -88,9 +87,9 @@ class TestCacheFromSpec:
         assert isinstance(cache, TieredCache)
         assert cache.disk is None and cache.remote is None
 
-    def test_disk_spec_builds_a_sharded_store(self, tmp_path):
+    def test_disk_spec_builds_a_disk_store(self, tmp_path):
         cache = cache_from_spec(f"disk:{tmp_path / 'c'}?depth=1&width=4")
-        assert isinstance(cache.disk, ShardedDiskCacheStore)
+        assert isinstance(cache.disk, DiskCacheStore)
         assert cache.disk.depth == 1 and cache.disk.width == 4
         assert cache.remote is None
 
@@ -107,15 +106,17 @@ class TestCacheFromSpec:
     def test_composed_spec_builds_both_tiers(self, tmp_path):
         cache = cache_from_spec(f"disk:{tmp_path / 'c'},http://127.0.0.1:8078")
         try:
-            assert isinstance(cache.disk, ShardedDiskCacheStore)
+            assert isinstance(cache.disk, DiskCacheStore)
             assert isinstance(cache.remote, RemoteCacheStore)
         finally:
             cache.close()
 
     def test_open_cache_routes_through_the_spec_grammar(self, tmp_path):
         assert open_cache(None).disk is None
-        cache = open_cache(str(tmp_path / "c"))
-        assert isinstance(cache.disk, ShardedDiskCacheStore)
+        cache = open_cache(f"disk:{tmp_path / 'c'}")
+        assert isinstance(cache.disk, DiskCacheStore)
+        with pytest.raises(ValueError, match="write disk:"):
+            open_cache(str(tmp_path / "c"))
         remote = open_cache("http://127.0.0.1:8078")
         try:
             assert remote.remote is not None
@@ -130,12 +131,12 @@ class TestProtocolConformance:
         "build",
         [
             lambda tmp: MemoryCacheStore(),
-            lambda tmp: DiskCacheStore(tmp / "flat"),
-            lambda tmp: ShardedDiskCacheStore(tmp / "shard"),
+            lambda tmp: DiskCacheStore(tmp / "disk"),
             lambda tmp: TieredCache(disk=None),
+            lambda tmp: open_cache(f"disk:{tmp / 'tiered'}"),
             lambda tmp: RemoteCacheStore("http://127.0.0.1:1"),
         ],
-        ids=["memory", "disk", "sharded", "tiered", "remote"],
+        ids=["memory", "disk", "tiered", "tiered-disk", "remote"],
     )
     def test_isinstance_checks_pass(self, tmp_path, build):
         store = build(tmp_path)

@@ -72,7 +72,7 @@ class TestBatchCommand:
         cache_dir = tmp_path / "cache"
         code = main([
             "batch", "--manifest", str(manifest),
-            "--cache-dir", str(cache_dir), "--workers", "1",
+            "--cache", f"disk:{cache_dir}", "--workers", "1",
         ])
         assert code == 0
         table = capsys.readouterr().out
@@ -81,7 +81,7 @@ class TestBatchCommand:
 
         code = main([
             "batch", "--manifest", str(manifest),
-            "--cache-dir", str(cache_dir), "--workers", "1", "--format", "json",
+            "--cache", f"disk:{cache_dir}", "--workers", "1", "--format", "json",
         ])
         assert code == 0
         summaries = json.loads(capsys.readouterr().out)
@@ -113,26 +113,32 @@ class TestCacheCommand:
     def test_info_ls_clear(self, program_file, tmp_path, capsys):
         cache_dir = tmp_path / "cache"
         main([
-            "compile", "--input", str(program_file), "--cache-dir", str(cache_dir),
+            "compile", "--input", str(program_file), "--cache", f"disk:{cache_dir}",
         ])
         capsys.readouterr()
 
-        assert main(["cache", "info", "--cache-dir", str(cache_dir)]) == 0
+        assert main(["cache", "info", "--cache", f"disk:{cache_dir}"]) == 0
         info = capsys.readouterr().out
         assert "entries: 1" in info
 
-        assert main(["cache", "ls", "--cache-dir", str(cache_dir)]) == 0
+        assert main(["cache", "ls", "--cache", f"disk:{cache_dir}"]) == 0
         keys = capsys.readouterr().out.split()
         assert len(keys) == 1 and "-" in keys[0]
 
-        assert main(["cache", "clear", "--cache-dir", str(cache_dir)]) == 0
+        assert main(["cache", "clear", "--cache", f"disk:{cache_dir}"]) == 0
         assert "removed 1" in capsys.readouterr().out
 
     def test_nonexistent_cache_dir_is_an_error(self, tmp_path, capsys):
         missing = tmp_path / "no-such-cache"
-        assert main(["cache", "info", "--cache-dir", str(missing)]) == 2
+        assert main(["cache", "info", "--cache", f"disk:{missing}"]) == 2
         assert "no cache directory" in capsys.readouterr().err
         assert not missing.exists()  # inspection must not create state
+
+    def test_bare_path_and_removed_flag_are_rejected(self, tmp_path, capsys):
+        assert main(["cache", "info", "--cache", str(tmp_path)]) == 2
+        assert f"write disk:{tmp_path}" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["cache", "info", "--cache-dir", str(tmp_path)])
 
 
 class TestWorkloadCommand:
@@ -255,24 +261,24 @@ class TestBatchJournal:
 
 class TestCacheDoctor:
     def test_doctor_reports_and_quarantines(self, program_file, tmp_path, capsys):
-        from repro.service.shardcache import ShardedDiskCacheStore
+        from repro.service.shardcache import DiskCacheStore
 
         cache_dir = tmp_path / "cache"
         main([
-            "compile", "--input", str(program_file), "--cache-dir", str(cache_dir),
+            "compile", "--input", str(program_file), "--cache", f"disk:{cache_dir}",
         ])
         capsys.readouterr()
-        store = ShardedDiskCacheStore(cache_dir)
+        store = DiskCacheStore(cache_dir)
         key = next(iter(store.keys()))
         store._path(key).write_text("corrupt!", encoding="utf-8")
 
-        assert main(["cache", "doctor", "--cache-dir", str(cache_dir)]) == 0
+        assert main(["cache", "doctor", "--cache", f"disk:{cache_dir}"]) == 0
         report = capsys.readouterr().out
         assert "1 corrupt" in report
         assert "quarantined 1" in report
 
         assert main([
-            "cache", "doctor", "--cache-dir", str(cache_dir), "--purge",
+            "cache", "doctor", "--cache", f"disk:{cache_dir}", "--purge",
         ]) == 0
         assert "purged 1" in capsys.readouterr().out
 

@@ -20,6 +20,7 @@ from repro.service.executor import (
     resolve_executor,
     run_payload_with_timeout,
 )
+from repro.service.resilience import RetryPolicy
 
 needs_alarm = pytest.mark.skipif(
     not hasattr(signal, "SIGALRM"), reason="SIGALRM unavailable on this platform"
@@ -106,7 +107,7 @@ class TestSerialExecutor:
     @needs_alarm
     def test_timeout_retry_rescues_flaky_job(self, tmp_path):
         payload = {"index": 0, "value": 9, "marker": str(tmp_path / "m")}
-        raws = SerialExecutor(timeout=0.5, retries=1).run(
+        raws = SerialExecutor(timeout=0.5, retry_policy=RetryPolicy(max_retries=1)).run(
             [payload], runner=sleepy_first_attempt_runner
         )
         assert raws[0]["status"] == "ok" and raws[0]["value"] == 9
@@ -114,7 +115,7 @@ class TestSerialExecutor:
 
     @needs_alarm
     def test_retry_budget_is_bounded(self):
-        raws = SerialExecutor(timeout=0.2, retries=2).run(
+        raws = SerialExecutor(timeout=0.2, retry_policy=RetryPolicy(max_retries=2)).run(
             [{"index": 0, "value": 1, "sleep": 30}], runner=echo_runner
         )
         assert raws[0]["status"] == "error"
@@ -154,7 +155,8 @@ class TestProcessExecutor:
         payloads[1]["sleep"] = 30
         started = time.perf_counter()
         raws = ProcessExecutor(
-            max_workers=2, timeout=0.5, retries=0, chunk_size=1, warmup=False
+            max_workers=2, timeout=0.5, retry_policy=RetryPolicy(max_retries=0),
+            chunk_size=1, warmup=False,
         ).run(payloads, runner=echo_runner)
         assert time.perf_counter() - started < 20
         assert [raw["status"] for raw in raws] == ["ok", "error", "ok"]
@@ -166,14 +168,14 @@ class TestProcessExecutor:
         payloads[0]["marker"] = str(tmp_path / "never-created") + "-exists"
         Path(payloads[0]["marker"]).write_text("x", encoding="utf-8")
         raws = ProcessExecutor(
-            max_workers=2, retries=1, chunk_size=1, warmup=False
+            max_workers=2, retry_policy=RetryPolicy(max_retries=1), chunk_size=1, warmup=False
         ).run(payloads, runner=crash_first_attempt_runner)
         assert [raw["status"] for raw in raws] == ["ok", "ok"]
         assert raws[1]["attempts"] >= 2
 
     def test_crash_without_retries_is_captured_error(self):
         raws = ProcessExecutor(
-            max_workers=2, retries=0, chunk_size=1, warmup=False
+            max_workers=2, retry_policy=RetryPolicy(max_retries=0), chunk_size=1, warmup=False
         ).run(_payloads(2), runner=always_crash_runner)
         assert all(raw["status"] == "error" for raw in raws)
         assert all("attempts" in raw for raw in raws)
@@ -221,7 +223,7 @@ class TestResolveExecutor:
 
     def test_settings_are_threaded_through(self):
         backend = resolve_executor(
-            "process", num_jobs=8, max_workers=3, timeout=1.5, retries=2
+            "process", num_jobs=8, max_workers=3, timeout=1.5, retry_policy=RetryPolicy(max_retries=2)
         )
         assert backend.max_workers == 3
         assert backend.timeout == 1.5

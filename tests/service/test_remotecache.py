@@ -18,11 +18,11 @@ import pytest
 
 from repro.bench import result_content_bytes
 from repro.obs import metrics as obs_metrics
+from repro.pipeline.options import CompileOptions
 from repro.serialize.jsonutil import canonical_json_bytes
 from repro.serve.cacheapp import CacheServeApp, CacheServeConfig
 from repro.service import faultlab
 from repro.service.cache import TieredCache, open_cache
-from repro.service.registry import CompilerOptions
 from repro.service.remotecache import (
     RemoteCacheStore,
     RemoteCacheUnavailable,
@@ -30,7 +30,7 @@ from repro.service.remotecache import (
 )
 from repro.service.resilience import CircuitBreaker
 from repro.service.service import CompilationJob, CompilationService
-from repro.service.shardcache import ShardedDiskCacheStore
+from repro.service.shardcache import DiskCacheStore
 from repro.workloads.registry import workload_from_spec
 
 KEY = "a" * 16 + "-" + "b" * 16
@@ -42,7 +42,7 @@ SPEC = "tfim:n=6,lattice=chain"
 
 def _job(spec: str) -> CompilationJob:
     workload = workload_from_spec(spec)
-    return CompilationJob(workload.name, workload.to_terms(), CompilerOptions())
+    return CompilationJob(workload.name, workload.to_terms(), CompileOptions())
 
 
 def compile_against_remote(url: str, spec: str) -> None:
@@ -278,7 +278,7 @@ class TestTieredIntegration:
         seeder.close()
 
         remote = RemoteCacheStore(cache_server.url)
-        disk = ShardedDiskCacheStore(tmp_path / "disk")
+        disk = DiskCacheStore(tmp_path / "disk")
         cache = TieredCache(disk=disk, remote=remote)
         try:
             assert cache.get(KEY) == ENTRY  # served from the wire
@@ -291,7 +291,7 @@ class TestTieredIntegration:
 
     def test_writes_fan_out_to_the_server(self, cache_server, tmp_path):
         cache = TieredCache(
-            disk=ShardedDiskCacheStore(tmp_path / "disk"),
+            disk=DiskCacheStore(tmp_path / "disk"),
             remote=RemoteCacheStore(cache_server.url),
         )
         try:
@@ -319,7 +319,7 @@ class TestTieredIntegration:
         remote = RemoteCacheStore(
             server.url, timeout=0.3, breaker=fast_breaker()
         )
-        cache = TieredCache(disk=ShardedDiskCacheStore(disk_root), remote=remote)
+        cache = TieredCache(disk=DiskCacheStore(disk_root), remote=remote)
         service = CompilationService(cache=cache, executor="serial")
         jobs = [_job(SPEC), _job("tfim:n=5,lattice=chain")]
 
@@ -340,7 +340,7 @@ class TestTieredIntegration:
         # remote) is served entirely from disk: all hits, no new network
         # errors, byte-identical to the first run.
         warm_cache = TieredCache(
-            disk=ShardedDiskCacheStore(disk_root), remote=remote
+            disk=DiskCacheStore(disk_root), remote=remote
         )
         warm_service = CompilationService(cache=warm_cache, executor="serial")
         io_errors_before = remote.stats.io_errors

@@ -107,13 +107,6 @@ class TestRetryPolicy:
         assert session.should_retry(2)
         assert not session.should_retry(3)
 
-    def test_with_retries_keeps_everything_else(self):
-        policy, _ = make_policy()
-        bumped = policy.with_retries(7)
-        assert bumped.max_retries == 7
-        assert bumped.seed == policy.seed
-        assert bumped.base_delay == policy.base_delay
-
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)

@@ -5,13 +5,10 @@ import pytest
 from repro.core.compiler import PhoenixCompiler
 from repro.experiments.harness import default_compilers, run_suite
 from repro.paulis.pauli import PauliTerm
+from repro.hardware.topology import Topology, resolve_topology, topology_to_spec
+from repro.pipeline.options import CompileOptions
+from repro.pipeline.registry import compiler_names
 from repro.service.cache import MemoryCacheStore, open_cache
-from repro.service.registry import (
-    CompilerOptions,
-    compiler_names,
-    resolve_topology,
-    topology_to_spec,
-)
 from repro.service.service import CompilationJob, CompilationService
 
 
@@ -25,7 +22,7 @@ class TestRegistry:
 
     def test_unknown_compiler_rejected(self):
         with pytest.raises(ValueError, match="unknown compiler"):
-            CompilerOptions(compiler="qiskit")
+            CompileOptions(compiler="qiskit").build()
 
     def test_topology_specs(self):
         assert resolve_topology(None) is None
@@ -40,18 +37,21 @@ class TestRegistry:
             resolve_topology("torus-4")
 
     def test_topology_round_trip_through_spec(self):
-        from repro.hardware.topology import Topology
-
         for topo in (Topology.line(4), Topology.grid(2, 3), Topology.ibm_manhattan()):
             spec = topology_to_spec(topo)
             assert resolve_topology(spec).fingerprint() == topo.fingerprint()
         assert topology_to_spec(None) is None
-        assert topology_to_spec(Topology.all_to_all(4)) is None
-        with pytest.raises(ValueError):
-            topology_to_spec(Topology(3, [(0, 1)], name="weird"))
+        for unshippable in (Topology.all_to_all(4), Topology(3, [(0, 1)], name="weird")):
+            with pytest.raises(ValueError):
+                topology_to_spec(unshippable)
+
+    def test_job_options_must_be_plain_data(self, tiny_program):
+        weird = CompileOptions(topology=Topology(3, [(0, 1)], name="weird"))
+        with pytest.raises(ValueError, match="matches no registered spec"):
+            CompilationJob("weird", tiny_program, weird)
 
     def test_build_matches_direct_construction(self, tiny_program):
-        built = CompilerOptions(optimization_level=3).build()
+        built = CompileOptions(optimization_level=3).build()
         direct = PhoenixCompiler(optimization_level=3)
         assert gate_tuples(built.compile(tiny_program).circuit) == gate_tuples(
             direct.compile(tiny_program).circuit
@@ -64,7 +64,7 @@ class TestCompilationService:
         jobs = [
             CompilationJob("qaoa", qaoa_line_program),
             CompilationJob("tiny", tiny_program),
-            CompilationJob("tiny-naive", tiny_program, CompilerOptions(compiler="naive")),
+            CompilationJob("tiny-naive", tiny_program, CompileOptions(compiler="naive")),
         ]
         results = service.compile_many(jobs, workers=1)
         assert [r.name for r in results] == ["qaoa", "tiny", "tiny-naive"]
@@ -90,7 +90,7 @@ class TestCompilationService:
         # The naive baseline implements the given Trotter order verbatim,
         # so a reordered program must NOT be served the cached circuit.
         service = CompilationService()
-        naive = CompilerOptions(compiler="naive")
+        naive = CompileOptions(compiler="naive")
         first = service.compile(tiny_program, naive)
         rerun = service.compile(list(reversed(tiny_program)), naive, name="reordered")
         assert not rerun.cached
@@ -127,8 +127,10 @@ class TestCompilationService:
         service = CompilationService()
         jobs = [
             CompilationJob("good", tiny_program),
-            CompilationJob("bad", bad_program, CompilerOptions(topology="line-4")),
-            CompilationJob("also-good", tiny_program, CompilerOptions(seed=1)),
+            CompilationJob(
+                "bad", bad_program, CompileOptions(topology=resolve_topology("line-4"))
+            ),
+            CompilationJob("also-good", tiny_program, CompileOptions(seed=1)),
         ]
         results = service.compile_many(jobs, workers=1)
         assert [r.status for r in results] == ["ok", "error", "ok"]
@@ -142,8 +144,8 @@ class TestCompilationService:
         jobs = [
             CompilationJob("tiny", tiny_program),
             CompilationJob("qaoa", qaoa_line_program),
-            CompilationJob("tiny-o3", tiny_program, CompilerOptions(optimization_level=3)),
-            CompilationJob("qaoa-naive", qaoa_line_program, CompilerOptions(compiler="naive")),
+            CompilationJob("tiny-o3", tiny_program, CompileOptions(optimization_level=3)),
+            CompilationJob("qaoa-naive", qaoa_line_program, CompileOptions(compiler="naive")),
         ]
         serial = CompilationService().compile_many(jobs, workers=1)
         parallel = CompilationService().compile_many(jobs, workers=2)
@@ -156,9 +158,9 @@ class TestCompilationService:
             )
 
     def test_disk_cache_shared_across_services(self, tiny_program, tmp_path):
-        first = CompilationService(cache=open_cache(tmp_path / "cache"))
+        first = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         first.compile(tiny_program)
-        second = CompilationService(cache=open_cache(tmp_path / "cache"))
+        second = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         assert second.compile(tiny_program).cached
 
     def test_compiler_cache_hook_uses_same_keys(self, tiny_program):
@@ -204,6 +206,18 @@ class TestHarnessThroughService:
         )
         assert suite["tiny"]["custom"].metrics.cx_count > 0
         assert service.cache.stats.puts == 0  # never went through the service
+
+    def test_unregistered_topology_falls_back_inline(self, tiny_program):
+        # No spec reproduces this topology, so to_dict() raises and every
+        # compiler runs in-process instead of through the service.
+        weird = Topology(3, [(0, 1), (1, 2)], name="weird-line")
+        service = CompilationService()
+        suite = run_suite(
+            {"tiny": tiny_program}, default_compilers(), topology=weird,
+            service=service, workers=1,
+        )
+        assert set(suite["tiny"]) == {spec.name for spec in default_compilers()}
+        assert service.cache.stats.puts == 0
 
 
 class TestBatchTimeoutOverride:
@@ -262,8 +276,8 @@ class TestKeepAliveService:
             stats_between = service.executor_stats()
             second = service.compile_many(
                 [
-                    CompilationJob("b1", tiny_program, CompilerOptions(seed=5)),
-                    CompilationJob("b2", qaoa_line_program, CompilerOptions(seed=5)),
+                    CompilationJob("b1", tiny_program, CompileOptions(seed=5)),
+                    CompilationJob("b2", qaoa_line_program, CompileOptions(seed=5)),
                 ],
                 workers=2,
             )

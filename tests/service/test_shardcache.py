@@ -1,4 +1,4 @@
-"""Sharded disk cache: layout, stats, pruning, and concurrent writers.
+"""The disk cache store: layout, stats, pruning, and concurrent writers.
 
 The concurrency tests fork real OS processes against one cache
 directory: the atomic temp-file + rename contract must leave exactly one
@@ -16,12 +16,13 @@ from pathlib import Path
 import pytest
 
 from repro.serialize.jsonutil import canonical_json
-from repro.service.cache import DiskCacheStore, TieredCache, open_cache
+from repro.pipeline.options import CompileOptions
+from repro.service.cache import TieredCache, open_cache
 from repro.service.shardcache import (
     LAYOUT_FILE,
     STALE_TMP_SECONDS,
+    DiskCacheStore,
     PruneReport,
-    ShardedDiskCacheStore,
 )
 
 KEY = "deadbeef0123456789-cafe"
@@ -33,20 +34,28 @@ def _entry_files(root):
 
 class TestLayout:
     def test_default_layout_matches_flat_store(self, tmp_path):
-        """depth=1, width=2 must be byte-compatible with DiskCacheStore."""
-        flat = DiskCacheStore(tmp_path / "cache")
-        flat.put(KEY, {"value": 1})
-        sharded = ShardedDiskCacheStore(tmp_path / "cache")
-        assert sharded.get(KEY) == {"value": 1}
-        assert sharded._path(KEY) == flat._path(KEY)
+        """depth=1, width=2 reads unmarked ``root/<key[:2]>/<key>.json`` dirs."""
+        legacy = tmp_path / "cache" / KEY[:2] / f"{KEY}.json"
+        legacy.parent.mkdir(parents=True)
+        legacy.write_text(json.dumps({"value": 1}), encoding="utf-8")
+        store = DiskCacheStore(tmp_path / "cache")
+        assert (store.depth, store.width) == (1, 2)
+        assert store._path(KEY) == legacy
+        assert store.get(KEY) == {"value": 1}
 
     def test_flat_store_reads_sharded_writes(self, tmp_path):
-        sharded = ShardedDiskCacheStore(tmp_path / "cache")
-        sharded.put(KEY, {"value": 2})
-        assert DiskCacheStore(tmp_path / "cache").get(KEY) == {"value": 2}
+        DiskCacheStore(tmp_path / "cache").put(KEY, {"value": 2})
+        flat_path = tmp_path / "cache" / KEY[:2] / f"{KEY}.json"
+        assert json.loads(flat_path.read_text(encoding="utf-8")) == {"value": 2}
+
+    def test_short_keys_keep_the_flat_path(self, tmp_path):
+        store = DiskCacheStore(tmp_path / "cache")
+        store.put("k1", {"value": 3})
+        assert store._path("k1") == tmp_path / "cache" / "k1" / "k1.json"
+        assert store.get("k1") == {"value": 3}
 
     def test_deeper_fanout_path(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache", depth=2, width=3)
+        store = DiskCacheStore(tmp_path / "cache", depth=2, width=3)
         store.put(KEY, {"value": 3})
         path = store._path(KEY)
         assert path == tmp_path / "cache" / KEY[:3] / KEY[3:6] / f"{KEY}.json"
@@ -54,50 +63,50 @@ class TestLayout:
         assert store.get(KEY) == {"value": 3}
 
     def test_layout_marker_recorded_and_reloaded(self, tmp_path):
-        ShardedDiskCacheStore(tmp_path / "cache", depth=2, width=1)
+        DiskCacheStore(tmp_path / "cache", depth=2, width=1)
         marker = json.loads((tmp_path / "cache" / LAYOUT_FILE).read_text())
         assert marker == {"depth": 2, "width": 1}
         # Reopening without arguments picks up the recorded fan-out.
-        reopened = ShardedDiskCacheStore(tmp_path / "cache")
+        reopened = DiskCacheStore(tmp_path / "cache")
         assert (reopened.depth, reopened.width) == (2, 1)
 
     def test_conflicting_layout_rejected_not_resharded(self, tmp_path):
-        ShardedDiskCacheStore(tmp_path / "cache", depth=1, width=2)
+        DiskCacheStore(tmp_path / "cache", depth=1, width=2)
         with pytest.raises(ValueError, match="depth=1"):
-            ShardedDiskCacheStore(tmp_path / "cache", depth=3)
+            DiskCacheStore(tmp_path / "cache", depth=3)
         with pytest.raises(ValueError, match="width=2"):
-            ShardedDiskCacheStore(tmp_path / "cache", width=4)
+            DiskCacheStore(tmp_path / "cache", width=4)
 
     def test_corrupt_marker_rejected_not_resharded(self, tmp_path):
         """A torn marker must fail loudly, never guess a layout."""
-        store = ShardedDiskCacheStore(tmp_path / "cache", depth=2, width=2)
+        store = DiskCacheStore(tmp_path / "cache", depth=2, width=2)
         store.put(KEY, {"value": 1})
         (tmp_path / "cache" / LAYOUT_FILE).write_text('{"dep', encoding="utf-8")
         with pytest.raises(ValueError, match="unreadable shard layout"):
-            ShardedDiskCacheStore(tmp_path / "cache")
+            DiskCacheStore(tmp_path / "cache")
         # The entry written under the real layout is untouched.
         (tmp_path / "cache" / LAYOUT_FILE).unlink()
-        recovered = ShardedDiskCacheStore(tmp_path / "cache", depth=2, width=2)
+        recovered = DiskCacheStore(tmp_path / "cache", depth=2, width=2)
         assert recovered.get(KEY) == {"value": 1}
 
     def test_matching_explicit_layout_accepted(self, tmp_path):
-        ShardedDiskCacheStore(tmp_path / "cache", depth=2, width=2)
-        reopened = ShardedDiskCacheStore(tmp_path / "cache", depth=2, width=2)
+        DiskCacheStore(tmp_path / "cache", depth=2, width=2)
+        reopened = DiskCacheStore(tmp_path / "cache", depth=2, width=2)
         assert (reopened.depth, reopened.width) == (2, 2)
 
     def test_invalid_layouts_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="depth/width"):
-            ShardedDiskCacheStore(tmp_path / "cache", depth=0)
+            DiskCacheStore(tmp_path / "cache", depth=0)
         with pytest.raises(ValueError, match="depth/width"):
-            ShardedDiskCacheStore(tmp_path / "other", width=0)
+            DiskCacheStore(tmp_path / "other", width=0)
 
     def test_key_too_short_for_layout(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache", depth=4, width=8)
+        store = DiskCacheStore(tmp_path / "cache", depth=4, width=8)
         with pytest.raises(ValueError, match="too short"):
             store.put("abc", {"value": 1})
 
     def test_path_separators_rejected(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         for bad in ("", "a/b", "a\\b", "../escape"):
             with pytest.raises(ValueError):
                 store._path(bad)
@@ -105,7 +114,7 @@ class TestLayout:
 
 class TestStoreSurface:
     def test_round_trip_delete_contains_len(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         keys = [f"{i:02x}{KEY}" for i in range(8)]
         for i, key in enumerate(keys):
             store.put(key, {"value": i})
@@ -120,13 +129,13 @@ class TestStoreSurface:
 
     def test_canonical_bytes_on_disk(self, tmp_path):
         """Entries are canonical JSON, so equal payloads are equal files."""
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         store.put(KEY, {"b": 2, "a": 1})
         raw = store._path(KEY).read_text(encoding="utf-8")
         assert raw == canonical_json({"a": 1, "b": 2})
 
     def test_hits_bump_mtime_for_lru(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         store.put(KEY, {"value": 1})
         past = time.time() - 1000
         os.utime(store._path(KEY), (past, past))
@@ -134,7 +143,7 @@ class TestStoreSurface:
         assert store._path(KEY).stat().st_mtime > past + 500
 
     def test_touch_on_hit_disabled(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache", touch_on_hit=False)
+        store = DiskCacheStore(tmp_path / "cache", touch_on_hit=False)
         store.put(KEY, {"value": 1})
         past = time.time() - 1000
         os.utime(store._path(KEY), (past, past))
@@ -143,7 +152,7 @@ class TestStoreSurface:
 
     def test_memory_tier_hits_still_touch_disk_entry(self, tmp_path):
         """Promotion to memory must not freeze the disk mtime for LRU."""
-        cache = open_cache(tmp_path / "cache")
+        cache = open_cache(f"disk:{tmp_path / 'cache'}")
         cache.put(KEY, {"value": 1})
         path = cache.disk._path(KEY)
         past = time.time() - 1000
@@ -154,19 +163,19 @@ class TestStoreSurface:
         assert path.stat().st_mtime > past + 500
 
     def test_tiered_composition_with_memory_front(self, tmp_path):
-        cache = open_cache(tmp_path / "cache")
+        cache = open_cache(f"disk:{tmp_path / 'cache'}")
         assert isinstance(cache, TieredCache)
-        assert isinstance(cache.disk, ShardedDiskCacheStore)
+        assert isinstance(cache.disk, DiskCacheStore)
         cache.put(KEY, {"value": 9})
         # A fresh tier over the same directory hits disk, promotes to memory.
-        fresh = open_cache(tmp_path / "cache")
+        fresh = open_cache(f"disk:{tmp_path / 'cache'}")
         assert fresh.get(KEY) == {"value": 9}
         assert KEY in fresh.memory
 
 
 class TestUsage:
     def test_usage_accounting(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         for i in range(6):
             store.put(f"{i % 2:02x}{KEY}", {"value": i})
         usage = store.usage()
@@ -179,7 +188,7 @@ class TestUsage:
         assert usage["session"]["puts"] == 6
 
     def test_usage_empty(self, tmp_path):
-        usage = ShardedDiskCacheStore(tmp_path / "cache").usage()
+        usage = DiskCacheStore(tmp_path / "cache").usage()
         assert usage["entries"] == 0
         assert usage["total_bytes"] == 0
         assert usage["oldest_mtime"] is None
@@ -187,7 +196,7 @@ class TestUsage:
 
 class TestPrune:
     def _aged_store(self, tmp_path, ages):
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         now = time.time()
         for i, age in enumerate(ages):
             key = f"{i:02x}{KEY}"
@@ -251,7 +260,7 @@ class TestPrune:
 
 def hammer_writer(root, worker_id, keys, rounds):
     """Write every key `rounds` times, interleaved with the other workers."""
-    store = ShardedDiskCacheStore(root)
+    store = DiskCacheStore(root)
     for round_number in range(rounds):
         for key in keys:
             store.put(key, {"key": key, "payload": list(range(50))})
@@ -260,13 +269,12 @@ def hammer_writer(root, worker_id, keys, rounds):
 
 def compile_workload_against_cache(root, spec):
     """One process of the compile-the-same-workload-twice race."""
-    from repro.service.registry import CompilerOptions
     from repro.service.service import CompilationJob, CompilationService
     from repro.workloads.registry import workload_from_spec
 
     workload = workload_from_spec(spec)
-    service = CompilationService(cache=open_cache(root), executor="serial")
-    job = CompilationJob(workload.name, workload.to_terms(), CompilerOptions())
+    service = CompilationService(cache=open_cache(f"disk:{root}"), executor="serial")
+    job = CompilationJob(workload.name, workload.to_terms(), CompileOptions())
     result = service.compile_many([job], workers=1)[0]
     assert result.ok, result.error
     return result.key
@@ -291,7 +299,7 @@ class TestConcurrentWriters:
         _run_in_processes(
             hammer_writer, [(str(root), w, keys, 10) for w in range(4)]
         )
-        store = ShardedDiskCacheStore(root)
+        store = DiskCacheStore(root)
         assert sorted(store.keys()) == sorted(keys)
         for key in keys:
             value = store.get(key)  # json.load would raise on a torn write
@@ -307,7 +315,7 @@ class TestConcurrentWriters:
         _run_in_processes(
             compile_workload_against_cache, [(str(root), spec)] * 2
         )
-        store = ShardedDiskCacheStore(root)
+        store = DiskCacheStore(root)
         entries = list(store.keys())
         assert len(entries) == 1  # both processes agreed on one cache key
         value = store.get(entries[0])
@@ -324,7 +332,7 @@ class TestQuarantine:
     def test_corrupt_entry_is_a_miss_and_moves_to_the_sidecar(
         self, tmp_path, clean_metrics
     ):
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         store.put(KEY, {"value": 1})
         store._path(KEY).write_text('{"value": 1,, TRUNCATED', encoding="utf-8")
 
@@ -337,7 +345,7 @@ class TestQuarantine:
         assert snapshot["repro_cache_quarantined_total"][""] == 1
 
     def test_quarantined_key_can_be_rewritten_and_served_again(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         store.put(KEY, {"value": 1})
         store._path(KEY).write_text("not json at all", encoding="utf-8")
         assert store.get(KEY) is None
@@ -347,7 +355,7 @@ class TestQuarantine:
         assert (store.quarantine_dir / f"{KEY}.json").exists()
 
     def test_sidecar_is_invisible_to_iteration_len_and_clear(self, tmp_path):
-        store = ShardedDiskCacheStore(tmp_path / "cache")
+        store = DiskCacheStore(tmp_path / "cache")
         store.put(KEY, {"value": 1})
         store._path(KEY).write_text("garbage", encoding="utf-8")
         store.get(KEY)

@@ -27,7 +27,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.compiler import PhoenixCompiler
+from repro.core.cost import bsf_cost_reference
+from repro.core.ordering import _order_indices_reference
+from repro.core.simplify import simplify_group
 from repro.paulis.fingerprint import program_fingerprint
+from repro.pipeline import FunctionStage
 from repro.pipeline.options import CompileOptions
 from repro.pipeline.registry import (
     build_compiler,
@@ -161,10 +166,38 @@ class TestCommutingCrossCompiler:
         ) == pytest.approx(1.0, abs=1e-12)
 
 
-class TestOrderingEngineBitIdentity:
-    """The fast ordering engine is an optimization, not a heuristic change:
-    on every family/seed of the differential sample, PHOENIX must emit the
-    exact same gate sequence whichever ordering engine is selected."""
+def _reference_simplify(context):
+    context.groups = [
+        simplify_group(group, cost_function=bsf_cost_reference)
+        for group in context.groups
+    ]
+
+
+def _reference_order(context):
+    order = _order_indices_reference(
+        context.groups, context.num_qubits, context.options.lookahead,
+        context.hardware_aware,
+    )
+    context.groups = [context.groups[i] for i in order]
+
+
+class ReferenceScanPhoenix(PhoenixCompiler):
+    """PHOENIX with the reference simplify and order scans swapped in."""
+
+    def build_pipeline(self):
+        return (
+            super()
+            .build_pipeline()
+            .replaced("simplify", FunctionStage("simplify", _reference_simplify))
+            .replaced("order", FunctionStage("order", _reference_order))
+        )
+
+
+class TestReferenceScanBitIdentity:
+    """The fast simplify and order scorers are optimizations, not heuristic
+    changes: on every family/seed of the differential sample, PHOENIX must
+    emit the exact same gate sequence as with the reference scans swapped
+    in as pipeline stages."""
 
     @pytest.mark.parametrize(
         "family,seed",
@@ -174,15 +207,12 @@ class TestOrderingEngineBitIdentity:
             for seed in SEEDS
         ],
     )
-    def test_fast_and_reference_orderings_compile_identically(
+    def test_fast_and_reference_scans_compile_identically(
         self, family, seed, small_instances
     ):
         workload = small_instances[family][seed]
-        results = {}
-        for engine in ("fast", "reference"):
-            compiler = build_compiler("phoenix", CompileOptions(ordering_engine=engine))
-            results[engine] = compiler.compile(workload.to_terms())
-        fast, reference = results["fast"], results["reference"]
+        fast = PhoenixCompiler().compile(workload.to_terms())
+        reference = ReferenceScanPhoenix().compile(workload.to_terms())
         assert [(g.name, g.qubits, g.params) for g in fast.circuit] == [
             (g.name, g.qubits, g.params) for g in reference.circuit
         ]

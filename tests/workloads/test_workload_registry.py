@@ -166,21 +166,21 @@ class TestWorkloadSerialization:
 
 class TestCacheKeyComposition:
     def test_workload_cache_key_matches_service_job_key(self):
-        from repro.service.registry import CompilerOptions
+        from repro.pipeline.options import CompileOptions
         from repro.service.service import CompilationJob, CompilationService
 
         workload = workload_from_spec("heisenberg:n=6,seed=4")
-        options = CompilerOptions(compiler="phoenix")
+        options = CompileOptions(compiler="phoenix")
         service = CompilationService()
         job = CompilationJob("wl", workload.to_terms(), options)
         assert service.job_key(job) == workload.cache_key(options.fingerprint())
 
     def test_order_sensitive_compilers_use_sequence_keys(self):
-        from repro.service.registry import CompilerOptions
+        from repro.pipeline.options import CompileOptions
         from repro.service.service import CompilationJob, CompilationService
 
         workload = workload_from_spec("tfim:n=5,seed=4")
-        options = CompilerOptions(compiler="naive")
+        options = CompileOptions(compiler="naive")
         service = CompilationService()
         job = CompilationJob("wl", workload.to_terms(), options)
         assert service.job_key(job) == workload.cache_key(
