@@ -17,7 +17,7 @@ so that comparisons isolate the synthesis/ordering strategies:
   (2QAN, ISCA'22), used for the QAOA comparison.
 """
 
-from repro.baselines.base import BaselineCompiler, BaselineResult, finalize_compilation
+from repro.baselines.base import BaselineCompiler, BaselineResult
 from repro.baselines.naive import NaiveCompiler
 from repro.baselines.paulihedral import PaulihedralCompiler
 from repro.baselines.tetris import TetrisCompiler
@@ -27,7 +27,6 @@ from repro.baselines.qaan import TwoQANCompiler
 __all__ = [
     "BaselineCompiler",
     "BaselineResult",
-    "finalize_compilation",
     "NaiveCompiler",
     "PaulihedralCompiler",
     "TetrisCompiler",

@@ -5,24 +5,18 @@ in its own ``synthesize`` front stage and shares the back end
 (``rebase -> optimize -> consolidate -> route``) with PHOENIX, so the
 cross-compiler comparison stays about the synthesis and ordering strategy
 — mirroring how the paper attaches the same Qiskit passes to every
-baseline.
-
-:func:`finalize_compilation` survives as a compatibility wrapper that runs
-exactly those shared back-end stages on an already-synthesised circuit;
-:func:`as_terms` is re-exported from :mod:`repro.pipeline`.
+baseline.  :func:`as_terms` is re-exported from :mod:`repro.pipeline`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from repro.circuits.circuit import QuantumCircuit
 from repro.core.compiler import CompilationResult
 from repro.hardware.topology import Topology
-from repro.paulis.pauli import PauliTerm
 from repro.pipeline.compiler import PipelineCompiler
-from repro.pipeline.options import CompileOptions, as_terms  # noqa: F401  (re-export)
-from repro.pipeline.stage import CompileContext, Pipeline
+from repro.pipeline.options import as_terms  # noqa: F401  (re-export)
+from repro.pipeline.stage import Pipeline
 from repro.pipeline.stages import backend_stages
 
 #: Baselines reuse the same result dataclass as PHOENIX.
@@ -57,33 +51,3 @@ class BaselineCompiler(PipelineCompiler):
     def build_pipeline(self) -> Pipeline:
         return Pipeline([self.synthesis_stage()] + backend_stages())
 
-
-def finalize_compilation(
-    logical_native: QuantumCircuit,
-    implemented_terms: Sequence[PauliTerm],
-    isa: str = "cnot",
-    topology: Optional[Topology] = None,
-    optimization_level: int = 2,
-    seed: int = 0,
-) -> CompilationResult:
-    """Post-process a logically synthesised circuit into a final result.
-
-    Runs the shared back-end stages (``rebase -> optimize -> consolidate ->
-    route``) — the single implementation in
-    :func:`repro.pipeline.stages.backend_stages` — on the given circuit.
-    """
-    options = CompileOptions(
-        isa=isa,
-        topology=topology,
-        optimization_level=optimization_level,
-        seed=seed,
-    )
-    context = CompileContext(
-        options=options,
-        terms=list(implemented_terms),
-        num_qubits=logical_native.num_qubits,
-        native=logical_native,
-        implemented_terms=list(implemented_terms),
-    )
-    Pipeline(backend_stages()).run(context)
-    return context.result()

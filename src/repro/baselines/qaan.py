@@ -19,9 +19,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Dict, List, Optional
 
-from repro.baselines.base import as_terms, finalize_compilation
+from repro.baselines.base import as_terms
 from repro.circuits.circuit import QuantumCircuit
+from repro.pipeline.options import CompileOptions
 from repro.pipeline.registry import register_compiler
+from repro.pipeline.stage import CompileContext, Pipeline
+from repro.pipeline.stages import backend_stages
 from repro.core.compiler import CompilationResult
 from repro.hardware.routing.sabre import sabre_initial_mapping
 from repro.hardware.topology import Topology
@@ -63,15 +66,24 @@ class TwoQANCompiler:
         if self.topology is None or self.topology.is_all_to_all():
             # Logical-level compilation: all interactions commute, so a
             # simple greedy edge-colouring style schedule is depth-optimal
-            # enough; synthesis is per-term.
+            # enough; synthesis is per-term, then the shared back end.
             circuit = QuantumCircuit(num_qubits)
             for term in terms:
                 for gate in synthesize_pauli_term(term, num_qubits):
                     circuit.append(gate)
-            return finalize_compilation(
-                circuit, terms, isa=self.isa, topology=None,
-                optimization_level=self.optimization_level, seed=self.seed,
+            context = CompileContext(
+                options=CompileOptions(
+                    isa=self.isa,
+                    optimization_level=self.optimization_level,
+                    seed=self.seed,
+                ),
+                terms=list(terms),
+                num_qubits=num_qubits,
+                native=circuit,
+                implemented_terms=list(terms),
             )
+            Pipeline(backend_stages()).run(context)
+            return context.result()
         return self._hardware_compile(terms, num_qubits)
 
     # ------------------------------------------------------------------

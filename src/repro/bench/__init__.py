@@ -2,8 +2,8 @@
 
 ``python -m repro.bench`` compiles a **pinned 16-job workload-registry
 suite** through :class:`repro.service.CompilationService` three times —
-serial executor (cold cache), process executor (cold cache), process
-executor again (warm cache) — and emits a machine-readable
+one worker (inline, cold cache), ``--workers`` workers (process pool,
+cold cache), and the pool again (warm cache) — and emits a machine-readable
 ``BENCH_service.json`` with wall-clock, jobs/sec, speedup, cache hit
 rates, and per-stage timing aggregates.  CI runs it nightly and uploads
 the report as an artifact, so every PR after this one has a trajectory to
@@ -16,7 +16,7 @@ only deliberately, alongside a bump of :data:`SUITE_VERSION`.
 
 Serial and process runs must agree exactly: the report's
 ``equivalence.byte_identical`` compares the canonical JSON of every
-result (cache keys included) across the two executors, with the
+result (cache keys included) across the inline and pool passes, with the
 ``stage_timings`` measurement metadata excluded — timings are wall-clock
 observations, not compilation content.
 """
@@ -101,7 +101,6 @@ def result_content_bytes(job_result: JobResult) -> bytes:
 
 def _timed_pass(
     jobs: Sequence[CompilationJob],
-    executor: str,
     workers: int,
     timeout: Optional[float],
     cache: Optional[str] = None,
@@ -110,13 +109,11 @@ def _timed_pass(
     if service is None:
         service = CompilationService(cache=open_cache(cache))
     started = time.perf_counter()
-    results = service.compile_many(
-        jobs, workers=workers, executor=executor, timeout=timeout
-    )
+    results = service.compile_many(jobs, workers=workers, timeout=timeout)
     wall = time.perf_counter() - started
     errors = {r.name: r.error for r in results if not r.ok}
     summary: Dict[str, Any] = {
-        "executor": executor,
+        "executor": "serial" if workers <= 1 else "process",
         "workers": workers,
         "wall_seconds": wall,
         "jobs_per_second": len(jobs) / wall if wall > 0 else 0.0,
@@ -196,13 +193,13 @@ def run_bench(
             workers, cpu_count, effective_workers,
         )
 
-    _, serial_results, serial_summary = _timed_pass(jobs, "serial", 1, timeout)
+    _, serial_results, serial_summary = _timed_pass(jobs, 1, timeout)
     process_service, process_results, process_summary = _timed_pass(
-        jobs, "process", workers, timeout, cache=cache
+        jobs, workers, timeout, cache=cache
     )
     remote_after_process = _remote_tier_stats(process_service)
     _, warm_results, warm_summary = _timed_pass(
-        jobs, "process", workers, timeout, service=process_service
+        jobs, workers, timeout, service=process_service
     )
     remote_after_warm = _remote_tier_stats(process_service)
     # An honest record of the parallelism actually available: a speedup

@@ -70,14 +70,10 @@ class PhoenixCompiler(PipelineCompiler):
         0 = raw emission, 2 = inverse cancellation + rotation merging
         (the PHOENIX default), 3 = additionally commutation cancellation and
         1Q fusion (the paper's "+ Qiskit O3" configuration).
-    cache:
-        Optional cache store with ``get(key) -> dict | None`` and
-        ``put(key, dict)`` (see :mod:`repro.service.cache`).  When set,
-        :meth:`compile` is wrapped by
-        :class:`~repro.pipeline.caching.CachingCompiler`, which looks
-        results up under the content-addressed key combining the program
-        fingerprint with :meth:`config_fingerprint` and stores misses
-        after compiling.
+
+    Cached compilation goes through :class:`repro.service.CompilationService`,
+    which keys results by the program fingerprint and
+    :meth:`config_fingerprint`.
     """
 
     name = "phoenix"
@@ -89,7 +85,6 @@ class PhoenixCompiler(PipelineCompiler):
         lookahead: int = 10,
         optimization_level: int = 2,
         seed: int = 0,
-        cache=None,
     ):
         super().__init__(
             isa=isa,
@@ -97,7 +92,6 @@ class PhoenixCompiler(PipelineCompiler):
             optimization_level=optimization_level,
             seed=seed,
             lookahead=lookahead,
-            cache=cache,
         )
 
     # ------------------------------------------------------------------

@@ -5,8 +5,8 @@ Three dependency-free pillars, all zero-cost until explicitly enabled:
 * **Spans** (:mod:`repro.obs.trace`): ``with span("simplify", qubits=n):``
   around units of work, thread- and process-safe IDs, JSON-lines events
   through a pluggable sink (:func:`set_sink` / :class:`JsonlSink`).  The
-  pipeline runner, the caching wrapper, the compilation service, and the
-  executors are pre-wired, so one ``compile_many`` batch yields a single
+  pipeline runner, the compilation service, and the executor are
+  pre-wired, so one ``compile_many`` batch yields a single
   coherent trace: per-job spans nest per-stage spans, and cache
   hit/miss/dedup plus retry/timeout outcomes land in span attributes.
 * **Metrics** (:mod:`repro.obs.metrics`): a process-local registry of

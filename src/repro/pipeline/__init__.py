@@ -20,7 +20,6 @@ Typical custom-stage injection::
             )
 """
 
-from repro.pipeline.caching import CachingCompiler
 from repro.pipeline.compiler import PipelineCompiler
 from repro.pipeline.options import CompileOptions, Program, as_terms
 from repro.pipeline.registry import (
@@ -74,7 +73,6 @@ __all__ = [
     "frontend_stages",
     "backend_stages",
     "PipelineCompiler",
-    "CachingCompiler",
     "COMPILERS",
     "ORDER_SENSITIVE_COMPILERS",
     "register_compiler",

@@ -7,9 +7,8 @@ names the stages, and :meth:`compile` threads a
 :class:`~repro.pipeline.stage.CompileContext` through them.  PHOENIX and
 every baseline subclass this and differ only in the stages they compose.
 
-Content-addressed caching is *not* part of the pipeline: a compiler built
-with ``cache=...`` is transparently wrapped by
-:class:`~repro.pipeline.caching.CachingCompiler` at :meth:`compile` time.
+Content-addressed caching is *not* part of the compiler: it lives in one
+front end, :class:`repro.service.CompilationService`.
 
 Note on fingerprints: the base class deliberately does **not** define
 ``config_fingerprint``.  ``CompileOptions.fingerprint()`` hashes the
@@ -42,7 +41,6 @@ class PipelineCompiler:
         optimization_level: int = 2,
         seed: int = 0,
         lookahead: int = 10,
-        cache=None,
     ):
         self.options = CompileOptions(
             compiler=self.name,
@@ -52,11 +50,10 @@ class PipelineCompiler:
             lookahead=lookahead,
             seed=seed,
         )
-        self.cache = cache
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_options(cls, options: CompileOptions, cache=None) -> "PipelineCompiler":
+    def from_options(cls, options: CompileOptions) -> "PipelineCompiler":
         """Instantiate from one :class:`CompileOptions` value.
 
         Only the options the subclass constructor actually accepts are
@@ -82,8 +79,6 @@ class PipelineCompiler:
             "lookahead": options.lookahead,
         }
         kwargs = {key: value for key, value in candidate.items() if key in accepted}
-        if cache is not None and "cache" in accepted:
-            kwargs["cache"] = cache
         return cls(**kwargs)
 
     # ------------------------------------------------------------------
@@ -135,23 +130,13 @@ class PipelineCompiler:
         raise NotImplementedError
 
     def compile(self, program: Program, hooks: Sequence[PipelineHook] = ()):
-        """Compile a program through the stage pipeline.
-
-        With :attr:`cache` set, a content-addressed lookup runs first and a
-        fresh compilation is stored back on a miss; cached results carry
-        ``groups=[]`` (see :mod:`repro.serialize.results`).
-        """
-        terms = as_terms(program)
-        if self.cache is not None:
-            from repro.pipeline.caching import CachingCompiler
-
-            return CachingCompiler(self, self.cache).compile(terms, hooks=hooks)
-        return self.compile_terms(terms, hooks=hooks)
+        """Compile a program through the stage pipeline."""
+        return self.compile_terms(as_terms(program), hooks=hooks)
 
     def compile_terms(
         self, terms: List[PauliTerm], hooks: Sequence[PipelineHook] = ()
     ):
-        """Run the pipeline on an already-normalised term list (no cache)."""
+        """Run the pipeline on an already-normalised term list."""
         context = CompileContext(
             options=self.options, terms=list(terms), num_qubits=terms[0].num_qubits
         )

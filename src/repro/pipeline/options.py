@@ -147,11 +147,11 @@ class CompileOptions:
             seed=data.get("seed", 0),
         )
 
-    def build(self, cache=None):
+    def build(self):
         """Instantiate the configured compiler from the global registry."""
         from repro.pipeline.registry import build_compiler
 
-        return build_compiler(self.compiler, self, cache=cache)
+        return build_compiler(self.compiler, self)
 
     # ------------------------------------------------------------------
     def config_dict(self) -> Dict[str, Any]:

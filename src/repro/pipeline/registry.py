@@ -8,7 +8,7 @@ compiler: ``experiments.harness.default_compilers``,
 
 A factory is a class (or callable) accepting the keyword arguments
 ``isa, topology, optimization_level, seed``; factories that additionally
-expose a ``from_options(options, cache=None)`` classmethod (every
+expose a ``from_options(options)`` classmethod (every
 :class:`~repro.pipeline.compiler.PipelineCompiler` does) receive the full
 :class:`~repro.pipeline.options.CompileOptions`, including the
 PHOENIX-specific ``lookahead``.
@@ -113,16 +113,14 @@ def compiler_max_weight(name: str) -> Optional[int]:
     return getattr(get_compiler_factory(name), "max_pauli_weight", None)
 
 
-def build_compiler(
-    name: str, options: Optional[CompileOptions] = None, cache=None
-):
+def build_compiler(name: str, options: Optional[CompileOptions] = None):
     """Instantiate a registered compiler from one :class:`CompileOptions`."""
     factory = get_compiler_factory(name)
     if options is None:
         options = CompileOptions()
     from_options = getattr(factory, "from_options", None)
     if from_options is not None:
-        return from_options(options, cache=cache)
+        return from_options(options)
     return factory(
         isa=options.isa,
         topology=options.topology,

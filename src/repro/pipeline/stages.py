@@ -8,9 +8,8 @@ stages):
 * ``order``       — Tetris-like group ordering with look-ahead.
 * ``emit``        — emit the native circuit and the implemented Trotter order.
 
-Shared back end (identical for PHOENIX and every baseline — this is the
-single copy of what used to be duplicated between
-``PhoenixCompiler._compile_terms`` and ``baselines.base.finalize_compilation``):
+Shared back end (identical for PHOENIX and every baseline, 2QAN's
+logical path included — the single copy of the post-synthesis passes):
 
 * ``rebase``      — rebase the native circuit to the {CNOT, U3} gate set.
 * ``optimize``    — peephole optimisation at the configured level.

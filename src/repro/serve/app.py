@@ -66,8 +66,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8077  # 0 = ephemeral (tests read the bound port back)
     queue_size: int = 64
-    workers: Optional[int] = None  # process-pool width per batch
-    executor: str = "auto"
+    workers: Optional[int] = None  # process-pool width per batch; 1 = inline
     timeout: Optional[float] = None  # per-program compile budget, seconds
     retries: int = 1
     retry_errors: bool = False
@@ -125,7 +124,6 @@ class ServeApp:
         cache: CacheStore = open_cache(config.cache)
         return CompilationService(
             cache=cache,
-            executor=config.executor,
             max_workers=config.workers,
             timeout=config.timeout,
             retry_policy=retry_policy,
@@ -149,11 +147,11 @@ class ServeApp:
         self.supervisor.spawn("compile-worker", self._compile_worker)
         self.supervisor.spawn("signal-watcher", self._watch_drain_token)
         logger.info(
-            "phoenix serve listening on %s:%d (queue capacity %d, executor %s)",
+            "phoenix serve listening on %s:%d (queue capacity %d, workers %s)",
             self.config.host,
             self.bound_port,
             self.config.queue_size,
-            self.config.executor,
+            self.config.workers or "auto",
         )
         self.ready.set()
 

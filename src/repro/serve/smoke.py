@@ -121,9 +121,9 @@ def run_smoke(host: str, port: int, limit: int, timeout: float) -> int:
             f"reuses {reuses_after:g}"
         )
     else:
-        # Small batches can legally resolve serial; the warm-pool claim is
+        # One worker (or one miss) runs inline; the warm-pool claim is
         # vacuous then, but the serve surface itself still got exercised.
-        print("executor resolved serial for these batches; warm-pool check skipped")
+        print("these batches ran inline; warm-pool check skipped")
 
     for series in ("repro_serve_requests_total", "repro_serve_jobs_submitted_total"):
         assert series in after, f"metrics endpoint missing {series}"

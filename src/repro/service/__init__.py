@@ -2,9 +2,10 @@
 
 This subpackage is the serving layer over the compilers: a
 content-addressed compilation cache (:mod:`repro.service.cache`, with its
-sharded, prunable disk tier in :mod:`repro.service.shardcache`), pluggable
-serial/process execution backends (:mod:`repro.service.executor`), a
-parallel batch compiler (:class:`CompilationService`) whose jobs carry
+sharded, prunable disk tier in :mod:`repro.service.shardcache`), one
+execution backend whose worker count picks inline vs process-pool runs
+(:mod:`repro.service.executor`), a parallel batch compiler
+(:class:`CompilationService`) whose jobs carry
 :class:`repro.pipeline.CompileOptions` across process boundaries as plain
 data, and the ``phoenix`` command line (:mod:`repro.service.cli`).
 
@@ -24,12 +25,7 @@ from repro.service.cache import (
     open_cache,
 )
 from repro.service.cachespec import cache_from_spec, is_remote_spec, parse_spec
-from repro.service.executor import (
-    ProcessExecutor,
-    SerialExecutor,
-    default_worker_count,
-    resolve_executor,
-)
+from repro.service.executor import Executor, default_worker_count
 from repro.service.journal import BatchJournal, load_journal
 from repro.service.resilience import (
     CircuitBreaker,
@@ -65,9 +61,7 @@ __all__ = [
     "CompilationService",
     "JobResult",
     "ProgressEvent",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "resolve_executor",
+    "Executor",
     "default_worker_count",
     "RetryPolicy",
     "RetrySession",

@@ -75,7 +75,7 @@ def _run_batch(manifest: str, url: str, output: str) -> List[Dict[str, Any]]:
         sys.executable, "-m", "repro.service.cli", "batch",
         "--manifest", manifest,
         "--cache", url,
-        "--executor", "serial",
+        "--workers", "1",
         "--quiet",
         "--format", "json",
         "--output", output,
@@ -132,7 +132,7 @@ def run_smoke(url: str, limit: int = 3) -> int:
     # cache must match the entries the server is holding, byte for byte.
     jobs = bench_jobs(PINNED_SUITE[:limit])
     service = CompilationService(cache=open_cache(None))
-    results = service.compile_many(jobs, workers=1, executor="serial")
+    results = service.compile_many(jobs, workers=1)
     store = RemoteCacheStore(url)
     try:
         for job_result in results:

@@ -81,8 +81,7 @@ def _snapshot_deltas(
 def run_chaos(
     scenario: faultlab.Scenario,
     limit: Optional[int] = None,
-    executor: str = "serial",
-    workers: Optional[int] = None,
+    workers: int = 1,
     timeout: Optional[float] = None,
     verify: bool = True,
     retry_policy: Optional[RetryPolicy] = None,
@@ -91,7 +90,9 @@ def run_chaos(
 
     ``verify=True`` first runs the suite fault-free and then checks that
     every job that succeeded under chaos produced byte-identical results.
-    ``limit`` trims the suite (CI smoke uses a few jobs, not all 16).
+    ``limit`` trims the suite (CI smoke uses a few jobs, not all 16);
+    ``workers=1`` runs the chaos pass inline, more fan it out over the
+    process pool.
     """
     from repro.bench import PINNED_SUITE, bench_jobs, result_content_bytes
 
@@ -101,7 +102,7 @@ def run_chaos(
 
     reference: Dict[str, bytes] = {}
     if verify:
-        clean = CompilationService(executor="serial").compile_many(jobs, workers=1)
+        clean = CompilationService().compile_many(jobs, workers=1)
         for job_result in clean:
             if job_result.ok:
                 reference[job_result.name] = result_content_bytes(job_result)
@@ -117,8 +118,6 @@ def run_chaos(
         cache = open_cache(f"disk:{tmp}")
         service = CompilationService(
             cache=cache,
-            executor=executor,
-            max_workers=workers,
             timeout=timeout,
             retry_policy=policy,
         )
@@ -159,7 +158,7 @@ def run_chaos(
     byte_identical = not mismatches
     report: Dict[str, Any] = {
         "scenario": scenario.as_dict(),
-        "executor": executor,
+        "workers": workers,
         "submitted": submitted,
         "completed": completed,
         "errored": errored,
@@ -183,7 +182,7 @@ def format_chaos_report(report: Dict[str, Any]) -> str:
     lines = [
         f"chaos scenario : {report['scenario']['name']} "
         f"(seed={report['scenario']['seed']})",
-        f"executor       : {report['executor']}",
+        f"workers        : {report['workers']}",
         f"jobs           : {report['submitted']} submitted, "
         f"{report['completed']} ok ({report['degraded']} degraded), "
         f"{report['errored']} errored",

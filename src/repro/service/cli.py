@@ -6,7 +6,7 @@ registry::
     phoenix compile --benchmark LiH_frz_JW --format metrics
     phoenix compile --input program.json --format qasm --output out.qasm
     phoenix batch LiH_frz_JW NH_frz_BK --workers 4 --cache disk:.phoenix-cache
-    phoenix batch --manifest jobs.json --executor process --timeout 120
+    phoenix batch --manifest jobs.json --workers 2 --timeout 120
     phoenix batch --manifest jobs.json --trace-out trace.jsonl \
         --metrics-out metrics.prom --log-level info
     phoenix batch --manifest jobs.json --journal run.wal --resume
@@ -312,7 +312,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             job_results = service.compile_many(
                 jobs,
                 workers=args.workers,
-                executor=args.executor,
                 timeout=args.timeout,
                 progress=progress,
                 journal=journal,
@@ -422,7 +421,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         service = CompilationService(cache=open_cache(args.cache))
         progress = None if args.quiet else _stderr_progress
         job_results = service.compile_many(
-            jobs, workers=1, executor="serial", progress=progress
+            jobs, workers=1, progress=progress
         )
         failed = [r.name for r in job_results if not r.ok]
         if failed:
@@ -666,7 +665,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     report = run_chaos(
         scenario,
         limit=args.limit,
-        executor=args.executor,
         workers=args.workers,
         timeout=args.timeout,
         verify=not args.no_verify,
@@ -688,7 +686,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         queue_size=args.queue_size,
         workers=args.workers,
-        executor=args.executor,
         timeout=args.timeout,
         retries=args.retries,
         retry_errors=args.retry_errors,
@@ -749,12 +746,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_compiler_flags(batch_parser)
     batch_parser.add_argument(
         "--workers", type=int, default=None,
-        help="worker processes (default: min(#jobs, cpu_count); 1 = inline)",
-    )
-    batch_parser.add_argument(
-        "--executor", default="auto", choices=["serial", "process", "auto"],
-        help="execution backend for cache misses (default: auto = process "
-             "pool when >1 miss and >1 worker)",
+        help="worker processes for cache misses (default: min(#misses, "
+             "cpu_count)); 1 runs inline, more fan out over a process pool",
     )
     batch_parser.add_argument(
         "--timeout", type=float, default=None,
@@ -934,12 +927,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only the first N jobs of the pinned bench suite",
     )
     chaos_parser.add_argument(
-        "--executor", default="serial", choices=["serial", "process", "auto"],
-        help="execution backend for the chaos pass (default: serial)",
-    )
-    chaos_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the chaos pass (default: auto)",
+        "--workers", type=int, default=1,
+        help="worker processes for the chaos pass (default: 1 = inline; "
+             "more fan out over a process pool)",
     )
     chaos_parser.add_argument(
         "--timeout", type=float, default=None,
@@ -976,11 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=None,
-        help="process-pool width per batch (default: min(#misses, cpu_count))",
-    )
-    serve_parser.add_argument(
-        "--executor", default="auto", choices=["serial", "process", "auto"],
-        help="execution backend for cache misses (default: auto)",
+        help="process-pool width per batch (default: min(#misses, "
+             "cpu_count)); 1 runs every batch inline",
     )
     serve_parser.add_argument(
         "--timeout", type=float, default=None,

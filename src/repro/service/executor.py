@@ -1,8 +1,8 @@
-"""Execution backends for the batch compilation service.
+"""The execution backend of the batch compilation service.
 
-:class:`SerialExecutor` runs serialized job payloads inline;
-:class:`ProcessExecutor` fans them out across a ``fork``-based process
-pool with
+:class:`Executor` runs serialized job payloads and picks *how* from the
+worker count alone: one worker (or one payload) runs inline in this
+process; more fan out across a ``fork``-based process pool with
 
 * per-process warmup (workers pre-import the compiler and workload
   registries once, not per job),
@@ -15,28 +15,31 @@ pool with
   (re-dispatched to the pool while it is healthy, inline once it is
   broken), with exponential seeded-jitter backoff on inline retries and a
   per-batch deadline budget that stops granting retries once spent,
-* an optional :class:`~repro.service.resilience.CircuitBreaker` guarding
-  the pool: while it is open, batches skip straight to serial inline
-  execution instead of re-paying the broken-pool discovery cost, and
+* a :class:`~repro.service.resilience.CircuitBreaker` guarding the pool:
+  while it is open, batches run inline instead of re-paying the
+  broken-pool discovery cost, and
 * ordered result collection: results come back aligned with the input
   payload order no matter which worker finished first, with per-job
   errors captured as result dicts rather than raised.
 
-Both executors share one contract: ``run(payloads)`` takes a sequence of
-JSON-compatible payload dicts and returns one raw result dict per
-payload, in order.  A raw result always carries ``status`` ("ok" or
-"error"), ``elapsed``, and ``attempts``; timeouts additionally carry
-``timeout: True`` and jobs skipped by a cancel token carry
-``cancelled: True``.  The payload runner is pluggable (``runner=``) so
-the retry/timeout machinery is testable without compiling anything; the
-default runner :func:`execute_payload` compiles one serialized
-compilation job exactly as :class:`repro.service.CompilationService`
-prepares them.
+Every inline attempt — a one-worker batch, the open-breaker and no-pool
+fallbacks, a pool that breaks mid-dispatch, the survivors of a crashed
+chunk — goes through one attempt loop, so a job reports the same
+``attempts`` and retry counts whichever way it ended up inline.
+
+``run(payloads)`` takes a sequence of JSON-compatible payload dicts and
+returns one raw result dict per payload, in order.  A raw result always
+carries ``status`` ("ok" or "error"), ``elapsed``, and ``attempts``;
+timeouts additionally carry ``timeout: True`` and jobs skipped by a
+cancel token carry ``cancelled: True``.  The payload runner is pluggable
+(``runner=``) so the retry/timeout machinery is testable without
+compiling anything; the default runner :func:`execute_payload` compiles
+one serialized compilation job exactly as
+:class:`repro.service.CompilationService` prepares them.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
 import multiprocessing
 import os
@@ -45,7 +48,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -59,8 +62,14 @@ Runner = Callable[[Dict[str, Any]], RawResult]
 #: Progress callback: ``(position, raw_result)`` for each finished payload.
 ProgressFn = Callable[[int, RawResult], None]
 
-#: Names accepted by :func:`resolve_executor` and ``CompilationService``.
-EXECUTORS = ("serial", "process", "auto")
+#: ``executor`` label of the ``repro_executor_*`` series: attempts run in
+#: this process count as ``serial``, attempts run by pool workers as
+#: ``process``.
+INLINE = "serial"
+POOL = "process"
+
+#: Grace added to the safety-net wait when per-job timeouts are set.
+SAFETY_GRACE = 30.0
 
 
 class JobTimeout(BaseException):
@@ -213,8 +222,8 @@ def _execute_chunk(
     return [run_payload_with_timeout(payload, timeout, runner) for payload in payloads]
 
 
-def _pool_worker_init(warmup: bool) -> None:
-    """Pool initializer: make workers SIGINT-immune, optionally pre-warm.
+def _pool_worker_init() -> None:
+    """Pool initializer: make workers SIGINT-immune, then pre-warm them.
 
     Ctrl-C must reach only the dispatching process (where
     :class:`~repro.service.resilience.shutdown_guard` turns it into a
@@ -225,8 +234,7 @@ def _pool_worker_init(warmup: bool) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    if warmup:
-        warm_worker_process()
+    warm_worker_process()
 
 
 def _retryable(policy: RetryPolicy, raw: RawResult) -> bool:
@@ -238,125 +246,292 @@ def _retryable(policy: RetryPolicy, raw: RawResult) -> bool:
     return bool(policy.retry_errors) and raw.get("status") == "error"
 
 
-class SerialExecutor:
-    """Run payloads inline, in order, with the same timeout/retry contract.
+def _count(metric: str, where: str) -> None:
+    obs_metrics.counter(metric, executor=where).inc()
 
-    ``retry_policy`` defaults to no retries.
-    """
 
-    name = "serial"
+class _Run:
+    """One :meth:`Executor.run` call: per-payload state plus the one
+    inline attempt loop and the pool dispatch/collection loop."""
 
     def __init__(
         self,
-        timeout: Optional[float] = None,
-        retry_policy: Optional[RetryPolicy] = None,
+        payloads: List[Dict[str, Any]],
+        timeout: Optional[float],
+        runner: Runner,
+        progress: Optional[ProgressFn],
+        cancel: Optional[threading.Event],
+        policy: RetryPolicy,
     ):
+        self.payloads = payloads
         self.timeout = timeout
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy(max_retries=0)
+        self.runner = runner
+        self.progress = progress
+        self.cancel = cancel
+        self.policy = policy
+        self.session = policy.start()
+        self.results: List[Optional[RawResult]] = [None] * len(payloads)
+        self.attempts = [0] * len(payloads)
+        self.pending: Dict[Future, List[int]] = {}
+        self.pool_broken = False  # dispatch failed: no more submissions
+        self.pool_failed = False  # the breaker records a failure
+        self.wedged = False  # workers outlived the safety timeout
+        self.fell_back = False
+
+    def cancelled(self) -> bool:
+        return self.cancel is not None and self.cancel.is_set()
+
+    def finish(self, position: int, raw: RawResult) -> None:
+        raw.setdefault("attempts", self.attempts[position])
+        self.results[position] = raw
+        if self.progress is not None:
+            self.progress(position, raw)
+
+    def may_retry(self, position: int, raw: RawResult) -> bool:
+        return (
+            _retryable(self.policy, raw)
+            and self.session.should_retry(self.attempts[position])
+            and not self.cancelled()
         )
 
-    @property
-    def retries(self) -> int:
-        return self.retry_policy.max_retries
+    # -- inline ---------------------------------------------------------
+    def attempt_inline(self, position: int) -> None:
+        """The attempt loop: run one payload here until it succeeds, its
+        retry budget is spent, or a drain starts."""
+        payload = self.payloads[position]
+        token = payload.get("name", payload.get("index", position))
+        while True:
+            self.attempts[position] += 1
+            raw = run_payload_with_timeout(payload, self.timeout, self.runner)
+            if raw.get("timeout"):
+                _count("repro_executor_timeouts_total", INLINE)
+            if not (
+                self.may_retry(position, raw)
+                and self.session.backoff(self.attempts[position], token=token)
+            ):
+                self.finish(position, raw)
+                return
+            _count("repro_executor_retries_total", INLINE)
+            logger.info(
+                "retrying failed job %s (attempt %d/%d)",
+                token,
+                self.attempts[position] + 1,
+                self.policy.max_retries + 1,
+            )
 
-    def run(
-        self,
-        payloads: Sequence[Dict[str, Any]],
-        progress: Optional[ProgressFn] = None,
-        runner: Runner = execute_payload,
-        cancel: Optional[threading.Event] = None,
-    ) -> List[RawResult]:
-        session = self.retry_policy.start()
-        results: List[RawResult] = []
-        for position, payload in enumerate(payloads):
-            token = payload.get("name", payload.get("index", position))
-            if cancel is not None and cancel.is_set():
-                raw = _cancelled_result(payload)
-                raw["attempts"] = 0
-                results.append(raw)
-                if progress is not None:
-                    progress(position, raw)
+    def run_inline(self, positions: Iterable[int]) -> None:
+        for position in positions:
+            if self.cancelled():
+                self.finish(position, _cancelled_result(self.payloads[position]))
+            else:
+                self.attempt_inline(position)
+
+    def count_fallback(self) -> None:
+        # The fallback *decision* is counted once per batch, not once per
+        # job: a broken pool is one event however many jobs it strands.
+        if not self.fell_back:
+            self.fell_back = True
+            obs_metrics.counter("repro_executor_inline_fallbacks_total").inc()
+
+    # -- pool -----------------------------------------------------------
+    def submit(self, pool: ProcessPoolExecutor, positions: List[int]) -> bool:
+        if self.pool_broken:
+            return False
+        try:
+            faultlab.fire("executor.dispatch", jobs=len(positions))
+            future = pool.submit(
+                _execute_chunk,
+                [self.payloads[position] for position in positions],
+                self.timeout,
+                self.runner,
+            )
+        except (RuntimeError, faultlab.InjectedFault):
+            # Pool already broken/shut down, or the fault lab decided
+            # dispatch fails today: same fallback either way.
+            self.pool_broken = self.pool_failed = True
+            obs_metrics.counter("repro_executor_broken_pools_total").inc()
+            logger.warning(
+                "process pool broke; remaining jobs fall back to inline execution"
+            )
+            return False
+        self.pending[future] = positions
+        return True
+
+    def pool_result(self, pool: ProcessPoolExecutor, position: int, raw: RawResult) -> None:
+        self.attempts[position] += 1
+        if raw.get("timeout"):
+            _count("repro_executor_timeouts_total", POOL)
+        if not self.may_retry(position, raw):
+            self.finish(position, raw)
+            return
+        _count("repro_executor_retries_total", POOL)
+        logger.info(
+            "re-dispatching failed job %s (attempt %d/%d)",
+            self.payloads[position].get("name", position),
+            self.attempts[position] + 1,
+            self.policy.max_retries + 1,
+        )
+        # No backoff sleep here: a re-dispatched job queues behind the
+        # in-flight chunks, and sleeping would stall result collection for
+        # every other job.
+        if not self.submit(pool, [position]):
+            self.count_fallback()
+            self.attempt_inline(position)
+
+    def chunk_failed(self, positions: List[int], error: str) -> None:
+        """A worker died under this chunk: retry its survivors inline."""
+        self.pool_failed = True
+        logger.warning(
+            "worker chunk of %d job(s) failed; retrying survivors inline: %s",
+            len(positions),
+            error.strip().splitlines()[-1] if error.strip() else error,
+        )
+        for position in positions:
+            if self.results[position] is not None:
                 continue
-            attempts = 0
-            while True:
-                attempts += 1
-                raw = run_payload_with_timeout(payload, self.timeout, runner)
-                if raw.get("timeout"):
-                    obs_metrics.counter(
-                        "repro_executor_timeouts_total", executor=self.name
-                    ).inc()
-                if not (_retryable(self.retry_policy, raw) and session.should_retry(attempts)):
-                    break
-                if cancel is not None and cancel.is_set():
-                    break  # drain: keep this outcome, do not burn retries
-                if not session.backoff(attempts, token=token):
-                    break  # deadline budget cannot afford the next sleep
-                obs_metrics.counter(
-                    "repro_executor_retries_total", executor=self.name
-                ).inc()
-                logger.info(
-                    "retrying failed job %s (attempt %d/%d)",
-                    payload.get("name", payload.get("index")),
-                    attempts + 1,
-                    self.retries + 1,
+            self.attempts[position] += 1
+            if self.session.should_retry(self.attempts[position]) and not self.cancelled():
+                _count("repro_executor_retries_total", POOL)
+                self.count_fallback()
+                self.attempt_inline(position)
+            else:
+                self.finish(
+                    position,
+                    {
+                        "index": self.payloads[position].get("index"),
+                        "status": "error",
+                        "error": error,
+                        "elapsed": 0.0,
+                    },
                 )
-            raw["attempts"] = attempts
-            results.append(raw)
-            if progress is not None:
-                progress(position, raw)
-        return results
+
+    def drain_queued(self) -> None:
+        """Drain mode: cancel chunks still queued (their jobs report as
+        cancelled), let running chunks finish."""
+        for future in list(self.pending):
+            if future.cancel():
+                for position in self.pending.pop(future):
+                    if self.results[position] is None:
+                        self.finish(position, _cancelled_result(self.payloads[position]))
+
+    def abandon_wedged(self) -> None:
+        """Hard-wedged workers: record timeouts and give up on the pool."""
+        self.wedged = True
+        logger.error(
+            "%d in-flight chunk(s) exceeded the safety timeout; abandoning the pool",
+            len(self.pending),
+        )
+        for future, positions in self.pending.items():
+            future.cancel()
+            for position in positions:
+                if self.results[position] is None:
+                    self.attempts[position] += 1
+                    self.finish(
+                        position,
+                        _timeout_result(self.payloads[position], self.timeout or 0.0, 0.0),
+                    )
+        self.pending.clear()
+
+    def run_pool(self, pool: ProcessPoolExecutor, workers: int) -> None:
+        count = len(self.payloads)
+        chunk_size = max(1, count // (workers * 4))
+        for start in range(0, count, chunk_size):
+            chunk = list(range(start, min(start + chunk_size, count)))
+            if self.cancelled():
+                for position in chunk:
+                    self.finish(position, _cancelled_result(self.payloads[position]))
+            elif not self.submit(pool, chunk):
+                # Pool broke mid-dispatch: this chunk (and, via the
+                # pool_broken latch, every later one) runs inline.
+                self.count_fallback()
+                self.run_inline(chunk)
+        while self.pending:
+            if self.cancelled():
+                self.drain_queued()
+                if not self.pending:
+                    break
+            done, _ = wait(
+                self.pending,
+                timeout=self.safety_timeout(),
+                return_when=FIRST_COMPLETED,
+            )
+            if not done:
+                self.abandon_wedged()
+                break
+            for future in done:
+                positions = self.pending.pop(future)
+                try:
+                    raws = future.result()
+                except BaseException:
+                    self.chunk_failed(positions, traceback.format_exc())
+                    continue
+                for position, raw in zip(positions, raws):
+                    self.pool_result(pool, position, raw)
+
+    def safety_timeout(self) -> Optional[float]:
+        if not self.timeout:
+            return None
+        # The in-worker alarm should always fire first; this outer net only
+        # catches workers wedged in uninterruptible native code.
+        longest = max(len(positions) for positions in self.pending.values())
+        return self.timeout * max(1, longest) + SAFETY_GRACE
+
+    def ordered(self) -> List[RawResult]:
+        # Belt and braces: no payload may come back without a result dict.
+        for position, raw in enumerate(self.results):
+            if raw is None:  # pragma: no cover - defensive
+                self.attempts[position] += 1
+                self.finish(
+                    position,
+                    {
+                        "index": self.payloads[position].get("index"),
+                        "status": "error",
+                        "error": "executor lost track of this job",
+                        "elapsed": 0.0,
+                    },
+                )
+        return [raw for raw in self.results if raw is not None]
 
 
-class ProcessExecutor:
-    """Fan payloads across a process pool; see the module docstring.
+class Executor:
+    """Run payloads inline or over a fork pool, picked by the worker count.
 
-    ``chunk_size=None`` picks ``len(payloads) // (workers * 4)`` (at least
-    1) so stragglers rebalance while tiny jobs still amortize dispatch.
-    Inline retry after a broken pool assumes failures are transient
-    infrastructure issues, not jobs that deterministically kill their
-    interpreter.  ``retry_policy`` defaults to one retry.
+    ``run`` goes inline when ``workers <= 1``, when there is a single
+    payload, while the pool ``breaker`` is open, or when no pool can be
+    forked here; otherwise it fans chunks of ``len(payloads) // (workers
+    * 4)`` (at least 1) over the pool, so stragglers rebalance while tiny
+    jobs still amortize dispatch.  ``retry_policy`` defaults to one retry
+    of a timed-out or crashed job; inline retry after a broken pool
+    assumes failures are transient infrastructure issues, not jobs that
+    deterministically kill their interpreter.
 
     ``keep_alive=True`` turns the fork pool into a **persistent warm
-    pool**: the first ``run()`` call forks and warms the workers, later
-    calls reuse them (no re-fork, no re-import, no registry re-warmup)
-    until an explicit :meth:`close` — the resident server's executor, but
-    equally useful for repeated batches inside one long-lived process.  A
-    broken pool is discarded and re-forked on the next call.  Pool
-    lifecycle is observable: ``repro_executor_pool_forks_total`` counts
-    pool creations, ``repro_executor_pool_reuses_total`` counts warm
-    reuses, and the ``repro_executor_pool_workers`` gauge tracks the live
-    worker count.
+    pool**: the first fan-out forks and warms the workers, later ones
+    reuse them (no re-fork, no re-import, no registry re-warmup) until an
+    explicit :meth:`close` — the resident server's mode, but equally
+    useful for repeated batches inside one long-lived process.  A broken
+    pool is discarded and re-forked on the next call.  Pool lifecycle is
+    observable: ``repro_executor_pool_forks_total`` counts pool creations,
+    ``repro_executor_pool_reuses_total`` counts warm reuses, and the
+    ``repro_executor_pool_workers`` gauge tracks the live worker count.
     """
-
-    name = "process"
-
-    #: Grace added to the safety-net wait when per-job timeouts are set.
-    SAFETY_GRACE = 30.0
 
     def __init__(
         self,
-        max_workers: Optional[int] = None,
-        timeout: Optional[float] = None,
-        chunk_size: Optional[int] = None,
-        warmup: bool = True,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
         keep_alive: bool = False,
     ):
-        self.max_workers = max_workers
-        self.timeout = timeout
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.chunk_size = chunk_size
-        self.warmup = warmup
-        self.breaker = breaker
+        # min_calls=2: two straight pool failures trip the breaker, so the
+        # third fan-out runs inline with one logged, counted decision
+        # instead of re-discovering the broken pool.
+        self.breaker = (
+            breaker if breaker is not None else CircuitBreaker("executor.pool", min_calls=2)
+        )
         self.keep_alive = keep_alive
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
-
-    @property
-    def retries(self) -> int:
-        return self.retry_policy.max_retries
 
     @property
     def pool_workers(self) -> int:
@@ -367,12 +542,81 @@ class ProcessExecutor:
         """Shut down the persistent pool (no-op when none is alive)."""
         self._discard_pool(wait=True)
 
-    def __enter__(self) -> "ProcessExecutor":
+    def __enter__(self) -> "Executor":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
 
+    # ------------------------------------------------------------------
+    def run(
+        self,
+        payloads: Sequence[Dict[str, Any]],
+        workers: Optional[int] = None,
+        timeout: Optional[float] = None,
+        progress: Optional[ProgressFn] = None,
+        runner: Runner = execute_payload,
+        cancel: Optional[threading.Event] = None,
+    ) -> List[RawResult]:
+        """Run every payload, each under the ``timeout`` budget (seconds;
+        ``None`` = unlimited); ``workers=None`` picks
+        ``min(len(payloads), cpu_count)``."""
+        run = _Run(list(payloads), timeout, runner, progress, cancel, self.retry_policy)
+        count = len(run.payloads)
+        workers = max(1, min(int(workers or default_worker_count(count)), count))
+        pool = self._pool_for(workers, count) if workers > 1 else None
+        if pool is None:
+            run.run_inline(range(count))
+        else:
+            self._fan_out(run, pool, workers)
+        return run.ordered()
+
+    def _pool_for(self, workers: int, count: int) -> Optional[ProcessPoolExecutor]:
+        """The pool for a fan-out batch, or ``None`` when it must run inline.
+
+        Only batches that would fan out consult the breaker, so inline
+        batches never consume its half-open probe slot.
+        """
+        if not self.breaker.allow():
+            obs_metrics.counter("repro_executor_breaker_fallbacks_total").inc()
+            logger.warning(
+                "process-pool circuit breaker %r is %s; running %d job(s) inline",
+                self.breaker.name,
+                self.breaker.state,
+                count,
+            )
+            return None
+        pool = self._acquire_pool(workers)
+        if pool is None:
+            obs_metrics.counter("repro_executor_broken_pools_total").inc()
+            self.breaker.record_failure()
+            logger.warning(
+                "cannot start a process pool here; running %d job(s) inline", count
+            )
+        return pool
+
+    def _fan_out(self, run: _Run, pool: ProcessPoolExecutor, workers: int) -> None:
+        try:
+            run.run_pool(pool, workers)
+        except BaseException:
+            run.pool_failed = True
+            raise
+        finally:
+            failed = run.pool_failed or run.wedged
+            if pool is not self._pool:
+                pool.shutdown(wait=not run.wedged, cancel_futures=True)
+            elif failed:
+                # A sick persistent pool is worthless warm: discard it so
+                # the next batch forks fresh instead of inheriting damage.
+                self._discard_pool(wait=not run.wedged)
+            # Every allow() gets exactly one outcome, so a half-open probe
+            # can never wedge the breaker.
+            if failed:
+                self.breaker.record_failure()
+            else:
+                self.breaker.record_success()
+
+    # -- pool lifecycle -------------------------------------------------
     def _discard_pool(self, wait: bool = True) -> None:
         pool, self._pool = self._pool, None
         self._pool_workers = 0
@@ -400,10 +644,6 @@ class ProcessExecutor:
             self._pool_workers = workers
         return pool
 
-    # ------------------------------------------------------------------
-    def _serial(self) -> SerialExecutor:
-        return SerialExecutor(timeout=self.timeout, retry_policy=self.retry_policy)
-
     def _open_pool(self, workers: int) -> Optional[ProcessPoolExecutor]:
         try:
             context = multiprocessing.get_context("fork")
@@ -411,335 +651,7 @@ class ProcessExecutor:
             context = multiprocessing.get_context()
         try:
             return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=functools.partial(_pool_worker_init, self.warmup),
+                max_workers=workers, mp_context=context, initializer=_pool_worker_init
             )
         except (OSError, PermissionError, ValueError):  # pragma: no cover
             return None  # restricted environment: no subprocesses allowed
-
-    def _safety_timeout(self, chunk_len: int) -> Optional[float]:
-        if not self.timeout:
-            return None
-        # The in-worker alarm should always fire first; this outer net only
-        # catches workers wedged in uninterruptible native code.
-        return self.timeout * max(1, chunk_len) + self.SAFETY_GRACE
-
-    def run(
-        self,
-        payloads: Sequence[Dict[str, Any]],
-        progress: Optional[ProgressFn] = None,
-        runner: Runner = execute_payload,
-        cancel: Optional[threading.Event] = None,
-    ) -> List[RawResult]:
-        payloads = list(payloads)
-        if not payloads:
-            return []
-        workers = self.max_workers or default_worker_count(len(payloads))
-        workers = max(1, min(int(workers), len(payloads)))
-        if workers == 1 or len(payloads) == 1:
-            return self._serial().run(
-                payloads, progress=progress, runner=runner, cancel=cancel
-            )
-        # The breaker remembers recent pool health: while open, skip the
-        # broken-pool discovery cost and go straight to inline execution.
-        # Consulting it *after* the single-worker early-out means serial
-        # batches never consume the half-open probe slot.
-        if self.breaker is not None and not self.breaker.allow():
-            obs_metrics.counter("repro_executor_breaker_fallbacks_total").inc()
-            logger.warning(
-                "process-pool circuit breaker %r is %s; running %d job(s) "
-                "serially",
-                self.breaker.name,
-                self.breaker.state,
-                len(payloads),
-            )
-            return self._serial().run(
-                payloads, progress=progress, runner=runner, cancel=cancel
-            )
-        pool_failed = False
-        pool = self._acquire_pool(workers)
-        if pool is None:
-            obs_metrics.counter("repro_executor_broken_pools_total").inc()
-            if self.breaker is not None:
-                self.breaker.record_failure()
-            logger.warning(
-                "cannot start a process pool here; running %d job(s) serially",
-                len(payloads),
-            )
-            return self._serial().run(
-                payloads, progress=progress, runner=runner, cancel=cancel
-            )
-
-        session = self.retry_policy.start()
-        chunk_size = self.chunk_size or max(1, len(payloads) // (workers * 4))
-        results: List[Optional[RawResult]] = [None] * len(payloads)
-        attempts = [0] * len(payloads)
-        pending: Dict[Future, List[int]] = {}
-        pool_broken = False
-        # The fallback *decision* is counted once per batch, not once per
-        # job — a broken pool is one event however many jobs it strands.
-        fallback_counted = False
-
-        def finish(position: int, raw: RawResult) -> None:
-            raw.setdefault("attempts", attempts[position])
-            results[position] = raw
-            if progress is not None:
-                progress(position, raw)
-
-        def cancelled() -> bool:
-            return cancel is not None and cancel.is_set()
-
-        def submit(positions: List[int]) -> bool:
-            nonlocal pool_broken, pool_failed
-            if pool_broken:
-                return False
-            try:
-                faultlab.fire("executor.dispatch", jobs=len(positions))
-                future = pool.submit(
-                    _execute_chunk,
-                    [payloads[position] for position in positions],
-                    self.timeout,
-                    runner,
-                )
-            except (RuntimeError, faultlab.InjectedFault):
-                # Pool already broken/shut down, or the fault lab decided
-                # dispatch fails today: same fallback either way.
-                pool_broken = True
-                pool_failed = True
-                obs_metrics.counter("repro_executor_broken_pools_total").inc()
-                logger.warning(
-                    "process pool broke; remaining jobs fall back to inline "
-                    "execution"
-                )
-                return False
-            pending[future] = positions
-            return True
-
-        def resolve_inline(position: int) -> None:
-            """Final bounded retries once the pool cannot take the job."""
-            nonlocal fallback_counted
-            if not fallback_counted:
-                fallback_counted = True
-                obs_metrics.counter("repro_executor_inline_fallbacks_total").inc()
-            payload = payloads[position]
-            token = payload.get("name", payload.get("index", position))
-            while attempts[position] <= self.retries:
-                attempts[position] += 1
-                raw = run_payload_with_timeout(payload, self.timeout, runner)
-                if raw.get("timeout"):
-                    obs_metrics.counter(
-                        "repro_executor_timeouts_total", executor=self.name
-                    ).inc()
-                retry = (
-                    _retryable(self.retry_policy, raw)
-                    and session.should_retry(attempts[position])
-                    and not cancelled()
-                    and session.backoff(attempts[position], token=token)
-                )
-                if not retry:
-                    finish(position, raw)
-                    return
-                obs_metrics.counter(
-                    "repro_executor_retries_total", executor=self.name
-                ).inc()
-
-        def handle_raw(position: int, raw: RawResult) -> None:
-            attempts[position] += 1
-            if raw.get("timeout"):
-                obs_metrics.counter(
-                    "repro_executor_timeouts_total", executor=self.name
-                ).inc()
-            wants_retry = (
-                _retryable(self.retry_policy, raw)
-                and session.should_retry(attempts[position])
-                and not cancelled()
-            )
-            if wants_retry:
-                obs_metrics.counter(
-                    "repro_executor_retries_total", executor=self.name
-                ).inc()
-                logger.info(
-                    "re-dispatching failed job %s (attempt %d/%d)",
-                    payloads[position].get("name", position),
-                    attempts[position] + 1,
-                    self.retries + 1,
-                )
-                # No backoff sleep here: a re-dispatched job queues behind
-                # the in-flight chunks, and sleeping would stall result
-                # collection for every other job.
-                if not submit([position]):
-                    resolve_inline(position)
-            else:
-                finish(position, raw)
-
-        def handle_chunk_failure(positions: List[int], error: str) -> None:
-            nonlocal pool_failed
-            pool_failed = True
-            logger.warning(
-                "worker chunk of %d job(s) failed; retrying survivors inline: %s",
-                len(positions),
-                error.strip().splitlines()[-1] if error.strip() else error,
-            )
-            for position in positions:
-                if results[position] is not None:
-                    continue
-                attempts[position] += 1
-                if session.should_retry(attempts[position]) and not cancelled():
-                    obs_metrics.counter(
-                        "repro_executor_retries_total", executor=self.name
-                    ).inc()
-                    resolve_inline(position)
-                if results[position] is None:
-                    finish(
-                        position,
-                        {
-                            "index": payloads[position].get("index"),
-                            "status": "error",
-                            "error": error,
-                            "elapsed": 0.0,
-                        },
-                    )
-
-        wedged = False
-        try:
-            for start in range(0, len(payloads), chunk_size):
-                chunk = list(range(start, min(start + chunk_size, len(payloads))))
-                if cancelled():
-                    for position in chunk:
-                        finish(position, _cancelled_result(payloads[position]))
-                    continue
-                if not submit(chunk):
-                    # Pool broke mid-dispatch: this chunk (and, via the
-                    # pool_broken latch, every later one) runs inline.
-                    for position in chunk:
-                        if cancelled():
-                            finish(position, _cancelled_result(payloads[position]))
-                        else:
-                            resolve_inline(position)
-            while pending:
-                if cancelled():
-                    # Drain mode: cancel chunks still queued (their jobs
-                    # report as cancelled), let running chunks finish.
-                    for future in list(pending):
-                        if future.cancel():
-                            for position in pending.pop(future):
-                                if results[position] is None:
-                                    finish(
-                                        position,
-                                        _cancelled_result(payloads[position]),
-                                    )
-                    if not pending:
-                        break
-                max_len = max(len(positions) for positions in pending.values())
-                done, _ = wait(
-                    pending,
-                    timeout=self._safety_timeout(max_len),
-                    return_when=FIRST_COMPLETED,
-                )
-                if not done:
-                    # Hard-wedged workers: record errors and abandon the pool.
-                    wedged = True
-                    logger.error(
-                        "%d in-flight chunk(s) exceeded the safety timeout; "
-                        "abandoning the pool",
-                        len(pending),
-                    )
-                    for future, positions in pending.items():
-                        future.cancel()
-                        for position in positions:
-                            if results[position] is None:
-                                attempts[position] += 1
-                                finish(
-                                    position,
-                                    _timeout_result(
-                                        payloads[position],
-                                        self.timeout or 0.0,
-                                        0.0,
-                                    ),
-                                )
-                    pending.clear()
-                    break
-                for future in done:
-                    positions = pending.pop(future)
-                    try:
-                        raws = future.result()
-                    except BaseException:
-                        handle_chunk_failure(positions, traceback.format_exc())
-                        continue
-                    for position, raw in zip(positions, raws):
-                        handle_raw(position, raw)
-        except BaseException:
-            pool_failed = True
-            raise
-        finally:
-            if pool is not self._pool:
-                pool.shutdown(wait=not wedged, cancel_futures=True)
-            elif pool_broken or pool_failed or wedged:
-                # A sick persistent pool is worthless warm: discard it so
-                # the next batch forks fresh instead of inheriting damage.
-                self._discard_pool(wait=not wedged)
-            if self.breaker is not None:
-                # Every allow() gets exactly one outcome, so a half-open
-                # probe can never wedge the breaker.
-                if pool_failed or wedged:
-                    self.breaker.record_failure()
-                else:
-                    self.breaker.record_success()
-
-        # Belt and braces: no payload may come back without a result dict.
-        for position, raw in enumerate(results):
-            if raw is None:  # pragma: no cover - defensive
-                attempts[position] += 1
-                finish(
-                    position,
-                    {
-                        "index": payloads[position].get("index"),
-                        "status": "error",
-                        "error": "executor lost track of this job",
-                        "elapsed": 0.0,
-                    },
-                )
-        return [raw for raw in results if raw is not None]
-
-
-Executor = Union[SerialExecutor, ProcessExecutor]
-
-
-def resolve_executor(
-    spec: Union[str, Executor, None],
-    num_jobs: int = 0,
-    max_workers: Optional[int] = None,
-    timeout: Optional[float] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    breaker: Optional[CircuitBreaker] = None,
-    keep_alive: bool = False,
-) -> Executor:
-    """Turn an executor spec into an executor instance.
-
-    ``spec`` is ``"serial"``, ``"process"``, ``"auto"`` (process when both
-    the job count and the worker budget exceed 1), ``None`` (same as
-    ``"auto"``), or an existing executor object, returned as-is.
-    ``keep_alive`` marks a freshly built process executor as a persistent
-    warm pool (the caller owns its :meth:`ProcessExecutor.close`).
-    """
-    if spec is None:
-        spec = "auto"
-    if not isinstance(spec, str):
-        if not callable(getattr(spec, "run", None)):
-            raise TypeError(f"{spec!r} is not an executor: it has no run() method")
-        return spec
-    if spec not in EXECUTORS:
-        raise ValueError(f"unknown executor {spec!r}; expected one of {EXECUTORS}")
-    workers = max_workers if max_workers is not None else default_worker_count(num_jobs)
-    if spec == "auto":
-        spec = "process" if num_jobs > 1 and workers > 1 else "serial"
-    if spec == "serial":
-        return SerialExecutor(timeout=timeout, retry_policy=retry_policy)
-    return ProcessExecutor(
-        max_workers=workers,
-        timeout=timeout,
-        retry_policy=retry_policy,
-        breaker=breaker,
-        keep_alive=keep_alive,
-    )

@@ -1,6 +1,6 @@
 """Resilience policies for the service stack: retries, breakers, shutdown.
 
-Three small, composable primitives that the executors, the cache tiers,
+Three small, composable primitives that the executor, the cache tiers,
 and the CLI share:
 
 * :class:`RetryPolicy` — exponential backoff with **deterministic seeded
@@ -14,9 +14,9 @@ and the CLI share:
   try?", ``record_success()`` / ``record_failure()`` feed the window.
   While open, all calls are refused until ``cooldown`` seconds pass; the
   first call afterwards is admitted as the **single half-open probe** —
-  its outcome closes or re-opens the breaker.  The process executor trips
-  one to fall back to serial inline execution; the tiered cache trips one
-  to degrade disk -> memory-only.
+  its outcome closes or re-opens the breaker.  The executor trips one to
+  run batches inline instead of over a broken process pool; the tiered
+  cache trips one to degrade disk -> memory-only.
 * :class:`shutdown_guard` — a SIGINT/SIGTERM handler that sets a
   :class:`threading.Event` cancel token instead of raising, so batches
   drain in-flight jobs and persist their journal before exiting; a second
@@ -56,7 +56,7 @@ BREAKER_STATE_VALUES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Immutable retry configuration shared by both executors.
+    """Immutable retry configuration for every executor attempt, inline or pooled.
 
     ``delay_for(attempt, token)`` is a pure function of the policy: the
     jitter draw is seeded by ``(seed, token, attempt)``, so a given job

@@ -6,11 +6,10 @@ parallel batch facility:
 * every job is keyed by the content-addressed pair (program fingerprint,
   compiler-config fingerprint) and looked up in the cache before any work
   is dispatched;
-* cache misses go to a pluggable execution backend
-  (:mod:`repro.service.executor`) — ``executor="serial"`` runs them
-  inline, ``"process"`` fans them out across a warmed process pool with
-  per-job timeouts and bounded retry, and ``"auto"`` (the default) picks
-  the pool whenever there is more than one miss and more than one worker
+* cache misses go to the service's one
+  :class:`~repro.service.executor.Executor`, and the worker count picks
+  how they run: one worker (or one miss) runs inline, more fan out across
+  a warmed process pool, both with per-job timeouts and bounded retry
   (jobs and results cross the process boundary as the JSON payloads of
   :mod:`repro.serialize`, so nothing depends on object identity);
 * results come back in the order the jobs were submitted, regardless of
@@ -41,7 +40,6 @@ from repro.service.executor import (
     RawResult,
     default_worker_count,
     execute_payload,
-    resolve_executor,
 )
 from repro.service.journal import BatchJournal, open_journal
 from repro.service.resilience import CircuitBreaker, RetryPolicy
@@ -97,6 +95,8 @@ class JobResult:
     #: True when the job was skipped by a shutdown cancel token before it
     #: ever ran (its status is "error", but no work was attempted).
     cancelled: bool = False
+    #: True when the job's last attempt ran out of its wall-clock budget.
+    timeout: bool = False
 
     @property
     def ok(self) -> bool:
@@ -132,14 +132,19 @@ _UNSET: Any = object()
 class CompilationService:
     """Cached, parallel front end over the registered compilers.
 
-    ``executor``, ``max_workers``, ``timeout`` (seconds per job), and
-    ``retry_policy`` (default: one retry of a timed-out or crashed job) set
-    the service-wide execution defaults;
-    :meth:`compile_many` can override the executor, worker budget, and
-    timeout per batch.
+    ``max_workers`` (default: ``min(#misses, cpu_count)``; 1 runs inline)
+    and ``timeout`` (seconds per job) set the service-wide defaults that
+    :meth:`compile_many` can override per batch.  The service builds one
+    :class:`~repro.service.executor.Executor` from ``retry_policy``
+    (default: one retry of a timed-out or crashed job), ``pool_breaker``
+    and ``keep_alive`` and keeps it for its lifetime; ``executor=`` injects
+    a ready one instead (it brings its own settings), and the string
+    ``"serial"`` is kept as shorthand for a default of one worker.
 
-    ``keep_alive=True`` makes the service hold one **persistent warm
-    process pool** across batches: the first batch that fans out forks and
+    One breaker per service means pool health learned in one batch keeps
+    later batches from re-paying the broken-pool discovery cost.
+    ``keep_alive=True`` makes that executor's process pool **persistent
+    and warm** across batches: the first batch that fans out forks and
     warms the workers, every later batch reuses them, and :meth:`close`
     (or leaving a ``with`` block) shuts them down.  This is the resident
     server's mode, and it equally serves repeated batches inside one
@@ -149,42 +154,40 @@ class CompilationService:
     def __init__(
         self,
         cache: Optional[CacheStore] = None,
-        executor: Union[str, Executor, None] = "auto",
+        executor: Union[Executor, str, None] = None,
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         pool_breaker: Optional[CircuitBreaker] = None,
         keep_alive: bool = False,
     ):
+        if isinstance(executor, str):
+            if executor != "serial":
+                raise ValueError(
+                    f"unknown executor {executor!r}: the worker count picks "
+                    "inline vs pool; pass max_workers, an Executor, or 'serial'"
+                )
+            executor = None
+            if max_workers is None:
+                max_workers = 1
+        elif executor is not None and not callable(getattr(executor, "run", None)):
+            raise TypeError(f"{executor!r} is not an executor: it has no run() method")
         self.cache = cache if cache is not None else MemoryCacheStore()
-        self.executor = executor if executor is not None else "auto"
+        self.executor = (
+            executor
+            if executor is not None
+            else Executor(retry_policy=retry_policy, breaker=pool_breaker, keep_alive=keep_alive)
+        )
         self.max_workers = max_workers
         self.timeout = timeout
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
-        self.keep_alive = keep_alive
-        # One breaker per service: pool health learned in one batch keeps
-        # later batches from re-paying the broken-pool discovery cost.
-        # min_calls=2 means two straight pool/warmup failures are enough to
-        # trip it — the third batch falls back serial with one logged,
-        # counted decision instead of re-discovering the broken pool.
-        self.pool_breaker = (
-            pool_breaker
-            if pool_breaker is not None
-            else CircuitBreaker("executor.pool", min_calls=2)
-        )
-        #: The persistent warm executor, created lazily by the first batch
-        #: that resolves to process execution (``keep_alive=True`` only).
-        self._persistent: Optional[Executor] = None
         self._options_fingerprints: Dict[CompileOptions, str] = {}
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release owned executor resources (the persistent warm pool)."""
-        for backend in (self._persistent, self.executor):
-            closer = getattr(backend, "close", None)
-            if callable(closer):
-                closer()
-        self._persistent = None
+        closer = getattr(self.executor, "close", None)
+        if callable(closer):
+            closer()
 
     def __enter__(self) -> "CompilationService":
         return self
@@ -203,25 +206,6 @@ class CompilationService:
             job.terms(), fingerprint, canonical=not job.options.order_sensitive
         )
 
-    def _reuse_persistent(self, backend: Executor) -> Executor:
-        """Route process batches through the one warm pool the service owns.
-
-        With ``keep_alive`` on, the first resolved process executor is
-        adopted as the persistent backend; later batches reuse it (the
-        pool keeps its original worker count) with their own per-batch
-        timeout and retry policy.  Batches run sequentially per service,
-        so mutating those two fields between runs is race-free.
-        """
-        if not self.keep_alive or not getattr(backend, "keep_alive", False):
-            return backend
-        if self._persistent is None:
-            self._persistent = backend
-            return backend
-        if backend is not self._persistent:
-            self._persistent.timeout = backend.timeout
-            self._persistent.retry_policy = backend.retry_policy
-        return self._persistent
-
     def compile(
         self,
         program: Sequence[PauliTerm],
@@ -236,7 +220,6 @@ class CompilationService:
         self,
         jobs: Sequence[CompilationJob],
         workers: Optional[int] = None,
-        executor: Union[str, Executor, None] = None,
         timeout: Optional[float] = _UNSET,
         progress: Optional[ProgressCallback] = None,
         journal: Union[str, BatchJournal, None] = None,
@@ -245,12 +228,11 @@ class CompilationService:
     ) -> List[JobResult]:
         """Compile a batch of jobs, returning results in submission order.
 
-        ``workers=None`` picks ``min(#misses, cpu_count)``; ``workers <= 1``
-        runs everything inline (deterministic and fork-free, useful in
-        tests and restricted environments).  ``executor`` overrides the
-        service default (``"serial"``, ``"process"``, ``"auto"``, or an
-        executor object); ``timeout`` overrides the service's per-job
-        budget for this batch, with an explicit ``timeout=None`` meaning
+        ``workers=None`` uses the service's ``max_workers``, else
+        ``min(#misses, cpu_count)``; ``workers <= 1`` runs everything inline
+        (deterministic and fork-free, useful in tests and restricted
+        environments).  ``timeout`` overrides the service's per-job budget
+        for this batch, with an explicit ``timeout=None`` meaning
         unlimited; ``progress`` is called once per job as it completes,
         cache hits included.
 
@@ -267,8 +249,7 @@ class CompilationService:
         try:
             with obs_trace.span("compile_many", jobs=len(jobs)) as batch_span:
                 return self._compile_many(
-                    jobs, workers, executor, timeout, progress, batch_span,
-                    wal, resume, cancel,
+                    jobs, workers, timeout, progress, batch_span, wal, resume, cancel
                 )
         finally:
             if owns_wal and wal is not None:
@@ -278,7 +259,6 @@ class CompilationService:
         self,
         jobs: Sequence[CompilationJob],
         workers: Optional[int],
-        executor: Union[str, Executor, None],
         timeout: Optional[float],
         progress: Optional[ProgressCallback],
         batch_span: obs_trace.SpanLike,
@@ -454,52 +434,23 @@ class CompilationService:
                 if worker_count is None
                 else max(1, int(worker_count))
             )
-            backend = resolve_executor(
-                executor if executor is not None else self.executor,
-                num_jobs=len(pending),
-                max_workers=worker_count,
-                timeout=self.timeout if timeout is _UNSET else timeout,
-                retry_policy=self.retry_policy,
-                breaker=self.pool_breaker,
-                keep_alive=self.keep_alive,
-            )
-            backend = self._reuse_persistent(backend)
 
             def collect(position: int, raw: RawResult) -> None:
                 index = pending[position]["index"]
                 if results[index] is not None:
-                    return  # defensive: a backend reported this job twice
+                    return  # defensive: an executor reported this job twice
                 job = jobs[index]
                 if raw["status"] == "ok":
                     self.cache.put(keys[index], raw["result"])
-                    results[index] = JobResult(
-                        name=job.name,
-                        status="ok",
-                        result=result_from_dict(raw["result"]),
-                        cached=False,
-                        elapsed=raw.get("elapsed", 0.0),
-                        key=keys[index],
-                        attempts=raw.get("attempts", 1),
-                    )
-                else:
-                    results[index] = JobResult(
-                        name=job.name,
-                        status="error",
-                        error=raw.get("error", "unknown executor failure"),
-                        cached=False,
-                        elapsed=raw.get("elapsed", 0.0),
-                        key=keys[index],
-                        attempts=raw.get("attempts", 1),
-                        cancelled=bool(raw.get("cancelled")),
-                    )
+                job_result = results[index] = _result_from_raw(job.name, keys[index], raw)
+                if not job_result.ok:
                     logger.warning(
                         "job %r %s after %d attempt(s)%s",
                         job.name,
-                        "was cancelled" if raw.get("cancelled") else "failed",
-                        results[index].attempts,
-                        " (timeout)" if raw.get("timeout") else "",
+                        "was cancelled" if job_result.cancelled else "failed",
+                        job_result.attempts,
+                        " (timeout)" if job_result.timeout else "",
                     )
-                job_result = results[index]
                 obs_metrics.histogram("repro_job_seconds").observe(job_result.elapsed)
                 # Worker-side spans (the compile attempt and its nested
                 # stage spans) come back with the raw result; re-emitting
@@ -512,50 +463,36 @@ class CompilationService:
                     job_span.update(
                         outcome="error" if not job_result.ok else "miss",
                         attempts=job_result.attempts,
-                        timeout=bool(raw.get("timeout")),
+                        timeout=job_result.timeout,
                         elapsed=job_result.elapsed,
                     )
                     job_span.end(status=job_result.status)
                 emit(job_result, "miss")
 
-            if cancel is not None:
-                raw_results = backend.run(
-                    pending, progress=collect, runner=execute_payload, cancel=cancel
-                )
-            else:
-                raw_results = backend.run(
-                    pending, progress=collect, runner=execute_payload
-                )
-            # Backends call ``collect`` as jobs finish; the ordered return
-            # value backstops any backend that does not.
+            raw_results = self.executor.run(
+                pending,
+                workers=worker_count,
+                timeout=self.timeout if timeout is _UNSET else timeout,
+                progress=collect,
+                runner=execute_payload,
+                cancel=cancel,
+            )
+            # The executor calls ``collect`` as jobs finish; the ordered
+            # return value backstops an injected one that does not.
             for position, raw in enumerate(raw_results):
                 collect(position, raw)
 
             for index in duplicates:
                 fanout_started = time.perf_counter()
+                # A duplicate shares its original's raw outcome, so it is
+                # cancelled (hence resumable, never journaled) or timed out
+                # exactly when the original is.
                 raw = raw_results[dispatched[keys[index]]]
-                if raw["status"] == "ok":
-                    results[index] = JobResult(
-                        name=jobs[index].name,
-                        status="ok",
-                        result=result_from_dict(raw["result"]),
-                        cached=False,
-                        deduplicated=True,
-                        key=keys[index],
-                        attempts=raw.get("attempts", 1),
-                    )
+                results[index] = _result_from_raw(jobs[index].name, keys[index], raw)
+                if results[index].ok:
+                    results[index].deduplicated = True
                     # The dedup job's own wall clock is the result fan-out.
                     results[index].elapsed = time.perf_counter() - fanout_started
-                else:
-                    results[index] = JobResult(
-                        name=jobs[index].name,
-                        status="error",
-                        error=raw.get("error", "unknown executor failure"),
-                        cached=False,
-                        elapsed=raw.get("elapsed", 0.0),
-                        key=keys[index],
-                        attempts=raw.get("attempts", 1),
-                    )
                 short_span(results[index], "dedup")
                 emit(results[index], "dedup")
 
@@ -586,12 +523,28 @@ class CompilationService:
 
     def executor_stats(self) -> Dict[str, Any]:
         """Live executor facts for ops surfaces (``/v1/stats``)."""
-        persistent = self._persistent
+        breaker = getattr(self.executor, "breaker", None)
         return {
-            "keep_alive": self.keep_alive,
-            "pool_workers": getattr(persistent, "pool_workers", 0) if persistent else 0,
-            "breaker": self.pool_breaker.state,
+            "keep_alive": getattr(self.executor, "keep_alive", False),
+            "pool_workers": getattr(self.executor, "pool_workers", 0),
+            "breaker": breaker.state if breaker is not None else "closed",
         }
+
+
+def _result_from_raw(name: str, key: str, raw: RawResult) -> JobResult:
+    """The :class:`JobResult` of one executor outcome."""
+    ok = raw["status"] == "ok"
+    return JobResult(
+        name=name,
+        status="ok" if ok else "error",
+        result=result_from_dict(raw["result"]) if ok else None,
+        error=None if ok else raw.get("error", "unknown executor failure"),
+        elapsed=raw.get("elapsed", 0.0),
+        key=key,
+        attempts=raw.get("attempts", 1),
+        cancelled=bool(raw.get("cancelled")),
+        timeout=bool(raw.get("timeout")),
+    )
 
 
 def job_summary(job_result: JobResult, include_result: bool = False) -> Dict[str, Any]:

@@ -16,7 +16,7 @@ import pytest
 
 from repro.obs import metrics, trace
 from repro.service.cache import open_cache
-from repro.service.executor import ProcessExecutor, SerialExecutor
+from repro.service.executor import Executor
 from repro.service.resilience import RetryPolicy
 from repro.pipeline.options import CompileOptions
 from repro.service.service import CompilationJob, CompilationService
@@ -44,13 +44,13 @@ class TestCounterWiring:
     def test_miss_then_hit_counters_through_a_batch(self, tmp_path):
         service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         jobs = tiny_jobs(2)
-        service.compile_many(jobs, workers=1, executor="serial")
+        service.compile_many(jobs, workers=1)
         snap = metrics.REGISTRY.snapshot()
         assert snap["repro_cache_misses_total"]["layer=service"] == 2.0
         assert snap["repro_jobs_total"]["outcome=miss"] == 2.0
         assert "repro_cache_hits_total" not in snap
 
-        service.compile_many(jobs, workers=1, executor="serial")
+        service.compile_many(jobs, workers=1)
         snap = metrics.REGISTRY.snapshot()
         assert snap["repro_cache_hits_total"]["layer=service"] == 2.0
         assert snap["repro_jobs_total"]["outcome=hit"] == 2.0
@@ -63,9 +63,9 @@ class TestCounterWiring:
         (job,) = tiny_jobs(1)
         twin = CompilationJob("twin", job.terms(), job.options)
         events = []
-        service.compile_many([job], workers=1, executor="serial")
+        service.compile_many([job], workers=1)
         service.compile_many(
-            [job, twin], workers=1, executor="serial", progress=events.append
+            [job, twin], workers=1, progress=events.append
         )
         outcomes = {event.name: event for event in events}
         assert outcomes[job.name].outcome == "hit"
@@ -78,7 +78,7 @@ class TestCounterWiring:
     def test_batch_summary_log_line(self, tmp_path, caplog):
         service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         with caplog.at_level(logging.INFO, logger="repro.service.service"):
-            service.compile_many(tiny_jobs(2), workers=1, executor="serial")
+            service.compile_many(tiny_jobs(2), workers=1)
         summary = [
             record for record in caplog.records if "batch done" in record.message
         ]
@@ -96,8 +96,8 @@ class TestExecutorCounters:
                 time.sleep(30)
             return {"index": payload["index"], "status": "ok"}
 
-        raws = SerialExecutor(timeout=0.3, retry_policy=RetryPolicy(max_retries=1)).run(
-            [{"index": 0}], runner=flaky
+        raws = Executor(retry_policy=RetryPolicy(max_retries=1)).run(
+            [{"index": 0}], workers=1, timeout=0.3, runner=flaky
         )
         assert raws[0]["status"] == "ok" and raws[0]["attempts"] == 2
         snap = metrics.REGISTRY.snapshot()
@@ -110,10 +110,7 @@ class TestCrossProcessSpans:
     def test_process_pool_batch_yields_one_coherent_tree(self, tmp_path):
         sink = trace.RecordingSink()
         trace.set_sink(sink)
-        service = CompilationService(
-            cache=open_cache(f"disk:{tmp_path / 'cache'}"),
-            executor=ProcessExecutor(max_workers=2, warmup=False),
-        )
+        service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         results = service.compile_many(tiny_jobs(2), workers=2)
         trace.set_sink(None)
         assert all(result.ok for result in results)
@@ -149,7 +146,7 @@ class TestCrossProcessSpans:
         sink = trace.RecordingSink()
         trace.set_sink(sink)
         service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
-        service.compile_many(tiny_jobs(1), workers=1, executor="serial")
+        service.compile_many(tiny_jobs(1), workers=1)
         trace.set_sink(None)
         names = [event["name"] for event in sink.events]
         assert names[-1] == "compile_many"
@@ -161,7 +158,7 @@ class TestCrossProcessSpans:
         # workers (zero-cost guarantee, and forked children skip the
         # recording path entirely).
         service = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
-        results = service.compile_many(tiny_jobs(1), workers=1, executor="serial")
+        results = service.compile_many(tiny_jobs(1), workers=1)
         assert results[0].ok
         assert trace.get_sink() is None
 

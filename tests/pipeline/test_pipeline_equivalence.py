@@ -8,8 +8,8 @@ Two families of guarantees:
   compiler x ISA x topology combination; and
 * the pipeline reproduces the pre-refactor code paths exactly — asserted
   against an inline replica of the old ``PhoenixCompiler._compile_terms``
-  / ``finalize_compilation`` bodies, and against cache keys pinned from
-  the pre-refactor implementation.
+  body, and against cache keys pinned from the pre-refactor
+  implementation.
 """
 
 from dataclasses import replace
@@ -24,7 +24,6 @@ from repro.hardware.routing.sabre import route_circuit
 from repro.hardware.topology import resolve_topology
 from repro.metrics.circuit_metrics import circuit_metrics
 from repro.pipeline import CompileOptions, build_compiler, compiler_names
-from repro.service.cache import MemoryCacheStore, compilation_cache_key
 from repro.service.service import CompilationService
 from repro.synthesis.consolidate import consolidate_su4
 from repro.synthesis.rebase import rebase_to_cx
@@ -72,22 +71,6 @@ class TestRegistryMatchesFacade:
                 t.to_label() for t in via_registry.implemented_terms
             ]
             assert via_spec.stage_timings.keys() == via_registry.stage_timings.keys()
-
-    def test_cache_keys_identical_across_entry_points(self, uccsd_program):
-        # PhoenixCompiler(cache=...), CachingCompiler, and the service must
-        # address the same store entries.
-        from repro.core.compiler import PhoenixCompiler
-        from repro.pipeline import CachingCompiler
-
-        store = MemoryCacheStore()
-        PhoenixCompiler(cache=store).compile(list(uccsd_program))
-        assert len(store) == 1
-        wrapped = CachingCompiler(PhoenixCompiler(), store)
-        key = wrapped.cache_key(list(uccsd_program))
-        assert key in store
-
-        service = CompilationService(cache=store)
-        assert service.compile(list(uccsd_program)).cached
 
 
 class TestLegacyPathReplica:

@@ -76,5 +76,5 @@ def make_server():
 
 @pytest.fixture
 def server(make_server):
-    """A default server: serial executor (fork-free and deterministic)."""
-    return make_server(ServeConfig(port=0, executor="serial", queue_size=8))
+    """A default server: one worker, inline (fork-free and deterministic)."""
+    return make_server(ServeConfig(port=0, workers=1, queue_size=8))

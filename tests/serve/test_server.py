@@ -113,7 +113,7 @@ def test_ops_endpoints_and_error_surface(server):
 
 
 def test_queue_backpressure_answers_429_with_retry_after(make_server):
-    config = ServeConfig(port=0, executor="serial", queue_size=1)
+    config = ServeConfig(port=0, workers=1, queue_size=1)
     app = ServeApp(config)
     started, release = gated_compile(app)
     handle = make_server(app=app)
@@ -137,7 +137,7 @@ def test_ws_stream_matches_direct_compile_many(server):
     client = server.client
 
     direct_events = []
-    direct_results = CompilationService(executor="serial").compile_many(
+    direct_results = CompilationService().compile_many(
         jobs_from_entries(FAST_ENTRIES), workers=1,
         progress=direct_events.append,
     )
@@ -178,7 +178,7 @@ def test_ws_stream_matches_direct_compile_many(server):
 def test_drain_journals_inflight_and_parks_queued_jobs(make_server, tmp_path):
     journal_path = tmp_path / "serve.wal"
     config = ServeConfig(
-        port=0, executor="serial", queue_size=8, journal=str(journal_path)
+        port=0, workers=1, queue_size=8, journal=str(journal_path)
     )
     app = ServeApp(config)
     started, release = midbatch_gated_compile(app)
@@ -221,7 +221,7 @@ def test_drain_journals_inflight_and_parks_queued_jobs(make_server, tmp_path):
     # what never finished.
     resume_app = ServeApp(
         ServeConfig(
-            port=0, executor="serial", queue_size=8,
+            port=0, workers=1, queue_size=8,
             journal=str(journal_path), resume=True,
         )
     )
@@ -271,7 +271,7 @@ def test_client_roundtrip_under_flaky_workers(make_server):
     # The resident server retries transient worker errors; under the
     # seeded flaky-workers scenario every program still lands.
     config = ServeConfig(
-        port=0, executor="serial", queue_size=8, retries=5, retry_errors=True
+        port=0, workers=1, queue_size=8, retries=5, retry_errors=True
     )
     handle = make_server(config)
     client = handle.client

@@ -1,4 +1,4 @@
-"""Timeout, retry, ordering, and fallback tests for the execution backends.
+"""Timeout, retry, ordering, and fallback tests for the executor.
 
 The runners below are module-level so the fork-based process pool can
 ship them to workers; cross-attempt and cross-process state goes through
@@ -7,20 +7,18 @@ marker files, never module globals.
 
 import os
 import signal
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from repro.service.executor import (
-    EXECUTORS,
-    ProcessExecutor,
-    SerialExecutor,
+    Executor,
     default_worker_count,
-    resolve_executor,
     run_payload_with_timeout,
 )
-from repro.service.resilience import RetryPolicy
+from repro.service.resilience import CircuitBreaker, RetryPolicy
 
 needs_alarm = pytest.mark.skipif(
     not hasattr(signal, "SIGALRM"), reason="SIGALRM unavailable on this platform"
@@ -82,23 +80,36 @@ class TestRunPayloadWithTimeout:
         assert signal.getitimer(signal.ITIMER_REAL)[0] == 0.0
 
 
-class TestSerialExecutor:
+def _metric_total(snapshot, metric):
+    return sum(snapshot.get(metric, {}).values())
+
+
+class TestInline:
+    """One worker (or one payload): every attempt runs in this process."""
+
     def test_ordered_results_and_attempts(self):
-        raws = SerialExecutor().run(_payloads(4), runner=echo_runner)
+        raws = Executor().run(_payloads(4), workers=1, runner=echo_runner)
         assert [raw["value"] for raw in raws] == [0, 10, 20, 30]
         assert all(raw["attempts"] == 1 for raw in raws)
 
     def test_progress_called_per_payload(self):
         seen = []
-        SerialExecutor().run(
-            _payloads(3), progress=lambda pos, raw: seen.append(pos), runner=echo_runner
+        Executor().run(
+            _payloads(3), workers=1,
+            progress=lambda pos, raw: seen.append(pos), runner=echo_runner,
         )
         assert seen == [0, 1, 2]
 
+    def test_single_payload_runs_inline_whatever_the_worker_count(self, clean_metrics):
+        raws = Executor().run(_payloads(1), workers=4, runner=echo_runner)
+        assert raws[0]["status"] == "ok" and raws[0]["attempts"] == 1
+        assert clean_metrics.counter("repro_executor_pool_forks_total").as_value() == 0
+
     @needs_alarm
     def test_timeout_without_retries(self):
-        raws = SerialExecutor(timeout=0.2).run(
-            [{"index": 0, "value": 1, "sleep": 30}], runner=echo_runner
+        raws = Executor(retry_policy=RetryPolicy(max_retries=0)).run(
+            [{"index": 0, "value": 1, "sleep": 30}], workers=1, timeout=0.2,
+            runner=echo_runner,
         )
         assert raws[0]["status"] == "error"
         assert raws[0]["timeout"] is True
@@ -107,57 +118,63 @@ class TestSerialExecutor:
     @needs_alarm
     def test_timeout_retry_rescues_flaky_job(self, tmp_path):
         payload = {"index": 0, "value": 9, "marker": str(tmp_path / "m")}
-        raws = SerialExecutor(timeout=0.5, retry_policy=RetryPolicy(max_retries=1)).run(
-            [payload], runner=sleepy_first_attempt_runner
+        raws = Executor(retry_policy=RetryPolicy(max_retries=1)).run(
+            [payload], workers=1, timeout=0.5, runner=sleepy_first_attempt_runner
         )
         assert raws[0]["status"] == "ok" and raws[0]["value"] == 9
         assert raws[0]["attempts"] == 2
 
     @needs_alarm
     def test_retry_budget_is_bounded(self):
-        raws = SerialExecutor(timeout=0.2, retry_policy=RetryPolicy(max_retries=2)).run(
-            [{"index": 0, "value": 1, "sleep": 30}], runner=echo_runner
+        raws = Executor(retry_policy=RetryPolicy(max_retries=2)).run(
+            [{"index": 0, "value": 1, "sleep": 30}], workers=1, timeout=0.2,
+            runner=echo_runner,
         )
         assert raws[0]["status"] == "error"
         assert raws[0]["attempts"] == 3  # 1 initial + 2 retries
 
+    def test_cancelled_before_start(self):
+        cancel = threading.Event()
+        cancel.set()
+        raws = Executor().run(_payloads(2), workers=1, runner=echo_runner, cancel=cancel)
+        assert all(raw["cancelled"] and raw["attempts"] == 0 for raw in raws)
 
-class TestProcessExecutor:
+    def test_open_breaker_runs_inline(self, clean_metrics):
+        breaker = CircuitBreaker("test.pool", min_calls=1)
+        breaker.record_failure()
+        assert breaker.state == "open"
+        raws = Executor(breaker=breaker).run(_payloads(3), workers=2, runner=pid_runner)
+        assert {raw["pid"] for raw in raws} == {os.getpid()}
+        assert clean_metrics.counter("repro_executor_breaker_fallbacks_total").as_value() == 1
+        assert clean_metrics.counter("repro_executor_pool_forks_total").as_value() == 0
+
+
+class TestPool:
     def test_ordered_results_across_workers(self):
         # Later payloads finish first (descending sleeps reversed), yet
         # results come back aligned with the input order.
         payloads = [
             {"index": i, "value": i * 10, "sleep": 0.05 * (3 - i)} for i in range(4)
         ]
-        raws = ProcessExecutor(max_workers=2, chunk_size=1, warmup=False).run(
-            payloads, runner=echo_runner
-        )
+        raws = Executor().run(payloads, workers=2, runner=echo_runner)
         assert [raw["value"] for raw in raws] == [0, 10, 20, 30]
 
     def test_progress_reports_every_position(self):
         seen = set()
-        ProcessExecutor(max_workers=2, chunk_size=2, warmup=False).run(
-            _payloads(5),
-            progress=lambda pos, raw: seen.add(pos),
-            runner=echo_runner,
+        Executor().run(
+            _payloads(5), workers=2,
+            progress=lambda pos, raw: seen.add(pos), runner=echo_runner,
         )
         assert seen == {0, 1, 2, 3, 4}
-
-    def test_single_payload_runs_inline(self):
-        raws = ProcessExecutor(max_workers=4, warmup=False).run(
-            _payloads(1), runner=echo_runner
-        )
-        assert raws[0]["status"] == "ok" and raws[0]["attempts"] == 1
 
     @needs_alarm
     def test_per_job_timeout_does_not_poison_batch(self):
         payloads = _payloads(3)
         payloads[1]["sleep"] = 30
         started = time.perf_counter()
-        raws = ProcessExecutor(
-            max_workers=2, timeout=0.5, retry_policy=RetryPolicy(max_retries=0),
-            chunk_size=1, warmup=False,
-        ).run(payloads, runner=echo_runner)
+        raws = Executor(retry_policy=RetryPolicy(max_retries=0)).run(
+            payloads, workers=2, timeout=0.5, runner=echo_runner
+        )
         assert time.perf_counter() - started < 20
         assert [raw["status"] for raw in raws] == ["ok", "error", "ok"]
         assert raws[1]["timeout"] is True
@@ -167,81 +184,69 @@ class TestProcessExecutor:
         payloads[1]["marker"] = str(tmp_path / "crash-marker")
         payloads[0]["marker"] = str(tmp_path / "never-created") + "-exists"
         Path(payloads[0]["marker"]).write_text("x", encoding="utf-8")
-        raws = ProcessExecutor(
-            max_workers=2, retry_policy=RetryPolicy(max_retries=1), chunk_size=1, warmup=False
-        ).run(payloads, runner=crash_first_attempt_runner)
+        raws = Executor(retry_policy=RetryPolicy(max_retries=1)).run(
+            payloads, workers=2, runner=crash_first_attempt_runner
+        )
         assert [raw["status"] for raw in raws] == ["ok", "ok"]
         assert raws[1]["attempts"] >= 2
 
     def test_crash_without_retries_is_captured_error(self):
-        raws = ProcessExecutor(
-            max_workers=2, retry_policy=RetryPolicy(max_retries=0), chunk_size=1, warmup=False
-        ).run(_payloads(2), runner=always_crash_runner)
+        raws = Executor(retry_policy=RetryPolicy(max_retries=0)).run(
+            _payloads(2), workers=2, runner=always_crash_runner
+        )
         assert all(raw["status"] == "error" for raw in raws)
         assert all("attempts" in raw for raw in raws)
 
     def test_empty_payload_list(self):
-        assert ProcessExecutor(max_workers=2, warmup=False).run([]) == []
+        assert Executor().run([], workers=2) == []
 
     def test_broken_pool_at_dispatch_falls_back_inline(self):
         """A pool that cannot accept work must not lose jobs: every payload
         still runs (inline) and comes back ok, never 'lost track'."""
-        backend = ProcessExecutor(max_workers=2, chunk_size=1, warmup=False)
-        pool = backend._open_pool(2)
-        pool.shutdown(wait=True)  # submit() now raises RuntimeError
-        original_open = backend._open_pool
-        backend._open_pool = lambda workers: pool
-        try:
-            raws = backend.run(_payloads(4), runner=echo_runner)
-        finally:
-            backend._open_pool = original_open
+        raws = _broken_pool_executor().run(_payloads(4), workers=2, runner=echo_runner)
         assert [raw["status"] for raw in raws] == ["ok"] * 4
         assert [raw["value"] for raw in raws] == [0, 10, 20, 30]
 
+    @needs_alarm
+    def test_inline_and_broken_pool_fallback_retry_alike(self, tmp_path, clean_metrics):
+        """Both inline paths share one attempt loop: a job that needs one
+        retry reports the same attempts and retry count either way."""
+        outcomes = []
+        for executor, workers in (
+            (Executor(retry_policy=RetryPolicy(max_retries=1)), 1),
+            (_broken_pool_executor(retry_policy=RetryPolicy(max_retries=1)), 2),
+        ):
+            clean_metrics.reset()
+            marker = tmp_path / f"marker-{workers}"
+            payloads = [
+                {"index": 0, "value": 1, "marker": str(marker)},
+                {"index": 1, "value": 2, "marker": str(marker)},
+            ]
+            raws = executor.run(
+                payloads, workers=workers, timeout=0.5,
+                runner=sleepy_first_attempt_runner,
+            )
+            snapshot = clean_metrics.snapshot()
+            outcomes.append((
+                [(raw["status"], raw["attempts"]) for raw in raws],
+                snapshot["repro_executor_retries_total"],
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] == ([("ok", 2), ("ok", 1)], {"executor=serial": 1.0})
 
-class TestResolveExecutor:
-    def test_names(self):
-        assert set(EXECUTORS) == {"serial", "process", "auto"}
-        assert isinstance(
-            resolve_executor("serial", num_jobs=8, max_workers=4), SerialExecutor
-        )
-        assert isinstance(
-            resolve_executor("process", num_jobs=8, max_workers=4), ProcessExecutor
-        )
 
-    def test_auto_picks_process_only_with_parallelism(self):
-        assert isinstance(
-            resolve_executor("auto", num_jobs=8, max_workers=4), ProcessExecutor
-        )
-        assert isinstance(
-            resolve_executor("auto", num_jobs=8, max_workers=1), SerialExecutor
-        )
-        assert isinstance(
-            resolve_executor("auto", num_jobs=1, max_workers=4), SerialExecutor
-        )
-        assert isinstance(resolve_executor(None, num_jobs=0), SerialExecutor)
+def _broken_pool_executor(**kwargs):
+    """An executor whose pool rejects every submission (RuntimeError)."""
+    executor = Executor(**kwargs)
+    pool = executor._open_pool(2)
+    pool.shutdown(wait=True)
+    executor._open_pool = lambda workers: pool
+    return executor
 
-    def test_settings_are_threaded_through(self):
-        backend = resolve_executor(
-            "process", num_jobs=8, max_workers=3, timeout=1.5, retry_policy=RetryPolicy(max_retries=2)
-        )
-        assert backend.max_workers == 3
-        assert backend.timeout == 1.5
-        assert backend.retries == 2
 
-    def test_executor_objects_pass_through(self):
-        backend = SerialExecutor(timeout=9)
-        assert resolve_executor(backend) is backend
-
-    def test_bad_specs_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            resolve_executor("threads")
-        with pytest.raises(TypeError, match="no run"):
-            resolve_executor(object())
-
-    def test_default_worker_count_bounds(self):
-        assert default_worker_count(0) == 1
-        assert 1 <= default_worker_count(100) <= (os.cpu_count() or 1)
+def test_default_worker_count_bounds():
+    assert default_worker_count(0) == 1
+    assert 1 <= default_worker_count(100) <= (os.cpu_count() or 1)
 
 
 def pid_runner(payload):
@@ -252,10 +257,10 @@ class TestKeepAlivePool:
     """The persistent warm pool behind ``keep_alive=True``."""
 
     def test_workers_survive_across_runs(self, clean_metrics):
-        with ProcessExecutor(max_workers=2, warmup=False, keep_alive=True) as executor:
-            first = executor.run(_payloads(4), runner=pid_runner)
+        with Executor(keep_alive=True) as executor:
+            first = executor.run(_payloads(4), workers=2, runner=pid_runner)
             assert executor.pool_workers == 2
-            second = executor.run(_payloads(4), runner=pid_runner)
+            second = executor.run(_payloads(4), workers=2, runner=pid_runner)
             first_pids = {raw["pid"] for raw in first}
             second_pids = {raw["pid"] for raw in second}
             # Same pool, same processes: across both runs only the two
@@ -273,12 +278,12 @@ class TestKeepAlivePool:
         assert clean_metrics.gauge("repro_executor_pool_workers").as_value() == 0
 
     def test_close_then_run_forks_a_fresh_pool(self, clean_metrics):
-        executor = ProcessExecutor(max_workers=2, warmup=False, keep_alive=True)
+        executor = Executor(keep_alive=True)
         try:
-            executor.run(_payloads(3), runner=pid_runner)
+            executor.run(_payloads(3), workers=2, runner=pid_runner)
             executor.close()
             assert executor.pool_workers == 0
-            executor.run(_payloads(3), runner=pid_runner)
+            executor.run(_payloads(3), workers=2, runner=pid_runner)
             assert executor.pool_workers == 2
             forks = clean_metrics.counter("repro_executor_pool_forks_total")
             assert forks.as_value() == 2
@@ -286,9 +291,9 @@ class TestKeepAlivePool:
             executor.close()
 
     def test_without_keep_alive_every_run_forks(self, clean_metrics):
-        executor = ProcessExecutor(max_workers=2, warmup=False)
-        executor.run(_payloads(3), runner=pid_runner)
-        executor.run(_payloads(3), runner=pid_runner)
+        executor = Executor()
+        executor.run(_payloads(3), workers=2, runner=pid_runner)
+        executor.run(_payloads(3), workers=2, runner=pid_runner)
         assert executor.pool_workers == 0
         forks = clean_metrics.counter("repro_executor_pool_forks_total")
         reuses = clean_metrics.counter("repro_executor_pool_reuses_total")

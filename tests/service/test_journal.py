@@ -1,6 +1,7 @@
 """Tests for the crash-safe batch journal (WAL) and resume semantics."""
 
 import json
+import threading
 
 import pytest
 
@@ -173,3 +174,27 @@ class TestServiceResume:
         )
         assert results[0].resumed
         assert results[1].cached  # served by the journal-seeded cache
+
+    def test_drained_duplicates_stay_resumable(self, tmp_path, tiny_program):
+        # Two identical jobs drained before they start: the duplicate must
+        # stay a cancellation (never journaled), so a resume compiles both.
+        path = tmp_path / "run.wal"
+        twins = [
+            CompilationJob("one", tiny_program),
+            CompilationJob("one-again", tiny_program),
+        ]
+        cancel = threading.Event()
+        cancel.set()
+        drained = CompilationService().compile_many(
+            twins, workers=1, journal=str(path), cancel=cancel
+        )
+        assert [job_result.cancelled for job_result in drained] == [True, True]
+        entries, _ = load_journal(path)
+        assert entries == {}
+
+        resumed = CompilationService().compile_many(
+            twins, workers=1, journal=str(path), resume=True
+        )
+        assert all(job_result.ok for job_result in resumed)
+        assert not any(job_result.resumed for job_result in resumed)
+        assert resumed[1].deduplicated

@@ -8,7 +8,8 @@ from repro.paulis.pauli import PauliTerm
 from repro.hardware.topology import Topology, resolve_topology, topology_to_spec
 from repro.pipeline.options import CompileOptions
 from repro.pipeline.registry import compiler_names
-from repro.service.cache import MemoryCacheStore, open_cache
+from repro.service.cache import open_cache
+from repro.service.executor import Executor
 from repro.service.service import CompilationJob, CompilationService
 
 
@@ -163,12 +164,25 @@ class TestCompilationService:
         second = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         assert second.compile(tiny_program).cached
 
-    def test_compiler_cache_hook_uses_same_keys(self, tiny_program):
-        # PhoenixCompiler(cache=...) and the service address the same store.
-        store = MemoryCacheStore()
-        PhoenixCompiler(cache=store).compile(tiny_program)
-        service = CompilationService(cache=store)
-        assert service.compile(tiny_program).cached
+    def test_serial_shorthand_compiles_inline(self, tiny_program, qaoa_line_program):
+        service = CompilationService(executor="serial")
+        assert service.max_workers == 1
+        jobs = [
+            CompilationJob("tiny", tiny_program),
+            CompilationJob("qaoa", qaoa_line_program),
+        ]
+        results = service.compile_many(jobs)
+        assert all(result.ok for result in results)
+        assert service.executor_stats()["pool_workers"] == 0
+
+    @pytest.mark.parametrize("name", ["process", "auto", "threads", ""])
+    def test_other_executor_names_are_rejected(self, name):
+        with pytest.raises(ValueError, match="unknown executor"):
+            CompilationService(executor=name)
+
+    def test_injected_executor_must_have_run(self):
+        with pytest.raises(TypeError, match="no run"):
+            CompilationService(executor=object())
 
 
 class TestHarnessThroughService:
@@ -220,39 +234,50 @@ class TestHarnessThroughService:
         assert service.cache.stats.puts == 0
 
 
-class TestBatchTimeoutOverride:
-    def _capture_resolve(self, monkeypatch):
-        import repro.service.service as service_module
+class RecordingExecutor(Executor):
+    """The real executor, recording the per-batch settings it was handed."""
 
-        captured = {}
-        real = service_module.resolve_executor
+    def __init__(self):
+        super().__init__()
+        self.calls = []
 
-        def spy(spec, **kwargs):
-            captured.update(kwargs)
-            return real("serial", **kwargs)
+    def run(self, payloads, workers=None, timeout=None, **kwargs):
+        self.calls.append({"workers": workers, "timeout": timeout})
+        return super().run(payloads, workers=workers, timeout=timeout, **kwargs)
 
-        monkeypatch.setattr(service_module, "resolve_executor", spy)
-        return captured
 
-    def test_omitted_timeout_inherits_service_default(
-        self, tiny_program, monkeypatch
-    ):
-        captured = self._capture_resolve(monkeypatch)
-        service = CompilationService(timeout=120.0)
+class TestBatchOverrides:
+    def _service(self, **kwargs):
+        executor = RecordingExecutor()
+        return CompilationService(executor=executor, **kwargs), executor.calls
+
+    def test_omitted_timeout_inherits_service_default(self, tiny_program):
+        service, calls = self._service(timeout=120.0)
         service.compile_many([CompilationJob("a", tiny_program)])
-        assert captured["timeout"] == 120.0
+        assert calls[-1]["timeout"] == 120.0
 
-    def test_explicit_none_means_unlimited(self, tiny_program, monkeypatch):
-        captured = self._capture_resolve(monkeypatch)
-        service = CompilationService(timeout=120.0)
+    def test_explicit_none_means_unlimited(self, tiny_program):
+        service, calls = self._service(timeout=120.0)
         service.compile_many([CompilationJob("a", tiny_program)], timeout=None)
-        assert captured["timeout"] is None
+        assert calls[-1]["timeout"] is None
 
-    def test_explicit_value_overrides(self, tiny_program, monkeypatch):
-        captured = self._capture_resolve(monkeypatch)
-        service = CompilationService(timeout=120.0)
+    def test_explicit_value_overrides(self, tiny_program):
+        service, calls = self._service(timeout=120.0)
         service.compile_many([CompilationJob("a", tiny_program)], timeout=7.5)
-        assert captured["timeout"] == 7.5
+        assert calls[-1]["timeout"] == 7.5
+
+    def test_worker_budget_defaults_then_overrides(self, tiny_program):
+        service, calls = self._service(max_workers=3)
+        service.compile_many([CompilationJob("a", tiny_program)])
+        service.compile_many([CompilationJob("b", tiny_program, CompileOptions(seed=2))], workers=1)
+        assert [call["workers"] for call in calls] == [3, 1]
+
+    def test_one_executor_for_the_service_lifetime(self, tiny_program):
+        service = CompilationService(keep_alive=True)
+        executor = service.executor
+        service.compile_many([CompilationJob("a", tiny_program)], timeout=5.0)
+        service.compile_many([CompilationJob("b", tiny_program, CompileOptions(seed=2))])
+        assert service.executor is executor and executor.keep_alive
 
 
 class TestKeepAliveService:
@@ -261,9 +286,7 @@ class TestKeepAliveService:
     def test_persistent_executor_reused_across_batches(
         self, tiny_program, qaoa_line_program, clean_metrics
     ):
-        with CompilationService(
-            executor="process", max_workers=2, keep_alive=True
-        ) as service:
+        with CompilationService(max_workers=2, keep_alive=True) as service:
             # Two batches with distinct programs: both fan out, only the
             # first may fork.
             first = service.compile_many(
