@@ -21,9 +21,12 @@ EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 
 from __future__ import annotations
 
+import datetime
 import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -58,6 +61,21 @@ def write_report(name: str, content: str) -> None:
     """Persist a printed table under ``benchmarks/results/``."""
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(content + "\n")
+
+
+def bench_record_header() -> dict:
+    """``generated_at`` and ``environment`` fields for a ``BENCH_*.json``
+    record, matching ``BENCH_service.json`` plus the numpy version (which
+    picks the popcount kernel)."""
+    return {
+        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "environment": {
+            "cpu_count": os.cpu_count(),
+            "platform": platform.platform(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+    }
 
 
 class ReferenceSimplifyStage:

@@ -8,8 +8,8 @@ test-oracle reference scan ``_order_indices_reference`` (per-pair
 this is the golden equivalence gate for the fast scorer — and the
 speedups are recorded in
 ``benchmarks/results/perf_ordering_speedup.txt`` (human-readable) and
-``benchmarks/results/BENCH_ordering.json`` (machine-readable) to track the
-perf trajectory across PRs.
+``benchmarks/results/BENCH_ordering.json`` (machine-readable, with when
+and where it was measured) to track the perf trajectory across PRs.
 
 Setting ``REPRO_PERF_SMOKE=1`` restricts the run to three representative
 jobs (one molecular, one random-Pauli, one hardware-routed) and turns on
@@ -27,13 +27,14 @@ from benchmarks.conftest import (
     FULL_SUITE,
     RESULTS_DIR,
     ReferenceOrderStage,
+    bench_record_header,
     compile_with_stages,
     write_report,
 )
 from repro.bench import PINNED_SUITE
 from repro.core.grouping import group_terms
 from repro.core.ordering import _order_indices_reference, order_groups
-from repro.core.simplify import simplify_group
+from repro.core.simplify import simplify_groups
 from repro.experiments import format_table
 from repro.workloads.registry import workload_from_spec
 
@@ -85,7 +86,7 @@ def test_perf_ordering_fast_vs_reference():
     for name, spec, routing_aware in configs:
         terms = workload_from_spec(spec).to_terms()
         num_qubits = terms[0].num_qubits
-        simplified = [simplify_group(g) for g in group_terms(terms)]
+        simplified = simplify_groups(group_terms(terms))
 
         start = time.perf_counter()
         order_ref = _order_indices_reference(simplified, num_qubits, 10, routing_aware)
@@ -128,6 +129,7 @@ def test_perf_ordering_fast_vs_reference():
     total_ref = sum(i["seconds_reference"] for i in instances.values())
     total_fast = sum(i["seconds_fast"] for i in instances.values())
     report = {
+        **bench_record_header(),
         "suite": [name for name, _, _ in configs],
         "smoke": PERF_SMOKE,
         "instances": instances,

@@ -1,17 +1,19 @@
-"""Perf — wall-clock of the fast Clifford2Q scorer vs the reference scan.
+"""Perf — wall-clock of the batched Clifford2Q engine vs the reference scan.
 
-Runs the Table I UCCSD suite through ``simplify_group`` with both the fast
-(incremental, bit-packed) scorer — the stock Eq. (6) cost — and the
-reference copy-and-rescore scan — reached by passing the test-oracle cost
-``bsf_cost_reference`` — checks the outputs are bit-identical, and records
+Runs the Table I UCCSD suite through the production path — one
+``simplify_groups`` call over every IR group, the batched Eq. (6) engine
+the ``simplify`` stage runs — and through the reference copy-and-rescore
+scan one group at a time (``simplify_group`` with the test-oracle cost
+``bsf_cost_reference``), checks the outputs are bit-identical, and records
 the speedups in
 ``benchmarks/results/perf_simplify_speedup.txt`` (human-readable) and
 ``benchmarks/results/BENCH_simplify.json`` (machine-readable: suite,
-seconds, speedup) to track the perf trajectory across PRs.
+seconds, speedup, plus when and where it was measured) to track the perf
+trajectory across PRs.
 
 Setting ``REPRO_PERF_SMOKE=1`` restricts the run to the two smallest
 molecules of the selection and turns on the wall-clock gate — the CI
-perf-smoke job uses this to catch fast-scorer regressions without paying
+perf-smoke job uses this to catch engine regressions without paying
 for the full suite.  The default (tier-1) run only checks scorer
 equivalence: timing assertions and result-file writes are gated so that a
 contended CI runner cannot flake the functional suite, and so that tier-1
@@ -27,23 +29,23 @@ from benchmarks.conftest import (
     FULL_SUITE,
     RESULTS_DIR,
     ReferenceSimplifyStage,
+    bench_record_header,
     compile_with_stages,
     write_report,
 )
-from repro.core.cost import bsf_cost, bsf_cost_reference
+from repro.core.cost import bsf_cost_reference
 from repro.core.grouping import group_terms
-from repro.core.simplify import simplify_group
+from repro.core.simplify import simplify_group, simplify_groups
 from repro.experiments import format_table
 
 import pytest
 
 pytestmark = [pytest.mark.slow, pytest.mark.perf]
 
-#: Perf-smoke gate.  The smoke molecules measure ~11-13x over the
-#: reference scan, so a floor of 5x fails loudly once the fast scorer
-#: loses more than ~2x of its advantage while keeping ample headroom for
-#: noisy CI runners (the ratio is contention-robust: both scorers share
-#: the machine).
+#: Perf-smoke gate.  The smoke molecules measure ~30-120x over the
+#: reference scan, so a floor of 5x fails loudly once the batched engine
+#: loses most of its advantage while keeping ample headroom for noisy CI
+#: runners (the ratio is contention-robust: both paths share the machine).
 SMOKE_MIN_SPEEDUP = 5.0
 
 PERF_SMOKE = os.environ.get("REPRO_PERF_SMOKE", "0") not in ("0", "", "false")
@@ -57,9 +59,15 @@ def _term_keys(simplified):
     return [(t.string.to_label(), t.coefficient) for t in simplified.final_terms]
 
 
-def _time_scorer(groups, cost_function):
+def _time_reference(groups):
     start = time.perf_counter()
-    simplified = [simplify_group(group, cost_function=cost_function) for group in groups]
+    simplified = [simplify_group(group, cost_function=bsf_cost_reference) for group in groups]
+    return time.perf_counter() - start, simplified
+
+
+def _time_batched(groups):
+    start = time.perf_counter()
+    simplified = simplify_groups(groups)
     return time.perf_counter() - start, simplified
 
 
@@ -72,10 +80,10 @@ def test_perf_simplify_fast_vs_reference(uccsd_programs):
     instances = {}
     for name, terms in programs:
         groups = group_terms(terms)
-        seconds_ref, simplified_ref = _time_scorer(groups, bsf_cost_reference)
-        seconds_fast, simplified_fast = _time_scorer(groups, bsf_cost)
+        seconds_ref, simplified_ref = _time_reference(groups)
+        seconds_fast, simplified_fast = _time_batched(groups)
 
-        # The scorers must agree bit for bit, group by group.
+        # Both paths must agree bit for bit, group by group.
         for ref, fast in zip(simplified_ref, simplified_fast):
             assert _clifford_keys(ref) == _clifford_keys(fast)
             assert _term_keys(ref) == _term_keys(fast)
@@ -102,7 +110,7 @@ def test_perf_simplify_fast_vs_reference(uccsd_programs):
         }
         if PERF_SMOKE:
             assert speedup >= SMOKE_MIN_SPEEDUP, (
-                f"{name}: fast scorer only {speedup:.2f}x over reference "
+                f"{name}: batched engine only {speedup:.2f}x over reference "
                 f"(smoke threshold {SMOKE_MIN_SPEEDUP}x)"
             )
 
@@ -110,6 +118,7 @@ def test_perf_simplify_fast_vs_reference(uccsd_programs):
     total_ref = sum(i["seconds_reference"] for i in instances.values())
     total_fast = sum(i["seconds_fast"] for i in instances.values())
     report = {
+        **bench_record_header(),
         "suite": [name for name, _ in programs],
         "smoke": PERF_SMOKE,
         "instances": instances,
@@ -123,7 +132,7 @@ def test_perf_simplify_fast_vs_reference(uccsd_programs):
         rows,
         headers=["Benchmark", "#Pauli", "#Group", "#Clifford", "ref (s)", "fast (s)", "speedup"],
     )
-    print("\nPerf — simplify_group fast scorer vs reference scan\n" + table)
+    print("\nPerf — simplify_groups batched engine vs reference scan\n" + table)
     # Only the full Table I run records the perf trajectory, so a default
     # tier-1 run cannot overwrite the committed numbers with a small slice.
     if FULL_SUITE and not PERF_SMOKE:

@@ -89,7 +89,7 @@ def bsf_cost_reference(bsf: BSF) -> float:
 
     O(rows^2 * qubits) with dense 3-D intermediates; kept callable so the
     property tests can check the closed form (and the incremental candidate
-    scores of the fast Clifford2Q scorer) against it bit for bit.
+    scores of the batched Clifford2Q engine) against it bit for bit.
     """
     if bsf.num_terms == 0:
         return 0.0

@@ -10,14 +10,14 @@ representation (IR) used throughout PHOENIX:
 * :class:`Hamiltonian` — a weighted sum of Pauli strings.
 * :class:`repro.paulis.bsf.BSF` — the binary symplectic tableau of a list
   of Pauli strings, with sign-tracked Clifford conjugation rules.
-* :class:`repro.paulis.packed.PackedBSF` — the same tableau bit-packed
-  into ``np.uint64`` words, with vectorised popcount weight queries.
+* :mod:`repro.paulis.packed` — ``np.uint64`` bit-packing and vectorised
+  popcount helpers for tableau columns and support masks.
 """
 
 from repro.paulis.pauli import PauliString, PauliTerm
 from repro.paulis.hamiltonian import Hamiltonian
 from repro.paulis.bsf import BSF
-from repro.paulis.packed import PackedBSF, pack_bits, popcount, unpack_bits
+from repro.paulis.packed import pack_bits, popcount, unpack_bits
 from repro.paulis.fingerprint import program_fingerprint
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "PauliTerm",
     "Hamiltonian",
     "BSF",
-    "PackedBSF",
     "pack_bits",
     "popcount",
     "unpack_bits",

@@ -31,7 +31,7 @@ from typing import List
 from repro.core.emission import groups_to_circuit
 from repro.core.grouping import group_terms
 from repro.core.ordering import order_groups
-from repro.core.simplify import simplify_group
+from repro.core.simplify import simplify_groups
 from repro.hardware.routing.sabre import route_circuit
 from repro.metrics.circuit_metrics import circuit_metrics
 from repro.paulis.pauli import PauliTerm
@@ -51,12 +51,17 @@ class GroupStage:
 
 
 class SimplifyStage:
-    """Group-wise BSF simplification via the Clifford2Q search."""
+    """Group-wise BSF simplification via the Clifford2Q search.
+
+    One :func:`~repro.core.simplify.simplify_groups` call runs Algorithm 1
+    on every IR group of the program at once; each group's result is
+    bit-identical to simplifying it alone.
+    """
 
     name = "simplify"
 
     def run(self, context: CompileContext) -> None:
-        context.groups = [simplify_group(group) for group in context.groups]
+        context.groups = simplify_groups(context.groups)
 
 
 class OrderStage:

@@ -1,11 +1,12 @@
-"""Tests for the bit-packed tableau representation and popcount helpers."""
+"""Tests for the bit-packing and popcount helpers."""
+
+import warnings
 
 import numpy as np
 import pytest
 
-from repro.paulis.bsf import BSF
+import repro.paulis.packed as packed_module
 from repro.paulis.packed import (
-    PackedBSF,
     pack_bits,
     popcount,
     unpack_bits,
@@ -29,6 +30,37 @@ class TestPopcount:
         assert popcount(words).shape == (3, 4)
 
 
+@pytest.fixture
+def swar_popcount(monkeypatch):
+    """``popcount`` forced onto the SWAR path numpy < 2.0 takes."""
+    monkeypatch.setattr(packed_module, "_HAS_BITWISE_COUNT", False)
+    return packed_module.popcount
+
+
+@pytest.mark.skipif(
+    not hasattr(np, "bitwise_count"), reason="needs np.bitwise_count as the oracle"
+)
+class TestSwarPopcount:
+    def test_matches_bitwise_count_with_high_bit_set(self, swar_popcount):
+        rng = np.random.default_rng(21)
+        words = rng.integers(0, 2**64, size=(50, 3), dtype=np.uint64)
+        words[:, 0] |= np.uint64(1 << 63)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            counts = swar_popcount(words)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.bitwise_count(words))
+
+    @pytest.mark.parametrize("value", [0, 1, 2**63, 2**64 - 1, 0x8000_0000_0000_0001])
+    def test_zero_d_input_raises_no_overflow_warning(self, swar_popcount, value):
+        word = np.uint64(value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = swar_popcount(word)
+            zero_d = swar_popcount(np.array(value, dtype=np.uint64))
+        assert int(scalar) == int(zero_d) == int(np.bitwise_count(word))
+
+
 class TestPackBits:
     @pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 130])
     def test_roundtrip(self, width):
@@ -44,45 +76,19 @@ class TestPackBits:
         mat = rng.random((9, 100)) < 0.3
         assert np.array_equal(popcount(pack_bits(mat)).sum(axis=1), mat.sum(axis=1))
 
+    def test_leading_axes_pack_independently(self):
+        rng = np.random.default_rng(13)
+        mat = rng.random((3, 4, 70)) < 0.5
+        packed = pack_bits(mat)
+        assert packed.shape == (3, 4, 2)
+        for i in range(3):
+            assert np.array_equal(packed[i], pack_bits(mat[i]))
+        assert np.array_equal(unpack_bits(packed, 70), mat)
+
     def test_zero_width_packs_to_zero_word(self):
         packed = pack_bits(np.zeros((3, 0), dtype=bool))
         assert packed.shape == (3, 1)
         assert not packed.any()
-
-
-class TestPackedBSF:
-    def _random_bsf(self, rows=12, qubits=70, seed=3):
-        rng = np.random.default_rng(seed)
-        x = rng.random((rows, qubits)) < 0.4
-        z = rng.random((rows, qubits)) < 0.4
-        coeffs = rng.normal(size=rows)
-        signs = np.where(rng.random(rows) < 0.5, 1, -1)
-        return BSF(x, z, coeffs, signs)
-
-    def test_roundtrip_through_bsf(self):
-        bsf = self._random_bsf()
-        back = PackedBSF.from_bsf(bsf).to_bsf()
-        assert np.array_equal(back.x, bsf.x)
-        assert np.array_equal(back.z, bsf.z)
-        assert np.array_equal(back.coefficients, bsf.coefficients)
-        assert np.array_equal(back.signs, bsf.signs)
-
-    def test_weight_queries_match_bool_tableau(self):
-        bsf = self._random_bsf(rows=17, qubits=130, seed=5)
-        packed = PackedBSF.from_bsf(bsf)
-        assert np.array_equal(packed.row_weights(), bsf.row_weights())
-        assert packed.total_weight() == bsf.total_weight()
-        assert np.array_equal(packed.column_weights(), bsf.column_weights())
-
-    def test_word_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            PackedBSF(np.zeros((2, 2), dtype=np.uint64), np.zeros((2, 2), dtype=np.uint64), 10)
-
-    def test_copy_is_independent(self):
-        packed = PackedBSF.from_bsf(self._random_bsf(rows=3, qubits=8))
-        clone = packed.copy()
-        clone.x[0] = 0
-        assert packed.x[0].any()
 
 
 class TestPackIndexMasks:
