@@ -22,13 +22,6 @@ from repro.pipeline.stage import CompileContext
 from repro.synthesis.pauli_exp import synthesize_pauli_term
 
 
-def _label_similarity(term_a: PauliTerm, term_b: PauliTerm) -> int:
-    """Number of qubits on which two terms carry the same non-identity Pauli."""
-    same = (term_a.string.x == term_b.string.x) & (term_a.string.z == term_b.string.z)
-    active = term_a.string.x | term_a.string.z
-    return int((same & active).sum())
-
-
 def block_chain_order(block: IRGroup) -> List[int]:
     """Cancellation-friendly CNOT-chain qubit order for one block.
 

@@ -174,7 +174,6 @@ class TwoQANCompiler:
             metrics=final_metrics,
             logical_metrics=logical_metrics,
             implemented_terms=implemented,
-            groups=[],
             routed=None,
             routing_overhead=overhead,
         )

@@ -30,6 +30,17 @@ class QuantumCircuit:
         for gate in gates:
             self.append(gate)
 
+    @classmethod
+    def from_checked_gates(cls, num_qubits: int, gates: List[Gate]) -> "QuantumCircuit":
+        """A circuit adopting ``gates``, whose qubits the caller has checked.
+
+        Skips :meth:`append`'s per-gate index check; the serialized-form
+        decoder checks each distinct gate once instead.
+        """
+        circuit = cls(num_qubits)
+        circuit._gates = gates
+        return circuit
+
     # ------------------------------------------------------------------
     # Gate insertion
     # ------------------------------------------------------------------

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core.simplify import SimplifiedGroup
-from repro.hardware.routing.sabre import RoutedCircuit
+from repro.hardware.routing.sabre import RoutingSummary
 from repro.hardware.topology import Topology
 from repro.metrics.circuit_metrics import CircuitMetrics
 from repro.paulis.pauli import PauliTerm
@@ -36,8 +35,7 @@ class CompilationResult:
     metrics: CircuitMetrics
     logical_metrics: CircuitMetrics
     implemented_terms: List[PauliTerm]
-    groups: List[SimplifiedGroup] = field(default_factory=list)
-    routed: Optional[RoutedCircuit] = None
+    routed: Optional[RoutingSummary] = None
     routing_overhead: Optional[float] = None
     #: Per-stage wall-clock seconds recorded by :meth:`Pipeline.run`.
     stage_timings: Dict[str, float] = field(default_factory=dict)

@@ -32,6 +32,21 @@ _DECAY = 0.001
 
 
 @dataclass
+class RoutingSummary:
+    """The mapping bookkeeping of one routing, without its SWAP circuit.
+
+    What a :class:`~repro.core.compiler.CompilationResult` keeps of the
+    route: the compiled circuit is the SWAP circuit after the post-route
+    rebase and optimisation, so the raw SWAP circuit is not carried along.
+    """
+
+    initial_mapping: Dict[int, int]
+    final_mapping: Dict[int, int]
+    swap_count: int
+    topology: Topology
+
+
+@dataclass
 class RoutedCircuit:
     """Result of routing: the physical circuit plus mapping bookkeeping."""
 
@@ -44,6 +59,12 @@ class RoutedCircuit:
     def cx_equivalent_swap_overhead(self) -> int:
         """CNOTs added by routing (3 per SWAP)."""
         return 3 * self.swap_count
+
+    def summary(self) -> RoutingSummary:
+        """The mappings, SWAP count and topology, without the circuit."""
+        return RoutingSummary(
+            self.initial_mapping, self.final_mapping, self.swap_count, self.topology
+        )
 
 
 def sabre_initial_mapping(

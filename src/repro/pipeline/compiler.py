@@ -42,8 +42,8 @@ class PipelineCompiler:
         seed: int = 0,
         lookahead: int = 10,
     ):
-        self.options = CompileOptions(
-            compiler=self.name,
+        self.options = CompileOptions.for_compiler(
+            self.name,
             isa=isa,
             topology=topology,
             optimization_level=optimization_level,

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.hardware.topology import Topology, resolve_topology, topology_to_spec
@@ -69,7 +69,9 @@ class CompileOptions:
         SU(4) ISA.
     topology:
         ``None`` (or an all-to-all topology) compiles at the logical level;
-        anything else turns on hardware-aware mapping/routing.
+        anything else turns on hardware-aware mapping/routing.  A spec
+        string (``"heavy-hex"``, ``"grid-2x3"``, ...) resolves through
+        :func:`~repro.hardware.topology.resolve_topology`.
     optimization_level:
         Peephole level 0-3 applied by the ``optimize`` stage.
     lookahead:
@@ -86,10 +88,15 @@ class CompileOptions:
     seed: int = 0
 
     def __post_init__(self):
+        from repro.pipeline.registry import get_compiler_factory
+
+        get_compiler_factory(self.compiler)
         if self.isa not in ISAS:
             raise ValueError(
                 f"unsupported ISA {self.isa!r}; expected 'cnot' or 'su4'"
             )
+        if isinstance(self.topology, str):
+            object.__setattr__(self, "topology", resolve_topology(self.topology))
         object.__setattr__(self, "optimization_level", int(self.optimization_level))
         object.__setattr__(self, "lookahead", int(self.lookahead))
         object.__setattr__(self, "seed", int(self.seed))
@@ -107,9 +114,25 @@ class CompileOptions:
 
         return is_order_sensitive(self.compiler)
 
+    @classmethod
+    def for_compiler(cls, name: str, **values: Any) -> "CompileOptions":
+        """Options naming the compiler ``name``, registered or not.
+
+        A compiler class instantiated directly (say, a subclass defined for
+        one experiment) need not be in the registry, so its own name skips
+        the registry check every other value of ``compiler`` gets.
+        """
+        options = cls(**values)
+        object.__setattr__(options, "compiler", name)
+        return options
+
     def replace(self, **changes: Any) -> "CompileOptions":
         """A copy with the given fields changed (options are frozen)."""
-        return replace(self, **changes)
+        if "compiler" in changes:
+            return replace(self, **changes)
+        current = {f.name: getattr(self, f.name) for f in fields(self)}
+        name = current.pop("compiler")
+        return CompileOptions.for_compiler(name, **{**current, **changes})
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -130,18 +153,12 @@ class CompileOptions:
     def from_dict(cls, data: Dict[str, Any]) -> "CompileOptions":
         """Options from plain data (missing keys take the defaults).
 
-        The plain-data edge (manifests, payloads, ``phoenix serve``)
-        validates eagerly: an unknown compiler or topology spec raises
-        ``ValueError``.
+        An unknown compiler or topology spec raises ``ValueError``.
         """
-        from repro.pipeline.registry import get_compiler_factory
-
-        compiler = data.get("compiler", "phoenix")
-        get_compiler_factory(compiler)
         return cls(
-            compiler=compiler,
+            compiler=data.get("compiler", "phoenix"),
             isa=data.get("isa", "cnot"),
-            topology=resolve_topology(data.get("topology")),
+            topology=data.get("topology"),
             optimization_level=data.get("optimization_level", 2),
             lookahead=data.get("lookahead", 10),
             seed=data.get("seed", 0),

@@ -85,8 +85,7 @@ class CompileContext:
             metrics=self.final_metrics,
             logical_metrics=self.logical_metrics,
             implemented_terms=list(self.implemented_terms),
-            groups=list(self.groups),
-            routed=self.routed,
+            routed=self.routed.summary() if self.routed is not None else None,
             routing_overhead=self.routing_overhead,
             stage_timings=dict(self.stage_timings),
         )

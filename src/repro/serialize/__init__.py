@@ -5,6 +5,10 @@ content-addressed cache and ships them between worker processes; this
 subpackage provides the stable, dependency-free JSON wire format it uses.
 Every ``*_to_dict`` function returns plain JSON-compatible data (dicts,
 lists, strings, numbers) and every ``*_from_dict`` reverses it exactly.
+
+The format (``repro-json-2``) stores each distinct gate of a payload once,
+in a gate table, and every circuit as a list of indices into it; the
+earlier gate-list format (``repro-json-1``) is still read.
 """
 
 from repro.serialize.jsonutil import canonical_json, canonical_json_bytes

@@ -1,24 +1,47 @@
 """JSON wire format for :class:`~repro.circuits.circuit.QuantumCircuit`.
 
-Gates are stored structurally (name, qubits, params), exactly mirroring the
-in-memory IR.  The only non-scalar payload is the opaque ``su4`` gate's
-4x4 unitary, which is stored as nested ``[real, imag]`` pairs so the JSON
-stays valid and the matrix round-trips bit-exactly (floats are preserved
-by Python's ``json`` module).
+Compiled circuits repeat a small set of gates many times (the Clifford2Q
+conjugation templates plus one rotation per Pauli exponentiation), so a
+payload stores each *distinct* gate once, in a gate table, and every
+circuit as a list of table indices::
+
+    {"format": "repro-json-2",
+     "gates": [{"name": "h", "qubits": [0]}, {"name": "cx", "qubits": [0, 1]}],
+     "num_qubits": 2, "ops": [0, 1, 0]}
+
+A table entry is one :func:`gate_to_dict` dict: name, qubits, params, and
+for the opaque ``su4`` gate its 4x4 unitary as nested ``[real, imag]``
+pairs, so the JSON stays valid and the matrix round-trips bit-exactly
+(floats are preserved by Python's ``json`` module).  Two gates share an
+entry only when they encode to the same bits: ``rz(0.0)`` and
+``rz(-0.0)`` stay distinct, as do two ``su4`` gates with different
+matrices on the same qubits.  A compilation result shares one table
+between its circuits (:mod:`repro.serialize.results`).
+
+Decoding builds each table entry once through the validated
+:class:`~repro.circuits.gates.Gate` constructor, checks every circuit's
+ops are in-range int indices, and checks each distinct gate a circuit
+uses against that circuit's width, so no circuit pays per-gate
+validation.  The previous gate-list format (``repro-json-1``, one dict per
+gate) is still read, for persisted cache and journal entries.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+import struct
+from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
+from repro.utils.validation import check_qubit_index
 
 #: Version tag embedded in every serialized payload; bump on breaking changes.
-SERIALIZATION_FORMAT = "repro-json-1"
+SERIALIZATION_FORMAT = "repro-json-2"
+#: The gate-list format of earlier builds, still read from persisted entries.
+LEGACY_FORMAT = "repro-json-1"
 
 
 def _matrix_to_lists(matrix: np.ndarray) -> List[List[List[float]]]:
@@ -56,22 +79,99 @@ def gate_from_dict(data: Dict[str, Any]) -> Gate:
     )
 
 
-def circuit_to_dict(circuit: QuantumCircuit) -> Dict[str, Any]:
-    """A circuit as a JSON-compatible dict."""
-    return {
-        "format": SERIALIZATION_FORMAT,
-        "num_qubits": circuit.num_qubits,
-        "gates": [gate_to_dict(gate) for gate in circuit],
-    }
+def _gate_key(gate: Gate) -> Hashable:
+    """Equal exactly when two gates encode to the same table entry.
+
+    ``Gate`` equality is too coarse for this: it ignores
+    ``matrix_override`` and compares ``0.0 == -0.0``.  Nonzero floats are
+    equal only when their bits are, so params key as themselves unless one
+    is zero, and then (like the matrix) by their bit pattern.
+    """
+    params: Hashable = gate.params
+    if 0.0 in gate.params:
+        params = struct.pack(f"{len(gate.params)}d", *gate.params)
+    if gate.matrix_override is None:
+        return gate.name, gate.qubits, params
+    matrix = np.asarray(gate.matrix_override, dtype=complex).tobytes()
+    return gate.name, gate.qubits, params, matrix
 
 
-def circuit_from_dict(data: Dict[str, Any]) -> QuantumCircuit:
-    """Rebuild a circuit from :func:`circuit_to_dict` output."""
-    _check_format(data)
+class GateTable:
+    """The one circuit encoder: circuits as indices into a shared gate table.
+
+    :meth:`encode` appends each gate not seen before to :attr:`gates` (as
+    its :func:`gate_to_dict` form) and returns the circuit as
+    ``{"num_qubits": n, "ops": [table index, ...]}``.
+    """
+
+    def __init__(self) -> None:
+        self.gates: List[Dict[str, Any]] = []
+        self._positions: Dict[Hashable, int] = {}
+
+    def encode(self, circuit: QuantumCircuit) -> Dict[str, Any]:
+        positions = self._positions
+        ops: List[int] = []
+        for gate in circuit:
+            key = _gate_key(gate)
+            position = positions.get(key)
+            if position is None:
+                position = positions[key] = len(self.gates)
+                self.gates.append(gate_to_dict(gate))
+            ops.append(position)
+        return {"num_qubits": circuit.num_qubits, "ops": ops}
+
+
+def decode_gate_table(entries: Any) -> List[Gate]:
+    """The validated gates of a payload's ``"gates"`` table."""
+    if not isinstance(entries, list):
+        raise ValueError("the gate table must be a list of gates")
+    return [gate_from_dict(entry) for entry in entries]
+
+
+def decode_table_circuit(data: Dict[str, Any], table: Sequence[Gate]) -> QuantumCircuit:
+    """Rebuild one ``{"num_qubits", "ops"}`` circuit over a decoded table.
+
+    Every op must be an int (not a bool) indexing the table, and every
+    distinct gate the circuit uses must fit its width; each distinct gate
+    is checked once.
+    """
+    num_qubits = int(data["num_qubits"])
+    ops = data["ops"]
+    if not isinstance(ops, list) or not set(map(type, ops)) <= {int}:
+        raise ValueError("circuit ops must be a list of int gate-table indices")
+    used = set(ops)
+    if used and (min(used) < 0 or max(used) >= len(table)):
+        raise ValueError(
+            f"circuit op indices must lie in [0, {len(table)}) for its gate table"
+        )
+    for position in used:
+        for qubit in table[position].qubits:
+            check_qubit_index(qubit, num_qubits)
+    return QuantumCircuit.from_checked_gates(num_qubits, list(map(table.__getitem__, ops)))
+
+
+def decode_gate_list(data: Dict[str, Any]) -> QuantumCircuit:
+    """Rebuild a ``repro-json-1`` circuit (one dict per gate)."""
     circuit = QuantumCircuit(int(data["num_qubits"]))
     for gate_data in data["gates"]:
         circuit.append(gate_from_dict(gate_data))
     return circuit
+
+
+def circuit_to_dict(circuit: QuantumCircuit) -> Dict[str, Any]:
+    """A circuit as a JSON-compatible dict: a one-circuit gate table."""
+    table = GateTable()
+    payload = table.encode(circuit)
+    payload["format"] = SERIALIZATION_FORMAT
+    payload["gates"] = table.gates
+    return payload
+
+
+def circuit_from_dict(data: Dict[str, Any]) -> QuantumCircuit:
+    """Rebuild a circuit from :func:`circuit_to_dict` output (or a v1 one)."""
+    if check_format(data) == LEGACY_FORMAT:
+        return decode_gate_list(data)
+    return decode_table_circuit(data, decode_gate_table(data["gates"]))
 
 
 def circuit_to_json(circuit: QuantumCircuit, indent: Optional[int] = None) -> str:
@@ -82,10 +182,15 @@ def circuit_from_json(text: str) -> QuantumCircuit:
     return circuit_from_dict(json.loads(text))
 
 
-def _check_format(data: Dict[str, Any]) -> None:
-    fmt = data.get("format", SERIALIZATION_FORMAT)
-    if fmt != SERIALIZATION_FORMAT:
+def check_format(data: Dict[str, Any]) -> str:
+    """The payload's format tag; a payload without one reads as v1.
+
+    Raises ``ValueError`` for any format this build does not read.
+    """
+    fmt = data.get("format", LEGACY_FORMAT)
+    if fmt not in (SERIALIZATION_FORMAT, LEGACY_FORMAT):
         raise ValueError(
             f"unsupported serialization format {fmt!r}; "
-            f"this build reads {SERIALIZATION_FORMAT!r}"
+            f"this build reads {SERIALIZATION_FORMAT!r} and {LEGACY_FORMAT!r}"
         )
+    return fmt

@@ -1,32 +1,53 @@
 """JSON wire format for metrics, Pauli programs, and compilation results.
 
-A serialized :class:`~repro.core.compiler.CompilationResult` carries the
-final and logical circuits, both metric snapshots, the implemented Trotter
-order, the routing payload (when hardware-aware compilation ran), the
-routing-overhead multiple, and the per-stage wall-clock timings recorded
-by the pipeline runner.  The ``groups`` field (the nested Clifford
-conjugation structure) is intentionally not serialized: it is an internal
-artefact of the PHOENIX pipeline that is only consumed in-process, and the
-implemented term order — which *is* serialized — suffices for equivalence
-checking.  Deserialized results therefore carry ``groups=[]``.
+A serialized :class:`~repro.core.compiler.CompilationResult`
+(``repro-json-2``) carries one gate table shared by its circuits
+(:mod:`repro.serialize.circuits`), the final circuit, the logical circuit,
+both metric snapshots, the implemented Trotter order, the routing summary
+(when hardware-aware compilation ran), the routing-overhead multiple, and
+the per-stage wall-clock timings recorded by the pipeline runner::
+
+    {"format": "repro-json-2",
+     "gates": [...distinct gates...],
+     "circuit": {"num_qubits": n, "ops": [...]},
+     "logical_circuit": "circuit" | {"num_qubits": n, "ops": [...]},
+     "metrics": {...}, "logical_metrics": {...},
+     "implemented_terms": {"num_qubits": n, "labels": [...], "coefficients": [...]},
+     "routed": {"initial_mapping": {...}, "final_mapping": {...},
+                "swap_count": k, "topology": {"name", "num_qubits", "edges"}},
+     "routing_overhead": x, "stage_timings": {...}}
+
+``logical_circuit`` is the back-reference ``"circuit"`` whenever it
+encodes to the same width and ops as ``circuit`` (every logical-level
+compile); it then decodes to the same object.  ``routed`` holds the
+:class:`~repro.hardware.routing.sabre.RoutingSummary`, not the SWAP
+circuit.  ``repro-json-1`` payloads (one dict per gate, ``routed`` with
+its circuit) still decode, for entries persisted by earlier builds.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.core.compiler import CompilationResult
-from repro.hardware.routing.sabre import RoutedCircuit
+from repro.hardware.routing.sabre import RoutingSummary
 from repro.hardware.topology import Topology
 from repro.metrics.circuit_metrics import CircuitMetrics
 from repro.paulis.pauli import PauliTerm
 from repro.serialize.circuits import (
+    LEGACY_FORMAT,
     SERIALIZATION_FORMAT,
-    _check_format,
-    circuit_from_dict,
-    circuit_to_dict,
+    GateTable,
+    check_format,
+    decode_gate_list,
+    decode_gate_table,
+    decode_table_circuit,
 )
+
+#: ``logical_circuit`` value meaning "the same circuit as ``circuit``".
+_BACK_REFERENCE = "circuit"
 
 
 def metrics_to_dict(metrics: CircuitMetrics) -> Dict[str, Any]:
@@ -86,9 +107,8 @@ def _topology_from_dict(data: Dict[str, Any]) -> Topology:
     )
 
 
-def _routed_to_dict(routed: RoutedCircuit) -> Dict[str, Any]:
+def _routed_to_dict(routed: RoutingSummary) -> Dict[str, Any]:
     return {
-        "circuit": circuit_to_dict(routed.circuit),
         "initial_mapping": {str(k): v for k, v in routed.initial_mapping.items()},
         "final_mapping": {str(k): v for k, v in routed.final_mapping.items()},
         "swap_count": routed.swap_count,
@@ -96,9 +116,9 @@ def _routed_to_dict(routed: RoutedCircuit) -> Dict[str, Any]:
     }
 
 
-def _routed_from_dict(data: Dict[str, Any]) -> RoutedCircuit:
-    return RoutedCircuit(
-        circuit=circuit_from_dict(data["circuit"]),
+def _routed_from_dict(data: Dict[str, Any]) -> RoutingSummary:
+    """The routing summary of either format (v1 also carries a circuit)."""
+    return RoutingSummary(
         initial_mapping={int(k): int(v) for k, v in data["initial_mapping"].items()},
         final_mapping={int(k): int(v) for k, v in data["final_mapping"].items()},
         swap_count=int(data["swap_count"]),
@@ -150,7 +170,7 @@ def workload_from_dict(data: Dict[str, Any]):
 
 
 def result_to_dict(result: CompilationResult, workload=None) -> Dict[str, Any]:
-    """A compilation result as a JSON-compatible dict (``groups`` excluded).
+    """A compilation result as a JSON-compatible dict.
 
     Passing the :class:`~repro.workloads.workload.Workload` the program
     came from embeds its metadata under a ``"workload"`` key, so batch
@@ -159,10 +179,16 @@ def result_to_dict(result: CompilationResult, workload=None) -> Dict[str, Any]:
     without the generator); use :func:`workload_from_dict` to regenerate
     and verify the program itself.
     """
+    table = GateTable()
+    circuit = table.encode(result.circuit)
+    logical: Any = circuit
+    if result.logical_circuit is not result.circuit:
+        logical = table.encode(result.logical_circuit)
     payload: Dict[str, Any] = {
         "format": SERIALIZATION_FORMAT,
-        "circuit": circuit_to_dict(result.circuit),
-        "logical_circuit": circuit_to_dict(result.logical_circuit),
+        "gates": table.gates,
+        "circuit": circuit,
+        "logical_circuit": _BACK_REFERENCE if logical == circuit else logical,
         "metrics": metrics_to_dict(result.metrics),
         "logical_metrics": metrics_to_dict(result.logical_metrics),
         "implemented_terms": terms_to_dict(result.implemented_terms),
@@ -178,20 +204,34 @@ def result_to_dict(result: CompilationResult, workload=None) -> Dict[str, Any]:
     return payload
 
 
+def _circuits_from_dict(data: Dict[str, Any]) -> Tuple[QuantumCircuit, QuantumCircuit]:
+    """The final and logical circuits of a result payload of either format."""
+    if check_format(data) == LEGACY_FORMAT:
+        return decode_gate_list(data["circuit"]), decode_gate_list(data["logical_circuit"])
+    table = decode_gate_table(data["gates"])
+    circuit = decode_table_circuit(data["circuit"], table)
+    logical = data["logical_circuit"]
+    if logical == _BACK_REFERENCE:
+        return circuit, circuit
+    return circuit, decode_table_circuit(logical, table)
+
+
 def result_from_dict(data: Dict[str, Any]) -> CompilationResult:
-    """Rebuild a compilation result from :func:`result_to_dict` output."""
-    _check_format(data)
-    routed: Optional[RoutedCircuit] = None
+    """Rebuild a compilation result from :func:`result_to_dict` output.
+
+    Also reads ``repro-json-1`` payloads and payloads without a format tag.
+    """
+    circuit, logical = _circuits_from_dict(data)
+    routed: Optional[RoutingSummary] = None
     if data.get("routed") is not None:
         routed = _routed_from_dict(data["routed"])
     overhead = data.get("routing_overhead")
     return CompilationResult(
-        circuit=circuit_from_dict(data["circuit"]),
-        logical_circuit=circuit_from_dict(data["logical_circuit"]),
+        circuit=circuit,
+        logical_circuit=logical,
         metrics=metrics_from_dict(data["metrics"]),
         logical_metrics=metrics_from_dict(data["logical_metrics"]),
         implemented_terms=terms_from_dict(data["implemented_terms"]),
-        groups=[],
         routed=routed,
         routing_overhead=float(overhead) if overhead is not None else None,
         stage_timings={

@@ -33,7 +33,12 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.paulis.pauli import PauliTerm
 from repro.pipeline.options import CompileOptions, as_terms
-from repro.serialize.results import result_from_dict, result_to_dict, terms_to_dict
+from repro.serialize.results import (
+    metrics_to_dict,
+    result_from_dict,
+    result_to_dict,
+    terms_to_dict,
+)
 from repro.service.cache import CacheStore, MemoryCacheStore, compilation_cache_key
 from repro.service.executor import (
     Executor,
@@ -568,12 +573,14 @@ def job_summary(job_result: JobResult, include_result: bool = False) -> Dict[str
         "attempts": job_result.attempts,
         "key": job_result.key,
     }
-    if job_result.ok and job_result.result is not None:
-        payload = result_to_dict(job_result.result)
-        summary["metrics"] = payload["metrics"]
-        summary["stage_timings"] = payload["stage_timings"]
+    result = job_result.result
+    if job_result.ok and result is not None:
+        summary["metrics"] = metrics_to_dict(result.metrics)
+        summary["stage_timings"] = {
+            name: float(seconds) for name, seconds in result.stage_timings.items()
+        }
         if include_result:
-            summary["result"] = payload
+            summary["result"] = result_to_dict(result)
     else:
         summary["error"] = job_result.error
     return summary

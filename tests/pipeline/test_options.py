@@ -181,3 +181,32 @@ class TestPlainDataRoundTrip:
             CompileOptions.from_dict({"compiler": "qiskit"})
         with pytest.raises(ValueError, match="unknown topology"):
             CompileOptions.from_dict({"topology": "torus-4"})
+
+    def test_spec_string_topology_resolves_at_construction(self, qaoa_line_program):
+        options = CompileOptions(topology="line-6")
+        assert options.topology is resolve_topology("line-6")
+        from_data = CompileOptions.from_dict({"topology": "line-6"})
+        assert options == from_data and hash(options) == hash(from_data)
+        assert options.fingerprint() == from_data.fingerprint()
+        assert CompileOptions(topology="all-to-all").topology is None
+        # Compiling used to fail deep in the route stage on the raw string.
+        result = options.build().compile(qaoa_line_program)
+        assert result.routed is not None and result.routed.topology.num_qubits == 6
+
+    def test_constructor_rejects_unknown_names(self):
+        with pytest.raises(ValueError, match="unknown compiler"):
+            CompileOptions(compiler="qiskit")
+        with pytest.raises(ValueError, match="unknown topology"):
+            CompileOptions(topology="torus-4")
+
+    def test_unregistered_compiler_instance_keeps_its_name(self):
+        from repro.core.compiler import PhoenixCompiler
+
+        class Unregistered(PhoenixCompiler):
+            name = "phoenix-unregistered"
+
+        compiler = Unregistered(topology=resolve_topology("line-5"))
+        compiler.seed = 3
+        assert compiler.options.compiler == "phoenix-unregistered"
+        assert compiler.options.seed == 3
+        assert compiler.options.topology is resolve_topology("line-5")

@@ -1,6 +1,8 @@
 """JSON round-trip tests for circuits, metrics, programs, and results."""
 
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,22 +12,53 @@ from repro.circuits.gates import gate_matrix
 from repro.core.compiler import PhoenixCompiler
 from repro.hardware.topology import Topology
 from repro.metrics.circuit_metrics import circuit_metrics
+from repro.paulis.pauli import PauliTerm
 from repro.serialize import (
+    canonical_json,
     circuit_from_dict,
     circuit_from_json,
     circuit_to_dict,
     circuit_to_json,
     metrics_from_dict,
     metrics_to_dict,
+    result_from_dict,
     result_from_json,
+    result_to_dict,
     result_to_json,
     terms_from_dict,
     terms_to_dict,
 )
 
+FIXTURES = Path(__file__).parent / "fixtures"
+
+#: The programs of the committed ``repro-json-1`` fixtures.
+V1_LOGICAL = [("XYZ", 0.11), ("ZZY", -0.23), ("YXI", 0.07), ("IZZ", 0.19),
+              ("XXX", -0.05), ("ZIY", 0.13)]
+V1_HARDWARE = [("XXIIZ", 0.12), ("ZIYIX", -0.08), ("IYYZI", 0.21), ("ZZIII", -0.17),
+               ("IIXZY", 0.09), ("XIIIZ", 0.15)]
+#: Fixture file -> (program, compiler) it was written from.
+V1_CASES = {
+    "v1_logical_cnot": (V1_LOGICAL, lambda: PhoenixCompiler()),
+    "v1_logical_su4": (V1_LOGICAL, lambda: PhoenixCompiler(isa="su4")),
+    "v1_grid_2x3": (V1_HARDWARE, lambda: PhoenixCompiler(topology=Topology.grid(2, 3))),
+}
+
 
 def gate_tuples(circuit: QuantumCircuit):
     return [(g.name, g.qubits, g.params) for g in circuit]
+
+
+def gate_bits(circuit: QuantumCircuit):
+    """Gate tuples down to the bits: params and su4 matrices as bytes."""
+    return [
+        (
+            g.name,
+            g.qubits,
+            np.array(g.params, dtype=float).tobytes(),
+            None if g.matrix_override is None else g.matrix_override.tobytes(),
+        )
+        for g in circuit
+    ]
 
 
 def every_family_circuit() -> QuantumCircuit:
@@ -124,6 +157,168 @@ class TestResultRoundTrip:
         assert rebuilt.routed.initial_mapping == result.routed.initial_mapping
         assert rebuilt.routed.final_mapping == result.routed.final_mapping
         assert rebuilt.routed.topology.fingerprint() == topology.fingerprint()
+
+
+class TestLegacyFormat:
+    """``repro-json-1`` entries persisted by earlier builds still decode.
+
+    The fixtures were written by the ``repro-json-1`` encoder (one dict per
+    gate, ``routed`` with its SWAP circuit), with stage timings zeroed.
+    """
+
+    @pytest.mark.parametrize("name", sorted(V1_CASES))
+    def test_v1_fixture_decodes_to_a_fresh_compile(self, name):
+        payload = json.loads((FIXTURES / f"{name}.json").read_text())
+        assert payload["format"] == "repro-json-1"
+        decoded = result_from_dict(payload)
+        program, make_compiler = V1_CASES[name]
+        fresh = make_compiler().compile(
+            [PauliTerm.from_label(label, coeff) for label, coeff in program]
+        )
+        assert decoded.circuit.num_qubits == fresh.circuit.num_qubits
+        assert gate_bits(decoded.circuit) == gate_bits(fresh.circuit)
+        assert gate_bits(decoded.logical_circuit) == gate_bits(fresh.logical_circuit)
+        assert decoded.metrics == fresh.metrics
+        assert decoded.logical_metrics == fresh.logical_metrics
+        assert [(t.to_label(), t.coefficient) for t in decoded.implemented_terms] == [
+            (t.to_label(), t.coefficient) for t in fresh.implemented_terms
+        ]
+        assert decoded.routing_overhead == fresh.routing_overhead
+        if fresh.routed is None:
+            assert decoded.routed is None
+        else:
+            assert decoded.routed.initial_mapping == fresh.routed.initial_mapping
+            assert decoded.routed.final_mapping == fresh.routed.final_mapping
+            assert decoded.routed.swap_count == fresh.routed.swap_count
+            assert (
+                decoded.routed.topology.fingerprint()
+                == fresh.routed.topology.fingerprint()
+            )
+        # Re-encoding writes the current format, which decodes the same.
+        again = result_from_dict(result_to_dict(decoded))
+        assert gate_bits(again.circuit) == gate_bits(fresh.circuit)
+
+    def test_payload_without_format_reads_as_v1(self):
+        payload = json.loads((FIXTURES / "v1_logical_cnot.json").read_text())
+        del payload["format"]
+        del payload["circuit"]["format"]
+        rebuilt = result_from_dict(payload)
+        assert len(rebuilt.circuit) == len(payload["circuit"]["gates"])
+        standalone = circuit_from_dict(payload["circuit"])
+        assert gate_tuples(standalone) == gate_tuples(rebuilt.circuit)
+
+    def test_unknown_result_format_rejected(self, tiny_program):
+        payload = result_to_dict(PhoenixCompiler().compile(tiny_program))
+        payload["format"] = "repro-json-99"
+        with pytest.raises(ValueError, match="repro-json-99"):
+            result_from_dict(payload)
+
+
+class TestGateTable:
+    def test_circuit_payload_is_a_one_circuit_table(self):
+        circuit = QuantumCircuit(2).h(0).cx(0, 1).h(0).cx(0, 1)
+        payload = circuit_to_dict(circuit)
+        assert payload["format"] == "repro-json-2"
+        assert payload["gates"] == [
+            {"name": "h", "qubits": [0]},
+            {"name": "cx", "qubits": [0, 1]},
+        ]
+        assert payload["ops"] == [0, 1, 0, 1]
+        assert payload["num_qubits"] == 2
+
+    def test_signed_zero_angles_stay_distinct(self):
+        circuit = QuantumCircuit(1).rz(0.0, 0).rz(-0.0, 0).rz(0.0, 0)
+        payload = circuit_to_dict(circuit)
+        assert len(payload["gates"]) == 2
+        rebuilt = circuit_from_json(json.dumps(payload))
+        signs = [np.signbit(g.params[0]) for g in rebuilt]
+        assert signs == [False, True, False]
+
+    def test_su4_gates_with_different_matrices_stay_distinct(self):
+        first = gate_matrix("rpp", (1.0, 3.0, 0.4))
+        second = gate_matrix("rpp", (2.0, 2.0, 0.4))
+        circuit = QuantumCircuit(2).su4(first, 0, 1).su4(second, 0, 1).su4(first, 0, 1)
+        payload = circuit_to_dict(circuit)
+        assert len(payload["gates"]) == 2
+        rebuilt = circuit_from_json(json.dumps(payload))
+        for original, copy_ in zip(circuit, rebuilt):
+            assert np.array_equal(copy_.matrix_override, original.matrix_override)
+
+    def test_logical_back_reference_decodes_to_one_object(self, tiny_program):
+        result = PhoenixCompiler().compile(tiny_program)
+        assert result.logical_circuit is result.circuit
+        payload = result_to_dict(result)
+        assert payload["logical_circuit"] == "circuit"
+        rebuilt = result_from_json(json.dumps(payload))
+        assert rebuilt.logical_circuit is rebuilt.circuit
+        # An equal but separate logical circuit also back-references.
+        separate = copy.copy(result)
+        separate.logical_circuit = result.circuit.copy()
+        assert result_to_dict(separate)["logical_circuit"] == "circuit"
+
+    def test_hardware_result_shares_one_table(self, small_program):
+        result = PhoenixCompiler(topology=Topology.grid(2, 3)).compile(small_program)
+        payload = result_to_dict(result)
+        assert isinstance(payload["logical_circuit"], dict)
+        assert "circuit" not in payload["routed"]
+        keys = [canonical_json(gate) for gate in payload["gates"]]
+        assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("isa", ["cnot", "su4"])
+    def test_reencoding_a_decoded_result_is_byte_identical(self, small_program, isa):
+        for topology in (None, Topology.grid(2, 3)):
+            result = PhoenixCompiler(isa=isa, topology=topology).compile(small_program)
+            text = canonical_json(result_to_dict(result))
+            rebuilt = result_from_dict(json.loads(text))
+            assert canonical_json(result_to_dict(rebuilt)) == text
+
+
+class TestTamperedTablePayloads:
+    @pytest.fixture
+    def payload(self):
+        circuit = QuantumCircuit(3).h(0).cx(0, 1).rz(0.5, 2).cx(0, 1)
+        return json.loads(circuit_to_json(circuit))
+
+    @pytest.mark.parametrize("bad_op", [-1, 3, 99, True, False, 1.0, "0", None])
+    def test_bad_op_index_raises(self, payload, bad_op):
+        payload["ops"][1] = bad_op
+        with pytest.raises(ValueError):
+            circuit_from_dict(payload)
+
+    def test_ops_must_be_a_list(self, payload):
+        payload["ops"] = {"0": 0}
+        with pytest.raises(ValueError):
+            circuit_from_dict(payload)
+
+    def test_table_gate_beyond_the_width_raises(self, payload):
+        payload["gates"][1]["qubits"] = [0, 3]
+        with pytest.raises(ValueError, match="out of range"):
+            circuit_from_dict(payload)
+
+    def test_table_gate_with_a_repeated_qubit_raises(self, payload):
+        payload["gates"][1]["qubits"] = [1, 1]
+        with pytest.raises(ValueError, match="repeated qubit"):
+            circuit_from_dict(payload)
+
+    def test_result_circuits_are_checked_against_their_own_width(self, small_program):
+        result = PhoenixCompiler(topology=Topology.grid(2, 3)).compile(small_program)
+        payload = result_to_dict(result)
+        assert payload["circuit"]["num_qubits"] == 6
+        # A gate of the physical circuit, pointed at from a logical circuit
+        # one qubit too narrow for it: fine for one circuit, not the other.
+        widest = max(payload["circuit"]["ops"], key=lambda i: max(payload["gates"][i]["qubits"]))
+        top = max(payload["gates"][widest]["qubits"])
+        payload["logical_circuit"] = {"num_qubits": top, "ops": [widest]}
+        with pytest.raises(ValueError, match="out of range"):
+            result_from_dict(payload)
+        payload["logical_circuit"]["num_qubits"] = top + 1
+        assert len(result_from_dict(payload).logical_circuit) == 1
+
+    def test_bad_result_op_raises(self, small_program):
+        payload = result_to_dict(PhoenixCompiler().compile(small_program))
+        payload["circuit"]["ops"][-1] = len(payload["gates"])
+        with pytest.raises(ValueError):
+            result_from_dict(payload)
 
 
 class TestCanonicalJson:

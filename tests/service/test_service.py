@@ -71,6 +71,22 @@ class TestCompilationService:
         assert [r.name for r in results] == ["qaoa", "tiny", "tiny-naive"]
         assert all(r.ok and not r.cached for r in results)
 
+    def test_job_summary_fields_match_the_encoded_result(self, tiny_program):
+        from repro.serialize.jsonutil import canonical_json
+        from repro.serialize.results import result_to_dict
+        from repro.service.service import job_summary
+
+        job_result = CompilationService().compile(tiny_program)
+        payload = result_to_dict(job_result.result)
+        summary = job_summary(job_result)
+        assert "result" not in summary
+        assert canonical_json(summary["metrics"]) == canonical_json(payload["metrics"])
+        assert canonical_json(summary["stage_timings"]) == canonical_json(
+            payload["stage_timings"]
+        )
+        full = job_summary(job_result, include_result=True)
+        assert canonical_json(full["result"]) == canonical_json(payload)
+
     def test_cache_hits_on_rerun_and_matches_direct(self, tiny_program):
         service = CompilationService()
         cold = service.compile(tiny_program)
