@@ -33,7 +33,7 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.profile import aggregate_stage_timings, format_stage_table
+from repro.obs.profile import aggregate_stage_timings
 from repro.pipeline.options import CompileOptions
 from repro.serialize.jsonutil import canonical_json_bytes
 from repro.serialize.results import result_to_dict
@@ -286,10 +286,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "http://host:port, or composed tiers (default: memory only; "
              "the serial pass is always hermetic)",
     )
-    parser.add_argument(
-        "--stages", action="store_true",
-        help="also print the per-stage profile table (serial pass) to stderr",
-    )
     args = parser.parse_args(argv)
 
     report = run_bench(workers=args.workers, timeout=args.timeout, cache=args.cache)
@@ -319,14 +315,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"remote tier ({report['cache']['spec']}): warm hit rate "
             f"{warm_remote['hit_rate']:.0%}, "
             f"{warm_remote['io_errors']} absorbed error(s)\n"
-        )
-    if args.stages:
-        sys.stderr.write(
-            format_stage_table(
-                report["stage_timings"],
-                title=f"per-stage profile over {serial['jobs']} job(s) "
-                      "(serial cold pass)",
-            ) + "\n"
         )
 
     if serial["errors"] or process["errors"]:

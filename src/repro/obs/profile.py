@@ -7,9 +7,9 @@ aggregate the ROADMAP's "vectorize the next hot stage" loop needs:
 count, total, mean, p50, p95, and each stage's share of the total stage
 wall-clock, sorted hottest-first, with the #1 stage named explicitly.
 
-This is the engine behind ``phoenix profile`` and
-``python -m repro.bench --stages``; it is dependency-free (stdlib only)
-so loading a saved report never imports the compiler stack.
+This is the engine behind ``phoenix profile``, the one profile front
+end; it is dependency-free (stdlib only) so loading a saved report never
+imports the compiler stack.
 """
 
 from __future__ import annotations

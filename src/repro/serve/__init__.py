@@ -8,10 +8,15 @@ streaming, Prometheus metrics, and a two-signal graceful drain that
 journals in-flight work.  :class:`~repro.serve.client.ServeClient` is
 the matching blocking client.
 
-``phoenix cache serve`` (:mod:`repro.serve.cacheapp`) reuses the same
-HTTP stack to run a shared cache server: a
-:class:`~repro.service.shardcache.DiskCacheStore` addressable by
-URL from any :class:`~repro.service.remotecache.RemoteCacheStore` tier.
+``phoenix cache serve`` (:mod:`repro.serve.cacheapp`) runs a shared cache
+server: a :class:`~repro.service.shardcache.DiskCacheStore` addressable
+by URL from any :class:`~repro.service.remotecache.RemoteCacheStore` tier.
+
+Both are subclasses of one server core, :class:`~repro.serve.http.HTTPApp`:
+the listener, keep-alive connection loop, routing (404/405, 500 capture),
+``/healthz``, ``/metrics`` and the drain lifecycle exist once.  On either
+server a malformed request is a 400 and a ``Content-Length`` over the
+body limit a 413.
 """
 
 from repro.serve.app import ServeApp, ServeConfig, run_serve

@@ -22,12 +22,14 @@ into the loop with ``call_soon_threadsafe``.  Exactly one compile worker
 task consumes the queue (batches are sequential per service by design;
 parallelism lives *inside* a batch, in the warm process pool).
 
-Shutdown is the same two-signal contract as the batch CLI
-(:class:`~repro.service.resilience.shutdown_guard`): the first
-SIGINT/SIGTERM drains — new submissions get 503, queued-but-unstarted
-jobs are written to a pending manifest for resubmission, the in-flight
-batch finishes its started programs (journaling each terminal outcome)
-and skips the rest — and the process exits 0.  A second signal aborts.
+The listener, connection loop, dispatch, ``/healthz``, ``/metrics`` and
+the two-signal lifecycle are the shared :class:`~repro.serve.http.HTTPApp`
+core; this module adds the queue, journal and compile worker.  On the
+first SIGINT/SIGTERM the drain gives new submissions 503, writes
+queued-but-unstarted jobs to a pending manifest for resubmission, lets
+the in-flight batch finish its started programs (journaling each
+terminal outcome) and skip the rest — and the process exits 0.  A second
+signal aborts.
 """
 
 from __future__ import annotations
@@ -43,16 +45,14 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..obs import metrics as obs_metrics
-from ..obs import trace as obs_trace
 from ..service.cache import CacheStore, open_cache
 from ..service.cli import jobs_from_entries
 from ..service.journal import BatchJournal
-from ..service.resilience import RetryPolicy, shutdown_guard
+from ..service.resilience import RetryPolicy
 from ..service.service import CompilationService, ProgressEvent, job_summary
 from . import ws
-from .http import Request, Response, Router, read_request
+from .http import HTTPApp, Request, Response, Router
 from .queue import Job, JobQueue, QueueFull
-from .supervisor import Supervisor
 
 logger = logging.getLogger(__name__)
 
@@ -83,8 +83,12 @@ class ServeConfig:
         return journal.with_name(journal.name + ".pending.json")
 
 
-class ServeApp:
-    """The server: owns the service, the queue, and the asyncio surface."""
+class ServeApp(HTTPApp):
+    """The server: owns the service, the queue, and the compile worker."""
+
+    name = "phoenix serve"
+    request_histogram = "repro_serve_request_seconds"
+    config: ServeConfig
 
     def __init__(
         self,
@@ -92,26 +96,10 @@ class ServeApp:
         service: Optional[CompilationService] = None,
         drain_token: Optional[threading.Event] = None,
     ) -> None:
-        self.config = config
+        super().__init__(config, drain_token)
         self.service = service if service is not None else self._build_service(config)
         self.queue = JobQueue(capacity=config.queue_size, history=config.history)
-        self.supervisor = Supervisor()
-        self.draining = False
-        #: Set by the signal handler (or tests); observed by the watcher
-        #: task *and* passed to ``compile_many`` as its cancel token, so
-        #: one event drains both the queue and the in-flight batch.
-        self.drain_token = drain_token if drain_token is not None else threading.Event()
-        #: Cross-thread readiness: set once the listening socket is bound
-        #: (``bound_port`` is valid after this), for in-thread test servers.
-        self.ready = threading.Event()
-        self.bound_port: Optional[int] = None
-        self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._journal: Optional[BatchJournal] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._stopped: Optional[asyncio.Event] = None
-        self._drain_task: Optional["asyncio.Task[None]"] = None
-        self._started_at = time.monotonic()
-        self._router = self._build_router()
 
     @staticmethod
     def _build_service(config: ServeConfig) -> CompilationService:
@@ -130,48 +118,25 @@ class ServeApp:
             keep_alive=True,
         )
 
-    # -- lifecycle ----------------------------------------------------
+    # -- lifecycle hooks ---------------------------------------------
 
-    async def start(self) -> None:
-        """Bind the socket, open the journal, spawn supervised tasks."""
-        self._stopped = asyncio.Event()
-        #: The loop the server runs on — lets other threads hand work in
-        #: via ``call_soon_threadsafe`` (tests, embedding).
-        self.loop = asyncio.get_running_loop()
+    def _on_start(self) -> None:
         if self.config.journal is not None:
             self._journal = BatchJournal(self.config.journal)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
-        self.bound_port = self._server.sockets[0].getsockname()[1]
         self.supervisor.spawn("compile-worker", self._compile_worker)
-        self.supervisor.spawn("signal-watcher", self._watch_drain_token)
-        logger.info(
-            "phoenix serve listening on %s:%d (queue capacity %d, workers %s)",
-            self.config.host,
-            self.bound_port,
-            self.config.queue_size,
-            self.config.workers or "auto",
+
+    def _listening_detail(self) -> str:
+        return (
+            f"queue capacity {self.config.queue_size}, "
+            f"workers {self.config.workers or 'auto'}"
         )
-        self.ready.set()
 
-    async def main(self) -> None:
-        """Run until drained (signal) or :meth:`stop` — the CLI entry."""
-        await self.start()
-        assert self._stopped is not None
-        await self._stopped.wait()
+    async def _on_drain(self) -> None:
+        """Park queued jobs, then wait for the in-flight batch to finish.
 
-    async def stop(self) -> None:
-        """Immediate teardown (tests); :meth:`drain` is the graceful path."""
-        await self.supervisor.shutdown()
-        await self._close_resources()
-
-    async def drain(self) -> None:
-        """Graceful shutdown: park queued jobs, finish the in-flight batch."""
-        if self.draining:
-            return
-        self.draining = True
-        self.drain_token.set()  # idempotent; also reaches compile_many
+        The drain token doubles as ``compile_many``'s cancel token, so the
+        in-flight batch finishes its started programs and skips the rest.
+        """
         parked = self.queue.drain_pending()
         self._write_pending_manifest(parked)
         for job in parked:
@@ -184,21 +149,12 @@ class ServeApp:
             len(parked),
         )
         await self.supervisor.wait(["compile-worker"])
-        await self.supervisor.shutdown()
-        await self._close_resources()
-        logger.info("drain complete")
 
-    async def _close_resources(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    def _close(self) -> None:
         if self._journal is not None:
             self._journal.close()
             self._journal = None
-        await asyncio.to_thread(self.service.close)
-        if self._stopped is not None:
-            self._stopped.set()
+        self.service.close()
 
     def _write_pending_manifest(self, parked: List[Job]) -> None:
         """Save never-started submissions so a later run can resubmit them.
@@ -217,16 +173,6 @@ class ServeApp:
             len(entries),
             "y" if len(entries) == 1 else "ies",
             path,
-        )
-
-    async def _watch_drain_token(self) -> None:
-        """Poll the cross-thread drain event from inside the loop."""
-        while not self.drain_token.is_set():
-            await asyncio.sleep(0.05)
-        # Hand off to an *unsupervised* task: drain() tears the supervisor
-        # down, and a task cannot cancel the tree it is running under.
-        self._drain_task = asyncio.get_running_loop().create_task(
-            self.drain(), name="drain"
         )
 
     # -- compile worker ------------------------------------------------
@@ -283,9 +229,7 @@ class ServeApp:
     # -- HTTP surface --------------------------------------------------
 
     def _build_router(self) -> Router:
-        router = Router()
-        router.add("GET", "/healthz", self._route_healthz)
-        router.add("GET", "/metrics", self._route_metrics)
+        router = super()._build_router()
         router.add("GET", "/v1/stats", self._route_stats)
         router.add("POST", "/v1/jobs", self._route_submit)
         router.add("GET", "/v1/jobs/{id}", self._route_job)
@@ -293,81 +237,12 @@ class ServeApp:
         router.add("GET", "/v1/jobs/{id}/events", self._route_events_http)
         return router
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while True:
-                try:
-                    request = await read_request(reader)
-                except (ValueError, asyncio.IncompleteReadError, asyncio.LimitOverrunError) as exc:
-                    writer.write(Response.error(400, str(exc)).encode(keep_alive=False))
-                    await writer.drain()
-                    return
-                if request is None:
-                    return
-                if request.wants_websocket:
-                    await self._handle_websocket(request, reader, writer)
-                    return  # the upgrade consumes the connection
-                response = await self._dispatch(request)
-                writer.write(response.encode(keep_alive=request.keep_alive))
-                await writer.drain()
-                if not request.keep_alive:
-                    return
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            with contextlib.suppress(Exception):
-                await writer.wait_closed()
-
-    async def _dispatch(self, request: Request) -> Response:
-        handler, route, params, path_known = self._router.match(
-            request.method, request.path
-        )
-        if handler is None:
-            status = 405 if path_known else 404
-            response = Response.error(
-                status, f"{'method not allowed' if path_known else 'no such route'}: "
-                f"{request.method} {request.path}"
-            )
-            self._count_request(request.method, request.path, response.status)
-            return response
-        request.params = params
-        started = time.perf_counter()
-        with obs_trace.span("serve.request", method=request.method, route=route) as span:
-            try:
-                response = await handler(request)
-            except Exception as exc:
-                logger.exception("handler for %s %s crashed", request.method, route)
-                response = Response.error(500, f"{type(exc).__name__}: {exc}")
-            span.update(status=response.status)
-        obs_metrics.histogram("repro_serve_request_seconds").observe(
-            time.perf_counter() - started
-        )
-        self._count_request(request.method, route or request.path, response.status)
-        return response
-
-    @staticmethod
-    def _count_request(method: str, route: str, status: int) -> None:
+    def _count_request(self, method: str, route: str, status: int) -> None:
         obs_metrics.counter(
             "repro_serve_requests_total", method=method, route=route, status=status
         ).inc()
 
     # -- route handlers ------------------------------------------------
-
-    async def _route_healthz(self, request: Request) -> Response:
-        status = "draining" if self.draining else "ok"
-        return Response.json(
-            {
-                "status": status,
-                "uptime_seconds": round(time.monotonic() - self._started_at, 3),
-            },
-            status=503 if self.draining else 200,
-        )
-
-    async def _route_metrics(self, request: Request) -> Response:
-        return Response.text(obs_metrics.REGISTRY.render_prometheus())
 
     async def _route_stats(self, request: Request) -> Response:
         cache_usage: Dict[str, Any] = {}
@@ -459,14 +334,15 @@ class ServeApp:
 
     # -- WebSocket streaming -------------------------------------------
 
-    async def _handle_websocket(
+    async def _upgrade(
         self, request: Request, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    ) -> bool:
+        """Every upgrade request is ours: stream events or answer an error."""
         handler, route, params, _known = self._router.match("GET", request.path)
         if handler != self._route_events_http:
             writer.write(Response.error(404, f"no WS route at {request.path}").encode(False))
             await writer.drain()
-            return
+            return True
         job = self.queue.get(params["id"])
         if job is None:
             self._count_request("WS", route or request.path, 404)
@@ -474,14 +350,14 @@ class ServeApp:
                 Response.error(404, f"no such job: {params['id']}").encode(False)
             )
             await writer.drain()
-            return
+            return True
         key = request.headers.get("sec-websocket-key")
         if not key:
             writer.write(
                 Response.error(400, "missing Sec-WebSocket-Key").encode(False)
             )
             await writer.drain()
-            return
+            return True
         writer.write(
             Response(
                 status=101,
@@ -503,6 +379,7 @@ class ServeApp:
         finally:
             job.unsubscribe(events)
             obs_metrics.gauge("repro_serve_ws_connections").dec()
+        return True
 
     async def _stream_events(
         self,
@@ -552,17 +429,5 @@ class ServeApp:
 
 
 def run_serve(config: ServeConfig) -> int:
-    """Blocking entry point used by ``phoenix serve``.
-
-    Installs the two-signal drain contract around the event loop: first
-    SIGINT/SIGTERM drains and exits 0, the second aborts (exit 130).
-    """
-    token = threading.Event()
-    app = ServeApp(config, drain_token=token)
-    with shutdown_guard(token):
-        try:
-            asyncio.run(app.main())
-        except KeyboardInterrupt:
-            logger.warning("aborted before drain completed")
-            return 130
-    return 0
+    """Blocking entry point used by ``phoenix serve`` (see :meth:`HTTPApp.run`)."""
+    return ServeApp(config).run()

@@ -1,11 +1,14 @@
-"""A small HTTP/1.1 layer on asyncio streams for ``phoenix serve``.
+"""A small HTTP/1.1 server core on asyncio streams, shared by ``phoenix
+serve`` and ``phoenix cache serve``.
 
 Stdlib-only by design (the repo ships no runtime dependencies beyond the
-scientific stack): request parsing, a segment-pattern router, and
-response building.  It deliberately implements only what the server's
-surface needs — ``Content-Length`` bodies (no chunked uploads),
-keep-alive connection reuse, and the ``Upgrade: websocket`` detection
-that hands a connection over to :mod:`repro.serve.ws`.
+scientific stack): request parsing, a segment-pattern router, response
+building, and :class:`HTTPApp`, the server both apps subclass.  It
+deliberately implements only what their surfaces need —
+``Content-Length`` bodies (no chunked uploads), keep-alive connection
+reuse, and ``Upgrade: websocket`` detection.  A malformed request gets
+400 and a ``Content-Length`` over the body limit 413
+(:class:`PayloadTooLarge`), on both servers alike.
 
 Handlers are ``async (Request) -> Response``; :class:`Response` carries
 status + body + headers, with :meth:`Response.json` as the JSON shortcut
@@ -15,16 +18,26 @@ every ops endpoint uses.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
+import threading
+import time
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from ..obs import metrics as obs_metrics
+from ..obs import trace as obs_trace
+from ..service.resilience import shutdown_guard
+from .supervisor import Supervisor
+
 logger = logging.getLogger(__name__)
 
 __all__ = [
+    "HTTPApp",
     "MAX_BODY_BYTES",
+    "PayloadTooLarge",
     "REASONS",
     "Request",
     "Response",
@@ -52,6 +65,10 @@ REASONS = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class PayloadTooLarge(ValueError):
+    """A request whose ``Content-Length`` exceeds the body limit (413)."""
 
 
 @dataclass
@@ -130,9 +147,11 @@ async def read_request(
 ) -> Optional[Request]:
     """Parse one request off the stream; ``None`` on a clean EOF.
 
-    Raises ``ValueError`` for malformed requests (the connection handler
-    answers 400 and closes) and ``asyncio.LimitOverrunError`` /
-    ``ValueError`` for oversized header blocks.
+    Raises :class:`PayloadTooLarge` for a ``Content-Length`` over
+    ``max_body`` (the connection handler answers 413 and closes),
+    ``ValueError`` for malformed requests (400) and
+    ``asyncio.LimitOverrunError`` / ``ValueError`` for oversized header
+    blocks.
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
@@ -158,7 +177,7 @@ async def read_request(
         raise ValueError("chunked request bodies are not supported")
     length = int(headers.get("content-length", "0") or "0")
     if length > max_body:
-        raise ValueError(f"request body of {length} bytes exceeds {max_body}")
+        raise PayloadTooLarge(f"request body of {length} bytes exceeds {max_body}")
     body = await reader.readexactly(length) if length else b""
     return Request(
         method=method.upper(),
@@ -220,3 +239,220 @@ class Router:
             elif expected != actual:
                 return None
         return params
+
+
+class HTTPApp:
+    """The asyncio server core: lifecycle, drain, connection loop, dispatch.
+
+    Subclasses add their routes (:meth:`_build_router` via ``super()``),
+    their request-metric series (:meth:`_count_request`,
+    :attr:`request_histogram`) and the hooks below.  The core reads only
+    ``config.host`` and ``config.port``.
+
+    :meth:`run` installs the batch CLI's two-signal contract
+    (:class:`~repro.service.resilience.shutdown_guard`): the first
+    SIGINT/SIGTERM sets :attr:`drain_token` and :meth:`drain` flips
+    ``/healthz`` to 503, winds the app's work down, closes the listener and
+    exits 0.  A second signal aborts (exit 130).
+    """
+
+    #: Startup-log name of the server.
+    name: str
+    #: Request-latency histogram, observed for every routed request.
+    request_histogram: str
+    #: Largest accepted request body; a larger ``Content-Length`` is a 413.
+    max_body = MAX_BODY_BYTES
+
+    def __init__(self, config: Any, drain_token: Optional[threading.Event] = None) -> None:
+        self.config = config
+        self.supervisor = Supervisor()
+        self.draining = False
+        #: Set by the signal handler (or tests) and polled by the watcher
+        #: task, which then drains; apps may hand it on as a cancel token.
+        self.drain_token = drain_token if drain_token is not None else threading.Event()
+        #: Cross-thread readiness: set once the listening socket is bound
+        #: (``bound_port`` is valid after this), for in-thread test servers.
+        self.ready = threading.Event()
+        self.bound_port: Optional[int] = None
+        #: The loop the server runs on — lets other threads hand work in
+        #: via ``call_soon_threadsafe`` (tests, embedding).
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._stopped: Optional[asyncio.Event] = None
+        self._drain_task: Optional["asyncio.Task[None]"] = None
+        self._started_at = time.monotonic()
+        self._router = self._build_router()
+
+    # -- hooks ---------------------------------------------------------
+
+    def _on_start(self) -> None:
+        """Open resources and spawn app tasks (runs in the loop, pre-bind)."""
+
+    async def _on_drain(self) -> None:
+        """Wind the app's work down before the listener closes."""
+        logger.info("draining: closing the listener")
+
+    def _close(self) -> None:
+        """Release the app's resources (runs on a worker thread)."""
+
+    async def _upgrade(
+        self, request: Request, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bool:
+        """Take over an ``Upgrade`` request's connection; ``False`` dispatches it."""
+        return False
+
+    def _count_request(self, method: str, route: str, status: int) -> None:
+        raise NotImplementedError
+
+    def _listening_detail(self) -> str:
+        return ""
+
+    # -- lifecycle -----------------------------------------------------
+
+    async def start(self) -> None:
+        """Run :meth:`_on_start`, bind the socket, watch the drain token."""
+        self._stopped = asyncio.Event()
+        self.loop = asyncio.get_running_loop()
+        self._on_start()
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.config.host, self.config.port
+        )
+        self.bound_port = self._server.sockets[0].getsockname()[1]
+        self.supervisor.spawn("signal-watcher", self._watch_drain_token)
+        logger.info(
+            "%s listening on %s:%d (%s)",
+            self.name,
+            self.config.host,
+            self.bound_port,
+            self._listening_detail(),
+        )
+        self.ready.set()
+
+    async def main(self) -> None:
+        """Run until drained (signal) or :meth:`stop`."""
+        await self.start()
+        assert self._stopped is not None
+        await self._stopped.wait()
+
+    def run(self) -> int:
+        """Blocking CLI entry: serve until drained (0) or aborted (130)."""
+        with shutdown_guard(self.drain_token):
+            try:
+                asyncio.run(self.main())
+            except KeyboardInterrupt:
+                logger.warning("aborted before drain completed")
+                return 130
+        return 0
+
+    async def stop(self) -> None:
+        """Immediate teardown (tests); :meth:`drain` is the graceful path."""
+        await self.supervisor.shutdown()
+        await self._close_resources()
+
+    async def drain(self) -> None:
+        """Graceful shutdown: 503 on ``/healthz``, :meth:`_on_drain`, close."""
+        if self.draining:
+            return
+        self.draining = True
+        self.drain_token.set()  # idempotent; also reaches any cancel-token user
+        await self._on_drain()
+        await self.supervisor.shutdown()
+        await self._close_resources()
+        logger.info("drain complete")
+
+    async def _close_resources(self) -> None:
+        if self._server is not None:
+            self._server.close()
+            await self._server.wait_closed()
+            self._server = None
+        await asyncio.to_thread(self._close)
+        if self._stopped is not None:
+            self._stopped.set()
+
+    async def _watch_drain_token(self) -> None:
+        """Poll the cross-thread drain event from inside the loop."""
+        while not self.drain_token.is_set():
+            await asyncio.sleep(0.05)
+        # Hand off to an *unsupervised* task: drain() tears the supervisor
+        # down, and a task cannot cancel the tree it is running under.
+        self._drain_task = asyncio.get_running_loop().create_task(
+            self.drain(), name="drain"
+        )
+
+    # -- HTTP surface --------------------------------------------------
+
+    def _build_router(self) -> Router:
+        router = Router()
+        router.add("GET", "/healthz", self._route_healthz)
+        router.add("GET", "/metrics", self._route_metrics)
+        return router
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        try:
+            while True:
+                try:
+                    request = await read_request(reader, max_body=self.max_body)
+                except (ValueError, asyncio.IncompleteReadError, asyncio.LimitOverrunError) as exc:
+                    status = 413 if isinstance(exc, PayloadTooLarge) else 400
+                    writer.write(Response.error(status, str(exc)).encode(keep_alive=False))
+                    await writer.drain()
+                    return
+                if request is None:
+                    return
+                if request.wants_websocket and await self._upgrade(request, reader, writer):
+                    return  # the upgrade consumed the connection
+                response = await self._dispatch(request)
+                writer.write(response.encode(keep_alive=request.keep_alive))
+                await writer.drain()
+                if not request.keep_alive:
+                    return
+        except (ConnectionError, asyncio.CancelledError):
+            pass
+        finally:
+            writer.close()
+            with contextlib.suppress(Exception):
+                await writer.wait_closed()
+
+    async def _dispatch(self, request: Request) -> Response:
+        handler, route, params, path_known = self._router.match(
+            request.method, request.path
+        )
+        if handler is None or route is None:
+            status = 405 if path_known else 404
+            response = Response.error(
+                status,
+                f"{'method not allowed' if path_known else 'no such route'}: "
+                f"{request.method} {request.path}",
+            )
+            self._count_request(request.method, request.path, response.status)
+            return response
+        request.params = params
+        started = time.perf_counter()
+        with obs_trace.span("serve.request", method=request.method, route=route) as span:
+            try:
+                response = await handler(request)
+            except Exception as exc:
+                logger.exception("handler for %s %s crashed", request.method, route)
+                response = Response.error(500, f"{type(exc).__name__}: {exc}")
+            span.update(status=response.status)
+        obs_metrics.histogram(self.request_histogram).observe(
+            time.perf_counter() - started
+        )
+        self._count_request(request.method, route, response.status)
+        return response
+
+    # -- shared routes -------------------------------------------------
+
+    async def _route_healthz(self, request: Request) -> Response:
+        return Response.json(
+            {
+                "status": "draining" if self.draining else "ok",
+                "uptime_seconds": round(time.monotonic() - self._started_at, 3),
+            },
+            status=503 if self.draining else 200,
+        )
+
+    async def _route_metrics(self, request: Request) -> Response:
+        return Response.text(obs_metrics.REGISTRY.render_prometheus())

@@ -291,8 +291,11 @@ class CompilationService:
                     len(replayed),
                 )
 
-        def record_outcome(job_result: JobResult) -> None:
-            """WAL one terminal outcome (skips replays and cancellations)."""
+        def record_outcome(job_result: JobResult, encoded: Optional[Dict[str, Any]]) -> None:
+            """WAL one terminal outcome (skips replays and cancellations).
+
+            ``encoded`` is the result's cache payload, journaled as is.
+            """
             if journal is None or not job_result.key:
                 return
             if job_result.resumed or job_result.cancelled:
@@ -304,18 +307,20 @@ class CompilationService:
                 "elapsed": job_result.elapsed,
                 "attempts": job_result.attempts,
             }
-            if job_result.ok and job_result.result is not None:
-                entry["result"] = result_to_dict(job_result.result)
+            if job_result.ok and encoded is not None:
+                entry["result"] = encoded
             elif job_result.error is not None:
                 entry["error"] = job_result.error
             journal.record(entry)
 
-        def emit(job_result: JobResult, outcome: str) -> None:
+        def emit(
+            job_result: JobResult, outcome: str, encoded: Optional[Dict[str, Any]] = None
+        ) -> None:
             nonlocal completed
             completed += 1
             outcome = "error" if not job_result.ok else outcome
             _count_job(outcome)
-            record_outcome(job_result)
+            record_outcome(job_result, encoded)
             if progress is not None:
                 progress(
                     ProgressEvent(
@@ -409,7 +414,7 @@ class CompilationService:
                     key=key,
                 )
                 short_span(results[index], "hit")
-                emit(results[index], "hit")
+                emit(results[index], "hit", cached)
             elif key in dispatched:
                 # Identical content already in this batch: compile once and
                 # fan the result out afterwards.
@@ -472,7 +477,7 @@ class CompilationService:
                         elapsed=job_result.elapsed,
                     )
                     job_span.end(status=job_result.status)
-                emit(job_result, "miss")
+                emit(job_result, "miss", raw.get("result"))
 
             raw_results = self.executor.run(
                 pending,
@@ -499,7 +504,7 @@ class CompilationService:
                     # The dedup job's own wall clock is the result fan-out.
                     results[index].elapsed = time.perf_counter() - fanout_started
                 short_span(results[index], "dedup")
-                emit(results[index], "dedup")
+                emit(results[index], "dedup", raw.get("result"))
 
         ordered = [result for result in results if result is not None]
         failed = sum(1 for result in ordered if not result.ok)

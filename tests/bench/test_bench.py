@@ -157,13 +157,3 @@ class TestMain:
         assert report["environment"]["cpu_count"] == 1
         assert report["process"]["workers"] == 2
         assert report["process"]["effective_workers"] == 1
-
-    def test_stages_flag_prints_profile_table(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "PINNED_SUITE", TINY_SUITE)
-        code = bench.main(
-            ["--output", str(tmp_path / "r.json"), "--workers", "1", "--stages"]
-        )
-        assert code == 0
-        err = capsys.readouterr().err
-        assert "hottest stage:" in err
-        assert "simplify" in err

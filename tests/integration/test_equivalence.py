@@ -66,15 +66,47 @@ class TestUccsdEndToEnd:
         assert su4.metrics.two_qubit_count <= cnot.metrics.cx_count
 
 
+def _basis_index(bits, positions, width):
+    """Index of the basis state with ``bits[q]`` on qubit ``positions[q]``.
+
+    Qubit 0 is the most significant bit, as in :func:`circuit_unitary`.
+    """
+    return sum(bit << (width - 1 - positions[q]) for q, bit in enumerate(bits))
+
+
 class TestHardwareAwareEndToEnd:
-    def test_phoenix_on_grid_respects_connectivity_and_is_exact_up_to_layout(self):
+    @pytest.mark.parametrize("isa", ["cnot", "su4"])
+    def test_phoenix_on_grid_respects_connectivity_and_is_exact_up_to_layout(self, isa):
         program = uccsd_ansatz(2, 4, encoding="jw", seed=3)
         topology = Topology.grid(2, 3)
-        result = PhoenixCompiler(topology=topology).compile(program)
+        result = PhoenixCompiler(topology=topology, isa=isa).compile(program)
         for gate in result.circuit:
             if gate.is_two_qubit():
                 assert topology.are_connected(*gate.qubits)
-        assert result.routing_overhead >= 1.0 or result.metrics.swap_count == 0
+        if isa == "cnot":  # the overhead is a #CNOT ratio, so su4 has none
+            assert result.routing_overhead >= 1.0 or result.metrics.swap_count == 0
+
+        # Exact up to layout: a random logical state placed on the initial
+        # mapping (ancillas in |0>) comes out of the physical circuit as the
+        # ideal evolution of that state, read at the final mapping.
+        logical = result.implemented_terms[0].num_qubits
+        physical = result.circuit.num_qubits
+        rng = np.random.default_rng(11)
+        state = rng.normal(size=2**logical) + 1j * rng.normal(size=2**logical)
+        state /= np.linalg.norm(state)
+        expected = terms_unitary(result.implemented_terms) @ state
+
+        basis = [
+            [(index >> (logical - 1 - q)) & 1 for q in range(logical)]
+            for index in range(2**logical)
+        ]
+        initial, final = result.routed.initial_mapping, result.routed.final_mapping
+        embedded = np.zeros(2**physical, dtype=complex)
+        for index, bits in enumerate(basis):
+            embedded[_basis_index(bits, initial, physical)] = state[index]
+        evolved = circuit_unitary(result.circuit) @ embedded
+        actual = np.array([evolved[_basis_index(bits, final, physical)] for bits in basis])
+        assert abs(np.vdot(expected, actual)) == pytest.approx(1.0, abs=1e-9)
 
     def test_qaoa_compilation_on_ring(self):
         graph = random_regular_graph(3, 8, seed=4)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.serve.http import Request, Response, Router, read_request
+from repro.serve.http import PayloadTooLarge, Request, Response, Router, read_request
 
 
 def parse(raw: bytes):
@@ -101,3 +101,16 @@ def test_router_match_params_405_404():
 
     found, _route, _params, known = router.match("GET", "/nope")
     assert found is None and not known  # 404
+
+
+def test_oversized_content_length_raises_payload_too_large():
+    async def run(max_body):
+        reader = asyncio.StreamReader()
+        reader.feed_data(b"PUT /x HTTP/1.1\r\nContent-Length: 11\r\n\r\n" + b"x" * 11)
+        reader.feed_eof()
+        return await read_request(reader, max_body=max_body)
+
+    with pytest.raises(PayloadTooLarge, match="11 bytes exceeds 10"):
+        asyncio.run(run(10))
+    assert issubclass(PayloadTooLarge, ValueError)  # still a bad request
+    assert asyncio.run(run(11)).body == b"x" * 11  # the limit is inclusive

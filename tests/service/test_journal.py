@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.service import faultlab
+from repro.service import service as service_module
 from repro.service.cache import MemoryCacheStore
 from repro.service.journal import BatchJournal, load_journal, open_journal
 from repro.service.service import CompilationJob, CompilationService
@@ -174,6 +175,39 @@ class TestServiceResume:
         )
         assert results[0].resumed
         assert results[1].cached  # served by the journal-seeded cache
+
+    def test_journal_records_the_cache_payload_without_reencoding(
+        self, tmp_path, tiny_program, monkeypatch
+    ):
+        # A miss and its in-batch duplicate journal the executor's encoded
+        # result — the very dict the cache stores — rather than encoding
+        # the decoded result a second time.
+        encodes = []
+        original = service_module.result_to_dict
+        monkeypatch.setattr(
+            service_module,
+            "result_to_dict",
+            lambda result: encodes.append(result) or original(result),
+        )
+        path = tmp_path / "run.wal"
+        cache = MemoryCacheStore()
+        twins = [
+            CompilationJob("one", tiny_program),
+            CompilationJob("one-again", tiny_program),
+        ]
+        results = CompilationService(cache=cache).compile_many(
+            twins, workers=1, journal=str(path)
+        )
+        assert not results[0].deduplicated and results[1].deduplicated
+        records = [
+            json.loads(line)
+            for line in path.read_text(encoding="utf-8").splitlines()
+        ]
+        journaled = [record for record in records if "key" in record]
+        assert [record["name"] for record in journaled] == ["one", "one-again"]
+        for record in journaled:
+            assert record["result"] == cache.get(record["key"])
+        assert encodes == []
 
     def test_drained_duplicates_stay_resumable(self, tmp_path, tiny_program):
         # Two identical jobs drained before they start: the duplicate must
