@@ -17,9 +17,10 @@ GET       ``/healthz``            liveness + drain state
 GET       ``/metrics``            Prometheus text exposition
 ========  ======================  =========================================
 
-Keys are validated against :data:`repro.service.remotecache.KEY_RE`
-*before* they reach the store — a traversal-shaped key (``..``,
-separators, a leading dot) is a 400, never a filesystem path.  GET bodies
+Keys are validated against :data:`repro.service.cache.KEY_RE`, the one
+key check every store uses, *before* they reach the store — a
+traversal-shaped key (``..``, separators, a leading dot) is a 400, never
+a filesystem path.  GET bodies
 are re-encoded through :func:`canonical_json_bytes`, so every reader of a
 key receives byte-identical payloads regardless of which writer stored
 it.  Store I/O runs via ``asyncio.to_thread`` so a slow disk never stalls
@@ -41,7 +42,7 @@ from typing import Optional
 
 from ..obs import metrics as obs_metrics
 from ..serialize.jsonutil import canonical_json_bytes
-from ..service.remotecache import valid_key
+from ..service.cache import valid_key
 from ..service.shardcache import DiskCacheStore
 from .http import HTTPApp, Request, Response, Router
 
@@ -62,8 +63,6 @@ class CacheServeConfig:
     cache_dir: str
     host: str = "127.0.0.1"
     port: int = 8078  # 0 = ephemeral (tests read the bound port back)
-    depth: Optional[int] = None
-    width: Optional[int] = None
     #: Largest single entry accepted on PUT; oversized bodies get 413.
     max_entry_bytes: int = 16 * 1024 * 1024
 
@@ -83,9 +82,7 @@ class CacheServeApp(HTTPApp):
     ) -> None:
         super().__init__(config, drain_token)
         self.max_body = config.max_entry_bytes
-        self.store = store if store is not None else DiskCacheStore(
-            config.cache_dir, depth=config.depth, width=config.width
-        )
+        self.store = store if store is not None else DiskCacheStore(config.cache_dir)
 
     def _listening_detail(self) -> str:
         return f"cache {self.config.cache_dir}"

@@ -1,8 +1,12 @@
 """Batch compilation service: caching, parallel workers, CLI.
 
 This subpackage is the serving layer over the compilers: a
-content-addressed compilation cache (:mod:`repro.service.cache`, with its
-sharded, prunable disk tier in :mod:`repro.service.shardcache`), one
+content-addressed compilation cache (:mod:`repro.service.cache`: the
+store protocol, the memory tier, the memory → disk → remote fall-through
+and the one ``open_cache(spec)`` builder; its disk tier in
+:mod:`repro.service.shardcache`, its remote tier in
+:mod:`repro.service.remotecache` — each lower tier gates itself on its
+own circuit breaker and degrades to misses instead of raising), one
 execution backend whose worker count picks inline vs process-pool runs
 (:mod:`repro.service.executor`), a parallel batch compiler
 (:class:`CompilationService`) whose jobs carry
@@ -23,8 +27,8 @@ from repro.service.cache import (
     TieredCache,
     compilation_cache_key,
     open_cache,
+    parse_spec,
 )
-from repro.service.cachespec import cache_from_spec, is_remote_spec, parse_spec
 from repro.service.executor import Executor, default_worker_count
 from repro.service.journal import BatchJournal, load_journal
 from repro.service.resilience import (
@@ -52,9 +56,7 @@ __all__ = [
     "RemoteCacheStore",
     "RemoteCacheUnavailable",
     "TieredCache",
-    "cache_from_spec",
     "compilation_cache_key",
-    "is_remote_spec",
     "open_cache",
     "parse_spec",
     "CompilationJob",

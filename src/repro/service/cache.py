@@ -8,8 +8,8 @@ store satisfies the :class:`CacheStore` protocol — the uniform
 ``stats`` counter block — so callers never special-case tiers:
 
 * :class:`MemoryCacheStore` — a thread-safe in-process dict.
-* :class:`repro.service.shardcache.DiskCacheStore` — one ``<key>.json``
-  file per entry under sharded subdirectories, with atomic writes so
+* :class:`repro.service.shardcache.DiskCacheStore` — one
+  ``root/<key[:2]>/<key>.json`` file per entry, with atomic writes so
   concurrent workers can share a cache directory, quarantine of corrupt
   entries, and LRU pruning.
 * :class:`repro.service.remotecache.RemoteCacheStore` — a ``phoenix cache
@@ -18,24 +18,24 @@ store satisfies the :class:`CacheStore` protocol — the uniform
   remote; lower-tier hits are promoted toward memory, writes fan out
   best-effort to every tier.
 
-Stores are built from URL-style *specs* by
-:func:`repro.service.cachespec.cache_from_spec` (``memory:``,
-``disk:/path?depth=2``, ``http://host:port``, comma-composed tiers);
-:func:`open_cache` is the one-call entry point.
-
-All stores count hits and misses (:attr:`CacheStats`).
+:func:`open_cache` is the one builder: it turns a URL-style *spec*
+(parsed by :func:`parse_spec`) into a :class:`TieredCache`.  Every key is
+checked against :data:`KEY_RE` by every store and by the cache server.
 
 **Tiers degrade, they do not raise.**  A cache is an accelerator: no I/O
-failure on the read or write path may take a compilation down.  The disk
-store turns corrupt entries and I/O errors into logged misses (see
-:mod:`repro.service.shardcache`) and feeds an optional
-:class:`~repro.service.resilience.CircuitBreaker`; while the breaker is
-open, :class:`TieredCache` stops touching the disk tier entirely and
-serves memory-only until the half-open probe succeeds.
+failure on the read or write path may take a compilation down.  Each
+lower tier carries one contract: it turns I/O failures into logged,
+counted misses or dropped writes, feeds its own optional
+:class:`~repro.service.resilience.CircuitBreaker`, and while that breaker
+is open answers ``get`` with a miss and drops ``put`` without touching
+its backend (counting ``repro_cache_degraded_ops_total`` or
+``repro_remote_cache_degraded_ops_total``).  :class:`TieredCache` is
+therefore a plain fall-through with no breaker logic of its own.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from dataclasses import dataclass
 from typing import (
@@ -43,17 +43,36 @@ from typing import (
     Any,
     Dict,
     Iterator,
+    List,
     Optional,
     Protocol,
     runtime_checkable,
 )
+from urllib.parse import parse_qs, urlsplit
 
-from repro.obs import metrics as obs_metrics
 from repro.paulis.fingerprint import ProgramLike, program_fingerprint
 from repro.service.resilience import CircuitBreaker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.service.shardcache import DiskCacheStore
+
+#: Keys every store accepts: fingerprint-style tokens only.  The pattern
+#: forbids a leading dot and any separator, so ``.``/``..``/``..escape``
+#: (and anything else that could leave a cache root) is rejected before
+#: it reaches a filesystem path or the wire.
+KEY_RE = re.compile(r"^[A-Za-z0-9_-][A-Za-z0-9._-]{0,511}\Z")
+
+
+def valid_key(key: str) -> bool:
+    """True when ``key`` is acceptable to every store (disk and wire)."""
+    return bool(KEY_RE.match(key))
+
+
+def check_key(key: str) -> str:
+    """``key`` itself, or :class:`ValueError` when it is invalid (a caller bug)."""
+    if not valid_key(key):
+        raise ValueError(f"invalid cache key {key!r}")
+    return key
 
 
 def compilation_cache_key(
@@ -220,70 +239,45 @@ class TieredCache:
     Reads fall through memory → disk → remote; a hit in a lower tier is
     **promoted toward memory** (a remote hit is also written to disk, so
     the next process on this machine never pays the network again).
-    Writes fan out **best-effort** to every tier — a tier that cannot
-    persist (open breaker, I/O failure) is simply skipped.
+    Writes fan out **best-effort** to every tier.  A memory hit touches
+    the disk entry so LRU pruning sees the access.
 
-    With a ``breaker``, every disk access first asks
-    :meth:`~repro.service.resilience.CircuitBreaker.allow`; while the
-    breaker is open the cache skips the disk tier — reads fall through
-    to the remote tier (if any), writes land in the surviving tiers —
-    and recovers on its own once the half-open probe sees a healthy disk
-    again.  The remote tier carries its *own* breaker (inside
-    :class:`~repro.service.remotecache.RemoteCacheStore`) under the same
-    contract: while open, the tiered cache effectively serves
-    memory+disk only.
+    There is no breaker logic here: each lower tier gates itself on its
+    own breaker and answers misses/drops while it is open, so a degraded
+    disk tier is skipped (and never touched) and a degraded remote tier
+    leaves a memory+disk cache.  The tiers are read from the attributes
+    at call time, so they may be swapped (e.g. for timing wrappers).
     """
 
     def __init__(
         self,
         memory: Optional[MemoryCacheStore] = None,
         disk: Optional[DiskCacheStore] = None,
-        breaker: Optional[CircuitBreaker] = None,
-        remote: Optional["CacheStore"] = None,
+        remote: Optional[CacheStore] = None,
     ):
         self.memory = memory if memory is not None else MemoryCacheStore()
         self.disk = disk
-        self.breaker = breaker
         self.remote = remote
-        if breaker is not None and disk is not None and disk.breaker is None:
-            disk.breaker = breaker  # store outcomes feed the shared breaker
         self.stats = CacheStats()
 
-    def _disk_ready(self) -> bool:
-        if self.disk is None:
-            return False
-        if self.breaker is None:
-            return True
-        if self.breaker.allow():
-            return True
-        obs_metrics.counter("repro_cache_degraded_ops_total").inc()
-        return False
+    def _lower_tiers(self) -> List[CacheStore]:
+        tiers: List[Optional[CacheStore]] = [self.disk, self.remote]
+        return [tier for tier in tiers if tier is not None]
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         value = self.memory.get(key)
-        if value is None:
-            if self._disk_ready():
+        if value is not None:
+            if self.disk is not None:
+                self.disk.touch(key)
+        else:
+            if self.disk is not None:
                 value = self.disk.get(key)
-                if value is not None:
-                    self.memory.put(key, value)
             if value is None and self.remote is not None:
-                # The remote store absorbs every network failure as a
-                # miss behind its own breaker, so this never raises.
                 value = self.remote.get(key)
-                if value is not None:
-                    # Promote downward: memory for this process, disk so
-                    # the next process on this machine skips the network.
-                    self.memory.put(key, value)
-                    if self._disk_ready():
-                        self.disk.put(key, value)
-        elif self.disk is not None:
-            # A memory hit must still register as disk access, or LRU
-            # pruning would evict the hottest entries of a long-lived
-            # service (their disk mtime would never move again after
-            # promotion).  Stores without access tracking skip this.
-            touch = getattr(self.disk, "touch", None)
-            if touch is not None:
-                touch(key)
+                if value is not None and self.disk is not None:
+                    self.disk.put(key, value)
+            if value is not None:
+                self.memory.put(key, value)
         if value is None:
             self.stats.misses += 1
         else:
@@ -292,111 +286,193 @@ class TieredCache:
 
     def put(self, key: str, value: Dict[str, Any]) -> None:
         self.memory.put(key, value)
-        if self._disk_ready():
-            self.disk.put(key, value)
-        if self.remote is not None:
-            self.remote.put(key, value)  # best-effort; degrades to a drop
+        for tier in self._lower_tiers():
+            tier.put(key, value)
         self.stats.puts += 1
 
     def delete(self, key: str) -> bool:
         deleted = self.memory.delete(key)
-        if self.disk is not None:
-            deleted = self.disk.delete(key) or deleted
-        if self.remote is not None:
-            deleted = self.remote.delete(key) or deleted
+        for tier in self._lower_tiers():
+            deleted = tier.delete(key) or deleted
         return deleted
 
     def keys(self) -> Iterator[str]:
         seen = set(self.memory.keys())
         yield from seen
-        if self.disk is not None:
-            for key in self.disk.keys():
+        for tier in self._lower_tiers():
+            for key in tier.keys():
                 if key not in seen:
                     seen.add(key)
-                    yield key
-        if self.remote is not None:
-            for key in self.remote.keys():
-                if key not in seen:
                     yield key
 
     def clear(self) -> int:
         count = self.memory.clear()
-        if self.disk is not None:
-            count = max(count, self.disk.clear())
-        if self.remote is not None:
-            count = max(count, self.remote.clear())
+        for tier in self._lower_tiers():
+            count = max(count, tier.clear())
         return count
 
     def __len__(self) -> int:
         return sum(1 for _ in self.keys())
 
     def __contains__(self, key: str) -> bool:
-        if key in self.memory:
-            return True
-        if self.disk is not None and key in self.disk:
-            return True
-        return self.remote is not None and key in self.remote
+        return key in self.memory or any(key in tier for tier in self._lower_tiers())
+
+    @property
+    def breaker(self) -> Optional[CircuitBreaker]:
+        """The disk tier's own breaker (read-only view), if it has one."""
+        return self.disk.breaker if self.disk is not None else None
 
     @property
     def degraded(self) -> bool:
         """True while the disk tier is being skipped (breaker not closed)."""
-        return (
-            self.disk is not None
-            and self.breaker is not None
-            and self.breaker.state != "closed"
-        )
+        return self.breaker is not None and self.breaker.state != "closed"
 
     def usage(self) -> Dict[str, Any]:
         """One combined accounting view across all tiers.
 
         Ops surfaces (``/v1/stats``, dashboards) read this instead of
-        poking tier internals: memory entry counts, the disk store's own
-        ``usage()`` (shard layout, bytes, mtimes) when it has one, the
-        remote store's own accounting when one is attached, the
-        degraded-mode flag, and the tier-level hit/miss counters.
+        poking tier internals: memory entry counts, the disk and remote
+        stores' own ``usage()``, the degraded-mode flag and disk breaker
+        state, and the tier-level hit/miss counters.
         """
-        disk_usage: Optional[Dict[str, Any]] = None
-        if self.disk is not None:
-            reporter = getattr(self.disk, "usage", None)
-            if callable(reporter):
-                disk_usage = reporter()
-            else:  # any store can sit in the disk slot; degrade gracefully
-                disk_usage = {"entries": len(self.disk)}
-        remote_usage: Optional[Dict[str, Any]] = None
-        if self.remote is not None:
-            remote_usage = self.remote.usage()
         usage = {
             "memory": self.memory.usage(),
-            "disk": disk_usage,
+            "disk": self.disk.usage() if self.disk is not None else None,
             "degraded": self.degraded,
             "breaker": self.breaker.state if self.breaker is not None else None,
             "session": self.stats.as_dict(),
         }
-        if remote_usage is not None:
-            usage["remote"] = remote_usage
+        if self.remote is not None:
+            usage["remote"] = self.remote.usage()
         return usage
 
     def close(self) -> None:
         """Release every tier's resources (idempotent)."""
         self.memory.close()
-        if self.disk is not None:
-            self.disk.close()
-        if self.remote is not None:
-            self.remote.close()
+        for tier in self._lower_tiers():
+            tier.close()
+
+
+@dataclass(frozen=True)
+class CacheSpec:
+    """The parsed tiers of one spec string."""
+
+    memory_only: bool = False
+    disk_path: Optional[str] = None
+    remote_url: Optional[str] = None
+    remote_timeout: Optional[float] = None
+
+    @property
+    def has_disk(self) -> bool:
+        return self.disk_path is not None
+
+    @property
+    def has_remote(self) -> bool:
+        return self.remote_url is not None
+
+
+def parse_spec(spec: str) -> CacheSpec:
+    """Parse a cache spec; raises :class:`ValueError` on a bad one.
+
+    A *spec* names a tier, or a comma-separated composition of tiers:
+
+    * ``memory:`` (or just ``memory``) — the in-process tier only,
+    * ``disk:/path`` — a disk cache in that directory (its shard layout
+      is fixed, so a query such as ``?depth=2`` is an error),
+    * ``http://host:port`` / ``https://host:port`` — a ``phoenix cache
+      serve`` instance, with an optional ``?timeout=2.0`` per-request
+      network timeout,
+    * ``disk:/path,http://host:port`` — tiers composed memory → disk →
+      remote (order of parts is free; at most one disk and one remote).
+
+    A part without a scheme (a bare directory path) is an error: write
+    ``disk:PATH``.  Validates the grammar without touching the filesystem
+    or the network, so ``phoenix cache`` can route on what a spec names.
+    """
+    parts: List[str] = [part.strip() for part in str(spec).split(",") if part.strip()]
+    if not parts:
+        raise ValueError(f"empty cache spec {spec!r}")
+
+    memory_only = False
+    disk_path: Optional[str] = None
+    remote_url: Optional[str] = None
+    remote_timeout: Optional[float] = None
+    for part in parts:
+        split = urlsplit(part)
+        scheme = split.scheme.lower()
+        if part in ("memory", "memory:") or scheme == "memory":
+            memory_only = True
+        elif scheme in ("http", "https"):
+            if remote_url is not None:
+                raise ValueError(f"cache spec {spec!r} names two remote tiers")
+            params = parse_qs(split.query)
+            if "timeout" in params:
+                try:
+                    remote_timeout = float(params["timeout"][0])
+                except ValueError:
+                    raise ValueError(
+                        f"cache spec {spec!r}: timeout must be a number"
+                    ) from None
+            remote_url = split._replace(query="", fragment="").geturl()
+        elif scheme == "disk":
+            if disk_path is not None:
+                raise ValueError(f"cache spec {spec!r} names two disk tiers")
+            # urlsplit keeps everything after "disk:" in .path; split an
+            # explicit query off by hand so query-less paths with unusual
+            # characters survive untouched.
+            path, query_mark, _ = part[len("disk:"):].partition("?")
+            if not path:
+                raise ValueError(f"cache spec {spec!r} has an empty disk path")
+            if query_mark:
+                raise ValueError(
+                    f"cache spec {spec!r}: a disk tier takes no query; the shard "
+                    "layout is fixed (root/<key[:2]>/<key>.json)"
+                )
+            disk_path = path
+        elif not scheme:
+            raise ValueError(
+                f"cache spec {spec!r}: {part!r} has no scheme; write "
+                f"disk:{part} for a disk cache in that directory"
+            )
+        else:
+            raise ValueError(
+                f"cache spec {spec!r}: unknown scheme {scheme!r} "
+                "(expected memory:, disk:/path, or http://host:port)"
+            )
+    return CacheSpec(
+        memory_only=memory_only,
+        disk_path=disk_path,
+        remote_url=remote_url,
+        remote_timeout=remote_timeout,
+    )
 
 
 def open_cache(spec: Optional[str] = None) -> TieredCache:
-    """The tiered cache a spec names; ``None`` is a memory-only cache.
+    """The tiered cache a spec names (see :func:`parse_spec`).
 
-    Specs are parsed by :func:`repro.service.cachespec.cache_from_spec`:
-    ``memory:``, ``disk:/path?depth=2&width=16``, ``http://host:port``, or
-    a comma-composed tier list.  A disk tier is guarded by a default
-    breaker: repeated I/O failures open it and the cache degrades until
-    the disk recovers.
+    ``None`` is a memory-only cache.  A disk tier gets its own circuit
+    breaker, so repeated I/O failures degrade the cache until the disk
+    recovers; the remote tier carries its own inside
+    :class:`~repro.service.remotecache.RemoteCacheStore`, with a 2 s
+    default request timeout.
     """
     if spec is None:
-        return TieredCache(disk=None)
-    # Imported here: cachespec builds the stores this module defines.
-    from repro.service.cachespec import cache_from_spec
+        return TieredCache()
+    # Imported here: both tier modules import this one.
+    from repro.service.remotecache import RemoteCacheStore
+    from repro.service.shardcache import DiskCacheStore
 
-    return cache_from_spec(spec)
+    parsed = parse_spec(spec)
+    disk: Optional[DiskCacheStore] = None
+    remote: Optional[RemoteCacheStore] = None
+    if parsed.disk_path is not None:
+        disk = DiskCacheStore(
+            parsed.disk_path,
+            breaker=CircuitBreaker("cache.disk", window=16, cooldown=15.0),
+        )
+    if parsed.remote_url is not None:
+        timeout = parsed.remote_timeout
+        remote = RemoteCacheStore(
+            parsed.remote_url, timeout=2.0 if timeout is None else timeout
+        )
+    return TieredCache(disk=disk, remote=remote)

@@ -68,7 +68,7 @@ from repro.serialize.results import (
     terms_to_dict,
     workload_to_dict,
 )
-from repro.service.cache import open_cache
+from repro.service.cache import open_cache, parse_spec
 from repro.service.journal import BatchJournal
 from repro.service.resilience import shutdown_guard
 from repro.service.service import (
@@ -204,7 +204,7 @@ def _add_compiler_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="routing seed (default: 0)")
     parser.add_argument(
         "--cache", default=None, metavar="SPEC",
-        help="result cache spec: memory:, disk:/path?depth=2&width=16, "
+        help="result cache spec: memory:, disk:/path, "
              "http://host:port (a phoenix cache serve instance), or a "
              "comma-composed tier list, e.g. disk:/path,http://host:port "
              "(default: memory only)",
@@ -518,8 +518,6 @@ def _cmd_cache_serve(args: argparse.Namespace, spec) -> int:
         cache_dir=spec.disk_path,
         host=args.host,
         port=args.port,
-        depth=spec.disk_depth,
-        width=spec.disk_width,
     )
     return run_cache_serve(config)
 
@@ -569,8 +567,6 @@ def _cmd_cache_remote(args: argparse.Namespace, spec) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.service.cachespec import parse_spec
-
     target = args.cache
     if target is None:
         sys.stderr.write("error: provide --cache SPEC\n")
@@ -598,7 +594,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     if not Path(cache_dir).is_dir():
         sys.stderr.write(f"error: no cache directory at {cache_dir!r}\n")
         return 2
-    store = DiskCacheStore(cache_dir, depth=spec.disk_depth, width=spec.disk_width)
+    store = DiskCacheStore(cache_dir)
     if args.action == "info":
         usage = store.usage()
         print(f"cache: {cache_dir}")
@@ -607,7 +603,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     elif args.action == "stats":
         usage = store.usage()
         print(f"cache: {cache_dir}")
-        print(f"layout: depth={usage['depth']} width={usage['width']}")
         print(f"entries: {usage['entries']}")
         print(f"size_bytes: {usage['total_bytes']}")
         print(f"shards: {usage['shards']}")
@@ -874,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache_parser.add_argument(
         "--cache", default=None, metavar="SPEC",
-        help="cache spec: disk:/path?depth=2&width=16 or http://host:port "
+        help="cache spec: disk:/path or http://host:port "
              "(stats/info/ls/clear work against a server; prune/doctor are "
              "local-only)",
     )

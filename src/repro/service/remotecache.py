@@ -9,8 +9,8 @@
 * ``GET /v1/keys`` — ``{"keys": [...]}``,
 * ``GET /v1/stats`` — the server store's ``usage()`` view.
 
-**The remote tier degrades, it does not raise** — the same contract the
-disk tier honours (see :mod:`repro.service.cache`).  A network failure on
+**The remote tier degrades, it does not raise** — the one contract every
+lower tier honours (see :mod:`repro.service.cache`).  A network failure on
 the read path is a logged+counted **miss**; on the write path, a dropped
 write.  Every request outcome feeds the store's own
 :class:`~repro.service.resilience.CircuitBreaker`; while it is open the
@@ -30,7 +30,6 @@ from __future__ import annotations
 import http.client
 import json
 import logging
-import re
 import threading
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import urlsplit
@@ -38,31 +37,15 @@ from urllib.parse import urlsplit
 from repro.obs import metrics as obs_metrics
 from repro.serialize.jsonutil import canonical_json_bytes
 from repro.service import faultlab
-from repro.service.cache import CacheStats
+from repro.service.cache import CacheStats, check_key
 from repro.service.resilience import CircuitBreaker
 
 logger = logging.getLogger(__name__)
 
-__all__ = [
-    "KEY_RE",
-    "RemoteCacheStore",
-    "RemoteCacheUnavailable",
-    "valid_key",
-]
-
-#: Keys the wire protocol accepts: fingerprint-style tokens only.  The
-#: pattern forbids a leading dot, so ``.``/``..`` (and anything else that
-#: could traverse out of a server-side cache root) is rejected before it
-#: reaches a filesystem path.  Shared by client and server.
-KEY_RE = re.compile(r"^[A-Za-z0-9_-][A-Za-z0-9._-]{0,511}\Z")
+__all__ = ["RemoteCacheStore", "RemoteCacheUnavailable"]
 
 #: Exceptions the degradation contract absorbs on the request path.
 _ABSORBED = (OSError, http.client.HTTPException, faultlab.InjectedFault)
-
-
-def valid_key(key: str) -> bool:
-    """True when ``key`` is acceptable on the wire (and on a disk)."""
-    return bool(KEY_RE.match(key))
 
 
 class RemoteCacheUnavailable(RuntimeError):
@@ -189,14 +172,9 @@ class RemoteCacheStore:
             exc,
         )
 
-    def _check_key(self, key: str) -> str:
-        if not valid_key(key):
-            raise ValueError(f"invalid cache key {key!r}")
-        return key
-
     # -- CacheStore surface ----------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        self._check_key(key)
+        check_key(key)
         if not self._allow("get"):
             self.stats.misses += 1
             return None
@@ -224,7 +202,7 @@ class RemoteCacheStore:
         return None
 
     def put(self, key: str, value: Dict[str, Any]) -> None:
-        self._check_key(key)
+        check_key(key)
         if not self._allow("put"):
             return
         try:
@@ -239,7 +217,7 @@ class RemoteCacheStore:
             self._absorb("put", key, exc)
 
     def delete(self, key: str) -> bool:
-        self._check_key(key)
+        check_key(key)
         if not self._allow("delete"):
             return False
         try:
@@ -278,7 +256,7 @@ class RemoteCacheStore:
         return sum(1 for _ in self.keys())
 
     def __contains__(self, key: str) -> bool:
-        self._check_key(key)
+        check_key(key)
         return any(existing == key for existing in self.keys())
 
     def fetch_stats(self) -> Dict[str, Any]:

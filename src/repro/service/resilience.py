@@ -15,8 +15,8 @@ and the CLI share:
   While open, all calls are refused until ``cooldown`` seconds pass; the
   first call afterwards is admitted as the **single half-open probe** —
   its outcome closes or re-opens the breaker.  The executor trips one to
-  run batches inline instead of over a broken process pool; the tiered
-  cache trips one to degrade disk -> memory-only.
+  run batches inline instead of over a broken process pool; the disk and
+  remote cache tiers each gate themselves on one and answer misses.
 * :class:`shutdown_guard` — a SIGINT/SIGTERM handler that sets a
   :class:`threading.Event` cancel token instead of raising, so batches
   drain in-flight jobs and persist their journal before exiting; a second

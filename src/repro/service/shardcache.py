@@ -3,13 +3,10 @@
 :class:`DiskCacheStore` keeps one JSON file per entry and satisfies the
 :class:`~repro.service.cache.CacheStore` protocol:
 
-* a configurable shard fan-out — keys land in
-  ``root/<k[:w]>/<k[w:2w]>/.../<key>.json`` for ``depth`` levels of
-  ``width`` hex characters.  The default ``depth=1, width=2`` layout is
-  ``root/<k[:2]>/<key>.json``, so cache directories written before the
-  layout became configurable resolve unchanged;
-* a layout marker (``shard-layout.json``) written into the cache root so
-  reopening never silently mis-shards an existing directory;
+* one fixed layout, ``root/<key[:2]>/<key>.json``.  A directory carrying
+  a ``shard-layout.json`` marker (written by older releases) that is
+  unreadable or records any other fan-out is refused at open with a
+  :class:`ValueError`, never silently mis-sharded;
 * atomic temp-file + rename writes through the canonical JSON encoder, so
   any number of worker processes can share one directory and concurrent
   writers of one key produce byte-identical files;
@@ -17,8 +14,11 @@
   **quarantined** into a ``corrupt/`` sidecar (``repro_cache_quarantined_total``)
   that :meth:`DiskCacheStore.doctor` can inspect, restore, or purge; an
   I/O error is a logged miss or dropped write (``repro_cache_io_errors_total``);
-  every outcome optionally feeds a
-  :class:`~repro.service.resilience.CircuitBreaker`;
+* an optional :class:`~repro.service.resilience.CircuitBreaker` fed by
+  every outcome and gating the store itself: a ``get``/``put`` the
+  breaker refuses is a miss/dropped write that never touches the disk
+  (``repro_cache_degraded_ops_total``), and ``touch`` runs only while the
+  breaker is closed;
 * access-time tracking (hits bump the entry mtime) feeding
   :meth:`~DiskCacheStore.prune` — LRU-by-mtime eviction to a byte budget
   and/or a maximum entry age, tolerant of concurrent writers and pruners;
@@ -26,8 +26,9 @@
 * :meth:`~DiskCacheStore.usage` — entry/byte/shard accounting for
   ``phoenix cache stats``.
 
-Only :class:`ValueError` from key validation raises — an invalid key is a
-caller bug, not an infrastructure failure.
+Only :class:`ValueError` from key validation (and from a foreign layout
+marker at open) raises — an invalid key is a caller bug, not an
+infrastructure failure.
 """
 
 from __future__ import annotations
@@ -44,13 +45,19 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 from repro.obs import metrics as obs_metrics
 from repro.serialize.jsonutil import canonical_json
 from repro.service import faultlab
-from repro.service.cache import CacheStats
+from repro.service.cache import CacheStats, check_key
 from repro.service.resilience import CircuitBreaker
 
 logger = logging.getLogger(__name__)
 
-#: Name of the layout marker file kept in the cache root.
+#: The layout marker older releases wrote into the cache root.
 LAYOUT_FILE = "shard-layout.json"
+
+#: The one shard layout (``root/<key[:2]>/<key>.json``), as a marker records it.
+LAYOUT = {"depth": 1, "width": 2}
+
+#: Entry files under the root (the quarantine sidecar matches too; see _is_live).
+ENTRY_GLOB = "*/*.json"
 
 #: Sidecar directory (under the cache root) holding quarantined entries.
 QUARANTINE_DIRNAME = "corrupt"
@@ -108,92 +115,56 @@ class DiskCacheStore:
     """One JSON file per entry under a sharded root; see the module docstring."""
 
     def __init__(
-        self,
-        root: Union[str, Path],
-        depth: Optional[int] = None,
-        width: Optional[int] = None,
-        touch_on_hit: bool = True,
+        self, root: Union[str, Path], breaker: Optional[CircuitBreaker] = None
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._check_layout()
         self.stats = CacheStats()
-        #: Optional :class:`CircuitBreaker` fed by every disk outcome;
-        #: :class:`~repro.service.cache.TieredCache` consults it to degrade
-        #: to memory-only.
-        self.breaker: Optional[CircuitBreaker] = None
-        self.depth, self.width = self._load_layout(depth, width)
-        self.touch_on_hit = touch_on_hit
+        #: Optional breaker fed by every disk outcome and gating get/put.
+        self.breaker = breaker
 
-    # -- layout ---------------------------------------------------------
-    def _load_layout(
-        self, depth: Optional[int], width: Optional[int]
-    ) -> Tuple[int, int]:
-        """Reconcile requested fan-out with the directory's marker file.
+    def _check_layout(self) -> None:
+        """Refuse a directory whose marker records a layout we cannot read.
 
-        An unmarked directory (fresh, or written before the marker existed)
-        is the ``depth=1, width=2`` layout unless told otherwise; explicit
-        arguments that contradict an existing marker are an error, not a
-        silent re-shard — and so is a marker that exists but cannot be
-        parsed, since guessing a layout would orphan every existing entry.
+        Guessing would orphan every existing entry from ``keys``/``prune``/
+        ``doctor``, so an unreadable or foreign marker fails loudly.
         """
         marker = self.root / LAYOUT_FILE
-        recorded: Optional[Dict[str, int]] = None
         try:
-            data = json.loads(marker.read_text(encoding="utf-8"))
-            recorded = {"depth": int(data["depth"]), "width": int(data["width"])}
+            recorded = json.loads(marker.read_text(encoding="utf-8"))
         except FileNotFoundError:
-            recorded = None
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            return
+        except (OSError, ValueError) as exc:
             raise ValueError(
                 f"unreadable shard layout marker {marker}: {exc}; refusing to "
-                "guess the fan-out of an existing cache (delete the marker to "
-                "re-adopt the directory at an explicit depth/width)"
+                "guess the fan-out of an existing cache"
             ) from exc
-        if recorded is not None:
-            for name, requested in (("depth", depth), ("width", width)):
-                if requested is not None and int(requested) != recorded[name]:
-                    raise ValueError(
-                        f"cache at {self.root} is sharded with "
-                        f"{name}={recorded[name]}, not {name}={requested}"
-                    )
-            return recorded["depth"], recorded["width"]
-        resolved = (1 if depth is None else int(depth), 2 if width is None else int(width))
-        if resolved[0] < 1 or resolved[1] < 1:
-            raise ValueError(f"shard depth/width must be >= 1, got {resolved}")
-        try:
-            self._atomic_write(
-                marker, canonical_json({"depth": resolved[0], "width": resolved[1]})
+        if recorded != LAYOUT:
+            raise ValueError(
+                f"cache at {self.root} is sharded as {recorded}, not the fixed "
+                "depth=1, width=2 layout (root/<key[:2]>/<key>.json)"
             )
-        except OSError:  # pragma: no cover - read-only cache directory
-            pass
-        return resolved
-
-    @property
-    def _entry_glob(self) -> str:
-        return "/".join(["*"] * self.depth) + "/*.json"
 
     @property
     def quarantine_dir(self) -> Path:
         return self.root / QUARANTINE_DIRNAME
 
     def _path(self, key: str) -> Path:
-        if not key or any(ch in key for ch in "/\\"):
-            raise ValueError(f"invalid cache key {key!r}")
-        if len(key) < self.depth * self.width:
-            raise ValueError(
-                f"cache key {key!r} is too short for a depth={self.depth}, "
-                f"width={self.width} shard layout"
-            )
-        shard = self.root
-        for level in range(self.depth):
-            shard = shard / key[level * self.width : (level + 1) * self.width]
-        return shard / f"{key}.json"
+        return self.root / check_key(key)[:2] / f"{key}.json"
 
     def _is_live(self, path: Path) -> bool:
         """Entry files only — never the quarantine sidecar's contents."""
         return self.quarantine_dir not in path.parents
 
     # -- degradation helpers --------------------------------------------
+    def _allow(self) -> bool:
+        """May the disk be touched?  A refusal is counted as degraded."""
+        if self.breaker is None or self.breaker.allow():
+            return True
+        obs_metrics.counter("repro_cache_degraded_ops_total").inc()
+        return False
+
     def _disk_outcome(self, ok: bool) -> None:
         if self.breaker is not None:
             if ok:
@@ -235,9 +206,11 @@ class DiskCacheStore:
         Called on every direct hit, and by
         :class:`~repro.service.cache.TieredCache` when its memory tier
         absorbs a hit that would otherwise leave the disk entry looking
-        cold.
+        cold.  Skipped unless the breaker is closed; it reads the state
+        rather than calling ``allow()``, so it never takes the half-open
+        probe that a real ``get``/``put`` needs to close the breaker.
         """
-        if not self.touch_on_hit:
+        if self.breaker is not None and self.breaker.state != "closed":
             return
         try:
             os.utime(self._path(key))
@@ -246,6 +219,9 @@ class DiskCacheStore:
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         path = self._path(key)
+        if not self._allow():
+            self.stats.misses += 1
+            return None
         try:
             faultlab.fire("cache.get", key=key)
             with path.open("r", encoding="utf-8") as handle:
@@ -285,6 +261,8 @@ class DiskCacheStore:
 
     def put(self, key: str, value: Dict[str, Any]) -> None:
         path = self._path(key)  # invalid keys still raise: caller bug
+        if not self._allow():
+            return
         try:
             faultlab.fire("cache.put", key=key)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -307,13 +285,13 @@ class DiskCacheStore:
             return False
 
     def keys(self) -> Iterator[str]:
-        for path in sorted(self.root.glob(self._entry_glob)):
+        for path in sorted(self.root.glob(ENTRY_GLOB)):
             if self._is_live(path):
                 yield path.stem
 
     def clear(self) -> int:
         count = 0
-        for path in self.root.glob(self._entry_glob):
+        for path in self.root.glob(ENTRY_GLOB):
             if not self._is_live(path):
                 continue
             try:
@@ -336,7 +314,7 @@ class DiskCacheStore:
     def _entries(self) -> List[Tuple[Path, float, int]]:
         """(path, mtime, size) per entry; entries racing away are skipped."""
         entries = []
-        for path in self.root.glob(self._entry_glob):
+        for path in self.root.glob(ENTRY_GLOB):
             if not self._is_live(path):
                 continue
             try:
@@ -356,8 +334,7 @@ class DiskCacheStore:
         mtimes = [mtime for _, mtime, _ in entries]
         return {
             "root": str(self.root),
-            "depth": self.depth,
-            "width": self.width,
+            **LAYOUT,
             "entries": len(entries),
             "total_bytes": sum(size for _, _, size in entries),
             "shards": len(per_shard),
@@ -379,8 +356,7 @@ class DiskCacheStore:
         also sweeps temp files orphaned by crashed writers."""
         now = time.time() if now is None else now
         removed_tmp = 0
-        tmp_glob = "/".join(["*"] * self.depth) + "/*.tmp"
-        for tmp in self.root.glob(tmp_glob):
+        for tmp in self.root.glob("*/*.tmp"):
             try:
                 if now - tmp.stat().st_mtime > STALE_TMP_SECONDS:
                     tmp.unlink()
@@ -449,14 +425,12 @@ class DiskCacheStore:
 
     def _sweep_empty_shards(self) -> None:
         """Drop now-empty shard directories; racing writers recreate them."""
-        levels = ["/".join(["*"] * level) for level in range(self.depth, 0, -1)]
-        for pattern in levels:
-            for shard in self.root.glob(pattern):
-                if shard.is_dir():
-                    try:
-                        shard.rmdir()  # only succeeds when empty
-                    except OSError:
-                        pass
+        for shard in self.root.glob("*"):
+            if shard.is_dir():
+                try:
+                    shard.rmdir()  # only succeeds when empty
+                except OSError:
+                    pass
 
     # -- doctor ----------------------------------------------------------
     @staticmethod

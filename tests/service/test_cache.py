@@ -175,9 +175,9 @@ class TestDegradation:
             "cache.disk", window=4, failure_threshold=0.5, min_calls=2,
             cooldown=3600.0,
         )
-        disk = DiskCacheStore(tmp_path / "cache")
+        disk = DiskCacheStore(tmp_path / "cache", breaker=breaker)
         disk.put("cold", self.PAYLOAD)
-        tiered = TieredCache(disk=disk, breaker=breaker)
+        tiered = TieredCache(disk=disk)
         tiered.put("warm", self.PAYLOAD)
 
         breaker.record_failure()
@@ -188,6 +188,7 @@ class TestDegradation:
         assert tiered.get("cold") is None  # disk-only entry: degraded miss
         tiered.put("new", self.PAYLOAD)
         assert disk.get("new") is None  # write never reached the disk tier
+        assert "new" not in disk
         assert tiered.get("new") == self.PAYLOAD
 
     def test_doctor_quarantines_and_purges(self, tmp_path):
@@ -234,8 +235,10 @@ class TestUsage:
 
         tiered = TieredCache(
             memory=MemoryCacheStore(max_entries=8),
-            disk=DiskCacheStore(tmp_path / "cache"),
-            breaker=CircuitBreaker("cache.test", min_calls=1, failure_threshold=0.1),
+            disk=DiskCacheStore(
+                tmp_path / "cache",
+                breaker=CircuitBreaker("cache.test", min_calls=1, failure_threshold=0.1),
+            ),
         )
         tiered.put("k1", {"v": 1})
         usage = tiered.usage()

@@ -1,20 +1,22 @@
 """The ``--cache`` spec grammar and the CacheStore protocol contract."""
 
+import os
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+from repro.obs import metrics as obs_metrics
+from repro.service import faultlab
 from repro.service.cache import (
     CacheStore,
     MemoryCacheStore,
     TieredCache,
     open_cache,
-)
-from repro.service.cachespec import (
-    cache_from_spec,
-    describe_spec,
-    is_remote_spec,
     parse_spec,
 )
 from repro.service.remotecache import RemoteCacheStore
+from repro.service.resilience import CircuitBreaker
 from repro.service.shardcache import DiskCacheStore
 
 
@@ -24,13 +26,6 @@ class TestParseSpec:
             parsed = parse_spec(spec)
             assert parsed.memory_only
             assert not parsed.has_disk and not parsed.has_remote
-
-    def test_disk_with_shard_params(self):
-        parsed = parse_spec("disk:/var/cache/phoenix?depth=3&width=32")
-        assert parsed.disk_path == "/var/cache/phoenix"
-        assert parsed.disk_depth == 3
-        assert parsed.disk_width == 32
-        assert not parsed.has_remote
 
     def test_bare_path_is_rejected_with_a_pointer_to_disk(self):
         for bare in (".cache", "/var/cache/phoenix", "disk:/a,/b"):
@@ -61,8 +56,8 @@ class TestParseSpec:
             ("disk:", "empty disk path"),
             ("disk:/a,disk:/b", "two disk tiers"),
             ("http://a:1,http://b:2", "two remote tiers"),
-            ("disk:/a?depth=0", "must be positive"),
-            ("disk:/a?width=lots", "must be an integer"),
+            ("disk:/a?depth=2", "shard layout is fixed"),
+            ("disk:/a?depth=2&width=16", "shard layout is fixed"),
             ("http://host:8078?timeout=soon", "timeout must be a number"),
         ],
     )
@@ -70,31 +65,21 @@ class TestParseSpec:
         with pytest.raises(ValueError, match=message):
             parse_spec(bad)
 
-    def test_is_remote_spec(self):
-        assert is_remote_spec("http://host:8078")
-        assert is_remote_spec("disk:/a,https://host:8078")
-        assert not is_remote_spec("disk:/a")
-        assert not is_remote_spec("memory:")
 
-    def test_describe_spec(self):
-        assert describe_spec("disk:/a, http://h:1") == "disk:/a + http://h:1"
-        assert describe_spec("") == "memory"
-
-
-class TestCacheFromSpec:
+class TestOpenCache:
     def test_memory_spec_builds_a_diskless_tier(self):
-        cache = cache_from_spec("memory:")
+        cache = open_cache("memory:")
         assert isinstance(cache, TieredCache)
         assert cache.disk is None and cache.remote is None
 
     def test_disk_spec_builds_a_disk_store(self, tmp_path):
-        cache = cache_from_spec(f"disk:{tmp_path / 'c'}?depth=1&width=4")
+        cache = open_cache(f"disk:{tmp_path / 'c'}")
         assert isinstance(cache.disk, DiskCacheStore)
-        assert cache.disk.depth == 1 and cache.disk.width == 4
+        assert cache.disk.breaker.name == "cache.disk"
         assert cache.remote is None
 
     def test_remote_spec_builds_a_remote_tier(self):
-        cache = cache_from_spec("http://127.0.0.1:8078?timeout=0.25")
+        cache = open_cache("http://127.0.0.1:8078?timeout=0.25")
         try:
             assert isinstance(cache.remote, RemoteCacheStore)
             assert cache.remote.url == "http://127.0.0.1:8078"
@@ -104,7 +89,7 @@ class TestCacheFromSpec:
             cache.close()
 
     def test_composed_spec_builds_both_tiers(self, tmp_path):
-        cache = cache_from_spec(f"disk:{tmp_path / 'c'},http://127.0.0.1:8078")
+        cache = open_cache(f"disk:{tmp_path / 'c'},http://127.0.0.1:8078")
         try:
             assert isinstance(cache.disk, DiskCacheStore)
             assert isinstance(cache.remote, RemoteCacheStore)
@@ -155,3 +140,86 @@ class TestProtocolConformance:
                 return None
 
         assert not isinstance(NotACache(), CacheStore)
+
+
+KEY = "a" * 16 + "-" + "b" * 16
+ENTRY = {"value": 1}
+
+
+def _disk_tier(tmp_path, breaker, monkeypatch):
+    store = DiskCacheStore(tmp_path / "disk", breaker=breaker)
+    calls = []
+
+    def spy(op, real):
+        def wrapper(*args, **kwargs):
+            calls.append(op)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    # File reads, writes and mtime bumps: every way the store reaches the disk.
+    monkeypatch.setattr(Path, "open", spy("get", Path.open))
+    monkeypatch.setattr(os, "replace", spy("put", os.replace))
+    monkeypatch.setattr(os, "utime", spy("touch", os.utime))
+    return SimpleNamespace(
+        store=store,
+        calls=calls,
+        slot="disk",
+        points=("cache.get", "cache.put"),
+        degraded_metric="repro_cache_degraded_ops_total",
+    )
+
+
+def _remote_tier(tmp_path, breaker, monkeypatch):
+    store = RemoteCacheStore("http://127.0.0.1:1", breaker=breaker)
+    calls = []
+
+    def fake_request(method, path, body=None):
+        calls.append(method.lower())
+        return (404, b"") if method == "GET" else (204, b"")
+
+    monkeypatch.setattr(store, "_request", fake_request)
+    return SimpleNamespace(
+        store=store,
+        calls=calls,
+        slot="remote",
+        points=("remote.get", "remote.put"),
+        degraded_metric="repro_remote_cache_degraded_ops_total",
+    )
+
+
+class TestDegradeContract:
+    """Every lower tier gates itself on its own breaker, the same way."""
+
+    @pytest.mark.parametrize("make_tier", [_disk_tier, _remote_tier], ids=["disk", "remote"])
+    def test_open_breaker_answers_without_touching_the_backend(
+        self, make_tier, tmp_path, monkeypatch, clean_metrics
+    ):
+        now = [0.0]
+        breaker = CircuitBreaker(
+            "cache.contract", min_calls=1, cooldown=10.0, clock=lambda: now[0]
+        )
+        tier = make_tier(tmp_path, breaker, monkeypatch)
+        tiered = TieredCache(**{tier.slot: tier.store})
+        tiered.memory.put(KEY, ENTRY)
+        breaker.record_failure()
+        assert breaker.state == "open"
+        probes = [faultlab.inject(point, "slow", delay=0.0) for point in tier.points]
+
+        assert tier.store.get(KEY) is None  # a miss...
+        tier.store.put("other-key", ENTRY)  # ...and a dropped write
+        assert tiered.get(KEY) == ENTRY  # memory hit: the tier is not touched
+        assert tier.calls == []
+        assert [probe.fired for probe in probes] == [0, 0]
+        assert tier.store.stats.misses == 1
+        assert tier.store.stats.puts == 0
+        assert obs_metrics.counter(tier.degraded_metric).value == 2
+
+        now[0] += 11.0  # cooldown over: the next allow() gets the probe
+        assert tiered.get(KEY) == ENTRY  # a memory hit must not take it
+        assert breaker.state == "open"
+        assert tier.calls == []
+        assert tier.store.get(KEY) is None  # the probe: a real (missing) read
+        assert tier.calls == ["get"]
+        assert breaker.state == "closed"
+        tier.store.close()

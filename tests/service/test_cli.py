@@ -134,6 +134,16 @@ class TestCacheCommand:
         assert "no cache directory" in capsys.readouterr().err
         assert not missing.exists()  # inspection must not create state
 
+    def test_foreign_shard_layout_is_a_clean_error(self, tmp_path, capsys):
+        cache_dir = tmp_path / "cache"
+        cache_dir.mkdir()
+        (cache_dir / "shard-layout.json").write_text(
+            '{"depth": 2, "width": 2}', encoding="utf-8"
+        )
+        assert main(["cache", "stats", "--cache", f"disk:{cache_dir}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "depth=1, width=2" in err
+
     def test_bare_path_and_removed_flag_are_rejected(self, tmp_path, capsys):
         assert main(["cache", "info", "--cache", str(tmp_path)]) == 2
         assert f"write disk:{tmp_path}" in capsys.readouterr().err

@@ -22,12 +22,8 @@ from repro.pipeline.options import CompileOptions
 from repro.serialize.jsonutil import canonical_json_bytes
 from repro.serve.cacheapp import CacheServeApp, CacheServeConfig
 from repro.service import faultlab
-from repro.service.cache import TieredCache, open_cache
-from repro.service.remotecache import (
-    RemoteCacheStore,
-    RemoteCacheUnavailable,
-    valid_key,
-)
+from repro.service.cache import TieredCache, open_cache, valid_key
+from repro.service.remotecache import RemoteCacheStore, RemoteCacheUnavailable
 from repro.service.resilience import CircuitBreaker
 from repro.service.service import CompilationJob, CompilationService
 from repro.service.shardcache import DiskCacheStore
@@ -286,6 +282,24 @@ class TestTieredIntegration:
             assert cache.memory.get(KEY) == ENTRY
             assert cache.get(KEY) == ENTRY
             assert remote.stats.hits == 1  # second read never left memory
+        finally:
+            cache.close()
+
+    def test_degraded_disk_falls_through_to_the_remote(self, cache_server, tmp_path):
+        seeder = RemoteCacheStore(cache_server.url)
+        seeder.put(KEY, ENTRY)
+        seeder.close()
+
+        breaker = fast_breaker(min_calls=1)
+        disk = DiskCacheStore(tmp_path / "disk", breaker=breaker)
+        cache = TieredCache(disk=disk, remote=RemoteCacheStore(cache_server.url))
+        try:
+            breaker.record_failure()
+            assert breaker.state == "open"
+            assert cache.get(KEY) == ENTRY  # the disk refuses; the wire serves
+            assert KEY in cache.memory
+            assert KEY not in disk  # the promotion to disk was dropped
+            assert disk.stats.misses == 1 and disk.stats.puts == 0
         finally:
             cache.close()
 

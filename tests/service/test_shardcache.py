@@ -34,12 +34,11 @@ def _entry_files(root):
 
 class TestLayout:
     def test_default_layout_matches_flat_store(self, tmp_path):
-        """depth=1, width=2 reads unmarked ``root/<key[:2]>/<key>.json`` dirs."""
+        """The fixed layout reads unmarked ``root/<key[:2]>/<key>.json`` dirs."""
         legacy = tmp_path / "cache" / KEY[:2] / f"{KEY}.json"
         legacy.parent.mkdir(parents=True)
         legacy.write_text(json.dumps({"value": 1}), encoding="utf-8")
         store = DiskCacheStore(tmp_path / "cache")
-        assert (store.depth, store.width) == (1, 2)
         assert store._path(KEY) == legacy
         assert store.get(KEY) == {"value": 1}
 
@@ -54,62 +53,59 @@ class TestLayout:
         assert store._path("k1") == tmp_path / "cache" / "k1" / "k1.json"
         assert store.get("k1") == {"value": 3}
 
-    def test_deeper_fanout_path(self, tmp_path):
-        store = DiskCacheStore(tmp_path / "cache", depth=2, width=3)
-        store.put(KEY, {"value": 3})
-        path = store._path(KEY)
-        assert path == tmp_path / "cache" / KEY[:3] / KEY[3:6] / f"{KEY}.json"
-        assert path.exists()
-        assert store.get(KEY) == {"value": 3}
+    def test_one_character_key_is_a_valid_entry(self, tmp_path):
+        """Any key the wire accepts must be storable, however short."""
+        store = DiskCacheStore(tmp_path / "cache")
+        store.put("a", {"value": 4})
+        assert store._path("a") == tmp_path / "cache" / "a" / "a.json"
+        assert list(store.keys()) == ["a"]
 
-    def test_layout_marker_recorded_and_reloaded(self, tmp_path):
-        DiskCacheStore(tmp_path / "cache", depth=2, width=1)
-        marker = json.loads((tmp_path / "cache" / LAYOUT_FILE).read_text())
-        assert marker == {"depth": 2, "width": 1}
-        # Reopening without arguments picks up the recorded fan-out.
+    def test_fresh_directory_gets_no_layout_marker(self, tmp_path):
+        DiskCacheStore(tmp_path / "cache").put(KEY, {"value": 3})
+        assert not (tmp_path / "cache" / LAYOUT_FILE).exists()
+
+    def test_default_marker_from_older_releases_is_accepted(self, tmp_path):
+        DiskCacheStore(tmp_path / "cache").put(KEY, {"value": 1})
+        marker = tmp_path / "cache" / LAYOUT_FILE
+        marker.write_text(canonical_json({"depth": 1, "width": 2}), encoding="utf-8")
         reopened = DiskCacheStore(tmp_path / "cache")
-        assert (reopened.depth, reopened.width) == (2, 1)
+        assert reopened.get(KEY) == {"value": 1}
+        assert list(reopened.keys()) == [KEY]
 
-    def test_conflicting_layout_rejected_not_resharded(self, tmp_path):
-        DiskCacheStore(tmp_path / "cache", depth=1, width=2)
-        with pytest.raises(ValueError, match="depth=1"):
-            DiskCacheStore(tmp_path / "cache", depth=3)
-        with pytest.raises(ValueError, match="width=2"):
-            DiskCacheStore(tmp_path / "cache", width=4)
+    def test_foreign_layout_marker_is_refused(self, tmp_path):
+        """A directory sharded another way must never be mis-sharded."""
+        root = tmp_path / "cache"
+        root.mkdir()
+        (root / LAYOUT_FILE).write_text(
+            canonical_json({"depth": 2, "width": 2}), encoding="utf-8"
+        )
+        with pytest.raises(ValueError, match="depth=1, width=2"):
+            DiskCacheStore(root)
 
-    def test_corrupt_marker_rejected_not_resharded(self, tmp_path):
+    def test_corrupt_marker_is_refused(self, tmp_path):
         """A torn marker must fail loudly, never guess a layout."""
-        store = DiskCacheStore(tmp_path / "cache", depth=2, width=2)
-        store.put(KEY, {"value": 1})
+        DiskCacheStore(tmp_path / "cache").put(KEY, {"value": 1})
         (tmp_path / "cache" / LAYOUT_FILE).write_text('{"dep', encoding="utf-8")
         with pytest.raises(ValueError, match="unreadable shard layout"):
             DiskCacheStore(tmp_path / "cache")
-        # The entry written under the real layout is untouched.
+        # The entry itself is untouched.
         (tmp_path / "cache" / LAYOUT_FILE).unlink()
-        recovered = DiskCacheStore(tmp_path / "cache", depth=2, width=2)
-        assert recovered.get(KEY) == {"value": 1}
-
-    def test_matching_explicit_layout_accepted(self, tmp_path):
-        DiskCacheStore(tmp_path / "cache", depth=2, width=2)
-        reopened = DiskCacheStore(tmp_path / "cache", depth=2, width=2)
-        assert (reopened.depth, reopened.width) == (2, 2)
-
-    def test_invalid_layouts_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="depth/width"):
-            DiskCacheStore(tmp_path / "cache", depth=0)
-        with pytest.raises(ValueError, match="depth/width"):
-            DiskCacheStore(tmp_path / "other", width=0)
-
-    def test_key_too_short_for_layout(self, tmp_path):
-        store = DiskCacheStore(tmp_path / "cache", depth=4, width=8)
-        with pytest.raises(ValueError, match="too short"):
-            store.put("abc", {"value": 1})
+        assert DiskCacheStore(tmp_path / "cache").get(KEY) == {"value": 1}
 
     def test_path_separators_rejected(self, tmp_path):
         store = DiskCacheStore(tmp_path / "cache")
         for bad in ("", "a/b", "a\\b", "../escape"):
             with pytest.raises(ValueError):
                 store._path(bad)
+
+    def test_dot_leading_keys_cannot_escape_the_root(self, tmp_path):
+        """A dot-leading key never resolves outside the root (``<root>/../``)."""
+        store = DiskCacheStore(tmp_path / "cache")
+        for bad in ("..escape", ".hidden", "..", "."):
+            with pytest.raises(ValueError, match="invalid cache key"):
+                store.put(bad, {"value": 1})
+        assert [path.name for path in tmp_path.iterdir()] == ["cache"]
+        assert list(store.root.iterdir()) == []
 
 
 class TestStoreSurface:
@@ -142,14 +138,6 @@ class TestStoreSurface:
         store.get(KEY)
         assert store._path(KEY).stat().st_mtime > past + 500
 
-    def test_touch_on_hit_disabled(self, tmp_path):
-        store = DiskCacheStore(tmp_path / "cache", touch_on_hit=False)
-        store.put(KEY, {"value": 1})
-        past = time.time() - 1000
-        os.utime(store._path(KEY), (past, past))
-        store.get(KEY)
-        assert store._path(KEY).stat().st_mtime == pytest.approx(past)
-
     def test_memory_tier_hits_still_touch_disk_entry(self, tmp_path):
         """Promotion to memory must not freeze the disk mtime for LRU."""
         cache = open_cache(f"disk:{tmp_path / 'cache'}")
@@ -161,6 +149,28 @@ class TestStoreSurface:
         os.utime(path, (past, past))
         cache.get(KEY)  # pure memory hit — must still bump the disk mtime
         assert path.stat().st_mtime > past + 500
+
+    def test_memory_hits_do_not_touch_a_degraded_disk_tier(
+        self, tmp_path, monkeypatch
+    ):
+        cache = open_cache(f"disk:{tmp_path / 'cache'}")
+        cache.put(KEY, {"value": 1})
+        utimes = []
+        real_utime = os.utime
+
+        def counting_utime(*args, **kwargs):
+            utimes.append(args)
+            return real_utime(*args, **kwargs)
+
+        monkeypatch.setattr(os, "utime", counting_utime)
+        assert cache.get(KEY) == {"value": 1}  # memory hit, healthy disk: touched
+        assert len(utimes) == 1
+        breaker = cache.disk.breaker
+        while breaker.state != "open":
+            breaker.record_failure()
+        for _ in range(3):
+            assert cache.get(KEY) == {"value": 1}
+        assert len(utimes) == 1
 
     def test_tiered_composition_with_memory_front(self, tmp_path):
         cache = open_cache(f"disk:{tmp_path / 'cache'}")
