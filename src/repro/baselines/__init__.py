@@ -14,7 +14,8 @@ so that comparisons isolate the synthesis/ordering strategies:
 * :class:`TketLikeCompiler` — commuting-set gadget synthesis plus peephole
   optimisation (TKET PauliSimp + FullPeepholeOptimise stand-in).
 * :class:`TwoQANCompiler` — permutation-aware routing for 2-local programs
-  (2QAN, ISCA'22), used for the QAOA comparison.
+  (2QAN, ISCA'22), used for the QAOA comparison; its scheduler replaces
+  only the SABRE step of the shared ``route`` stage.
 """
 
 from repro.baselines.base import BaselineCompiler, BaselineResult

@@ -5,15 +5,14 @@ in its own ``synthesize`` front stage and shares the back end
 (``rebase -> optimize -> consolidate -> route``) with PHOENIX, so the
 cross-compiler comparison stays about the synthesis and ordering strategy
 — mirroring how the paper attaches the same Qiskit passes to every
-baseline.  :func:`as_terms` is re-exported from :mod:`repro.pipeline`.
+baseline.  2QAN additionally replaces ``route`` with its own scheduler
+and keeps the shared post-route passes.  :func:`as_terms` is re-exported
+from :mod:`repro.pipeline`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.compiler import CompilationResult
-from repro.hardware.topology import Topology
 from repro.pipeline.compiler import PipelineCompiler
 from repro.pipeline.options import as_terms  # noqa: F401  (re-export)
 from repro.pipeline.stage import Pipeline
@@ -30,20 +29,6 @@ class BaselineCompiler(PipelineCompiler):
     ``context.native`` and ``context.implemented_terms``); grouping/ordering
     strategy differences live entirely inside that stage.
     """
-
-    def __init__(
-        self,
-        isa: str = "cnot",
-        topology: Optional[Topology] = None,
-        optimization_level: int = 2,
-        seed: int = 0,
-    ):
-        super().__init__(
-            isa=isa,
-            topology=topology,
-            optimization_level=optimization_level,
-            seed=seed,
-        )
 
     def synthesis_stage(self):
         raise NotImplementedError

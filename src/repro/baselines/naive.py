@@ -30,13 +30,9 @@ class NaiveCompiler(BaselineCompiler):
 
     name = "naive"
 
-    def __init__(self, isa="cnot", topology=None, optimization_level=0, seed=0):
-        super().__init__(
-            isa=isa,
-            topology=topology,
-            optimization_level=optimization_level,
-            seed=seed,
-        )
+    def __init__(self, *, optimization_level: int = 0, **knobs):
+        # The "original circuit": direct construction defaults to level 0.
+        super().__init__(optimization_level=optimization_level, **knobs)
 
     def synthesis_stage(self):
         return NaiveSynthesisStage()

@@ -4,101 +4,64 @@
 exploiting the fact that every exponentiation commutes with every other:
 interactions are scheduled in whatever order the current qubit placement
 allows, and SWAPs are inserted only when no remaining interaction is
-executable.  This reproduction implements exactly that permutation-aware
-greedy scheduler on top of the shared topology / metric infrastructure:
+executable.  This reproduction is an ordinary stage pipeline: a per-term
+``synthesize`` stage, the shared back end, and a ``route`` stage whose
+:meth:`~TwoQANRouteStage.route` is the permutation-aware greedy scheduler
 
 * initial placement with the interaction-graph-aware SABRE heuristic,
 * at each step, execute every remaining interaction whose qubits are
   adjacent, and
 * otherwise insert the SWAP that minimises the summed distance of the
   remaining interactions.
+
+The shared post-route passes (rebase, optimisation, SU(4) consolidation,
+metrics and routing overhead) then run exactly as for every other compiler.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.baselines.base import as_terms
+from repro.baselines.base import BaselineCompiler
 from repro.circuits.circuit import QuantumCircuit
-from repro.pipeline.options import CompileOptions
+from repro.hardware.routing.sabre import RoutedCircuit, sabre_initial_mapping
+from repro.paulis.pauli import PauliTerm
 from repro.pipeline.registry import register_compiler
 from repro.pipeline.stage import CompileContext, Pipeline
-from repro.pipeline.stages import backend_stages
-from repro.core.compiler import CompilationResult
-from repro.hardware.routing.sabre import sabre_initial_mapping
-from repro.hardware.topology import Topology
-from repro.metrics.circuit_metrics import circuit_metrics
-from repro.paulis.pauli import PauliTerm
+from repro.pipeline.stages import RouteStage
 from repro.synthesis.pauli_exp import synthesize_pauli_term
-from repro.synthesis.rebase import rebase_to_cx
-from repro.transforms.optimize import optimize_circuit
 
 
-class TwoQANCompiler:
-    """Permutation-aware compiler for 2-local programs (QAOA and kin)."""
+class TwoQANSynthesisStage:
+    """Per-term synthesis in program order; rejects terms of weight > 2."""
 
-    name = "2qan"
-    #: Declared contract: programs with heavier terms are rejected.  The
-    #: differential suite and the workload-coverage grid read this instead
-    #: of pattern-matching the ValueError below.
-    max_pauli_weight = 2
+    name = "synthesize"
 
-    def __init__(
-        self,
-        isa: str = "cnot",
-        topology: Optional[Topology] = None,
-        optimization_level: int = 2,
-        seed: int = 0,
-    ):
-        self.isa = isa
-        self.topology = topology
-        self.optimization_level = optimization_level
-        self.seed = seed
-
-    # ------------------------------------------------------------------
-    def compile(self, program) -> CompilationResult:
-        terms = as_terms(program)
-        if any(term.weight() > 2 for term in terms):
+    def run(self, context: CompileContext) -> None:
+        if any(term.weight() > 2 for term in context.terms):
             raise ValueError("2QAN handles only 2-local programs (weight <= 2 terms)")
-        num_qubits = terms[0].num_qubits
+        circuit = QuantumCircuit(context.num_qubits)
+        for term in context.terms:
+            for gate in synthesize_pauli_term(term, context.num_qubits):
+                circuit.append(gate)
+        context.native = circuit
+        context.implemented_terms = list(context.terms)
 
-        if self.topology is None or self.topology.is_all_to_all():
-            # Logical-level compilation: all interactions commute, so a
-            # simple greedy edge-colouring style schedule is depth-optimal
-            # enough; synthesis is per-term, then the shared back end.
-            circuit = QuantumCircuit(num_qubits)
-            for term in terms:
-                for gate in synthesize_pauli_term(term, num_qubits):
-                    circuit.append(gate)
-            context = CompileContext(
-                options=CompileOptions(
-                    isa=self.isa,
-                    optimization_level=self.optimization_level,
-                    seed=self.seed,
-                ),
-                terms=list(terms),
-                num_qubits=num_qubits,
-                native=circuit,
-                implemented_terms=list(terms),
-            )
-            Pipeline(backend_stages()).run(context)
-            return context.result()
-        return self._hardware_compile(terms, num_qubits)
 
-    # ------------------------------------------------------------------
-    def _hardware_compile(self, terms: List[PauliTerm], num_qubits: int) -> CompilationResult:
-        topology = self.topology
-        # Logical-level reference circuit for the routing-overhead metric.
-        logical = QuantumCircuit(num_qubits)
-        for term in terms:
-            for gate in synthesize_pauli_term(term, num_qubits):
-                logical.append(gate)
-        logical_cx = optimize_circuit(rebase_to_cx(logical), level=self.optimization_level)
-        logical_metrics = circuit_metrics(logical_cx)
+class TwoQANRouteStage(RouteStage):
+    """Permutation-aware scheduling in place of SABRE routing."""
 
-        # Build an interaction pseudo-circuit for the placement heuristic.
-        mapping = sabre_initial_mapping(logical, topology, seed=self.seed)
+    def route(self, context: CompileContext) -> RoutedCircuit:
+        """Schedule the interactions onto the topology, inserting SWAPs.
+
+        Also records the scheduled order as ``context.implemented_terms``.
+        """
+        topology = context.options.topology
+        terms = context.terms
+        mapping = sabre_initial_mapping(
+            context.native, topology, seed=context.options.seed
+        )
+        initial_mapping = dict(mapping)
         distances = topology.distance_matrix()
 
         remaining: List[PauliTerm] = list(terms)
@@ -163,20 +126,26 @@ class TwoQANCompiler:
             if phys_b in reverse:
                 mapping[reverse[phys_b]] = phys_a
 
-        hardware = optimize_circuit(rebase_to_cx(routed), level=self.optimization_level)
-        # The rebased circuit no longer contains swap gates, so carry the
-        # scheduler's SWAP count into the reported metrics explicitly.
-        final_metrics = replace(circuit_metrics(hardware), swap_count=swap_count)
-        overhead = final_metrics.cx_count / max(1, logical_metrics.cx_count)
-        return CompilationResult(
-            circuit=hardware,
-            logical_circuit=logical_cx,
-            metrics=final_metrics,
-            logical_metrics=logical_metrics,
-            implemented_terms=implemented,
-            routed=None,
-            routing_overhead=overhead,
-        )
+        context.implemented_terms = implemented
+        return RoutedCircuit(routed, initial_mapping, mapping, swap_count, topology)
+
+
+class TwoQANCompiler(BaselineCompiler):
+    """Permutation-aware compiler for 2-local programs (QAOA and kin)."""
+
+    name = "2qan"
+    #: Declared contract: programs with heavier terms are rejected.  The
+    #: differential suite and the workload-coverage grid read this instead
+    #: of pattern-matching the synthesis stage's ValueError.
+    max_pauli_weight = 2
+
+    def synthesis_stage(self):
+        return TwoQANSynthesisStage()
+
+    def build_pipeline(self) -> Pipeline:
+        """synthesize -> rebase -> optimize -> consolidate -> route, with
+        2QAN's scheduler as the ``route`` stage."""
+        return super().build_pipeline().replaced("route", TwoQANRouteStage())
 
 
 def _embedding(mapping: Dict[int, int], num_logical: int) -> List[int]:
@@ -184,7 +153,4 @@ def _embedding(mapping: Dict[int, int], num_logical: int) -> List[int]:
     return [mapping[q] for q in range(num_logical)]
 
 
-# 2QAN keeps a hand-rolled hardware scheduler (its SWAP insertion is the
-# algorithm, not a back-end stage), but it still resolves through the one
-# registry so the service and CLI can batch 2-local programs with it.
 register_compiler("2qan", TwoQANCompiler)

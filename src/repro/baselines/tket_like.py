@@ -79,13 +79,9 @@ class TketLikeCompiler(BaselineCompiler):
 
     name = "tket"
 
-    def __init__(self, isa="cnot", topology=None, optimization_level=3, seed=0):
-        super().__init__(
-            isa=isa,
-            topology=topology,
-            optimization_level=optimization_level,
-            seed=seed,
-        )
+    def __init__(self, *, optimization_level: int = 3, **knobs):
+        # FullPeepholeOptimise: direct construction defaults to level 3.
+        super().__init__(optimization_level=optimization_level, **knobs)
 
     def synthesis_stage(self):
         return TketSynthesisStage()

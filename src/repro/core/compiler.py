@@ -16,7 +16,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.hardware.routing.sabre import RoutingSummary
-from repro.hardware.topology import Topology
 from repro.metrics.circuit_metrics import CircuitMetrics
 from repro.paulis.pauli import PauliTerm
 from repro.pipeline.compiler import PipelineCompiler
@@ -52,8 +51,8 @@ class CompilationResult:
 class PhoenixCompiler(PipelineCompiler):
     """Compile Hamiltonian-simulation programs with the PHOENIX pipeline.
 
-    Parameters
-    ----------
+    Parameters (keyword-only)
+    -------------------------
     isa:
         ``"cnot"`` (default) for the {CNOT, U3} ISA or ``"su4"`` for the
         continuous SU(4) ISA (2Q blocks are consolidated into opaque SU(4)
@@ -68,6 +67,8 @@ class PhoenixCompiler(PipelineCompiler):
         0 = raw emission, 2 = inverse cancellation + rotation merging
         (the PHOENIX default), 3 = additionally commutation cancellation and
         1Q fusion (the paper's "+ Qiskit O3" configuration).
+    seed:
+        Routing seed.
 
     Cached compilation goes through :class:`repro.service.CompilationService`,
     which keys results by the program fingerprint and
@@ -75,22 +76,6 @@ class PhoenixCompiler(PipelineCompiler):
     """
 
     name = "phoenix"
-
-    def __init__(
-        self,
-        isa: str = "cnot",
-        topology: Optional[Topology] = None,
-        lookahead: int = 10,
-        optimization_level: int = 2,
-        seed: int = 0,
-    ):
-        super().__init__(
-            isa=isa,
-            topology=topology,
-            optimization_level=optimization_level,
-            seed=seed,
-            lookahead=lookahead,
-        )
 
     # ------------------------------------------------------------------
     def config_dict(self) -> Dict[str, Any]:

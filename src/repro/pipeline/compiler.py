@@ -1,11 +1,13 @@
 """The stage-pipeline compiler base class.
 
 A :class:`PipelineCompiler` is a thin facade over a :class:`Pipeline`: the
-constructor freezes the configuration into one
+keyword-only constructor freezes the configuration into one
 :class:`~repro.pipeline.options.CompileOptions`, :meth:`build_pipeline`
 names the stages, and :meth:`compile` threads a
 :class:`~repro.pipeline.stage.CompileContext` through them.  PHOENIX and
-every baseline subclass this and differ only in the stages they compose.
+all five baselines (2QAN included) subclass this and differ only in the
+stages they compose; the registry builds each one through
+:meth:`~PipelineCompiler.from_options`.
 
 Content-addressed caching is *not* part of the compiler: it lives in one
 front end, :class:`repro.service.CompilationService`.
@@ -20,7 +22,6 @@ entry.  PHOENIX overrides it (its extra pipeline knobs must key the cache).
 
 from __future__ import annotations
 
-import inspect
 from typing import List, Optional, Sequence
 
 from repro.hardware.topology import Topology
@@ -36,6 +37,7 @@ class PipelineCompiler:
 
     def __init__(
         self,
+        *,
         isa: str = "cnot",
         topology: Optional[Topology] = None,
         optimization_level: int = 2,
@@ -54,75 +56,37 @@ class PipelineCompiler:
     # ------------------------------------------------------------------
     @classmethod
     def from_options(cls, options: CompileOptions) -> "PipelineCompiler":
-        """Instantiate from one :class:`CompileOptions` value.
-
-        Only the options the subclass constructor actually accepts are
-        passed (the baselines take no ``lookahead``),
-        so registered third-party compilers with narrower signatures work.
-        """
-        parameters = inspect.signature(cls.__init__).parameters
-        accepted = set(parameters)
-        if any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        ):
-            # A **kwargs constructor gets only the four core knobs; the
-            # pipeline-specific ones stay at whatever defaults the subclass
-            # chose (e.g. a `kwargs.setdefault("lookahead", 3)` override
-            # must not be clobbered by CompileOptions defaults).
-            accepted |= {"isa", "topology", "optimization_level", "seed"}
-        candidate = {
-            "isa": options.isa,
-            "topology": options.topology,
-            "optimization_level": options.optimization_level,
-            "seed": options.seed,
-            "lookahead": options.lookahead,
-        }
-        kwargs = {key: value for key, value in candidate.items() if key in accepted}
-        return cls(**kwargs)
+        """Instantiate from one :class:`CompileOptions` value (the
+        registry's factory contract): every knob is passed through."""
+        return cls(
+            isa=options.isa,
+            topology=options.topology,
+            optimization_level=options.optimization_level,
+            seed=options.seed,
+            lookahead=options.lookahead,
+        )
 
     # ------------------------------------------------------------------
-    # Read/write views of the frozen options, for source compatibility with
-    # the pre-pipeline compilers' plain attributes.
+    # Read-only views of the frozen options.
     @property
     def isa(self) -> str:
         return self.options.isa
-
-    @isa.setter
-    def isa(self, value: str) -> None:
-        self.options = self.options.replace(isa=value)
 
     @property
     def topology(self) -> Optional[Topology]:
         return self.options.topology
 
-    @topology.setter
-    def topology(self, value: Optional[Topology]) -> None:
-        self.options = self.options.replace(topology=value)
-
     @property
     def optimization_level(self) -> int:
         return self.options.optimization_level
-
-    @optimization_level.setter
-    def optimization_level(self, value: int) -> None:
-        self.options = self.options.replace(optimization_level=value)
 
     @property
     def lookahead(self) -> int:
         return self.options.lookahead
 
-    @lookahead.setter
-    def lookahead(self, value: int) -> None:
-        self.options = self.options.replace(lookahead=value)
-
     @property
     def seed(self) -> int:
         return self.options.seed
-
-    @seed.setter
-    def seed(self, value: int) -> None:
-        self.options = self.options.replace(seed=value)
 
     # ------------------------------------------------------------------
     def build_pipeline(self) -> Pipeline:

@@ -193,15 +193,15 @@ class CompileOptions:
         """Stable digest of the resolved configuration, as a cache-key part.
 
         Compilers with a ``config_fingerprint`` (PHOENIX and its
-        subclasses) key on the built instance's, so a registered subclass
-        with its own defaults keys what actually runs.  The others (the
+        subclasses) key on :meth:`config_fingerprint`: a registry-built
+        compiler carries exactly these options.  The others (the five
         baselines) hash the legacy plain-data spec, which has no
         ``lookahead``.
         """
         from repro.pipeline.registry import get_compiler_factory
 
         if hasattr(get_compiler_factory(self.compiler), "config_fingerprint"):
-            return self.build().config_fingerprint()
+            return self.config_fingerprint()
         return _digest(
             {
                 "compiler": self.compiler,

@@ -6,12 +6,10 @@ compiler: ``experiments.harness.default_compilers``,
 (and through it the batch service), and the ``phoenix`` CLI's
 ``--compiler`` flag all read from here.
 
-A factory is a class (or callable) accepting the keyword arguments
-``isa, topology, optimization_level, seed``; factories that additionally
-expose a ``from_options(options)`` classmethod (every
-:class:`~repro.pipeline.compiler.PipelineCompiler` does) receive the full
-:class:`~repro.pipeline.options.CompileOptions`, including the
-PHOENIX-specific ``lookahead``.
+A factory exposes a ``from_options(options)`` classmethod that receives
+the full :class:`~repro.pipeline.options.CompileOptions`; every
+:class:`~repro.pipeline.compiler.PipelineCompiler` does, and every
+built-in compiler is one.
 """
 
 from __future__ import annotations
@@ -115,15 +113,6 @@ def compiler_max_weight(name: str) -> Optional[int]:
 
 def build_compiler(name: str, options: Optional[CompileOptions] = None):
     """Instantiate a registered compiler from one :class:`CompileOptions`."""
-    factory = get_compiler_factory(name)
-    if options is None:
-        options = CompileOptions()
-    from_options = getattr(factory, "from_options", None)
-    if from_options is not None:
-        return from_options(options)
-    return factory(
-        isa=options.isa,
-        topology=options.topology,
-        optimization_level=options.optimization_level,
-        seed=options.seed,
+    return get_compiler_factory(name).from_options(
+        options if options is not None else CompileOptions()
     )

@@ -8,8 +8,9 @@ stages):
 * ``order``       — Tetris-like group ordering with look-ahead.
 * ``emit``        — emit the native circuit and the implemented Trotter order.
 
-Shared back end (identical for PHOENIX and every baseline, 2QAN's
-logical path included — the single copy of the post-synthesis passes):
+Shared back end (identical for PHOENIX and every baseline — the single
+copy of the post-synthesis passes; 2QAN swaps in only its own ``route``
+scheduler and keeps the shared post-route passes):
 
 * ``rebase``      — rebase the native circuit to the {CNOT, U3} gate set.
 * ``optimize``    — peephole optimisation at the configured level.
@@ -32,7 +33,7 @@ from repro.core.emission import groups_to_circuit
 from repro.core.grouping import group_terms
 from repro.core.ordering import order_groups
 from repro.core.simplify import simplify_groups
-from repro.hardware.routing.sabre import route_circuit
+from repro.hardware.routing.sabre import RoutedCircuit, route_circuit
 from repro.metrics.circuit_metrics import circuit_metrics
 from repro.paulis.pauli import PauliTerm
 from repro.pipeline.stage import CompileContext, Stage
@@ -144,20 +145,31 @@ class ConsolidateStage:
 
 
 class RouteStage:
-    """SABRE mapping/routing plus hardware-level post-processing."""
+    """SABRE mapping/routing plus hardware-level post-processing.
+
+    :meth:`route` produces the SWAP circuit; :meth:`run` applies the shared
+    post-route passes (rebase -> optimize -> SU(4) consolidation -> metrics
+    with the SWAP count -> routing overhead) to whatever it returns, so a
+    compiler with its own scheduler (2QAN) overrides only :meth:`route`.
+    """
 
     name = "route"
 
-    def run(self, context: CompileContext) -> None:
-        if not context.hardware_aware:
-            return
+    def route(self, context: CompileContext) -> RoutedCircuit:
+        """SABRE-route the optimised logical CX circuit."""
         options = context.options
-        routed = route_circuit(
+        return route_circuit(
             context.logical_cx,
             options.topology,
             seed=options.seed,
             decompose_swaps=False,
         )
+
+    def run(self, context: CompileContext) -> None:
+        if not context.hardware_aware:
+            return
+        options = context.options
+        routed = self.route(context)
         hardware_circuit = rebase_to_cx(routed.circuit)
         hardware_circuit = optimize_circuit(
             hardware_circuit, level=options.optimization_level

@@ -55,6 +55,7 @@ import argparse
 import json
 import sys
 import threading
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -227,6 +228,10 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Entry keys that override the default options: every CompileOptions field.
+_OPTION_KEYS = tuple(field.name for field in fields(CompileOptions))
+
+
 def jobs_from_entries(
     entries: List[Dict[str, Any]], defaults: Optional[CompileOptions] = None
 ) -> List[CompilationJob]:
@@ -262,11 +267,7 @@ def jobs_from_entries(
             entry.get("benchmark", entry.get("workload", f"job-{position}")),
         )
         merged = defaults.to_dict()
-        merged.update(
-            {k: entry[k] for k in
-             ("compiler", "isa", "topology", "optimization_level", "seed")
-             if k in entry}
-        )
+        merged.update({k: entry[k] for k in _OPTION_KEYS if k in entry})
         jobs.append(CompilationJob(name, program, CompileOptions.from_dict(merged)))
     return jobs
 

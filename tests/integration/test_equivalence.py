@@ -9,7 +9,13 @@ the paper (PHOENIX produces fewer 2Q gates than the baselines) must hold.
 import numpy as np
 import pytest
 
-from repro.baselines import NaiveCompiler, PaulihedralCompiler, TetrisCompiler, TketLikeCompiler
+from repro.baselines import (
+    NaiveCompiler,
+    PaulihedralCompiler,
+    TetrisCompiler,
+    TketLikeCompiler,
+    TwoQANCompiler,
+)
 from repro.chemistry.uccsd import uccsd_ansatz
 from repro.core.compiler import PhoenixCompiler
 from repro.hardware.topology import Topology
@@ -74,17 +80,36 @@ def _basis_index(bits, positions, width):
     return sum(bit << (width - 1 - positions[q]) for q, bit in enumerate(bits))
 
 
+def _uccsd_program():
+    return uccsd_ansatz(2, 4, encoding="jw", seed=3)
+
+
+def _reg3_qaoa_program():
+    return qaoa_program(random_regular_graph(3, 6, seed=5))
+
+
 class TestHardwareAwareEndToEnd:
     @pytest.mark.parametrize("isa", ["cnot", "su4"])
-    def test_phoenix_on_grid_respects_connectivity_and_is_exact_up_to_layout(self, isa):
-        program = uccsd_ansatz(2, 4, encoding="jw", seed=3)
+    @pytest.mark.parametrize(
+        "compiler_cls, make_program",
+        [(PhoenixCompiler, _uccsd_program), (TwoQANCompiler, _reg3_qaoa_program)],
+        ids=["phoenix-uccsd", "2qan-qaoa"],
+    )
+    def test_compiler_on_grid_respects_connectivity_and_is_exact_up_to_layout(
+        self, compiler_cls, make_program, isa
+    ):
+        program = make_program()
         topology = Topology.grid(2, 3)
-        result = PhoenixCompiler(topology=topology, isa=isa).compile(program)
+        result = compiler_cls(topology=topology, isa=isa).compile(program)
         for gate in result.circuit:
             if gate.is_two_qubit():
                 assert topology.are_connected(*gate.qubits)
+            if isa == "su4":
+                assert gate.name == "su4" or gate.num_qubits == 1
         if isa == "cnot":  # the overhead is a #CNOT ratio, so su4 has none
             assert result.routing_overhead >= 1.0 or result.metrics.swap_count == 0
+        else:
+            assert result.routing_overhead is None
 
         # Exact up to layout: a random logical state placed on the initial
         # mapping (ancillas in |0>) comes out of the physical circuit as the

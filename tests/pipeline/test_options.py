@@ -205,8 +205,7 @@ class TestPlainDataRoundTrip:
         class Unregistered(PhoenixCompiler):
             name = "phoenix-unregistered"
 
-        compiler = Unregistered(topology=resolve_topology("line-5"))
-        compiler.seed = 3
+        compiler = Unregistered(topology=resolve_topology("line-5"), seed=3)
         assert compiler.options.compiler == "phoenix-unregistered"
         assert compiler.options.seed == 3
         assert compiler.options.topology is resolve_topology("line-5")

@@ -159,6 +159,7 @@ class TestLegacyPathReplica:
             "paulihedral": "d0ee808bb7af5fe8b79761b8ac153c6f3ab9e1febbae6ac49b3f7314e7a3f139",
             "tetris": "1b6be1ff658facf4a8452530360aef87865b227753c8c19b136ecd5d12c468d5",
             "tket": "3567aeaac4223fcbc64c62d46a3fe4c36aef5094ac397f12437f5a7a0073e85c",
+            "2qan": "3555e616b90e811710588265e61f4b276e41d02a287f0f86dcb12bbe7542bf30",
         }
         for name, expected in golden.items():
             assert CompileOptions(compiler=name).fingerprint() == expected
@@ -181,6 +182,38 @@ class TestStageTimingsSurface:
         assert list(result.stage_timings) == [
             "synthesize", "rebase", "optimize", "consolidate", "route",
         ]
+
+    def test_2qan_is_an_ordinary_pipeline(self, qaoa_line_program):
+        from repro.baselines import TwoQANCompiler
+
+        class CountingHook:
+            def __init__(self):
+                self.before, self.after = [], []
+
+            def before_stage(self, stage, context):
+                self.before.append(stage.name)
+
+            def after_stage(self, stage, context, elapsed):
+                self.after.append(stage.name)
+
+        stages = ["synthesize", "rebase", "optimize", "consolidate", "route"]
+        options = CompileOptions(compiler="2qan", topology="grid-2x3")
+        compiler = build_compiler("2qan", options)
+        assert isinstance(compiler, TwoQANCompiler)
+        assert compiler.options == options
+        hook = CountingHook()
+        result = compiler.compile_terms(list(qaoa_line_program), hooks=[hook])
+        assert list(result.stage_timings) == stages
+        assert hook.before == stages and hook.after == stages
+        assert result.routed is not None
+        assert result.routed.swap_count == result.metrics.swap_count
+
+    @pytest.mark.parametrize("name", compiler_names())
+    def test_registry_passes_lookahead_to_every_compiler(self, name):
+        options = CompileOptions(compiler=name, lookahead=3)
+        compiler = build_compiler(name, options)
+        assert compiler.options.lookahead == 3
+        assert compiler.options == options
 
     def test_service_json_carries_stage_timings(self, uccsd_program):
         from repro.serialize.results import result_from_dict, result_to_dict

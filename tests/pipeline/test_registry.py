@@ -57,36 +57,15 @@ class TestBuildCompiler:
         assert phoenix.lookahead == 5
         assert phoenix.seed == 7
 
-    def test_baselines_take_only_their_knobs(self):
-        # Baselines accept no lookahead; from_options must
-        # filter rather than crash.
+    def test_baselines_take_every_knob(self):
+        # Baselines ignore lookahead but carry it, like every other knob.
         options = CompileOptions(optimization_level=1, lookahead=3)
         naive = build_compiler("naive", options)
         assert naive.optimization_level == 1
+        assert naive.lookahead == 3
 
     def test_default_options(self):
         assert build_compiler("phoenix").options == CompileOptions()
-
-    def test_registered_fallback_signature(self, tiny_program):
-        # A factory without from_options gets the classic four kwargs.
-        calls = {}
-
-        def factory(isa, topology, optimization_level, seed):
-            calls.update(
-                isa=isa, topology=topology,
-                optimization_level=optimization_level, seed=seed,
-            )
-            return object()
-
-        register_compiler("plain-factory", factory)
-        try:
-            build_compiler("plain-factory", CompileOptions(optimization_level=3))
-            assert calls == {
-                "isa": "cnot", "topology": None,
-                "optimization_level": 3, "seed": 0,
-            }
-        finally:
-            unregister_compiler("plain-factory")
 
 
 class TestSingleTableAcrossLayers:
@@ -129,21 +108,12 @@ class TestSingleTableAcrossLayers:
         class LowLookaheadPhoenix(PhoenixCompiler):
             name = "phoenix-la3"
 
-            def __init__(self, **kwargs):
-                kwargs.setdefault("lookahead", 3)
-                super().__init__(**kwargs)
-
         register_compiler("phoenix-la3", LowLookaheadPhoenix)
         try:
-            # A **kwargs subclass keeps its own defaults for the pipeline
-            # knobs: build_compiler must not clobber the setdefault with
-            # CompileOptions defaults, so registry-built and directly
-            # constructed instances agree.
-            built = build_compiler("phoenix-la3")
-            assert built.lookahead == 3
-            assert built.config_fingerprint() == (
-                LowLookaheadPhoenix().config_fingerprint()
-            )
+            options = CompileOptions(compiler="phoenix-la3", lookahead=3)
+            built = build_compiler("phoenix-la3", options)
+            assert built.options == options
+            assert built.config_fingerprint() == options.fingerprint()
             result = CompilationService().compile(
                 tiny_program, CompileOptions(compiler="phoenix-la3")
             )

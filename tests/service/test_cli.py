@@ -225,6 +225,18 @@ class TestWorkloadCommand:
         assert summaries[0]["name"].startswith("tfim:")
         assert summaries[1]["name"] == "ladder-naive"
 
+    def test_entries_override_every_compile_option(self):
+        from repro.pipeline.options import CompileOptions
+        from repro.service.cli import jobs_from_entries
+
+        overrides = {
+            "compiler": "tket", "isa": "su4", "topology": "line-8",
+            "optimization_level": 3, "lookahead": 3, "seed": 5,
+        }
+        [job] = jobs_from_entries([{"workload": "maxcut:n=8,graph=reg3", **overrides}])
+        assert job.options == CompileOptions.from_dict(overrides)
+        assert job.options.lookahead == 3
+
 
 class TestBatchJournal:
     def make_manifest(self, program_file, tmp_path):
