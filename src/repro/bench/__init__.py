@@ -102,14 +102,16 @@ def result_content_bytes(job_result: JobResult) -> bytes:
 def _timed_pass(
     jobs: Sequence[CompilationJob],
     workers: int,
-    timeout: Optional[float],
+    timeout: Optional[float] = None,
     cache: Optional[str] = None,
     service: Optional[CompilationService] = None,
 ) -> Tuple[CompilationService, List[JobResult], Dict[str, Any]]:
+    """One timed ``compile_many`` pass on a fresh service, or on ``service``
+    (which then carries its own ``timeout``)."""
     if service is None:
-        service = CompilationService(cache=open_cache(cache))
+        service = CompilationService(cache=open_cache(cache), timeout=timeout)
     started = time.perf_counter()
-    results = service.compile_many(jobs, workers=workers, timeout=timeout)
+    results = service.compile_many(jobs, workers=workers)
     wall = time.perf_counter() - started
     errors = {r.name: r.error for r in results if not r.ok}
     summary: Dict[str, Any] = {
@@ -198,9 +200,7 @@ def run_bench(
         jobs, workers, timeout, cache=cache
     )
     remote_after_process = _remote_tier_stats(process_service)
-    _, warm_results, warm_summary = _timed_pass(
-        jobs, workers, timeout, service=process_service
-    )
+    _, warm_results, warm_summary = _timed_pass(jobs, workers, service=process_service)
     remote_after_warm = _remote_tier_stats(process_service)
     # An honest record of the parallelism actually available: a speedup
     # floor is meaningless when the pool had fewer cores than workers.

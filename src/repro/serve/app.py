@@ -46,10 +46,14 @@ from typing import Any, Dict, List, Optional
 
 from ..obs import metrics as obs_metrics
 from ..service.cache import CacheStore, open_cache
-from ..service.cli import jobs_from_entries
 from ..service.journal import BatchJournal
 from ..service.resilience import RetryPolicy
-from ..service.service import CompilationService, ProgressEvent, job_summary
+from ..service.service import (
+    CompilationService,
+    ProgressEvent,
+    job_summary,
+    jobs_from_entries,
+)
 from . import ws
 from .http import HTTPApp, Request, Response, Router
 from .queue import Job, JobQueue, QueueFull
@@ -74,7 +78,6 @@ class ServeConfig:
     cache: Optional[str] = None
     journal: Optional[str] = None  # WAL path; also anchors the pending manifest
     resume: bool = False  # replay terminal outcomes already in the journal
-    history: int = 256  # finished jobs kept for GET /v1/jobs/<id>
 
     def pending_manifest_path(self) -> Optional[Path]:
         if self.journal is None:
@@ -98,7 +101,7 @@ class ServeApp(HTTPApp):
     ) -> None:
         super().__init__(config, drain_token)
         self.service = service if service is not None else self._build_service(config)
-        self.queue = JobQueue(capacity=config.queue_size, history=config.history)
+        self.queue = JobQueue(capacity=config.queue_size)
         self._journal: Optional[BatchJournal] = None
 
     @staticmethod

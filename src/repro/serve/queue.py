@@ -25,9 +25,12 @@ from typing import Any, Deque, Dict, List, Optional
 
 from ..obs import metrics as obs_metrics
 
-__all__ = ["Job", "JobQueue", "QueueFull", "TERMINAL_STATES"]
+__all__ = ["HISTORY", "Job", "JobQueue", "QueueFull", "TERMINAL_STATES"]
 
 TERMINAL_STATES = frozenset({"done", "error", "cancelled"})
+
+#: Finished jobs the registry keeps for ``GET /v1/jobs/<id>``.
+HISTORY = 256
 
 #: Sentinel pushed into a subscriber queue when its job reaches a
 #: terminal state — tells the WS writer to send the final frame and close.
@@ -51,7 +54,6 @@ class Job:
     name: str
     entries: List[Dict[str, Any]]
     jobs: List[Any]  # CompileJob list, typed loosely to avoid an import cycle
-    options: Dict[str, Any] = field(default_factory=dict)
     state: str = "queued"
     error: Optional[str] = None
     created_at: float = field(default_factory=time.time)
@@ -124,16 +126,15 @@ class Job:
 class JobQueue:
     """Bounded pending queue + registry of every job the server has seen.
 
-    The registry keeps all live jobs plus the most recent ``history``
+    The registry keeps all live jobs plus the most recent :data:`HISTORY`
     finished ones (older finished jobs are forgotten so a long-lived
     server does not grow without bound).  A sliding window of completion
     times drives the jobs/sec figure used both in ``/v1/stats`` and to
     compute 429 ``Retry-After`` hints.
     """
 
-    def __init__(self, capacity: int = 64, history: int = 256) -> None:
+    def __init__(self, capacity: int = 64) -> None:
         self.capacity = capacity
-        self.history = history
         self._pending: "asyncio.Queue[Optional[Job]]" = asyncio.Queue(maxsize=capacity)
         self._jobs: Dict[str, Job] = {}
         self._finished_order: Deque[str] = deque()
@@ -156,20 +157,8 @@ class JobQueue:
         obs_metrics.gauge("repro_serve_queue_depth").set(self._pending.qsize())
         return job
 
-    def new_job(
-        self,
-        name: str,
-        entries: List[Dict[str, Any]],
-        jobs: List[Any],
-        options: Optional[Dict[str, Any]] = None,
-    ) -> Job:
-        return Job(
-            id=secrets.token_hex(8),
-            name=name,
-            entries=entries,
-            jobs=jobs,
-            options=dict(options or {}),
-        )
+    def new_job(self, name: str, entries: List[Dict[str, Any]], jobs: List[Any]) -> Job:
+        return Job(id=secrets.token_hex(8), name=name, entries=entries, jobs=jobs)
 
     # -- worker side --------------------------------------------------
 
@@ -196,7 +185,7 @@ class JobQueue:
             "repro_serve_jobs_finished_total", state=job.state
         ).inc()
         self._finished_order.append(job.id)
-        while len(self._finished_order) > self.history:
+        while len(self._finished_order) > HISTORY:
             stale = self._finished_order.popleft()
             if stale in self._jobs and self._jobs[stale].finished:
                 del self._jobs[stale]

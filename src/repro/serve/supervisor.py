@@ -21,7 +21,11 @@ from ..service.resilience import CircuitBreaker
 
 logger = logging.getLogger(__name__)
 
-__all__ = ["Supervised", "Supervisor"]
+__all__ = ["RESTART_DELAY", "Supervised", "Supervisor"]
+
+#: Seconds between a crash and the restart, so a hot crash loop cannot
+#: spin the event loop.
+RESTART_DELAY = 0.2
 
 
 @dataclass
@@ -49,17 +53,14 @@ class Supervised:
 class Supervisor:
     """Spawn named tasks and keep them alive until shutdown.
 
-    ``restart_delay`` spaces restarts so a hot crash loop cannot spin the
-    event loop; the breaker (default: trips after 3 straight failures)
-    bounds how long a persistently-broken task is retried at all.
+    Restarts are spaced :data:`RESTART_DELAY` apart; the breaker (default:
+    trips after 3 straight failures) bounds how long a persistently-broken
+    task is retried at all.
     """
 
     def __init__(
-        self,
-        restart_delay: float = 0.2,
-        breaker_factory: Optional[Callable[[str], CircuitBreaker]] = None,
+        self, breaker_factory: Optional[Callable[[str], CircuitBreaker]] = None
     ) -> None:
-        self.restart_delay = restart_delay
         self._breaker_factory = breaker_factory or (
             lambda name: CircuitBreaker(
                 f"serve.task.{name}",
@@ -118,9 +119,9 @@ class Supervisor:
                     entry.name,
                     entry.last_error,
                     entry.restarts,
-                    self.restart_delay,
+                    RESTART_DELAY,
                 )
-                await asyncio.sleep(self.restart_delay)
+                await asyncio.sleep(RESTART_DELAY)
                 entry.state = "running"
             else:
                 # A clean return is completion, not a crash.

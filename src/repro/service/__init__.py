@@ -9,9 +9,11 @@ and the one ``open_cache(spec)`` builder; its disk tier in
 own circuit breaker and degrades to misses instead of raising), one
 execution backend whose worker count picks inline vs process-pool runs
 (:mod:`repro.service.executor`), a parallel batch compiler
-(:class:`CompilationService`) whose jobs carry
-:class:`repro.pipeline.CompileOptions` across process boundaries as plain
-data, and the ``phoenix`` command line (:mod:`repro.service.cli`).
+(:class:`CompilationService`, which owns the per-job timeout and the
+retry policy) whose jobs carry :class:`repro.pipeline.CompileOptions`
+across process boundaries as plain data and are built from manifest
+entries by :func:`repro.service.service.jobs_from_entries`, and the
+``phoenix`` command line (:mod:`repro.service.cli`).
 
 Resilience lives in three sibling modules: retry/breaker/shutdown
 policies (:mod:`repro.service.resilience`), the crash-safe batch journal
@@ -34,7 +36,6 @@ from repro.service.journal import BatchJournal, load_journal
 from repro.service.resilience import (
     CircuitBreaker,
     RetryPolicy,
-    RetrySession,
     shutdown_guard,
 )
 from repro.service.service import (
@@ -66,7 +67,6 @@ __all__ = [
     "Executor",
     "default_worker_count",
     "RetryPolicy",
-    "RetrySession",
     "CircuitBreaker",
     "shutdown_guard",
     "BatchJournal",

@@ -47,6 +47,10 @@ DEFAULT_CHAOS_POLICY = RetryPolicy(
     retry_errors=True,
 )
 
+#: Fault points a chaos run reaches: its disk tier and its workers, plus
+#: pool dispatch when the run fans out (``workers > 1``).
+_REACHABLE_POINTS = ("cache.get", "cache.put", "worker.compile")
+
 #: Metric deltas the survival table reports, as (label, metric, label filter).
 _DEGRADATION_METRICS = (
     ("faults_injected", "repro_faults_injected_total"),
@@ -92,9 +96,20 @@ def run_chaos(
     every job that succeeded under chaos produced byte-identical results.
     ``limit`` trims the suite (CI smoke uses a few jobs, not all 16);
     ``workers=1`` runs the chaos pass inline, more fan it out over the
-    process pool.
+    process pool.  Raises :class:`ValueError` when none of the scenario's
+    fault points can fire in this run (e.g. ``remote.*`` faults: the run
+    has no remote tier), since such a run would survive vacuously.
     """
     from repro.bench import PINNED_SUITE, bench_jobs, result_content_bytes
+
+    reachable = _REACHABLE_POINTS + (("executor.dispatch",) if workers > 1 else ())
+    points = sorted({spec["point"] for spec in scenario.faults})
+    if not any(point in reachable for point in points):
+        raise ValueError(
+            f"scenario {scenario.name!r} cannot fire in a chaos run with "
+            f"workers={workers}: fault points {points} are unreachable "
+            f"(reachable: {', '.join(reachable)})"
+        )
 
     suite = PINNED_SUITE[: limit if limit else len(PINNED_SUITE)]
     jobs = bench_jobs(suite)

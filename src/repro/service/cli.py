@@ -55,7 +55,6 @@ import argparse
 import json
 import sys
 import threading
-from dataclasses import fields
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -78,6 +77,7 @@ from repro.service.service import (
     JobResult,
     ProgressEvent,
     job_summary,
+    jobs_from_entries,
 )
 from repro.service.shardcache import DiskCacheStore
 
@@ -228,50 +228,6 @@ def _cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Entry keys that override the default options: every CompileOptions field.
-_OPTION_KEYS = tuple(field.name for field in fields(CompileOptions))
-
-
-def jobs_from_entries(
-    entries: List[Dict[str, Any]], defaults: Optional[CompileOptions] = None
-) -> List[CompilationJob]:
-    """Build compilation jobs from manifest-style entry dicts.
-
-    Entry format: ``{"name", "benchmark" | "program" | "workload",
-    ...compiler-option overrides}``; ``"workload"`` is a registry spec
-    string such as ``"maxcut:n=12,graph=powerlaw"``.  Raises
-    :class:`ValueError` on malformed entries — callers (the batch CLI,
-    ``POST /v1/jobs``) turn that into their own error surface.
-    """
-    from repro.chemistry.molecules import benchmark_program
-
-    defaults = defaults if defaults is not None else CompileOptions()
-    jobs = []
-    for position, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"job entry {position} must be an object, got {entry!r}")
-        if "benchmark" in entry:
-            program = benchmark_program(entry["benchmark"])
-        elif "workload" in entry:
-            from repro.workloads.registry import workload_from_spec
-
-            program = workload_from_spec(entry["workload"]).to_terms()
-        elif "program" in entry:
-            program = terms_from_dict(entry["program"])
-        else:
-            raise ValueError(
-                f"job entry {position} needs 'benchmark', 'workload', or 'program'"
-            )
-        name = entry.get(
-            "name",
-            entry.get("benchmark", entry.get("workload", f"job-{position}")),
-        )
-        merged = defaults.to_dict()
-        merged.update({k: entry[k] for k in _OPTION_KEYS if k in entry})
-        jobs.append(CompilationJob(name, program, CompileOptions.from_dict(merged)))
-    return jobs
-
-
 def _jobs_from_manifest(path: str, defaults: CompileOptions) -> List[CompilationJob]:
     entries = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(entries, list):
@@ -299,7 +255,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.resume and not args.journal:
         raise SystemExit("error: --resume needs --journal PATH")
 
-    service = CompilationService(cache=open_cache(args.cache))
+    service = CompilationService(cache=open_cache(args.cache), timeout=args.timeout)
     progress = None if args.quiet else _stderr_progress
     trace_sink: Optional[obs.JsonlSink] = None
     previous_sink = None
@@ -313,7 +269,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             job_results = service.compile_many(
                 jobs,
                 workers=args.workers,
-                timeout=args.timeout,
                 progress=progress,
                 journal=journal,
                 resume=args.resume,
@@ -673,8 +628,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    # Imported lazily: repro.serve.app imports this module for
-    # jobs_from_entries, so a top-level import would be circular.
+    # Imported lazily: only ``phoenix serve`` pays for the server modules.
     from repro.serve.app import ServeConfig, run_serve
 
     config = ServeConfig(

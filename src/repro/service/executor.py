@@ -13,8 +13,7 @@ process; more fan out across a ``fork``-based process pool with
 * bounded retry under a shared :class:`~repro.service.resilience.RetryPolicy`
   — a job whose attempt timed out or whose worker died is re-executed
   (re-dispatched to the pool while it is healthy, inline once it is
-  broken), with exponential seeded-jitter backoff on inline retries and a
-  per-batch deadline budget that stops granting retries once spent,
+  broken), with exponential seeded-jitter backoff on inline retries,
 * a :class:`~repro.service.resilience.CircuitBreaker` guarding the pool:
   while it is open, batches run inline instead of re-paying the
   broken-pool discovery cost, and
@@ -269,7 +268,6 @@ class _Run:
         self.progress = progress
         self.cancel = cancel
         self.policy = policy
-        self.session = policy.start()
         self.results: List[Optional[RawResult]] = [None] * len(payloads)
         self.attempts = [0] * len(payloads)
         self.pending: Dict[Future, List[int]] = {}
@@ -290,7 +288,7 @@ class _Run:
     def may_retry(self, position: int, raw: RawResult) -> bool:
         return (
             _retryable(self.policy, raw)
-            and self.session.should_retry(self.attempts[position])
+            and self.attempts[position] <= self.policy.max_retries
             and not self.cancelled()
         )
 
@@ -305,12 +303,10 @@ class _Run:
             raw = run_payload_with_timeout(payload, self.timeout, self.runner)
             if raw.get("timeout"):
                 _count("repro_executor_timeouts_total", INLINE)
-            if not (
-                self.may_retry(position, raw)
-                and self.session.backoff(self.attempts[position], token=token)
-            ):
+            if not self.may_retry(position, raw):
                 self.finish(position, raw)
                 return
+            self.policy.backoff(self.attempts[position], token)
             _count("repro_executor_retries_total", INLINE)
             logger.info(
                 "retrying failed job %s (attempt %d/%d)",
@@ -390,7 +386,7 @@ class _Run:
             if self.results[position] is not None:
                 continue
             self.attempts[position] += 1
-            if self.session.should_retry(self.attempts[position]) and not self.cancelled():
+            if self.attempts[position] <= self.policy.max_retries and not self.cancelled():
                 _count("repro_executor_retries_total", POOL)
                 self.count_fallback()
                 self.attempt_inline(position)

@@ -47,6 +47,9 @@ __all__ = ["RemoteCacheStore", "RemoteCacheUnavailable"]
 #: Exceptions the degradation contract absorbs on the request path.
 _ABSORBED = (OSError, http.client.HTTPException, faultlab.InjectedFault)
 
+#: Idle keep-alive connections a store keeps per cache server.
+POOL_SIZE = 4
+
 
 class RemoteCacheUnavailable(RuntimeError):
     """Raised only by the explicit ops surfaces (``fetch_stats``), never
@@ -56,12 +59,11 @@ class RemoteCacheUnavailable(RuntimeError):
 class _ConnectionPool:
     """A small stack of keep-alive connections to one host:port."""
 
-    def __init__(self, scheme: str, host: str, port: int, timeout: float, size: int = 4):
+    def __init__(self, scheme: str, host: str, port: int, timeout: float):
         self._scheme = scheme
         self._host = host
         self._port = port
         self._timeout = timeout
-        self._size = size
         self._idle: List[http.client.HTTPConnection] = []
         self._lock = threading.Lock()
         self._closed = False
@@ -81,7 +83,7 @@ class _ConnectionPool:
 
     def release(self, conn: http.client.HTTPConnection) -> None:
         with self._lock:
-            if not self._closed and len(self._idle) < self._size:
+            if not self._closed and len(self._idle) < POOL_SIZE:
                 self._idle.append(conn)
                 return
         conn.close()
@@ -110,7 +112,6 @@ class RemoteCacheStore:
         url: str,
         timeout: float = 2.0,
         breaker: Optional[CircuitBreaker] = None,
-        pool_size: int = 4,
     ):
         split = urlsplit(url)
         if split.scheme not in ("http", "https"):
@@ -126,7 +127,6 @@ class RemoteCacheStore:
             split.hostname,
             split.port or (443 if split.scheme == "https" else 80),
             timeout=timeout,
-            size=pool_size,
         )
         self.timeout = timeout
         self.breaker = breaker if breaker is not None else CircuitBreaker(

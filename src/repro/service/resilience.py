@@ -3,12 +3,9 @@
 Three small, composable primitives that the executor, the cache tiers,
 and the CLI share:
 
-* :class:`RetryPolicy` — exponential backoff with **deterministic seeded
-  jitter** and an optional **per-batch deadline budget**.  The clock and
-  the sleep function are injectable, so the exact backoff schedule of a
-  given seed is unit-testable without wall-clock waits.  A policy is
-  immutable configuration; per-batch state (deadline start, budget
-  accounting) lives in the :class:`RetrySession` it spawns.
+* :class:`RetryPolicy` — bounded retries with exponential backoff and
+  **deterministic per-job jitter**.  The sleep function is injectable, so
+  the exact backoff schedule is unit-testable without wall-clock waits.
 * :class:`CircuitBreaker` — the classic closed / open / half-open state
   machine over a sliding failure-rate window.  ``allow()`` answers "may I
   try?", ``record_success()`` / ``record_failure()`` feed the window.
@@ -37,7 +34,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Iterator, Optional
+from typing import Any, Callable, Deque
 
 from repro.obs import metrics as obs_metrics
 
@@ -46,7 +43,6 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "CircuitBreaker",
     "RetryPolicy",
-    "RetrySession",
     "shutdown_guard",
 ]
 
@@ -54,36 +50,31 @@ __all__ = [
 BREAKER_STATE_VALUES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 
 
+#: Growth factor of the backoff between consecutive retries.
+BACKOFF_MULTIPLIER = 2.0
+#: Fraction of each backoff randomized: 0.5 means +/-50%.
+BACKOFF_JITTER = 0.5
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Immutable retry configuration for every executor attempt, inline or pooled.
 
-    ``delay_for(attempt, token)`` is a pure function of the policy: the
-    jitter draw is seeded by ``(seed, token, attempt)``, so a given job
-    (``token``) always sees the same backoff schedule regardless of how
-    many other jobs retried before it — deterministic across runs *and*
-    across dispatch orders.
-
-    ``deadline`` is a per-batch budget in seconds: once a
-    :class:`RetrySession` has been alive longer than this, no further
-    retries are granted (the attempt that is already running still
-    finishes; deadlines bound retry amplification, they do not kill work).
+    A job may run ``max_retries + 1`` times.  ``delay_for(attempt, token)``
+    is a pure function of the policy: the jitter draw is seeded by
+    ``(token, attempt)``, so a given job (``token``) always sees the same
+    backoff schedule regardless of how many other jobs retried before it —
+    deterministic across runs *and* across dispatch orders.
     """
 
     max_retries: int = 1
     base_delay: float = 0.05
-    multiplier: float = 2.0
     max_delay: float = 5.0
-    #: Fraction of the computed delay randomized: 0.5 means +/-50%.
-    jitter: float = 0.5
-    seed: int = 0
-    deadline: Optional[float] = None
     #: Also retry attempts whose status is "error" (not just timeouts and
     #: worker crashes).  Off by default: most compilation errors are
     #: deterministic, but chaos runs flip this on to ride out transient
     #: injected faults.
     retry_errors: bool = False
-    clock: Callable[[], float] = field(default=time.monotonic, repr=False)
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
     def __post_init__(self) -> None:
@@ -91,79 +82,21 @@ class RetryPolicy:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.base_delay < 0 or self.max_delay < 0:
             raise ValueError("delays must be >= 0")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
 
     def delay_for(self, attempt: int, token: Any = "") -> float:
         """Backoff before retry number ``attempt`` (1-based), in seconds."""
         exponent = max(0, attempt - 1)
-        delay = min(self.max_delay, self.base_delay * self.multiplier**exponent)
-        if self.jitter:
-            rng = random.Random(f"{self.seed}:{token}:{attempt}")
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+        delay = min(self.max_delay, self.base_delay * BACKOFF_MULTIPLIER**exponent)
+        rng = random.Random(f"0:{token}:{attempt}")
+        delay *= 1.0 + BACKOFF_JITTER * (2.0 * rng.random() - 1.0)
         return max(0.0, delay)
 
-    def schedule(self, token: Any = "") -> Iterator[float]:
-        """The full backoff schedule of one job, for tests and docs."""
-        for attempt in range(1, self.max_retries + 1):
-            yield self.delay_for(attempt, token)
-
-    def start(self) -> "RetrySession":
-        """Open the per-batch session (starts the deadline clock)."""
-        return RetrySession(self)
-
-
-class RetrySession:
-    """Per-batch retry state: deadline accounting plus backoff sleeps."""
-
-    def __init__(self, policy: RetryPolicy):
-        self.policy = policy
-        self.started = policy.clock()
-        self.retries_granted = 0
-        self.retries_denied = 0
-
-    def elapsed(self) -> float:
-        return self.policy.clock() - self.started
-
-    def remaining(self) -> Optional[float]:
-        """Seconds left in the batch deadline budget; ``None`` = unlimited."""
-        if self.policy.deadline is None:
-            return None
-        return self.policy.deadline - self.elapsed()
-
-    def deadline_exhausted(self) -> bool:
-        remaining = self.remaining()
-        return remaining is not None and remaining <= 0.0
-
-    def should_retry(self, attempts: int) -> bool:
-        """May a job that has made ``attempts`` attempts try again?"""
-        if attempts > self.policy.max_retries:
-            return False
-        if self.deadline_exhausted():
-            self.retries_denied += 1
-            return False
-        return True
-
-    def backoff(self, attempts: int, token: Any = "") -> bool:
-        """Sleep before the next attempt; ``False`` when the deadline budget
-        cannot afford the sleep (the caller must stop retrying)."""
-        delay = self.policy.delay_for(attempts, token)
-        remaining = self.remaining()
-        if remaining is not None and delay >= remaining:
-            self.retries_denied += 1
-            logger.info(
-                "deadline budget exhausted (%.2fs left < %.2fs backoff); "
-                "not retrying job %r",
-                max(0.0, remaining),
-                delay,
-                token,
-            )
-            return False
-        self.retries_granted += 1
+    def backoff(self, attempt: int, token: Any = "") -> None:
+        """Sleep the backoff before retry number ``attempt`` of job ``token``."""
+        delay = self.delay_for(attempt, token)
         obs_metrics.histogram("repro_retry_backoff_seconds").observe(delay)
         if delay > 0:
-            self.policy.sleep(delay)
-        return True
+            self.sleep(delay)
 
 
 class CircuitBreaker:
@@ -212,12 +145,6 @@ class CircuitBreaker:
     def state(self) -> str:
         with self._lock:
             return self._state
-
-    def failure_rate(self) -> float:
-        with self._lock:
-            if not self._outcomes:
-                return 0.0
-            return sum(1 for ok in self._outcomes if not ok) / len(self._outcomes)
 
     def _publish_state(self) -> None:
         obs_metrics.gauge("repro_breaker_state", breaker=self.name).set(
@@ -287,14 +214,6 @@ class CircuitBreaker:
             failures = sum(1 for ok in self._outcomes if not ok)
             if failures / len(self._outcomes) >= self.failure_threshold:
                 self._trip()
-
-    def reset(self) -> None:
-        """Force-close and forget history (tests, manual ops)."""
-        with self._lock:
-            self._state = "closed"
-            self._probe_inflight = False
-            self._outcomes.clear()
-            self._publish_state()
 
 
 class shutdown_guard:

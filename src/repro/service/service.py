@@ -17,6 +17,10 @@ parallel batch facility:
   job (hit, dedup, miss, or error) as it completes; and
 * a job that raises inside a worker is captured as a failed
   :class:`JobResult` with the traceback, without poisoning the batch.
+
+:func:`jobs_from_entries` builds :class:`CompilationJob` lists from the
+plain-dict entries that batch manifests and ``POST /v1/jobs`` bodies
+share.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import logging
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.core.compiler import CompilationResult
@@ -37,6 +41,7 @@ from repro.serialize.results import (
     metrics_to_dict,
     result_from_dict,
     result_to_dict,
+    terms_from_dict,
     terms_to_dict,
 )
 from repro.service.cache import CacheStore, MemoryCacheStore, compilation_cache_key
@@ -47,7 +52,7 @@ from repro.service.executor import (
     execute_payload,
 )
 from repro.service.journal import BatchJournal, open_journal
-from repro.service.resilience import CircuitBreaker, RetryPolicy
+from repro.service.resilience import RetryPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -76,6 +81,50 @@ class CompilationJob:
         # allow_empty: an empty program must fail *per job* at fingerprint
         # time, not poison batch assembly.
         return as_terms(self.program, allow_empty=True)
+
+
+#: Entry keys that override the default options: every CompileOptions field.
+_OPTION_KEYS = tuple(option.name for option in fields(CompileOptions))
+
+
+def jobs_from_entries(
+    entries: List[Dict[str, Any]], defaults: Optional[CompileOptions] = None
+) -> List[CompilationJob]:
+    """Build compilation jobs from manifest-style entry dicts.
+
+    Entry format: ``{"name", "benchmark" | "program" | "workload",
+    ...compiler-option overrides}``; ``"workload"`` is a registry spec
+    string such as ``"maxcut:n=12,graph=powerlaw"``.  Raises
+    :class:`ValueError` on malformed entries — callers (the batch CLI,
+    ``POST /v1/jobs``) turn that into their own error surface.
+    """
+    from repro.chemistry.molecules import benchmark_program
+
+    defaults = defaults if defaults is not None else CompileOptions()
+    jobs = []
+    for position, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"job entry {position} must be an object, got {entry!r}")
+        if "benchmark" in entry:
+            program = benchmark_program(entry["benchmark"])
+        elif "workload" in entry:
+            from repro.workloads.registry import workload_from_spec
+
+            program = workload_from_spec(entry["workload"]).to_terms()
+        elif "program" in entry:
+            program = terms_from_dict(entry["program"])
+        else:
+            raise ValueError(
+                f"job entry {position} needs 'benchmark', 'workload', or 'program'"
+            )
+        name = entry.get(
+            "name",
+            entry.get("benchmark", entry.get("workload", f"job-{position}")),
+        )
+        merged = defaults.to_dict()
+        merged.update({k: entry[k] for k in _OPTION_KEYS if k in entry})
+        jobs.append(CompilationJob(name, program, CompileOptions.from_dict(merged)))
+    return jobs
 
 
 @dataclass
@@ -129,22 +178,19 @@ class ProgressEvent:
 
 ProgressCallback = Callable[[ProgressEvent], None]
 
-#: Sentinel distinguishing "argument omitted" from an explicit ``None``
-#: (= unlimited) in :meth:`CompilationService.compile_many` overrides.
-_UNSET: Any = object()
-
 
 class CompilationService:
     """Cached, parallel front end over the registered compilers.
 
     ``max_workers`` (default: ``min(#misses, cpu_count)``; 1 runs inline)
-    and ``timeout`` (seconds per job) set the service-wide defaults that
-    :meth:`compile_many` can override per batch.  The service builds one
+    is the default worker count that :meth:`compile_many` can override per
+    batch; ``timeout`` is every job's wall-clock budget in seconds
+    (``None`` = unlimited).  The service builds one
     :class:`~repro.service.executor.Executor` from ``retry_policy``
-    (default: one retry of a timed-out or crashed job), ``pool_breaker``
-    and ``keep_alive`` and keeps it for its lifetime; ``executor=`` injects
-    a ready one instead (it brings its own settings), and the string
-    ``"serial"`` is kept as shorthand for a default of one worker.
+    (default: one retry of a timed-out or crashed job) and ``keep_alive``
+    and keeps it for its lifetime; ``executor=`` injects a ready one
+    instead (it brings its own settings), and the string ``"serial"`` is
+    kept as shorthand for a default of one worker.
 
     One breaker per service means pool health learned in one batch keeps
     later batches from re-paying the broken-pool discovery cost.
@@ -163,7 +209,6 @@ class CompilationService:
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        pool_breaker: Optional[CircuitBreaker] = None,
         keep_alive: bool = False,
     ):
         if isinstance(executor, str):
@@ -181,7 +226,7 @@ class CompilationService:
         self.executor = (
             executor
             if executor is not None
-            else Executor(retry_policy=retry_policy, breaker=pool_breaker, keep_alive=keep_alive)
+            else Executor(retry_policy=retry_policy, keep_alive=keep_alive)
         )
         self.max_workers = max_workers
         self.timeout = timeout
@@ -225,7 +270,6 @@ class CompilationService:
         self,
         jobs: Sequence[CompilationJob],
         workers: Optional[int] = None,
-        timeout: Optional[float] = _UNSET,
         progress: Optional[ProgressCallback] = None,
         journal: Union[str, BatchJournal, None] = None,
         resume: bool = False,
@@ -236,10 +280,8 @@ class CompilationService:
         ``workers=None`` uses the service's ``max_workers``, else
         ``min(#misses, cpu_count)``; ``workers <= 1`` runs everything inline
         (deterministic and fork-free, useful in tests and restricted
-        environments).  ``timeout`` overrides the service's per-job budget
-        for this batch, with an explicit ``timeout=None`` meaning
-        unlimited; ``progress`` is called once per job as it completes,
-        cache hits included.
+        environments).  ``progress`` is called once per job as it
+        completes, cache hits included.
 
         ``journal`` (a path or an open :class:`BatchJournal`) appends each
         terminal job outcome to a crash-safe write-ahead log;
@@ -254,7 +296,7 @@ class CompilationService:
         try:
             with obs_trace.span("compile_many", jobs=len(jobs)) as batch_span:
                 return self._compile_many(
-                    jobs, workers, timeout, progress, batch_span, wal, resume, cancel
+                    jobs, workers, progress, batch_span, wal, resume, cancel
                 )
         finally:
             if owns_wal and wal is not None:
@@ -264,7 +306,6 @@ class CompilationService:
         self,
         jobs: Sequence[CompilationJob],
         workers: Optional[int],
-        timeout: Optional[float],
         progress: Optional[ProgressCallback],
         batch_span: obs_trace.SpanLike,
         journal: Optional[BatchJournal] = None,
@@ -482,7 +523,7 @@ class CompilationService:
             raw_results = self.executor.run(
                 pending,
                 workers=worker_count,
-                timeout=self.timeout if timeout is _UNSET else timeout,
+                timeout=self.timeout,
                 progress=collect,
                 runner=execute_payload,
                 cancel=cancel,

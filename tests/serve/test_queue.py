@@ -4,7 +4,7 @@ import asyncio
 
 import pytest
 
-from repro.serve.queue import Job, JobQueue, QueueFull
+from repro.serve.queue import HISTORY, Job, JobQueue, QueueFull
 
 
 def make_job(queue: JobQueue, name: str = "job") -> Job:
@@ -78,17 +78,18 @@ def test_drain_pending_pulls_unstarted_jobs():
 
 def test_finished_history_is_bounded():
     async def run():
-        queue = JobQueue(capacity=64, history=2)
-        jobs = [queue.submit(make_job(queue, f"job-{index}")) for index in range(4)]
-        for job in jobs:
+        queue = JobQueue(capacity=2)
+        jobs = []
+        for index in range(HISTORY + 1):
+            job = queue.submit(make_job(queue, f"job-{index}"))
             await queue.next_job()
             job.finish("done")
             queue.mark_finished(job)
-        # Only the two most recent finished jobs remain addressable.
+            jobs.append(job)
+        # Only the HISTORY most recent finished jobs remain addressable.
         assert queue.get(jobs[0].id) is None
-        assert queue.get(jobs[1].id) is None
-        assert queue.get(jobs[2].id) is jobs[2]
-        assert queue.get(jobs[3].id) is jobs[3]
+        assert queue.get(jobs[1].id) is jobs[1]
+        assert queue.get(jobs[-1].id) is jobs[-1]
         assert queue.jobs_per_second() > 0
 
     asyncio.run(run())

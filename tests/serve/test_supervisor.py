@@ -8,7 +8,7 @@ from repro.service.resilience import CircuitBreaker
 
 def test_crashed_task_is_restarted_and_recovers():
     async def run():
-        supervisor = Supervisor(restart_delay=0.01)
+        supervisor = Supervisor()
         attempts = []
         finished = asyncio.Event()
 
@@ -35,7 +35,6 @@ def test_breaker_declares_hot_crash_loop_dead():
         # A breaker that opens after 2 straight failures, long cooldown:
         # the third crash finds it open and the task is declared dead.
         supervisor = Supervisor(
-            restart_delay=0.01,
             breaker_factory=lambda name: CircuitBreaker(
                 f"test.{name}", window=4, failure_threshold=0.5,
                 min_calls=2, cooldown=60.0,
@@ -61,7 +60,7 @@ def test_breaker_declares_hot_crash_loop_dead():
 
 def test_shutdown_cancels_running_tasks():
     async def run():
-        supervisor = Supervisor(restart_delay=0.01)
+        supervisor = Supervisor()
         started = asyncio.Event()
 
         async def forever():

@@ -1,11 +1,13 @@
 """Tests for the ``phoenix chaos`` survival harness."""
 
+import pytest
+
 from repro.service import faultlab
 from repro.service.chaos import format_chaos_report, run_chaos
 from repro.service.resilience import RetryPolicy
 
 FAST_RETRIES = RetryPolicy(max_retries=2, base_delay=0.0, max_delay=0.0,
-                           jitter=0.0, retry_errors=True)
+                           retry_errors=True)
 
 
 class TestRunChaos:
@@ -53,3 +55,35 @@ class TestRunChaos:
         assert "accounted" in text
         for row in report["per_job"]:
             assert row["name"] in text
+
+    @pytest.mark.parametrize(
+        "scenario, unreachable",
+        [
+            # A chaos run has no remote tier, so remote-outage could never
+            # fire: it must be an error, not a vacuous survival.
+            (faultlab.BUILTIN_SCENARIOS["remote-outage"], "remote.connect"),
+            # Pool dispatch only happens when the run fans out.
+            (
+                faultlab.Scenario(
+                    name="dispatch-only", seed=1,
+                    faults=({"point": "executor.dispatch", "fault": "error", "p": 1.0},),
+                ),
+                "executor.dispatch",
+            ),
+        ],
+    )
+    def test_scenario_that_cannot_fire_is_rejected(self, scenario, unreachable):
+        with pytest.raises(ValueError, match=unreachable):
+            run_chaos(scenario, limit=1, workers=1)
+
+    def test_one_reachable_point_is_enough_to_run(self):
+        scenario = faultlab.Scenario(
+            name="mixed", seed=1,
+            faults=(
+                {"point": "remote.get", "fault": "error", "p": 1.0},
+                {"point": "cache.get", "fault": "corrupt", "p": 1.0},
+            ),
+        )
+        report = run_chaos(scenario, limit=1, verify=False, retry_policy=FAST_RETRIES)
+        assert report["faults_fired"] > 0
+        assert report["accounted"]

@@ -108,6 +108,22 @@ class TestBatchCommand:
         with pytest.raises(SystemExit):
             main(["batch"])
 
+    def test_timeout_flag_reaches_the_executor(self, tmp_path, capsys):
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(
+            json.dumps([{"name": "slow", "workload": "uccsd:electrons=4,orbitals=10"}]),
+            encoding="utf-8",
+        )
+        code = main([
+            "batch", "--manifest", str(manifest), "--timeout", "0.01",
+            "--workers", "1", "--format", "json", "--quiet",
+        ])
+        assert code == 1
+        [summary] = json.loads(capsys.readouterr().out)
+        assert summary["status"] == "error"
+        assert summary["attempts"] == 2  # the default policy retries a timeout once
+        assert summary["error"].startswith("job timed out after 0.01s")
+
 
 class TestCacheCommand:
     def test_info_ls_clear(self, program_file, tmp_path, capsys):
@@ -320,3 +336,9 @@ class TestChaosCommand:
         code = main(["chaos", "--scenario", "definitely-not-real"])
         assert code == 2
         assert "scenario" in capsys.readouterr().err
+
+    def test_unreachable_scenario_is_an_error(self, capsys):
+        code = main(["chaos", "--scenario", "remote-outage", "--format", "json"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "remote.get" in err

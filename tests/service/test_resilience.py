@@ -6,6 +6,8 @@ import threading
 import pytest
 
 from repro.service.resilience import (
+    BACKOFF_JITTER,
+    BACKOFF_MULTIPLIER,
     BREAKER_STATE_VALUES,
     CircuitBreaker,
     RetryPolicy,
@@ -33,85 +35,55 @@ class FakeClock:
 
 def make_policy(**overrides):
     clock = FakeClock()
-    defaults = dict(
-        max_retries=3,
-        base_delay=1.0,
-        multiplier=2.0,
-        max_delay=60.0,
-        jitter=0.5,
-        seed=42,
-        clock=clock,
-        sleep=clock.sleep,
-    )
+    defaults = dict(max_retries=3, base_delay=1.0, max_delay=60.0, sleep=clock.sleep)
     defaults.update(overrides)
     return RetryPolicy(**defaults), clock
 
 
 class TestRetryPolicy:
-    def test_backoff_sleeps_are_exactly_the_seeded_schedule(self):
+    def test_backoff_sleeps_are_exactly_the_seeded_schedule(self, clean_metrics):
         policy, clock = make_policy()
-        session = policy.start()
         for attempt in (1, 2, 3):
-            assert session.backoff(attempt, token="job-a")
+            policy.backoff(attempt, token="job-a")
         assert clock.sleeps == [policy.delay_for(a, "job-a") for a in (1, 2, 3)]
+        assert clean_metrics.histogram("repro_retry_backoff_seconds").count == 3
         # And the schedule is reproducible: a fresh identical policy (its
         # own clock, no shared state) sleeps the same seconds.
         other, other_clock = make_policy()
-        other_session = other.start()
         for attempt in (1, 2, 3):
-            other_session.backoff(attempt, token="job-a")
+            other.backoff(attempt, token="job-a")
         assert other_clock.sleeps == clock.sleeps
 
-    def test_jitter_is_seed_and_token_deterministic(self):
+    def test_jitter_is_token_deterministic(self):
         policy, _ = make_policy()
         assert policy.delay_for(2, "a") == policy.delay_for(2, "a")
         assert policy.delay_for(2, "a") != policy.delay_for(2, "b")
-        different_seed, _ = make_policy(seed=43)
-        assert policy.delay_for(2, "a") != different_seed.delay_for(2, "a")
 
-    def test_jitter_stays_within_the_configured_band(self):
-        policy, _ = make_policy(jitter=0.5)
+    def test_jitter_stays_within_the_band_around_the_capped_delay(self):
+        policy, _ = make_policy(max_delay=3.0)
         for attempt in range(1, 5):
-            base = min(policy.max_delay, policy.base_delay * policy.multiplier ** (attempt - 1))
+            base = min(3.0, BACKOFF_MULTIPLIER ** (attempt - 1))
             for token in range(20):
                 delay = policy.delay_for(attempt, token)
-                assert 0.5 * base <= delay <= 1.5 * base
+                assert (1 - BACKOFF_JITTER) * base <= delay <= (1 + BACKOFF_JITTER) * base
 
-    def test_zero_jitter_is_pure_exponential_with_cap(self):
-        policy, _ = make_policy(jitter=0.0, max_delay=3.0)
-        assert list(policy.schedule("t")) == [1.0, 2.0, 3.0]
+    def test_default_backoff_schedule_is_pinned(self):
+        # Golden values: the jitter RNG is seeded with "0:{token}:{attempt}",
+        # so these delays must not move when the policy is refactored.
+        from repro.service import chaos
 
-    def test_deadline_budget_cuts_retries_short(self):
-        # 10s budget: the third backoff (4s expected, >= 10 - spent) is denied.
-        policy, clock = make_policy(jitter=0.0, deadline=10.0, max_retries=5)
-        session = policy.start()
-        assert session.backoff(1, token="j")  # sleeps 1s
-        assert session.backoff(2, token="j")  # sleeps 2s
-        clock.advance(5.0)  # the attempts themselves took time
-        assert not session.backoff(3, token="j")  # 4s backoff > 2s remaining
-        assert session.retries_granted == 2
-        assert session.retries_denied == 1
-        assert clock.sleeps == [1.0, 2.0]
-
-    def test_exhausted_deadline_denies_via_should_retry(self):
-        policy, clock = make_policy(deadline=5.0)
-        session = policy.start()
-        assert session.should_retry(1)
-        clock.advance(6.0)
-        assert not session.should_retry(1)
-        assert session.retries_denied == 1
-
-    def test_attempt_count_bounds_retries(self):
-        policy, _ = make_policy(max_retries=2)
-        session = policy.start()
-        assert session.should_retry(2)
-        assert not session.should_retry(3)
+        assert RetryPolicy().delay_for(1, "job-a") == 0.026535527116495275
+        assert RetryPolicy().delay_for(3, 0) == 0.28433846936468277
+        assert RetryPolicy().delay_for(2, "uccsd-12q-phoenix") == 0.11989480063234065
+        assert chaos.DEFAULT_CHAOS_POLICY.delay_for(3, 0) == 0.05686769387293655
+        assert (
+            chaos.DEFAULT_CHAOS_POLICY.delay_for(2, "uccsd-12q-phoenix")
+            == 0.023978960126468128
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=1.0)
         with pytest.raises(ValueError):
             RetryPolicy(base_delay=-0.1)
 
@@ -187,15 +159,6 @@ class TestCircuitBreaker:
             BREAKER_STATE_VALUES["open"]
         )
         assert snapshot["repro_breaker_trips_total"]["breaker=gauge-test"] == 1
-
-    def test_reset_closes_and_forgets(self):
-        breaker, _ = self.make()
-        for _ in range(4):
-            breaker.record_failure()
-        breaker.reset()
-        assert breaker.state == "closed"
-        assert breaker.allow()
-        assert breaker.failure_rate() == 0.0
 
 
 class TestShutdownGuard:

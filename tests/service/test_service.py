@@ -267,20 +267,15 @@ class TestBatchOverrides:
         executor = RecordingExecutor()
         return CompilationService(executor=executor, **kwargs), executor.calls
 
-    def test_omitted_timeout_inherits_service_default(self, tiny_program):
+    def test_service_timeout_reaches_the_executor(self, tiny_program):
         service, calls = self._service(timeout=120.0)
         service.compile_many([CompilationJob("a", tiny_program)])
         assert calls[-1]["timeout"] == 120.0
 
-    def test_explicit_none_means_unlimited(self, tiny_program):
-        service, calls = self._service(timeout=120.0)
-        service.compile_many([CompilationJob("a", tiny_program)], timeout=None)
+    def test_default_timeout_is_unlimited(self, tiny_program):
+        service, calls = self._service()
+        service.compile_many([CompilationJob("a", tiny_program)])
         assert calls[-1]["timeout"] is None
-
-    def test_explicit_value_overrides(self, tiny_program):
-        service, calls = self._service(timeout=120.0)
-        service.compile_many([CompilationJob("a", tiny_program)], timeout=7.5)
-        assert calls[-1]["timeout"] == 7.5
 
     def test_worker_budget_defaults_then_overrides(self, tiny_program):
         service, calls = self._service(max_workers=3)
@@ -291,7 +286,7 @@ class TestBatchOverrides:
     def test_one_executor_for_the_service_lifetime(self, tiny_program):
         service = CompilationService(keep_alive=True)
         executor = service.executor
-        service.compile_many([CompilationJob("a", tiny_program)], timeout=5.0)
+        service.compile_many([CompilationJob("a", tiny_program)])
         service.compile_many([CompilationJob("b", tiny_program, CompileOptions(seed=2))])
         assert service.executor is executor and executor.keep_alive
 
