@@ -15,7 +15,11 @@ metrics look plausible:
   order);
 * on fully-commuting workloads (MaxCut cost layers), where term order is
   irrelevant, all compilers' circuits are mutually unitarily equivalent up
-  to global phase.
+  to global phase;
+* hardware-aware compiles on 8-qubit line, ring and grid devices, on both
+  ISAs, place every 2Q gate on a device edge and are exact up to layout: a
+  random logical state embedded at the initial mapping comes out at the
+  final mapping as the implemented terms' Trotter evolution of that state.
 
 Both the compiler line-up and the workload sample are discovered from the
 global registries, so registering a new compiler or family automatically
@@ -31,6 +35,7 @@ from repro.core.compiler import PhoenixCompiler
 from repro.core.cost import bsf_cost_reference
 from repro.core.ordering import _order_indices_reference
 from repro.core.simplify import simplify_group
+from repro.hardware.topology import resolve_topology
 from repro.paulis.fingerprint import program_fingerprint
 from repro.pipeline import FunctionStage
 from repro.pipeline.options import CompileOptions
@@ -41,6 +46,7 @@ from repro.pipeline.registry import (
     is_order_sensitive,
 )
 from repro.simulation.evolution import terms_unitary
+from repro.simulation.statevector import apply_circuit
 from repro.simulation.unitary import circuit_unitary
 from repro.workloads.registry import list_workloads
 
@@ -164,6 +170,75 @@ class TestCommutingCrossCompiler:
         assert _phase_overlap(
             terms_unitary(workload.to_terms()), terms_unitary(shuffled)
         ) == pytest.approx(1.0, abs=1e-12)
+
+
+#: 8-qubit devices of the hardware leg: every small instance fits on each.
+DEVICES = ("line-8", "ring-8", "grid-2x4")
+
+_HARDWARE_CASES = [
+    pytest.param(
+        family, seed, compiler, device, isa,
+        id=f"{family}-s{seed}-{compiler}-{device}-{isa}",
+    )
+    for family in FAMILIES
+    for seed in SEEDS
+    for compiler in COMPILERS
+    for device in DEVICES
+    for isa in ("cnot", "su4")
+]
+
+
+def _trotter_evolved(terms, state: np.ndarray) -> np.ndarray:
+    """``prod_k exp(-i c_k P_k) |state>``, first term applied first."""
+    for term in terms:
+        pauli_state = term.string.to_matrix() @ state
+        state = np.cos(term.coefficient) * state - 1j * np.sin(term.coefficient) * pauli_state
+    return state
+
+
+def _embedding_indices(mapping, logical: int, physical: int) -> np.ndarray:
+    """Physical basis index of each logical basis index under ``mapping``
+    (logical -> physical qubit; qubit 0 is the most significant bit)."""
+    indices = np.zeros(2**logical, dtype=np.int64)
+    for q in range(logical):
+        bits = (np.arange(2**logical) >> (logical - 1 - q)) & 1
+        indices |= bits << (physical - 1 - mapping[q])
+    return indices
+
+
+class TestHardwareAwareDifferential:
+    """Every compiler, routed onto small devices, is exact up to layout."""
+
+    @pytest.mark.parametrize("family,seed,compiler_name,device,isa", _HARDWARE_CASES)
+    def test_routed_circuit_is_exact_up_to_layout(
+        self, family, seed, compiler_name, device, isa, small_instances
+    ):
+        workload = small_instances[family][seed]
+        if not _supports_program(compiler_name, workload):
+            pytest.skip(f"{compiler_name} contract excludes {family} (weight > 2)")
+        topology = resolve_topology(device)
+        options = CompileOptions(compiler=compiler_name, isa=isa, topology=topology)
+        result = build_compiler(compiler_name, options).compile(workload.to_terms())
+
+        for gate in result.circuit:
+            if gate.is_two_qubit():
+                assert topology.are_connected(*gate.qubits), gate
+                if isa == "su4":
+                    assert gate.name == "su4"
+
+        logical = workload.num_qubits
+        physical = result.circuit.num_qubits
+        rng = np.random.default_rng(seed)
+        state = rng.normal(size=2**logical) + 1j * rng.normal(size=2**logical)
+        state /= np.linalg.norm(state)
+        expected = _trotter_evolved(result.implemented_terms, state)
+
+        routed = result.routed
+        embedded = np.zeros(2**physical, dtype=complex)
+        embedded[_embedding_indices(routed.initial_mapping, logical, physical)] = state
+        evolved = apply_circuit(result.circuit, embedded)
+        actual = evolved[_embedding_indices(routed.final_mapping, logical, physical)]
+        assert abs(np.vdot(expected, actual)) == pytest.approx(1.0, abs=1e-9)
 
 
 def _reference_simplify(context):
