@@ -35,6 +35,9 @@ Program = Union[Hamiltonian, Sequence[PauliTerm]]
 
 ISAS = ("cnot", "su4")
 
+#: The peephole levels of :func:`repro.transforms.optimize.optimize_circuit`.
+OPTIMIZATION_LEVELS = range(4)
+
 
 def as_terms(program: Program, allow_empty: bool = False) -> List[PauliTerm]:
     """Normalise a program (Hamiltonian or term sequence) into a term list.
@@ -73,7 +76,8 @@ class CompileOptions:
         string (``"heavy-hex"``, ``"grid-2x3"``, ...) resolves through
         :func:`~repro.hardware.topology.resolve_topology`.
     optimization_level:
-        Peephole level 0-3 applied by the ``optimize`` stage.
+        Peephole level 0-3 applied by the ``optimize`` stage; any other
+        value raises ``ValueError``.
     lookahead:
         Look-ahead window of the Tetris-like ``order`` stage.
     seed:
@@ -98,6 +102,11 @@ class CompileOptions:
         if isinstance(self.topology, str):
             object.__setattr__(self, "topology", resolve_topology(self.topology))
         object.__setattr__(self, "optimization_level", int(self.optimization_level))
+        if self.optimization_level not in OPTIMIZATION_LEVELS:
+            raise ValueError(
+                f"unsupported optimization level {self.optimization_level}; "
+                "expected 0, 1, 2 or 3"
+            )
         object.__setattr__(self, "lookahead", int(self.lookahead))
         object.__setattr__(self, "seed", int(self.seed))
 

@@ -60,7 +60,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import repro.obs as obs
 from repro.hardware.topology import resolve_topology
-from repro.pipeline.options import CompileOptions
+from repro.pipeline.options import OPTIMIZATION_LEVELS, CompileOptions
 from repro.pipeline.registry import compiler_names
 from repro.serialize.results import (
     result_to_dict,
@@ -199,7 +199,7 @@ def _add_compiler_flags(parser: argparse.ArgumentParser) -> None:
              "auto = the workload's suggested topology)",
     )
     parser.add_argument(
-        "--opt-level", type=int, default=2,
+        "--opt-level", type=int, default=2, choices=OPTIMIZATION_LEVELS,
         help="peephole optimisation level 0-3 (default: 2)",
     )
     parser.add_argument("--seed", type=int, default=0, help="routing seed (default: 0)")

@@ -63,6 +63,15 @@ class TestCompileOptionsValidation:
             "compiler", "isa", "topology", "optimization_level", "lookahead", "seed",
         ]
 
+    @pytest.mark.parametrize("level", [-3, -1, 4, 7])
+    def test_unknown_optimization_level_rejected(self, level):
+        with pytest.raises(ValueError, match="unsupported optimization level"):
+            CompileOptions(optimization_level=level)
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_every_peephole_level_accepted(self, level):
+        assert CompileOptions(optimization_level=level).optimization_level == level
+
     def test_scalars_coerced_to_int(self):
         options = CompileOptions(optimization_level="3", lookahead="5", seed="1")
         assert (options.optimization_level, options.lookahead, options.seed) == (3, 5, 1)

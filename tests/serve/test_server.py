@@ -110,6 +110,11 @@ def test_ops_endpoints_and_error_surface(server):
     with pytest.raises(ServerError) as empty:
         client.submit([])
     assert empty.value.status == 400
+    for level in (7, -3):
+        with pytest.raises(ServerError) as bad_level:
+            client.submit([{**FAST_ENTRIES[0], "optimization_level": level}])
+        assert bad_level.value.status == 400
+        assert "unsupported optimization level" in str(bad_level.value)
 
 
 def test_queue_backpressure_answers_429_with_retry_after(make_server):

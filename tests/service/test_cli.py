@@ -108,6 +108,13 @@ class TestBatchCommand:
         with pytest.raises(SystemExit):
             main(["batch"])
 
+    @pytest.mark.parametrize("level", ["7", "-3"])
+    def test_unknown_opt_level_exits_2(self, level, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "LiH_frz_JW", "--opt-level", level])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_timeout_flag_reaches_the_executor(self, tmp_path, capsys):
         manifest = tmp_path / "jobs.json"
         manifest.write_text(
