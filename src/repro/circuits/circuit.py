@@ -25,17 +25,26 @@ class QuantumCircuit:
     def __init__(self, num_qubits: int, gates: Iterable[Gate] = ()):
         if num_qubits <= 0:
             raise ValueError("a circuit needs at least one qubit")
-        self.num_qubits = int(num_qubits)
+        self.num_qubits = n = int(num_qubits)
         self._gates: List[Gate] = []
+        adopt = self._gates.append
         for gate in gates:
-            self.append(gate)
+            for qubit in gate.qubits:
+                if not 0 <= qubit < n:
+                    check_qubit_index(qubit, n)
+            adopt(gate)
 
     @classmethod
     def from_checked_gates(cls, num_qubits: int, gates: List[Gate]) -> "QuantumCircuit":
-        """A circuit adopting ``gates``, whose qubits the caller has checked.
+        """A circuit adopting the list ``gates`` (not a copy) unchecked.
 
-        Skips :meth:`append`'s per-gate index check; the serialized-form
-        decoder checks each distinct gate once instead.
+        The caller vouches that every qubit index is in range; the
+        per-gate check of :meth:`append` is skipped.  Two kinds of caller
+        rely on this: the serialized-form decoder, which checks each
+        distinct gate once, and the back-end passes (rebase, the peephole
+        passes of :mod:`repro.transforms`, SU(4) consolidation), whose
+        output gates are gates of an already-checked input circuit or new
+        gates on that circuit's qubits.
         """
         circuit = cls(num_qubits)
         circuit._gates = gates
@@ -45,8 +54,12 @@ class QuantumCircuit:
     # Gate insertion
     # ------------------------------------------------------------------
     def append(self, gate: Gate) -> "QuantumCircuit":
+        # ``Gate`` makes every qubit an ``int``, so a range test is the whole
+        # check; ``check_qubit_index`` runs only to raise its usual error.
+        n = self.num_qubits
         for qubit in gate.qubits:
-            check_qubit_index(qubit, self.num_qubits)
+            if not 0 <= qubit < n:
+                check_qubit_index(qubit, n)
         self._gates.append(gate)
         return self
 
@@ -181,11 +194,13 @@ class QuantumCircuit:
         return result
 
     def copy(self) -> "QuantumCircuit":
-        return QuantumCircuit(self.num_qubits, self._gates)
+        return QuantumCircuit.from_checked_gates(self.num_qubits, list(self._gates))
 
     def filtered(self, predicate: Callable[[Gate], bool]) -> "QuantumCircuit":
         """A copy keeping only gates for which ``predicate`` returns True."""
-        return QuantumCircuit(self.num_qubits, [g for g in self._gates if predicate(g)])
+        return QuantumCircuit.from_checked_gates(
+            self.num_qubits, [g for g in self._gates if predicate(g)]
+        )
 
     # ------------------------------------------------------------------
     # Metrics
@@ -198,7 +213,7 @@ class QuantumCircuit:
 
     def count_2q(self) -> int:
         """Number of two-qubit gates of any kind."""
-        return sum(1 for g in self._gates if g.is_two_qubit())
+        return sum(len(g.qubits) == 2 for g in self._gates)
 
     def count(self, name: str) -> int:
         return sum(1 for g in self._gates if g.name == name)

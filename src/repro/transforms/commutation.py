@@ -92,7 +92,7 @@ def _sift_commuting(circuit: QuantumCircuit) -> QuantumCircuit:
             break
         # Gates with disjoint qubits are left in place: moving them does not
         # change DAG adjacency.
-    return QuantumCircuit(circuit.num_qubits, gates)
+    return QuantumCircuit.from_checked_gates(circuit.num_qubits, gates)
 
 
 def commutation_cancellation(circuit: QuantumCircuit, sweeps: int = 2) -> QuantumCircuit:

@@ -20,7 +20,9 @@ from repro.circuits.gates import Gate, u3_angles_from_matrix
 
 def drop_identities(circuit: QuantumCircuit) -> QuantumCircuit:
     """Remove explicit identity gates."""
-    return circuit.filtered(lambda gate: gate.name != "i")
+    return QuantumCircuit.from_checked_gates(
+        circuit.num_qubits, [gate for gate in circuit if gate.name != "i"]
+    )
 
 
 def _is_identity(matrix: np.ndarray, tol: float = 1e-9) -> bool:
@@ -58,4 +60,5 @@ def fuse_single_qubit_gates(circuit: QuantumCircuit) -> QuantumCircuit:
         output.append(gate)
     for qubit in range(circuit.num_qubits):
         flush(qubit)
-    return QuantumCircuit(circuit.num_qubits, output)
+    # Input gates and u3 gates on input qubits: nothing to re-check.
+    return QuantumCircuit.from_checked_gates(circuit.num_qubits, output)
