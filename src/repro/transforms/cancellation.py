@@ -11,7 +11,7 @@ correct predecessor instead of leaving a stale one.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional, cast
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate, INVERSE_PAIRS, SELF_INVERSE, SYMMETRIC_2Q
@@ -56,71 +56,88 @@ def _merged_rotation(gate_a: Gate, gate_b: Gate) -> Optional[Gate]:
     return Gate(gate_a.name, gate_a.qubits, (angle,))
 
 
-def _sweep(gates: List[Optional[Gate]], try_combine) -> bool:
+def _sweep(gates: List[Optional[Gate]], num_qubits: int, try_combine) -> bool:
     """One left-to-right sweep applying ``try_combine`` on adjacent pairs.
 
     ``try_combine(prev, gate)`` returns ``None`` (no action), ``"drop"``
     (remove both gates) or a replacement :class:`Gate` for ``prev`` (and the
     current gate is removed).  Returns whether anything changed.
+
+    ``stacks[q]`` lists, oldest first, the indices of the surviving gates
+    on qubit ``q``; every surviving gate sits in the stack of each of its
+    qubits.  A gate's single DAG predecessor on exactly its own qubits is
+    therefore found at the stack tops: for a 1Q gate, the top of its wire
+    when that top is a 1Q gate; for a 2Q gate, the common top of both
+    wires when that top is a 2Q gate.  A combined pair pops ``prev`` off
+    its wires, and a replacement is pushed back at ``prev``'s index.
     """
-    stacks: Dict[int, List[int]] = {}
+    stacks: List[List[int]] = [[] for _ in range(num_qubits)]
+    # Stacks only ever hold indices of surviving (non-None) gates.
+    live = cast(List[Gate], gates)
     changed = False
     for index, gate in enumerate(gates):
         if gate is None:
             continue
-        predecessors = {stacks[q][-1] for q in gate.qubits if stacks.get(q)}
-        combined = None
-        prev_index = None
-        if len(predecessors) == 1:
-            prev_index = next(iter(predecessors))
-            prev = gates[prev_index]
-            if prev is not None and set(prev.qubits) == set(gate.qubits):
-                combined = try_combine(prev, gate)
+        qubits = gate.qubits
+        prev_index = -1
+        if len(qubits) == 1:
+            stack = stacks[qubits[0]]
+            if stack and len(live[stack[-1]].qubits) == 1:
+                prev_index = stack[-1]
+        elif len(qubits) == 2:
+            stack, other = stacks[qubits[0]], stacks[qubits[1]]
+            if stack and other and stack[-1] == other[-1] and len(live[stack[-1]].qubits) == 2:
+                prev_index = stack[-1]
+        elif qubits:  # no library gate has another arity; same rule
+            tops = {stacks[q][-1] if stacks[q] else -1 for q in qubits}
+            top = tops.pop()
+            if not tops and top >= 0 and len(live[top].qubits) == len(qubits):
+                prev_index = top
+        combined = try_combine(live[prev_index], gate) if prev_index >= 0 else None
         if combined is None:
-            for q in gate.qubits:
-                stacks.setdefault(q, []).append(index)
+            for q in qubits:
+                stacks[q].append(index)
             continue
         changed = True
-        prev = gates[prev_index]
-        # Remove the previous gate from its qubit stacks (it is the top entry).
-        for q in prev.qubits:
-            if stacks.get(q) and stacks[q][-1] == prev_index:
-                stacks[q].pop()
+        for q in live[prev_index].qubits:
+            stacks[q].pop()
+        gates[index] = None
         if combined == "drop":
             gates[prev_index] = None
-            gates[index] = None
             continue
         gates[prev_index] = combined
-        gates[index] = None
         for q in combined.qubits:
-            stacks.setdefault(q, []).append(prev_index)
+            stacks[q].append(prev_index)
     return changed
+
+
+def _run_to_fixpoint(circuit: QuantumCircuit, try_combine) -> QuantumCircuit:
+    gates: List[Optional[Gate]] = list(circuit)
+    while _sweep(gates, circuit.num_qubits, try_combine):
+        pass
+    return QuantumCircuit.from_checked_gates(
+        circuit.num_qubits, [g for g in gates if g is not None]
+    )
+
+
+def _drop_inverse_pair(prev: Gate, gate: Gate):
+    return "drop" if _are_inverse(prev, gate) else None
+
+
+def _merge_rotation_pair(prev: Gate, gate: Gate):
+    merged = _merged_rotation(prev, gate)
+    if merged is None:
+        return None
+    if merged.name == "i":
+        return "drop"
+    return merged
 
 
 def cancel_adjacent_inverses(circuit: QuantumCircuit) -> QuantumCircuit:
     """Remove DAG-adjacent inverse pairs until no more cancel."""
-
-    def try_combine(prev: Gate, gate: Gate):
-        return "drop" if _are_inverse(prev, gate) else None
-
-    gates: List[Optional[Gate]] = list(circuit)
-    while _sweep(gates, try_combine):
-        pass
-    return QuantumCircuit(circuit.num_qubits, [g for g in gates if g is not None])
+    return _run_to_fixpoint(circuit, _drop_inverse_pair)
 
 
 def merge_rotations(circuit: QuantumCircuit) -> QuantumCircuit:
     """Merge DAG-adjacent same-axis rotations; zero-angle results are dropped."""
-
-    def try_combine(prev: Gate, gate: Gate):
-        merged = _merged_rotation(prev, gate)
-        if merged is None:
-            return None
-        if merged.name == "i":
-            return "drop"
-        return merged
-
-    gates: List[Optional[Gate]] = list(circuit)
-    while _sweep(gates, try_combine):
-        pass
-    return QuantumCircuit(circuit.num_qubits, [g for g in gates if g is not None])
+    return _run_to_fixpoint(circuit, _merge_rotation_pair)
