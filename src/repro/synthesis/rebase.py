@@ -8,7 +8,7 @@ two-qubit Pauli rotations; this module lowers them (and SWAPs) to
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict, List, Tuple
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate, decode_pauli_pair
@@ -92,10 +92,34 @@ def decompose_gate_to_cx(gate: Gate) -> List[Gate]:
     return [gate]
 
 
+#: 2Q gates whose lowering depends only on their name and qubits.
+_PARAMETER_FREE_2Q = frozenset({"cxx", "cyy", "czz", "cxy", "cyz", "czx", "swap", "cz", "cy"})
+
+
 def rebase_to_cx(circuit: QuantumCircuit) -> QuantumCircuit:
-    """Lower every gate of ``circuit`` to the {CNOT, 1Q} gate set."""
-    result = QuantumCircuit(circuit.num_qubits)
+    """Lower every gate of ``circuit`` to the {CNOT, 1Q} gate set.
+
+    Gates already in the target set pass through as the same objects.
+    The lowering of a parameter-free 2Q gate is built once per
+    ``(name, qubits)`` within a call and its (immutable) gates are reused
+    at every occurrence.  Parameterised gates are lowered afresh each
+    time: a memo keyed on their float parameters would conflate ``-0.0``
+    and ``0.0``, which compare and hash equal, and hand back a rotation
+    with the wrong signed zero.  Every output gate acts on qubits of the
+    checked input circuit, so the result adopts its gate list unchecked.
+    """
+    lowered_fixed: Dict[Tuple[str, Tuple[int, ...]], List[Gate]] = {}
+    gates: List[Gate] = []
     for gate in circuit:
-        for lowered in decompose_gate_to_cx(gate):
-            result.append(lowered)
-    return result
+        name = gate.name
+        if name == "cx" or len(gate.qubits) == 1:
+            gates.append(gate)
+        elif name in _PARAMETER_FREE_2Q:
+            key = (name, gate.qubits)
+            lowered = lowered_fixed.get(key)
+            if lowered is None:
+                lowered = lowered_fixed[key] = decompose_gate_to_cx(gate)
+            gates.extend(lowered)
+        else:
+            gates.extend(decompose_gate_to_cx(gate))
+    return QuantumCircuit.from_checked_gates(circuit.num_qubits, gates)
