@@ -45,7 +45,38 @@ def circuit_metrics(circuit: QuantumCircuit, count_swap_as_cx: bool = True) -> C
     CNOTs to ``cx_count`` (the standard three-CNOT unrolling), which is how
     the paper accounts for SWAP-based routing overhead.
     """
-    counts = circuit.gate_counts()
+    counts: Dict[str, int] = {}
+    two_qubit = 0
+    # ASAP finish layer per qubit, as in repro.circuits.dag.circuit_depth:
+    # every gate adds full depth; only 2Q gates add 2Q depth.
+    finish = [0] * circuit.num_qubits
+    finish_2q = [0] * circuit.num_qubits
+    depth = depth_2q = 0
+    for gate in circuit:
+        name = gate.name
+        counts[name] = counts.get(name, 0) + 1
+        qubits = gate.qubits
+        if len(qubits) == 1:
+            (q,) = qubits
+            layer = finish[q] = finish[q] + 1
+            if layer > depth:
+                depth = layer
+        elif len(qubits) == 2:
+            two_qubit += 1
+            a, b = qubits
+            layer = finish[a] if finish[a] >= finish[b] else finish[b]
+            finish[a] = finish[b] = layer = layer + 1
+            if layer > depth:
+                depth = layer
+            layer = finish_2q[a] if finish_2q[a] >= finish_2q[b] else finish_2q[b]
+            finish_2q[a] = finish_2q[b] = layer = layer + 1
+            if layer > depth_2q:
+                depth_2q = layer
+        else:
+            layer = max(finish[q] for q in qubits) + 1
+            for q in qubits:
+                finish[q] = layer
+            depth = max(depth, layer)
     swap_count = counts.get("swap", 0)
     cx_count = counts.get("cx", 0)
     if count_swap_as_cx:
@@ -53,9 +84,9 @@ def circuit_metrics(circuit: QuantumCircuit, count_swap_as_cx: bool = True) -> C
     return CircuitMetrics(
         total_gates=len(circuit),
         cx_count=cx_count,
-        two_qubit_count=circuit.count_2q(),
-        depth=circuit.depth(),
-        depth_2q=circuit.depth_2q(),
+        two_qubit_count=two_qubit,
+        depth=depth,
+        depth_2q=depth_2q,
         swap_count=swap_count,
         gate_counts=counts,
     )
