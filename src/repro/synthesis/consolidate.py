@@ -8,12 +8,16 @@ a single opaque ``su4`` gate carrying the exact 4x4 unitary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
+
+
+#: ``(name, arity, first qubit is the pair's low qubit)`` of a gate.
+_EmbeddingKey = Tuple[str, int, bool]
 
 
 class _Block:
@@ -26,11 +30,23 @@ class _Block:
     def add(self, gate: Gate) -> None:
         self.gates.append(gate)
 
-    def matrix(self, q_low: int, q_high: int) -> np.ndarray:
-        """Combined 4x4 unitary with ``q_low`` as the first tensor factor."""
+    def matrix(self, q_low: int, q_high: int, embeddings: Dict[_EmbeddingKey, np.ndarray]) -> np.ndarray:
+        """Combined 4x4 unitary with ``q_low`` as the first tensor factor.
+
+        ``embeddings`` memoises the embedding of each parameter-free gate
+        by ``(name, arity, orientation)``; it is only ever read, never
+        written through, so sharing one array between gates is safe.
+        """
         unitary = np.eye(4, dtype=complex)
         for gate in self.gates:
-            unitary = _embed_on_pair(gate, q_low, q_high) @ unitary
+            if gate.params or gate.matrix_override is not None:
+                embedded = _embed_on_pair(gate, q_low, q_high)
+            else:
+                key = (gate.name, len(gate.qubits), gate.qubits[0] == q_low)
+                embedded = embeddings.get(key)
+                if embedded is None:
+                    embedded = embeddings[key] = _embed_on_pair(gate, q_low, q_high)
+            unitary = embedded @ unitary
         return unitary
 
 
@@ -59,7 +75,6 @@ def consolidate_su4(circuit: QuantumCircuit, keep_single_qubit: bool = True) -> 
     (or dropped when ``keep_single_qubit`` is False, since the paper's
     metrics ignore 1Q gates).
     """
-    result = QuantumCircuit(circuit.num_qubits)
     open_blocks: Dict[int, Optional[_Block]] = {q: None for q in range(circuit.num_qubits)}
     ordered_blocks: List[object] = []  # _Block or Gate in emission order
 
@@ -93,13 +108,17 @@ def consolidate_su4(circuit: QuantumCircuit, keep_single_qubit: bool = True) -> 
         open_blocks[b] = block
         ordered_blocks.append(block)
 
+    gates: List[Gate] = []
+    embeddings: Dict[_EmbeddingKey, np.ndarray] = {}
     for item in ordered_blocks:
         if isinstance(item, Gate):
-            result.append(item)
+            gates.append(item)
             continue
         q_low, q_high = sorted(item.pair)
-        result.su4(item.matrix(q_low, q_high), q_low, q_high)
-    return result
+        matrix = item.matrix(q_low, q_high, embeddings)
+        gates.append(Gate("su4", (q_low, q_high), (), matrix))
+    # Every gate is an input gate or an su4 on an input gate's qubits.
+    return QuantumCircuit.from_checked_gates(circuit.num_qubits, gates)
 
 
 def su4_metrics(circuit: QuantumCircuit) -> Dict[str, int]:
