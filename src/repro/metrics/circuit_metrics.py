@@ -10,7 +10,7 @@ mapping / #CNOT after logical optimisation).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.circuits.circuit import QuantumCircuit
 

@@ -8,13 +8,12 @@ a single opaque ``su4`` gate carrying the exact 4x4 unitary.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
-
 
 #: ``(name, arity, first qubit is the pair's low qubit)`` of a gate.
 _EmbeddingKey = Tuple[str, int, bool]
@@ -30,22 +29,24 @@ class _Block:
     def add(self, gate: Gate) -> None:
         self.gates.append(gate)
 
-    def matrix(self, q_low: int, q_high: int, embeddings: Dict[_EmbeddingKey, np.ndarray]) -> np.ndarray:
+    def matrix(
+        self, q_low: int, q_high: int, embeddings: Dict[_EmbeddingKey, np.ndarray]
+    ) -> np.ndarray:
         """Combined 4x4 unitary with ``q_low`` as the first tensor factor.
 
         ``embeddings`` memoises the embedding of each parameter-free gate
-        by ``(name, arity, orientation)``; it is only ever read, never
-        written through, so sharing one array between gates is safe.
+        by ``(name, arity, orientation)``; the arrays are only ever read,
+        so one array can serve every occurrence of a gate.
         """
         unitary = np.eye(4, dtype=complex)
         for gate in self.gates:
+            key = (gate.name, len(gate.qubits), gate.qubits[0] == q_low)
             if gate.params or gate.matrix_override is not None:
                 embedded = _embed_on_pair(gate, q_low, q_high)
+            elif key in embeddings:
+                embedded = embeddings[key]
             else:
-                key = (gate.name, len(gate.qubits), gate.qubits[0] == q_low)
-                embedded = embeddings.get(key)
-                if embedded is None:
-                    embedded = embeddings[key] = _embed_on_pair(gate, q_low, q_high)
+                embedded = embeddings[key] = _embed_on_pair(gate, q_low, q_high)
             unitary = embedded @ unitary
         return unitary
 
@@ -76,7 +77,7 @@ def consolidate_su4(circuit: QuantumCircuit, keep_single_qubit: bool = True) -> 
     metrics ignore 1Q gates).
     """
     open_blocks: Dict[int, Optional[_Block]] = {q: None for q in range(circuit.num_qubits)}
-    ordered_blocks: List[object] = []  # _Block or Gate in emission order
+    ordered_blocks: List[Union[_Block, Gate]] = []  # in emission order
 
     def close_block_on(qubit: int) -> None:
         block = open_blocks[qubit]
