@@ -48,7 +48,8 @@ def circuit_metrics(circuit: QuantumCircuit, count_swap_as_cx: bool = True) -> C
     counts: Dict[str, int] = {}
     two_qubit = 0
     # ASAP finish layer per qubit, as in repro.circuits.dag.circuit_depth:
-    # every gate adds full depth; only 2Q gates add 2Q depth.
+    # every gate (the library's act on one or two qubits) adds full depth;
+    # only 2Q gates add 2Q depth.
     finish = [0] * circuit.num_qubits
     finish_2q = [0] * circuit.num_qubits
     depth = depth_2q = 0
@@ -72,11 +73,6 @@ def circuit_metrics(circuit: QuantumCircuit, count_swap_as_cx: bool = True) -> C
             finish_2q[a] = finish_2q[b] = layer = layer + 1
             if layer > depth_2q:
                 depth_2q = layer
-        else:
-            layer = max(finish[q] for q in qubits) + 1
-            for q in qubits:
-                finish[q] = layer
-            depth = max(depth, layer)
     swap_count = counts.get("swap", 0)
     cx_count = counts.get("cx", 0)
     if count_swap_as_cx:

@@ -5,7 +5,11 @@ the identity — e.g. ``CX·CX``, ``H·H``, ``S·S†`` — and merge DAG-adjace
 rotations about the same axis.  "DAG-adjacent" means that on every qubit
 the two gates share, no surviving gate sits between them; the passes keep a
 per-qubit stack of surviving gate indices so that removals restore the
-correct predecessor instead of leaving a stale one.
+correct predecessor instead of leaving a stale one.  The stack tops name
+each gate's candidate partner directly (see :func:`_sweep`), so a sweep
+does constant work per gate.  Every output gate is an input gate or a merge
+on an input gate's qubits, so results are adopted without re-checking
+qubit indices.
 """
 
 from __future__ import annotations
@@ -68,8 +72,9 @@ def _sweep(gates: List[Optional[Gate]], num_qubits: int, try_combine) -> bool:
     qubits.  A gate's single DAG predecessor on exactly its own qubits is
     therefore found at the stack tops: for a 1Q gate, the top of its wire
     when that top is a 1Q gate; for a 2Q gate, the common top of both
-    wires when that top is a 2Q gate.  A combined pair pops ``prev`` off
-    its wires, and a replacement is pushed back at ``prev``'s index.
+    wires when that top is a 2Q gate.  (The gate library has no gates of
+    other arities.)  A combined pair pops ``prev`` off its wires, and a
+    replacement is pushed back at ``prev``'s index.
     """
     stacks: List[List[int]] = [[] for _ in range(num_qubits)]
     # Stacks only ever hold indices of surviving (non-None) gates.
@@ -88,11 +93,6 @@ def _sweep(gates: List[Optional[Gate]], num_qubits: int, try_combine) -> bool:
             stack, other = stacks[qubits[0]], stacks[qubits[1]]
             if stack and other and stack[-1] == other[-1] and len(live[stack[-1]].qubits) == 2:
                 prev_index = stack[-1]
-        elif qubits:  # no library gate has another arity; same rule
-            tops = {stacks[q][-1] if stacks[q] else -1 for q in qubits}
-            top = tops.pop()
-            if not tops and top >= 0 and len(live[top].qubits) == len(qubits):
-                prev_index = top
         combined = try_combine(live[prev_index], gate) if prev_index >= 0 else None
         if combined is None:
             for q in qubits:

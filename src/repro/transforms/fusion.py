@@ -20,9 +20,7 @@ from repro.circuits.gates import Gate, u3_angles_from_matrix
 
 def drop_identities(circuit: QuantumCircuit) -> QuantumCircuit:
     """Remove explicit identity gates."""
-    return QuantumCircuit.from_checked_gates(
-        circuit.num_qubits, [gate for gate in circuit if gate.name != "i"]
-    )
+    return circuit.filtered(lambda gate: gate.name != "i")
 
 
 def _is_identity(matrix: np.ndarray, tol: float = 1e-9) -> bool:
