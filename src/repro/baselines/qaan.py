@@ -58,9 +58,7 @@ class TwoQANRouteStage(RouteStage):
         """
         topology = context.options.topology
         terms = context.terms
-        mapping = sabre_initial_mapping(
-            context.native, topology, seed=context.options.seed
-        )
+        mapping = sabre_initial_mapping(context.native, topology)
         initial_mapping = dict(mapping)
         distances = topology.distance_matrix()
 

@@ -80,14 +80,6 @@ class FermionOperator:
             {term: coeff for term, coeff in self.terms.items() if abs(coeff) > atol}
         )
 
-    def max_mode(self) -> int:
-        """Highest mode index appearing in any term (-1 when empty)."""
-        highest = -1
-        for term in self.terms:
-            for mode, _ in term:
-                highest = max(highest, mode)
-        return highest
-
     def __len__(self) -> int:
         return len(self.terms)
 

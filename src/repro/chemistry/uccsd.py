@@ -19,7 +19,7 @@ structure (see DESIGN.md).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Literal, Sequence, Tuple
+from typing import List, Literal, Tuple
 
 import numpy as np
 
@@ -85,19 +85,6 @@ def uccsd_excitations(num_electrons: int, num_spin_orbitals: int) -> List[Excita
                 for b in virtual_beta:
                     excitations.append(Excitation((i, j), (a, b)))
     return excitations
-
-
-def uccsd_generator(
-    excitations: Sequence[Excitation], amplitudes: Sequence[float]
-) -> FermionOperator:
-    """The anti-Hermitian generator ``T - T†`` with the given amplitudes."""
-    if len(excitations) != len(amplitudes):
-        raise ValueError("one amplitude per excitation is required")
-    generator = FermionOperator()
-    for excitation, amplitude in zip(excitations, amplitudes):
-        op = excitation.operator()
-        generator = generator + amplitude * (op - op.dagger())
-    return generator
 
 
 def uccsd_ansatz(

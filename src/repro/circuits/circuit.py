@@ -184,15 +184,6 @@ class QuantumCircuit:
             result.append(gate.dagger())
         return result
 
-    def remapped(self, qubit_map: Dict[int, int], num_qubits: Optional[int] = None) -> "QuantumCircuit":
-        """A copy with every qubit ``q`` relabelled to ``qubit_map[q]``."""
-        new_n = num_qubits if num_qubits is not None else self.num_qubits
-        result = QuantumCircuit(new_n)
-        for gate in self._gates:
-            new_qubits = tuple(qubit_map[q] for q in gate.qubits)
-            result.append(Gate(gate.name, new_qubits, gate.params, gate.matrix_override))
-        return result
-
     def copy(self) -> "QuantumCircuit":
         return QuantumCircuit.from_checked_gates(self.num_qubits, list(self._gates))
 
@@ -228,12 +219,6 @@ class QuantumCircuit:
         """Two-qubit depth (the paper's ``Depth-2Q`` metric)."""
         return self.depth(two_qubit_only=True)
 
-    def qubits_used(self) -> Tuple[int, ...]:
-        used = set()
-        for gate in self._gates:
-            used.update(gate.qubits)
-        return tuple(sorted(used))
-
     def two_qubit_pairs(self) -> List[Tuple[int, int]]:
         """Ordered list of (sorted) qubit pairs of each 2Q gate."""
         pairs = []
@@ -242,20 +227,6 @@ class QuantumCircuit:
                 a, b = gate.qubits
                 pairs.append((min(a, b), max(a, b)))
         return pairs
-
-    def interaction_graph(self):
-        """The qubit-interaction multigraph as a networkx ``Graph`` with
-        edge attribute ``count``."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.num_qubits))
-        for a, b in self.two_qubit_pairs():
-            if graph.has_edge(a, b):
-                graph[a][b]["count"] += 1
-            else:
-                graph.add_edge(a, b, count=1)
-        return graph
 
     # ------------------------------------------------------------------
     # Simulation / export hooks (implemented in other modules)

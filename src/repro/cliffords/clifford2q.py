@@ -3,26 +3,20 @@
 Eq. (5) of the paper chooses ``{C(X,X), C(Y,Y), C(Z,Z), C(X,Y), C(Y,Z),
 C(Z,X)}`` as generators: each is Hermitian, locally equivalent to CNOT,
 and spans the 2Q Clifford group together with 1Q Cliffords.  This module
-wraps one such gate instance (kind + qubit pair) and knows how to
-
-* conjugate a BSF / Pauli string (delegated to :class:`repro.paulis.BSF`),
-* emit itself as a circuit over {CNOT, H, S, S†} or as a native 2Q gate,
-* and compute its exact 4x4 unitary.
+wraps one such gate instance (kind + qubit pair) and knows how to emit
+itself as a native 2Q gate and compute its exact 4x4 unitary; conjugating
+a BSF by it is :meth:`repro.paulis.BSF.apply_clifford2q`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.circuits.gates import Gate, controlled_pauli_matrix
-from repro.paulis.bsf import (
-    CLIFFORD2Q_KINDS,
-    clifford2q_postlude,
-    clifford2q_prelude,
-)
+from repro.paulis.bsf import CLIFFORD2Q_KINDS
 
 
 @dataclass(frozen=True)
@@ -55,39 +49,6 @@ class Clifford2Q:
         """The gate-IR representation (a native ``c<kind>`` 2Q gate)."""
         return Gate("c" + self.kind, (self.control, self.target))
 
-    def to_basic_gates(self) -> List[Gate]:
-        """Decomposition into {H, S, S†, CNOT} (circuit order)."""
-        gates: List[Gate] = []
-        for name, qubit in clifford2q_prelude(self.kind, self.control, self.target):
-            gates.append(Gate(name, (qubit,)))
-        gates.append(Gate("cx", (self.control, self.target)))
-        for name, qubit in clifford2q_postlude(self.kind, self.control, self.target):
-            gates.append(Gate(name, (qubit,)))
-        return gates
-
-    def conjugate_bsf(self, bsf) -> None:
-        """In-place conjugation of a BSF by this gate."""
-        bsf.apply_clifford2q(self.kind, self.control, self.target)
-
     def __repr__(self) -> str:
         s0, s1 = self.kind[0].upper(), self.kind[1].upper()
         return f"C({s0},{s1})[{self.control},{self.target}]"
-
-
-def all_clifford2q_on(qubits: List[int]) -> List[Clifford2Q]:
-    """Every generator-kind × ordered qubit pair over ``qubits``.
-
-    Symmetric kinds (``xx``, ``yy``, ``zz``) are emitted once per unordered
-    pair; asymmetric kinds once per ordered pair.
-    """
-    gates: List[Clifford2Q] = []
-    n = len(qubits)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = qubits[i], qubits[j]
-            for kind in ("xx", "yy", "zz"):
-                gates.append(Clifford2Q(kind, a, b))
-            for kind in ("xy", "yz", "zx"):
-                gates.append(Clifford2Q(kind, a, b))
-                gates.append(Clifford2Q(kind, b, a))
-    return gates

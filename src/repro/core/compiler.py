@@ -67,8 +67,6 @@ class PhoenixCompiler(PipelineCompiler):
         0 = raw emission, 2 = inverse cancellation + rotation merging
         (the PHOENIX default), 3 = additionally commutation cancellation and
         1Q fusion (the paper's "+ Qiskit O3" configuration).
-    seed:
-        Routing seed.
 
     Cached compilation goes through :class:`repro.service.CompilationService`,
     which keys results by the program fingerprint and

@@ -57,17 +57,3 @@ def group_terms(terms: Sequence[PauliTerm], skip_identities: bool = True) -> Lis
             order.append(support)
         groups[support].add(term)
     return [groups[key] for key in order]
-
-
-def grouping_statistics(groups: Sequence[IRGroup]) -> Dict[str, float]:
-    """Summary statistics used by the experiment harness."""
-    if not groups:
-        return {"num_groups": 0, "max_group_terms": 0, "max_group_weight": 0,
-                "mean_group_terms": 0.0}
-    sizes = [g.num_terms for g in groups]
-    return {
-        "num_groups": len(groups),
-        "max_group_terms": max(sizes),
-        "max_group_weight": max(g.weight for g in groups),
-        "mean_group_terms": sum(sizes) / len(groups),
-    }

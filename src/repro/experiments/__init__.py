@@ -1,25 +1,5 @@
-"""Experiment harness shared by the benchmark suite and the examples."""
+"""Text tables shared by the benchmark suite, the examples and the CLI."""
 
-from repro.experiments.harness import (
-    CompilerSpec,
-    default_compilers,
-    resolve_program,
-    resolve_suite,
-    run_benchmark,
-    run_suite,
-    format_table,
-    geometric_mean_rates,
-    stage_timing_table,
-)
+from repro.experiments.harness import format_table, stage_timing_table
 
-__all__ = [
-    "CompilerSpec",
-    "default_compilers",
-    "resolve_program",
-    "resolve_suite",
-    "run_benchmark",
-    "run_suite",
-    "format_table",
-    "geometric_mean_rates",
-    "stage_timing_table",
-]
+__all__ = ["format_table", "stage_timing_table"]

@@ -10,14 +10,14 @@ hardware-aware evaluation.  It implements:
   contains no executable 2Q gate, the SWAP that minimises a weighted sum of
   front-layer and look-ahead distances is applied.
 
-The router is deterministic for a fixed seed; SWAPs are emitted as ``swap``
+The router is deterministic; SWAPs are emitted as ``swap``
 gates and are decomposed into three CNOTs by the ISA rebase when counting
 CNOTs, matching the paper's accounting of routing overhead.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -56,10 +56,6 @@ class RoutedCircuit:
     swap_count: int
     topology: Topology
 
-    def cx_equivalent_swap_overhead(self) -> int:
-        """CNOTs added by routing (3 per SWAP)."""
-        return 3 * self.swap_count
-
     def summary(self) -> RoutingSummary:
         """The mappings, SWAP count and topology, without the circuit."""
         return RoutingSummary(
@@ -67,9 +63,7 @@ class RoutedCircuit:
         )
 
 
-def sabre_initial_mapping(
-    circuit: QuantumCircuit, topology: Topology, seed: int = 0
-) -> Dict[int, int]:
+def sabre_initial_mapping(circuit: QuantumCircuit, topology: Topology) -> Dict[int, int]:
     """Greedy interaction-aware initial placement (logical -> physical).
 
     The most-interacting logical qubit is placed on the highest-degree
@@ -77,7 +71,6 @@ def sabre_initial_mapping(
     interaction order, on the free physical qubit closest to their already
     placed interaction partners.
     """
-    rng = np.random.default_rng(seed)
     interaction: Dict[Tuple[int, int], int] = {}
     strength = np.zeros(circuit.num_qubits)
     for a, b in circuit.two_qubit_pairs():
@@ -119,8 +112,6 @@ def sabre_initial_mapping(
                     best_physical = phys
         mapping[logical] = best_physical
         used_physical.add(best_physical)
-    # Shuffle nothing: deterministic; rng retained for potential tie-breaking.
-    del rng
     return mapping
 
 
@@ -138,7 +129,6 @@ def route_circuit(
     circuit: QuantumCircuit,
     topology: Topology,
     initial_mapping: Optional[Dict[int, int]] = None,
-    seed: int = 0,
     decompose_swaps: bool = False,
 ) -> RoutedCircuit:
     """Route a logical circuit onto ``topology`` with SABRE-style SWAPs.
@@ -152,7 +142,7 @@ def route_circuit(
         return RoutedCircuit(circuit.copy(), identity, dict(identity), 0, topology)
 
     if initial_mapping is None:
-        initial_mapping = sabre_initial_mapping(circuit, topology, seed=seed)
+        initial_mapping = sabre_initial_mapping(circuit, topology)
     mapping = dict(initial_mapping)  # logical -> physical
     distances = topology.distance_matrix()
 

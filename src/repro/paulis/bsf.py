@@ -17,7 +17,7 @@ is validated against dense-matrix conjugation in the test suite.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -167,9 +167,6 @@ class BSF:
         """How many rows act non-trivially on each qubit."""
         return np.count_nonzero(self.x | self.z, axis=0)
 
-    def is_empty(self) -> bool:
-        return self.num_terms == 0
-
     # ------------------------------------------------------------------
     # Elementary Clifford conjugation rules (with signs)
     # ------------------------------------------------------------------
@@ -247,27 +244,6 @@ class BSF:
     # ------------------------------------------------------------------
     # Row manipulation used by the simplification algorithm
     # ------------------------------------------------------------------
-    def pop_local_paulis(self) -> "BSF":
-        """Remove rows of weight <= 1 and return them as their own BSF.
-
-        Local (weight-1) Pauli strings are plain single-qubit rotations;
-        Algorithm 1 peels them off before each Clifford2Q search epoch
-        because they never contribute synthesis overhead.
-        """
-        weights = self.row_weights()
-        local_mask = weights <= 1
-        local = BSF(
-            self.x[local_mask],
-            self.z[local_mask],
-            self.coefficients[local_mask],
-            self.signs[local_mask],
-        )
-        keep = ~local_mask
-        self.x = self.x[keep]
-        self.z = self.z[keep]
-        self.coefficients = self.coefficients[keep]
-        self.signs = self.signs[keep]
-        return local
 
     def select_rows(self, mask: np.ndarray) -> "BSF":
         """A new BSF containing only the rows where ``mask`` is True."""
@@ -283,13 +259,3 @@ class BSF:
             f"BSF(num_terms={self.num_terms}, num_qubits={self.num_qubits}, "
             f"total_weight={self.total_weight()})"
         )
-
-    def tableau_string(self) -> str:
-        """Human-readable ``[X | Z]`` tableau, one row per string."""
-        lines = []
-        for i in range(self.num_terms):
-            xs = " ".join("1" if b else "0" for b in self.x[i])
-            zs = " ".join("1" if b else "0" for b in self.z[i])
-            sign = "-" if self.signs[i] < 0 else "+"
-            lines.append(f"{sign} [{xs} | {zs}]  coeff={self.coefficients[i]:g}")
-        return "\n".join(lines)

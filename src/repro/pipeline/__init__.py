@@ -4,8 +4,8 @@ One configuration value (:class:`CompileOptions`), one stage protocol
 (:class:`Stage` over a mutable :class:`CompileContext`, run by
 :class:`Pipeline` with per-stage timings and instrumentation hooks), and
 one compiler registry (:func:`register_compiler` / :func:`build_compiler`)
-shared by the core compiler, the baselines, the experiment harness, the
-batch service, and the CLI.
+shared by the core compiler, the baselines, the batch service, and the
+CLI.
 
 Typical custom-stage injection::
 

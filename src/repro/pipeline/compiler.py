@@ -41,7 +41,6 @@ class PipelineCompiler:
         isa: str = "cnot",
         topology: Optional[Topology] = None,
         optimization_level: int = 2,
-        seed: int = 0,
         lookahead: int = 10,
     ):
         self.options = CompileOptions.for_compiler(
@@ -50,7 +49,6 @@ class PipelineCompiler:
             topology=topology,
             optimization_level=optimization_level,
             lookahead=lookahead,
-            seed=seed,
         )
 
     # ------------------------------------------------------------------
@@ -62,7 +60,6 @@ class PipelineCompiler:
             isa=options.isa,
             topology=options.topology,
             optimization_level=options.optimization_level,
-            seed=options.seed,
             lookahead=options.lookahead,
         )
 
@@ -83,10 +80,6 @@ class PipelineCompiler:
     @property
     def lookahead(self) -> int:
         return self.options.lookahead
-
-    @property
-    def seed(self) -> int:
-        return self.options.seed
 
     # ------------------------------------------------------------------
     def build_pipeline(self) -> Pipeline:

@@ -80,8 +80,6 @@ class CompileOptions:
         value raises ``ValueError``.
     lookahead:
         Look-ahead window of the Tetris-like ``order`` stage.
-    seed:
-        Routing seed of the ``route`` stage.
     """
 
     compiler: str = "phoenix"
@@ -89,7 +87,6 @@ class CompileOptions:
     topology: Optional[Topology] = None
     optimization_level: int = 2
     lookahead: int = 10
-    seed: int = 0
 
     def __post_init__(self):
         from repro.pipeline.registry import get_compiler_factory
@@ -108,7 +105,6 @@ class CompileOptions:
                 "expected 0, 1, 2 or 3"
             )
         object.__setattr__(self, "lookahead", int(self.lookahead))
-        object.__setattr__(self, "seed", int(self.seed))
 
     # ------------------------------------------------------------------
     @property
@@ -155,7 +151,6 @@ class CompileOptions:
             "topology": topology_to_spec(self.topology),
             "optimization_level": self.optimization_level,
             "lookahead": self.lookahead,
-            "seed": self.seed,
         }
 
     @classmethod
@@ -170,7 +165,6 @@ class CompileOptions:
             topology=data.get("topology"),
             optimization_level=data.get("optimization_level", 2),
             lookahead=data.get("lookahead", 10),
-            seed=data.get("seed", 0),
         )
 
     def build(self):
@@ -190,7 +184,8 @@ class CompileOptions:
             "isa": self.isa,
             "lookahead": self.lookahead,
             "optimization_level": self.optimization_level,
-            "seed": self.seed,
+            # A removed routing seed no stage read; the literal keeps old keys valid.
+            "seed": 0,
             "topology": self.topology.fingerprint() if self.topology is not None else None,
         }
 
@@ -217,6 +212,6 @@ class CompileOptions:
                 "isa": self.isa,
                 "topology": topology_to_spec(self.topology),
                 "optimization_level": self.optimization_level,
-                "seed": self.seed,
+                "seed": 0,  # as in config_dict: the literal keeps old keys valid
             }
         )

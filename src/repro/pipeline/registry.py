@@ -1,10 +1,10 @@
 """The global compiler registry.
 
 One name -> factory table shared by every layer that needs to resolve a
-compiler: ``experiments.harness.default_compilers``,
+compiler:
 :meth:`CompileOptions.build() <repro.pipeline.options.CompileOptions.build>`
-(and through it the batch service), and the ``phoenix`` CLI's
-``--compiler`` flag all read from here.
+(and through it the batch service) and the ``phoenix`` CLI's
+``--compiler`` flag both read from here.
 
 A factory exposes a ``from_options(options)`` classmethod that receives
 the full :class:`~repro.pipeline.options.CompileOptions`; every

@@ -157,12 +157,8 @@ class RouteStage:
 
     def route(self, context: CompileContext) -> RoutedCircuit:
         """SABRE-route the optimised logical CX circuit."""
-        options = context.options
         return route_circuit(
-            context.logical_cx,
-            options.topology,
-            seed=options.seed,
-            decompose_swaps=False,
+            context.logical_cx, context.options.topology, decompose_swaps=False
         )
 
     def run(self, context: CompileContext) -> None:

@@ -30,8 +30,12 @@ Programs are read from the built-in Table-1 UCCSD benchmark catalogue
 format (``{"num_qubits": N, "labels": [...], "coefficients": [...]}``), or
 generated from the workload registry by ``family:key=val,...`` spec
 strings (``workload`` subcommands and the ``"workload"`` key of batch
-manifest entries).  Run ``python -m repro.service.cli --help`` (or the
-installed ``phoenix`` entry point) for the full flag reference.
+manifest entries).  ``compile``, ``batch`` and ``workload compile``
+share the compile flags ``--compiler``/``--isa``/``--topology``/
+``--opt-level``; batch manifest entries may override those options and
+``lookahead``, and an entry key outside them is an error.  Run
+``python -m repro.service.cli --help`` (or the installed ``phoenix``
+entry point) for the full flag reference.
 
 Observability: every subcommand accepts ``--log-level``/``--log-json``
 (structured logging via :func:`repro.obs.configure`); ``batch`` adds
@@ -45,8 +49,8 @@ outcome; re-running with ``--resume`` replays finished jobs and
 recompiles only the rest (a first SIGINT/SIGTERM drains in-flight jobs
 and keeps the journal consistent; exit code 130).  ``cache doctor``
 quarantines/restores corrupt cache entries; ``chaos`` runs the pinned
-bench suite under a seeded fault-injection scenario and reports the
-survival table.
+bench suite under a seeded fault-injection scenario (``--seed`` picks
+the fault sequence) and reports the survival table.
 """
 
 from __future__ import annotations
@@ -99,7 +103,6 @@ def _options_from_args(args: argparse.Namespace) -> CompileOptions:
         isa=args.isa,
         topology=resolve_topology(args.topology),
         optimization_level=args.opt_level,
-        seed=args.seed,
     )
 
 
@@ -202,7 +205,6 @@ def _add_compiler_flags(parser: argparse.ArgumentParser) -> None:
         "--opt-level", type=int, default=2, choices=OPTIMIZATION_LEVELS,
         help="peephole optimisation level 0-3 (default: 2)",
     )
-    parser.add_argument("--seed", type=int, default=0, help="routing seed (default: 0)")
     parser.add_argument(
         "--cache", default=None, metavar="SPEC",
         help="result cache spec: memory:, disk:/path, "

@@ -85,6 +85,8 @@ class CompilationJob:
 
 #: Entry keys that override the default options: every CompileOptions field.
 _OPTION_KEYS = tuple(option.name for option in fields(CompileOptions))
+#: Every key a job entry may carry.
+_ENTRY_KEYS = ("name", "benchmark", "workload", "program") + _OPTION_KEYS
 
 
 def jobs_from_entries(
@@ -95,8 +97,9 @@ def jobs_from_entries(
     Entry format: ``{"name", "benchmark" | "program" | "workload",
     ...compiler-option overrides}``; ``"workload"`` is a registry spec
     string such as ``"maxcut:n=12,graph=powerlaw"``.  Raises
-    :class:`ValueError` on malformed entries — callers (the batch CLI,
-    ``POST /v1/jobs``) turn that into their own error surface.
+    :class:`ValueError` on malformed entries, an unknown key included —
+    callers (the batch CLI, ``POST /v1/jobs``) turn that into their own
+    error surface.
     """
     from repro.chemistry.molecules import benchmark_program
 
@@ -105,6 +108,12 @@ def jobs_from_entries(
     for position, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ValueError(f"job entry {position} must be an object, got {entry!r}")
+        unknown = [key for key in entry if key not in _ENTRY_KEYS]
+        if unknown:
+            raise ValueError(
+                f"job entry {position} has unknown keys {', '.join(map(repr, unknown))}; "
+                f"expected {', '.join(_ENTRY_KEYS)}"
+            )
         if "benchmark" in entry:
             program = benchmark_program(entry["benchmark"])
         elif "workload" in entry:
@@ -568,10 +577,6 @@ class CompilationService:
         return ordered
 
     # ------------------------------------------------------------------
-    def cache_stats(self) -> Dict[str, Any]:
-        stats = getattr(self.cache, "stats", None)
-        return stats.as_dict() if stats is not None else {}
-
     def executor_stats(self) -> Dict[str, Any]:
         """Live executor facts for ops surfaces (``/v1/stats``)."""
         breaker = getattr(self.executor, "breaker", None)

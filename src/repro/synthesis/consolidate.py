@@ -68,13 +68,11 @@ def _embed_on_pair(gate: Gate, q_low: int, q_high: int) -> np.ndarray:
     return swap @ matrix @ swap
 
 
-def consolidate_su4(circuit: QuantumCircuit, keep_single_qubit: bool = True) -> QuantumCircuit:
+def consolidate_su4(circuit: QuantumCircuit) -> QuantumCircuit:
     """Fuse maximal same-pair gate runs into single ``su4`` gates.
 
     Single-qubit gates are absorbed into the block currently open on their
-    qubit when one exists; otherwise they are passed through unchanged
-    (or dropped when ``keep_single_qubit`` is False, since the paper's
-    metrics ignore 1Q gates).
+    qubit when one exists; otherwise they are passed through unchanged.
     """
     open_blocks: Dict[int, Optional[_Block]] = {q: None for q in range(circuit.num_qubits)}
     ordered_blocks: List[Union[_Block, Gate]] = []  # in emission order
@@ -91,7 +89,7 @@ def consolidate_su4(circuit: QuantumCircuit, keep_single_qubit: bool = True) -> 
             block = open_blocks[gate.qubits[0]]
             if block is not None:
                 block.add(gate)
-            elif keep_single_qubit:
+            else:
                 ordered_blocks.append(gate)
             continue
         a, b = gate.qubits
@@ -120,12 +118,3 @@ def consolidate_su4(circuit: QuantumCircuit, keep_single_qubit: bool = True) -> 
         gates.append(Gate("su4", (q_low, q_high), (), matrix))
     # Every gate is an input gate or an su4 on an input gate's qubits.
     return QuantumCircuit.from_checked_gates(circuit.num_qubits, gates)
-
-
-def su4_metrics(circuit: QuantumCircuit) -> Dict[str, int]:
-    """#SU(4) gates and 2Q depth after consolidation (Table III metrics)."""
-    consolidated = consolidate_su4(circuit, keep_single_qubit=False)
-    return {
-        "su4_count": consolidated.count_2q(),
-        "depth_2q": consolidated.depth_2q(),
-    }

@@ -118,28 +118,3 @@ def synthesize_terms(
     for term in terms:
         circuit = circuit.compose(synthesize_pauli_term(term, width, tree=tree))
     return circuit
-
-
-def synthesize_weight2_term(
-    term: PauliTerm,
-    num_qubits: Optional[int] = None,
-    as_native_rotation: bool = False,
-) -> QuantumCircuit:
-    """Synthesise a weight-<=2 Pauli exponentiation.
-
-    With ``as_native_rotation`` a weight-2 term is emitted as a single
-    ``rpp`` two-qubit Pauli rotation (useful when targeting the SU(4) ISA);
-    otherwise the conventional CNOT sandwich is used.
-    """
-    width = num_qubits if num_qubits is not None else term.num_qubits
-    support = term.support()
-    if len(support) > 2:
-        raise ValueError("term has weight greater than 2")
-    if not as_native_rotation or len(support) < 2:
-        return synthesize_pauli_term(term, width)
-    circuit = QuantumCircuit(width)
-    q0, q1 = support
-    p0 = term.string.pauli_on(q0).lower()
-    p1 = term.string.pauli_on(q1).lower()
-    circuit.rpp(p0, p1, 2.0 * term.coefficient, q0, q1)
-    return circuit

@@ -5,8 +5,8 @@ registry in :mod:`repro.pipeline.registry`: families of Hamiltonian /
 ansatz programs register under a name, build deterministically from a seed
 and a complete parameter set, and come back as fingerprintable
 :class:`~repro.workloads.workload.Workload` values that every other layer
-understands — the experiment harness resolves ``"family:key=val,..."``
-spec strings, the ``phoenix`` CLI lists/builds/compiles them, the
+understands — batch manifests resolve ``"family:key=val,..."`` spec
+strings, the ``phoenix`` CLI lists/builds/compiles them, the
 serialization layer round-trips their metadata into result JSON, and
 their fingerprints compose with compiler config fingerprints into the
 service's content-addressed cache keys.

@@ -1,7 +1,7 @@
 """The global workload registry, mirroring :mod:`repro.pipeline.registry`.
 
 One name -> family table shared by every layer that needs to *generate* a
-program: the experiment harness resolves spec strings through it, the
+program: batch manifests resolve spec strings through it, the
 ``phoenix`` CLI's ``workload`` subcommands list/build/compile from it, and
 the differential-verification suite iterates it so a newly registered
 family is automatically proven against every registered compiler.

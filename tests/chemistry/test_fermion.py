@@ -29,8 +29,3 @@ class TestFermionOperator:
     def test_subtraction_and_simplify(self):
         op = FermionOperator.creation(0) - FermionOperator.creation(0)
         assert len(op.simplify()) == 0
-
-    def test_max_mode(self):
-        op = FermionOperator.from_term(((3, True), (7, False)))
-        assert op.max_mode() == 7
-        assert FermionOperator().max_mode() == -1

@@ -48,12 +48,6 @@ class TestCircuitTransforms:
         product = circuit.compose(inverse).unitary()
         assert np.allclose(product, np.eye(4), atol=1e-9)
 
-    def test_remapped(self):
-        circuit = QuantumCircuit(2)
-        circuit.cx(0, 1)
-        remapped = circuit.remapped({0: 3, 1: 1}, num_qubits=4)
-        assert remapped[0].qubits == (3, 1)
-
     def test_filtered(self):
         circuit = QuantumCircuit(2)
         circuit.h(0).cx(0, 1).h(1)
@@ -73,15 +67,7 @@ class TestCircuitMetrics:
         assert circuit.depth() == 5
         assert circuit.depth_2q() == 2
 
-    def test_two_qubit_pairs_and_interaction_graph(self):
+    def test_two_qubit_pairs(self):
         circuit = QuantumCircuit(3)
         circuit.cx(0, 1).cx(1, 0).cx(1, 2)
         assert circuit.two_qubit_pairs() == [(0, 1), (0, 1), (1, 2)]
-        graph = circuit.interaction_graph()
-        assert graph[0][1]["count"] == 2
-        assert graph[1][2]["count"] == 1
-
-    def test_qubits_used(self):
-        circuit = QuantumCircuit(5)
-        circuit.cx(3, 1)
-        assert circuit.qubits_used() == (1, 3)

@@ -9,8 +9,7 @@ from repro.paulis.bsf import BSF
 
 class TestBsfCost:
     def test_empty_bsf_costs_nothing(self):
-        bsf = BSF.from_labels([("XII", 1.0)])
-        bsf.pop_local_paulis()
+        bsf = BSF.from_labels([("XII", 1.0)]).select_rows(np.array([False]))
         assert bsf_cost(bsf) == 0.0
 
     def test_single_local_row(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.grouping import group_terms, grouping_statistics
+from repro.core.grouping import group_terms
 from repro.paulis.pauli import PauliTerm
 
 
@@ -36,10 +36,3 @@ class TestGrouping:
         groups = group_terms(small_program)
         with pytest.raises(ValueError):
             groups[0].add(PauliTerm.from_label("XIIII", 0.1))
-
-    def test_statistics(self, small_program):
-        stats = grouping_statistics(group_terms(small_program))
-        assert stats["num_groups"] == 3
-        assert stats["max_group_terms"] == 6
-        assert stats["max_group_weight"] == 4
-        assert grouping_statistics([])["num_groups"] == 0

@@ -1,91 +1,11 @@
 """Tests for the experiment harness."""
 
-import pytest
-
-from repro.baselines import NaiveCompiler
-from repro.experiments.harness import (
-    CompilerSpec,
-    default_compilers,
-    format_table,
-    geometric_mean_rates,
-    run_benchmark,
-    run_suite,
-)
+from repro.experiments.harness import format_table
 
 
 class TestHarness:
-    def test_default_compilers_lineup(self):
-        names = [spec.name for spec in default_compilers()]
-        assert names == ["paulihedral", "tetris", "tket", "phoenix"]
-        assert default_compilers(include_naive=True)[0].name == "naive"
-
-    def test_run_benchmark_and_rates(self, tiny_program):
-        compilers = [
-            CompilerSpec("naive", NaiveCompiler),
-            default_compilers()[-1],  # phoenix
-        ]
-        results = run_benchmark(tiny_program, compilers)
-        assert set(results) == {"naive", "phoenix"}
-
-        suite = run_suite({"tiny": tiny_program}, compilers)
-        baseline = {"tiny": results["naive"]}
-        rates = geometric_mean_rates(suite, baseline, metric="cx_count")
-        assert rates["naive"] == pytest.approx(1.0)
-        assert rates["phoenix"] <= 1.0
-
     def test_format_table(self):
         table = format_table([["a", 1], ["bb", 22]], headers=["name", "value"])
         lines = table.splitlines()
         assert lines[0].startswith("name")
         assert len(lines) == 4
-
-
-class TestWorkloadSpecs:
-    def test_run_suite_accepts_spec_strings_and_workloads(self):
-        from repro.workloads import workload_from_spec
-
-        workload = workload_from_spec("tfim:n=5,seed=3")
-        compilers = [default_compilers()[-1]]  # phoenix
-        suite = run_suite(
-            {
-                "from-spec": "tfim:n=5,seed=3",
-                "from-workload": workload,
-                "from-terms": workload.to_terms(),
-            },
-            compilers,
-        )
-        counts = {
-            name: results["phoenix"].metrics.cx_count
-            for name, results in suite.items()
-        }
-        # One program, three spellings: identical compiled output.
-        assert len(set(counts.values())) == 1
-
-    def test_run_suite_accepts_a_bare_sequence_of_specs(self):
-        suite = run_suite(
-            ["tfim:n=4,seed=1", "stress:scale=2,depth=1"],
-            [default_compilers()[-1]],
-        )
-        assert len(suite) == 2
-        assert all(name.count(":") == 1 for name in suite)
-
-    def test_duplicate_suite_names_raise(self):
-        from repro.experiments.harness import resolve_suite
-
-        with pytest.raises(ValueError, match="duplicate program name"):
-            resolve_suite(["tfim:n=4,seed=1", "tfim:n=4,seed=1"])
-
-    def test_run_benchmark_accepts_a_spec_string(self):
-        results = run_benchmark("stress:scale=2,depth=1", [default_compilers()[-1]])
-        assert results["phoenix"].metrics.cx_count > 0
-
-    def test_workload_specs_route_through_the_service_cache(self):
-        from repro.service.service import CompilationService
-
-        service = CompilationService()
-        compilers = default_compilers()
-        run_suite({"wl": "xxz:n=5,seed=2"}, compilers, service=service, workers=1)
-        stats = service.cache_stats()
-        assert stats.get("misses", 0) >= len(compilers)
-        run_suite({"wl": "xxz:n=5,seed=2"}, compilers, service=service, workers=1)
-        assert service.cache_stats().get("hits", 0) >= len(compilers)

@@ -48,11 +48,11 @@ class TestDistanceCache:
         circuit = _routing_fixture_circuit()
 
         topology_module._DISTANCE_CACHE.clear()
-        cold = route_circuit(circuit, Topology.line(6), seed=0)
+        cold = route_circuit(circuit, Topology.line(6))
 
         # Warm path: an equal-but-distinct topology hits the shared cache.
         assert topology_module._DISTANCE_CACHE
-        warm = route_circuit(circuit, Topology.line(6), seed=0)
+        warm = route_circuit(circuit, Topology.line(6))
 
         assert warm.swap_count == cold.swap_count
         assert warm.initial_mapping == cold.initial_mapping

@@ -94,14 +94,6 @@ class TestRouting:
         assert routed.circuit.count("swap") == 0
         assert routed.circuit.count("cx") >= 4
 
-    def test_cx_equivalent_swap_overhead(self):
-        circuit = QuantumCircuit(4)
-        circuit.cx(0, 3)
-        routed = route_circuit(
-            circuit, Topology.line(4), initial_mapping={i: i for i in range(4)}
-        )
-        assert routed.cx_equivalent_swap_overhead() == 3 * routed.swap_count
-
     def test_one_qubit_gates_follow_mapping(self):
         circuit = QuantumCircuit(3)
         circuit.h(2).cx(0, 2)

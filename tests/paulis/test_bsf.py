@@ -31,13 +31,6 @@ class TestBSFBasics:
         bsf = BSF.from_labels([("XY", 1.0), ("XZ", 1.0), ("IX", 1.0)])
         assert list(bsf.column_weights()) == [2, 3]
 
-    def test_pop_local_paulis(self):
-        bsf = BSF.from_labels([("XII", 0.5), ("XYZ", 0.25), ("IIZ", 1.0)])
-        local = bsf.pop_local_paulis()
-        assert local.num_terms == 2
-        assert bsf.num_terms == 1
-        assert bsf.to_terms()[0].to_label() == "XYZ"
-
     def test_empty_term_list_rejected(self):
         with pytest.raises(ValueError):
             BSF.from_terms([])

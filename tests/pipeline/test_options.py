@@ -49,18 +49,17 @@ class TestCompileOptionsValidation:
         assert options.topology is None
         assert options.optimization_level == 2
         assert options.lookahead == 10
-        assert options.seed == 0
         assert not options.hardware_aware
 
     def test_invalid_isa_rejected(self):
         with pytest.raises(ValueError, match="unsupported ISA"):
             CompileOptions(isa="xy")
 
-    def test_six_settable_fields(self):
+    def test_five_settable_fields(self):
         from dataclasses import fields
 
         assert [f.name for f in fields(CompileOptions)] == [
-            "compiler", "isa", "topology", "optimization_level", "lookahead", "seed",
+            "compiler", "isa", "topology", "optimization_level", "lookahead",
         ]
 
     @pytest.mark.parametrize("level", [-3, -1, 4, 7])
@@ -73,8 +72,8 @@ class TestCompileOptionsValidation:
         assert CompileOptions(optimization_level=level).optimization_level == level
 
     def test_scalars_coerced_to_int(self):
-        options = CompileOptions(optimization_level="3", lookahead="5", seed="1")
-        assert (options.optimization_level, options.lookahead, options.seed) == (3, 5, 1)
+        options = CompileOptions(optimization_level="3", lookahead="5")
+        assert (options.optimization_level, options.lookahead) == (3, 5)
 
     def test_frozen(self):
         with pytest.raises(AttributeError):
@@ -137,7 +136,6 @@ class TestConfigFingerprint:
             CompileOptions(isa="su4"),
             CompileOptions(optimization_level=3),
             CompileOptions(lookahead=5),
-            CompileOptions(seed=1),
             CompileOptions(topology=Topology.line(4)),
         ]
         digests = {base} | {v.config_fingerprint() for v in variants}
@@ -157,7 +155,6 @@ class TestPlainDataRoundTrip:
             topology=resolve_topology(topology),
             optimization_level=3,
             lookahead=4,
-            seed=7,
         )
         data = options.to_dict()
         assert data["lookahead"] == 4
@@ -167,7 +164,7 @@ class TestPlainDataRoundTrip:
         assert rebuilt.fingerprint() == options.fingerprint()
 
     def test_equal_plain_data_compares_and_hashes_equal(self):
-        data = {"compiler": "tket", "topology": "grid-2x3", "seed": 1}
+        data = {"compiler": "tket", "topology": "grid-2x3", "optimization_level": 1}
         first, second = CompileOptions.from_dict(data), CompileOptions.from_dict(data)
         assert first == second and hash(first) == hash(second)
         assert {first: "memo"}[second] == "memo"
@@ -214,7 +211,7 @@ class TestPlainDataRoundTrip:
         class Unregistered(PhoenixCompiler):
             name = "phoenix-unregistered"
 
-        compiler = Unregistered(topology=resolve_topology("line-5"), seed=3)
+        compiler = Unregistered(topology=resolve_topology("line-5"), lookahead=3)
         assert compiler.options.compiler == "phoenix-unregistered"
-        assert compiler.options.seed == 3
+        assert compiler.options.lookahead == 3
         assert compiler.options.topology is resolve_topology("line-5")

@@ -84,7 +84,7 @@ class TestLegacyPathReplica:
         # Inline replica of the pre-pipeline PhoenixCompiler._compile_terms.
         terms = list(uccsd_program)
         topology = resolve_topology(topology_spec)
-        lookahead, optimization_level, seed = 10, 2, 0
+        lookahead, optimization_level = 10, 2
         hardware_aware = topology is not None and not topology.is_all_to_all()
         num_qubits = terms[0].num_qubits
 
@@ -99,7 +99,7 @@ class TestLegacyPathReplica:
         logical = consolidate_su4(native) if isa == "su4" else logical_cx
         final_circuit, final_metrics = logical, circuit_metrics(logical)
         if hardware_aware:
-            routed = route_circuit(logical_cx, topology, seed=seed, decompose_swaps=False)
+            routed = route_circuit(logical_cx, topology, decompose_swaps=False)
             hardware = optimize_circuit(
                 rebase_to_cx(routed.circuit), level=optimization_level
             )
@@ -230,9 +230,12 @@ class TestStageTimingsSurface:
         assert _job_summary(job_result)["stage_timings"] == payload["stage_timings"]
 
     def test_harness_surfaces_stage_timings(self, uccsd_program):
-        from repro.experiments import default_compilers, run_benchmark, stage_timing_table
+        from repro.experiments import stage_timing_table
 
-        results = run_benchmark(list(uccsd_program), default_compilers())
+        results = {
+            name: CompileOptions(compiler=name).build().compile(list(uccsd_program))
+            for name in ("paulihedral", "tetris", "tket", "phoenix")
+        }
         table = stage_timing_table(results)
         for stage in ("group", "simplify", "order", "emit", "synthesize", "route"):
             assert stage in table

@@ -51,11 +51,10 @@ class TestRegistration:
 
 class TestBuildCompiler:
     def test_options_reach_the_compiler(self):
-        options = CompileOptions(optimization_level=3, lookahead=5, seed=7)
+        options = CompileOptions(optimization_level=3, lookahead=5)
         phoenix = build_compiler("phoenix", options)
         assert phoenix.optimization_level == 3
         assert phoenix.lookahead == 5
-        assert phoenix.seed == 7
 
     def test_baselines_take_every_knob(self):
         # Baselines ignore lookahead but carry it, like every other knob.
@@ -79,13 +78,6 @@ class TestSingleTableAcrossLayers:
             options = CompileOptions(compiler=name)
             assert options.order_sensitive == is_order_sensitive(name)
             assert type(options.build()) is table[name]
-
-    def test_harness_default_lineup_resolves_from_the_registry(self):
-        from repro.experiments.harness import default_compilers
-
-        table = registered_compilers()
-        for spec in default_compilers(include_naive=True):
-            assert table[spec.name] is spec.factory
 
     def test_cli_choices_come_from_the_registry(self):
         from repro.service.cli import build_parser

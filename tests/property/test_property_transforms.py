@@ -232,10 +232,9 @@ class TestRewrittenPassesMatchReference:
     @pytest.mark.parametrize("seed", _ORACLE_SEEDS)
     def test_consolidation_absorbs_1q_gates_identically(self, seed):
         circuit = rebase_to_cx(oracle_circuit(seed, allow_su4=False))
-        for keep in (True, False):
-            assert _gate_keys(consolidate_su4(circuit, keep)) == _gate_keys(
-                reference_passes.consolidate_su4(circuit, keep)
-            )
+        assert _gate_keys(consolidate_su4(circuit)) == _gate_keys(
+            reference_passes.consolidate_su4(circuit)
+        )
 
     def test_rebase_keeps_signed_zero_angles(self):
         circuit = QuantumCircuit(2).rzz(0.0, 0, 1).rzz(-0.0, 0, 1).rzz(0.0, 0, 1)

@@ -117,6 +117,23 @@ def test_ops_endpoints_and_error_surface(server):
         assert "unsupported optimization level" in str(bad_level.value)
 
 
+def test_unknown_entry_keys_answer_400(server):
+    # Dropping the key would silently compile a typo'd option, or an old
+    # routing seed, at the defaults -- also when it comes from the body's
+    # option defaults.
+    client = server.client
+    for entry, options in (
+        ({**FAST_ENTRIES[0], "opt_level": 3}, None),
+        ({**FAST_ENTRIES[0], "seed": 3}, None),
+        (FAST_ENTRIES[0], {"seed": 3}),
+    ):
+        with pytest.raises(ServerError) as bad:
+            client.submit([entry], options=options)
+        assert bad.value.status == 400
+        assert "job entry 0 has unknown keys" in str(bad.value)
+    assert client.stats()["queue"]["depth"] == 0
+
+
 def test_queue_backpressure_answers_429_with_retry_after(make_server):
     config = ServeConfig(port=0, workers=1, queue_size=1)
     app = ServeApp(config)

@@ -61,7 +61,6 @@ class TestConfigFingerprint:
             PhoenixCompiler(isa="su4"),
             PhoenixCompiler(optimization_level=3),
             PhoenixCompiler(lookahead=5),
-            PhoenixCompiler(seed=1),
             PhoenixCompiler(topology=Topology.line(4)),
         ):
             assert variant.config_fingerprint() != base.config_fingerprint()

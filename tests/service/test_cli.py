@@ -45,6 +45,12 @@ class TestCompileCommand:
         with pytest.raises(SystemExit):
             main(["compile"])
 
+    def test_the_removed_seed_flag_is_an_unknown_argument(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["compile", "--benchmark", "LiH_frz_JW", "--seed", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_user_errors_are_clean_one_liners(self, tmp_path, capsys):
         assert main(["compile", "--benchmark", "LiH_frz_XX"]) == 2
         assert "unknown benchmark" in capsys.readouterr().err
@@ -107,6 +113,21 @@ class TestBatchCommand:
     def test_no_jobs_is_an_error(self):
         with pytest.raises(SystemExit):
             main(["batch"])
+
+    @pytest.mark.parametrize("key", ["opt_level", "seed"])
+    def test_unknown_manifest_keys_are_errors(self, key, tmp_path, capsys):
+        # Dropping the key would silently compile a typo'd option, or an
+        # old manifest's routing seed, at the defaults.
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(
+            json.dumps([{"workload": "tfim:n=4,lattice=ring", key: 3}]), encoding="utf-8"
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["batch", "--manifest", str(manifest), "--workers", "1"])
+        assert str(excinfo.value) == (
+            f"error: job entry 0 has unknown keys {key!r}; expected name, benchmark, "
+            "workload, program, compiler, isa, topology, optimization_level, lookahead"
+        )
 
     @pytest.mark.parametrize("level", ["7", "-3"])
     def test_unknown_opt_level_exits_2(self, level, capsys):
@@ -254,7 +275,7 @@ class TestWorkloadCommand:
 
         overrides = {
             "compiler": "tket", "isa": "su4", "topology": "line-8",
-            "optimization_level": 3, "lookahead": 3, "seed": 5,
+            "optimization_level": 3, "lookahead": 3,
         }
         [job] = jobs_from_entries([{"workload": "maxcut:n=8,graph=reg3", **overrides}])
         assert job.options == CompileOptions.from_dict(overrides)

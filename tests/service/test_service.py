@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.compiler import PhoenixCompiler
-from repro.experiments.harness import default_compilers, run_suite
 from repro.paulis.pauli import PauliTerm
 from repro.hardware.topology import Topology, resolve_topology, topology_to_spec
 from repro.pipeline.options import CompileOptions
@@ -147,7 +146,7 @@ class TestCompilationService:
             CompilationJob(
                 "bad", bad_program, CompileOptions(topology=resolve_topology("line-4"))
             ),
-            CompilationJob("also-good", tiny_program, CompileOptions(seed=1)),
+            CompilationJob("also-good", tiny_program, CompileOptions(lookahead=5)),
         ]
         results = service.compile_many(jobs, workers=1)
         assert [r.status for r in results] == ["ok", "error", "ok"]
@@ -201,55 +200,6 @@ class TestCompilationService:
             CompilationService(executor=object())
 
 
-class TestHarnessThroughService:
-    def test_suite_results_match_inline(self, tiny_program):
-        compilers = default_compilers()
-        inline = run_suite({"tiny": tiny_program}, compilers)
-        service = CompilationService()
-        routed = run_suite({"tiny": tiny_program}, compilers, service=service, workers=1)
-        for name in inline["tiny"]:
-            assert routed["tiny"][name].metrics == inline["tiny"][name].metrics
-
-    def test_suite_rerun_is_all_cache_hits(self, tiny_program, qaoa_line_program):
-        service = CompilationService()
-        programs = {"tiny": tiny_program, "qaoa": qaoa_line_program}
-        run_suite(programs, default_compilers(), service=service, workers=1)
-        puts_before = service.cache.stats.puts
-        run_suite(programs, default_compilers(), service=service, workers=1)
-        assert service.cache.stats.puts == puts_before  # nothing recompiled
-
-    def test_custom_factory_falls_back_inline(self, tiny_program):
-        from repro.experiments.harness import CompilerSpec
-
-        def custom_factory(isa, topology, optimization_level):
-            return PhoenixCompiler(
-                isa=isa, topology=topology, optimization_level=optimization_level,
-                lookahead=3,
-            )
-
-        service = CompilationService()
-        suite = run_suite(
-            {"tiny": tiny_program},
-            [CompilerSpec("custom", custom_factory)],
-            service=service,
-            workers=1,
-        )
-        assert suite["tiny"]["custom"].metrics.cx_count > 0
-        assert service.cache.stats.puts == 0  # never went through the service
-
-    def test_unregistered_topology_falls_back_inline(self, tiny_program):
-        # No spec reproduces this topology, so to_dict() raises and every
-        # compiler runs in-process instead of through the service.
-        weird = Topology(3, [(0, 1), (1, 2)], name="weird-line")
-        service = CompilationService()
-        suite = run_suite(
-            {"tiny": tiny_program}, default_compilers(), topology=weird,
-            service=service, workers=1,
-        )
-        assert set(suite["tiny"]) == {spec.name for spec in default_compilers()}
-        assert service.cache.stats.puts == 0
-
-
 class RecordingExecutor(Executor):
     """The real executor, recording the per-batch settings it was handed."""
 
@@ -280,14 +230,14 @@ class TestBatchOverrides:
     def test_worker_budget_defaults_then_overrides(self, tiny_program):
         service, calls = self._service(max_workers=3)
         service.compile_many([CompilationJob("a", tiny_program)])
-        service.compile_many([CompilationJob("b", tiny_program, CompileOptions(seed=2))], workers=1)
+        service.compile_many([CompilationJob("b", tiny_program, CompileOptions(lookahead=5))], workers=1)
         assert [call["workers"] for call in calls] == [3, 1]
 
     def test_one_executor_for_the_service_lifetime(self, tiny_program):
         service = CompilationService(keep_alive=True)
         executor = service.executor
         service.compile_many([CompilationJob("a", tiny_program)])
-        service.compile_many([CompilationJob("b", tiny_program, CompileOptions(seed=2))])
+        service.compile_many([CompilationJob("b", tiny_program, CompileOptions(lookahead=5))])
         assert service.executor is executor and executor.keep_alive
 
 
@@ -310,8 +260,8 @@ class TestKeepAliveService:
             stats_between = service.executor_stats()
             second = service.compile_many(
                 [
-                    CompilationJob("b1", tiny_program, CompileOptions(seed=5)),
-                    CompilationJob("b2", qaoa_line_program, CompileOptions(seed=5)),
+                    CompilationJob("b1", tiny_program, CompileOptions(lookahead=5)),
+                    CompilationJob("b2", qaoa_line_program, CompileOptions(lookahead=5)),
                 ],
                 workers=2,
             )

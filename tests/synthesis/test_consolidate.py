@@ -5,7 +5,7 @@ import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.simulation.unitary import circuit_unitary
-from repro.synthesis.consolidate import consolidate_su4, su4_metrics
+from repro.synthesis.consolidate import consolidate_su4
 
 
 class TestConsolidate:
@@ -30,13 +30,6 @@ class TestConsolidate:
         circuit.cx(0, 1).cx(1, 2).cx(0, 1)
         consolidated = consolidate_su4(circuit)
         assert consolidated.count_2q() == 3
-
-    def test_su4_metrics(self):
-        circuit = QuantumCircuit(2)
-        circuit.cx(0, 1).cx(0, 1).cx(0, 1)
-        metrics = su4_metrics(circuit)
-        assert metrics["su4_count"] == 1
-        assert metrics["depth_2q"] == 1
 
     def test_reversed_pair_orientation_merges(self):
         circuit = QuantumCircuit(2)

@@ -6,11 +6,7 @@ import pytest
 from repro.paulis.pauli import PauliTerm
 from repro.simulation.evolution import pauli_exponential_unitary, terms_unitary
 from repro.simulation.unitary import circuit_unitary
-from repro.synthesis.pauli_exp import (
-    synthesize_pauli_term,
-    synthesize_terms,
-    synthesize_weight2_term,
-)
+from repro.synthesis.pauli_exp import synthesize_pauli_term, synthesize_terms
 
 
 def _check_term(term: PauliTerm, **kwargs):
@@ -64,18 +60,3 @@ class TestProgramSynthesis:
     def test_empty_program_rejected(self):
         with pytest.raises(ValueError):
             synthesize_terms([])
-
-
-class TestWeight2Synthesis:
-    def test_native_rotation_is_exact(self):
-        term = PauliTerm.from_label("IXZ", 0.4)
-        circuit = synthesize_weight2_term(term, as_native_rotation=True)
-        assert circuit.count_2q() == 1
-        assert circuit[0].name == "rpp"
-        assert np.allclose(
-            circuit_unitary(circuit), pauli_exponential_unitary(term), atol=1e-9
-        )
-
-    def test_rejects_weight_three(self):
-        with pytest.raises(ValueError):
-            synthesize_weight2_term(PauliTerm.from_label("XYZ", 0.1))
