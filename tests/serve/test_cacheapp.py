@@ -6,60 +6,14 @@ headers, and bodies are exercised exactly as a
 :class:`~repro.service.remotecache.RemoteCacheStore` would see them.
 """
 
-import asyncio
-import http.client
 import json
-import threading
 
 import pytest
 
 from repro.serialize.jsonutil import canonical_json_bytes
-from repro.serve.cacheapp import CacheServeApp, CacheServeConfig
 
 KEY = "a" * 16 + "-" + "b" * 16
 ENTRY = {"metrics": {"depth": 3}, "circuit": ["h 0", "cx 0 1"], "z": 1}
-
-
-class CacheServerHandle:
-    """One in-thread cache server plus a raw HTTP helper."""
-
-    def __init__(self, app: CacheServeApp):
-        self.app = app
-        self.thread = threading.Thread(
-            target=lambda: asyncio.run(app.main()), daemon=True
-        )
-
-    def start(self) -> "CacheServerHandle":
-        self.thread.start()
-        assert self.app.ready.wait(15), "cache server failed to start"
-        return self
-
-    def stop(self, timeout: float = 30.0) -> None:
-        self.app.drain_token.set()
-        self.thread.join(timeout)
-        assert not self.thread.is_alive(), "cache server did not drain"
-
-    def request(self, method, path, body=None):
-        conn = http.client.HTTPConnection(
-            "127.0.0.1", self.app.bound_port, timeout=10
-        )
-        try:
-            conn.request(method, path, body=body)
-            response = conn.getresponse()
-            return response.status, response.read()
-        finally:
-            conn.close()
-
-
-@pytest.fixture
-def cache_server(tmp_path):
-    config = CacheServeConfig(
-        cache_dir=str(tmp_path / "srv"), port=0, max_entry_bytes=64 * 1024
-    )
-    handle = CacheServerHandle(CacheServeApp(config)).start()
-    yield handle
-    if handle.thread.is_alive():
-        handle.stop()
 
 
 class TestCacheRoutes:
@@ -171,17 +125,13 @@ class TestOpsRoutes:
         assert "repro_remote_cache_server_puts_total 1" in text
         assert 'repro_remote_cache_payload_bytes_bucket' in text
 
-    def test_drain_persists_entries_for_the_next_boot(self, tmp_path):
-        config = CacheServeConfig(cache_dir=str(tmp_path / "srv"), port=0)
-        handle = CacheServerHandle(CacheServeApp(config)).start()
+    def test_drain_persists_entries_for_the_next_boot(self, tmp_path, make_cache_server):
+        handle = make_cache_server(cache_dir=str(tmp_path / "srv"))
         handle.request(
             "PUT", f"/v1/cache/{KEY}", body=canonical_json_bytes(ENTRY)
         )
         handle.stop()
-        revived = CacheServerHandle(CacheServeApp(config)).start()
-        try:
-            status, body = revived.request("GET", f"/v1/cache/{KEY}")
-            assert status == 200
-            assert body == canonical_json_bytes(ENTRY)
-        finally:
-            revived.stop()
+        revived = make_cache_server(cache_dir=str(tmp_path / "srv"))
+        status, body = revived.request("GET", f"/v1/cache/{KEY}")
+        assert status == 200
+        assert body == canonical_json_bytes(ENTRY)

@@ -110,6 +110,24 @@ class TestBatchCommand:
         captured = capsys.readouterr()
         assert "1 of 1 jobs failed" in captured.err
 
+    def test_benchmark_names_equal_the_same_manifest(self, tmp_path, capsys):
+        names = ["LiH_frz_JW", "LiH_frz_BK"]
+        flags = ["--opt-level", "1", "--workers", "1", "--format", "json", "--quiet"]
+        manifest = tmp_path / "jobs.json"
+        manifest.write_text(json.dumps([{"benchmark": name} for name in names]))
+
+        def summaries(*argv):
+            capsys.readouterr()
+            assert main(["batch", *argv, *flags]) == 0
+            rows = json.loads(capsys.readouterr().out)
+            for row in rows:
+                del row["elapsed"], row["stage_timings"]
+            return rows
+
+        by_name = summaries(*names)
+        assert [row["name"] for row in by_name] == names
+        assert by_name == summaries("--manifest", str(manifest))
+
     def test_no_jobs_is_an_error(self):
         with pytest.raises(SystemExit):
             main(["batch"])
