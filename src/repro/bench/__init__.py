@@ -34,11 +34,14 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.profile import aggregate_stage_timings
-from repro.pipeline.options import CompileOptions
-from repro.serialize.jsonutil import canonical_json_bytes
-from repro.serialize.results import result_to_dict
+from repro.serialize.results import content_bytes, result_to_dict
 from repro.service.cache import open_cache
-from repro.service.service import CompilationJob, CompilationService, JobResult
+from repro.service.service import (
+    CompilationJob,
+    CompilationService,
+    JobResult,
+    jobs_from_entries,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -70,33 +73,39 @@ PINNED_SUITE: Tuple[Tuple[str, str, Dict[str, Any]], ...] = (
 )
 
 
+def suite_entries(limit: Optional[int] = None) -> List[Dict[str, Any]]:
+    """The first ``limit`` pinned rows (all by default) as job entries, the
+    form :func:`~repro.service.service.jobs_from_entries`, batch manifests
+    and ``POST /v1/jobs`` share."""
+    return _entries(PINNED_SUITE[: limit or None])
+
+
+def _entries(suite: Sequence[Tuple[str, str, Dict[str, Any]]]) -> List[Dict[str, Any]]:
+    return [{"name": name, "workload": spec, **overrides} for name, spec, overrides in suite]
+
+
 def bench_jobs(
     suite: Optional[Sequence[Tuple[str, str, Dict[str, Any]]]] = None,
 ) -> List[CompilationJob]:
     """Materialize the pinned suite into compilation jobs."""
-    from repro.workloads.registry import workload_from_spec
-
-    if suite is None:
-        suite = PINNED_SUITE
-    jobs = []
-    for name, spec, overrides in suite:
-        workload = workload_from_spec(spec)
-        options = CompileOptions.from_dict(overrides)
-        jobs.append(CompilationJob(name, workload.to_terms(), options))
-    return jobs
+    return jobs_from_entries(_entries(PINNED_SUITE if suite is None else suite))
 
 
 def result_content_bytes(job_result: JobResult) -> bytes:
-    """Canonical bytes of one result for cross-executor comparison.
-
-    ``stage_timings`` is dropped: wall-clock measurements legitimately
-    differ between runs of the same deterministic compilation.
-    """
+    """:func:`~repro.serialize.results.content_bytes` of one finished job."""
     assert job_result.result is not None
-    payload = result_to_dict(job_result.result)
-    payload.pop("stage_timings", None)
-    payload["cache_key"] = job_result.key
-    return canonical_json_bytes(payload)
+    return content_bytes(result_to_dict(job_result.result), job_result.key)
+
+
+def suite_reference(limit: Optional[int] = None) -> Dict[str, bytes]:
+    """``{name: content bytes}`` of the first ``limit`` pinned jobs, from a
+    clean serial compile with a memory-only cache; failed jobs are absent.
+
+    The byte-identity reference of ``phoenix chaos`` and both smoke drivers.
+    """
+    with CompilationService() as service:
+        results = service.compile_many(jobs_from_entries(suite_entries(limit)), workers=1)
+    return {r.name: result_content_bytes(r) for r in results if r.ok}
 
 
 def _timed_pass(

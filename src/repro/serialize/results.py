@@ -36,6 +36,7 @@ from repro.hardware.routing.sabre import RoutingSummary
 from repro.hardware.topology import Topology
 from repro.metrics.circuit_metrics import CircuitMetrics
 from repro.paulis.pauli import PauliTerm
+from repro.serialize.jsonutil import canonical_json_bytes
 from repro.serialize.circuits import (
     LEGACY_FORMAT,
     SERIALIZATION_FORMAT,
@@ -202,6 +203,20 @@ def result_to_dict(result: CompilationResult, workload=None) -> Dict[str, Any]:
     if workload is not None:
         payload["workload"] = workload_to_dict(workload)
     return payload
+
+
+def content_bytes(payload: Dict[str, Any], key: str) -> bytes:
+    """The identity of one compiled result, for byte comparisons.
+
+    Canonical JSON of a :func:`result_to_dict` payload (a cache entry or a
+    served result) with its cache key added as ``cache_key`` and the
+    ``stage_timings`` dropped: wall-clock measurements differ between runs
+    of the same deterministic compilation.  ``payload`` is not modified.
+    """
+    content = dict(payload)
+    content.pop("stage_timings", None)
+    content["cache_key"] = key
+    return canonical_json_bytes(content)
 
 
 def _circuits_from_dict(data: Dict[str, Any]) -> Tuple[QuantumCircuit, QuantumCircuit]:

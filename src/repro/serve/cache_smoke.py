@@ -1,6 +1,6 @@
 """CI smoke for the shared remote cache: two processes, one server.
 
-``python -m repro.service.cache_smoke --url http://host:port`` drives the
+``python -m repro.serve.cache_smoke --url http://host:port`` drives the
 acceptance contract of ``phoenix cache serve`` end to end, with real
 process boundaries:
 
@@ -10,15 +10,18 @@ process boundaries:
 3. run the same batch in a **second subprocess** (warm: every job must
    come back as a remote cache hit — the second process shares nothing
    with the first except the server);
-4. compile the suite once more *in this process* (serial, memory-only)
-   and compare its canonical result bytes against the entries the server
-   is holding — byte identity across processes, through the wire;
+4. compare the entries the server holds against a clean in-process
+   compile (:func:`repro.bench.suite_reference`) — byte identity across
+   processes, through the wire;
 5. scrape ``/metrics`` and check the server-side request/hit counters
    moved.
 
-Exit code 0 when every gate holds, 1 with a named failure otherwise.
-The CI job wraps this with a background ``phoenix cache serve`` and a
-SIGTERM drain check.
+``/healthz`` and ``/metrics`` are the routes both servers share, so the
+readiness wait and the scrape go through :class:`ServeClient`.  Exit
+code 0 when every check holds; otherwise each failed check is printed as
+a ``FAIL: ...`` line naming what broke, and the exit code is 1.  The CI
+job wraps this with a background ``phoenix cache serve`` and a SIGTERM
+drain check.
 """
 
 from __future__ import annotations
@@ -29,39 +32,14 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
-import urllib.error
-import urllib.request
 from typing import Any, Dict, List, Optional, Sequence
+from urllib.parse import urlsplit
 
-from repro.bench import PINNED_SUITE, bench_jobs, result_content_bytes
-from repro.serialize.jsonutil import canonical_json_bytes
-from repro.service.cache import open_cache
-from repro.service.remotecache import RemoteCacheStore
-from repro.service.service import CompilationService
-
-
-def wait_healthy(url: str, timeout: float = 30.0) -> bool:
-    """Poll ``/healthz`` until the server answers 200 or time runs out."""
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        try:
-            with urllib.request.urlopen(f"{url}/healthz", timeout=2.0) as response:
-                if response.status == 200:
-                    return True
-        except (urllib.error.URLError, OSError):
-            pass
-        time.sleep(0.2)
-    return False
-
-
-def _manifest_entries(limit: int) -> List[Dict[str, Any]]:
-    entries = []
-    for name, spec, overrides in PINNED_SUITE[:limit]:
-        entry: Dict[str, Any] = {"name": name, "workload": spec}
-        entry.update(overrides)
-        entries.append(entry)
-    return entries
+from ..bench import suite_entries, suite_reference
+from ..serialize.results import content_bytes
+from ..service.remotecache import RemoteCacheStore
+from .client import ServeClient, ServerError
+from .smoke import report_failures, scrape_counter
 
 
 def _run_batch(manifest: str, url: str, output: str) -> List[Dict[str, Any]]:
@@ -90,30 +68,26 @@ def _run_batch(manifest: str, url: str, output: str) -> List[Dict[str, Any]]:
         return json.load(handle)
 
 
-def _server_entry_bytes(store: RemoteCacheStore, key: str) -> Optional[bytes]:
-    """The server's entry for ``key`` in result-content canonical form."""
-    value = store.get(key)
-    if value is None:
-        return None
-    value.pop("stage_timings", None)
-    value["cache_key"] = key
-    return canonical_json_bytes(value)
-
-
 def run_smoke(url: str, limit: int = 3) -> int:
     url = url.rstrip("/")
-    if not wait_healthy(url):
-        print(f"FAIL: cache server at {url} never became healthy", file=sys.stderr)
-        return 1
+    split = urlsplit(url)
+    client = ServeClient(split.hostname or "127.0.0.1", split.port or 80, timeout=5.0)
+    try:
+        client.wait_ready(timeout=30.0)
+    except TimeoutError:
+        return report_failures([f"cache server at {url} never became healthy"])
 
-    entries = _manifest_entries(limit)
+    entries = suite_entries(limit)
     with tempfile.TemporaryDirectory(prefix="cache-smoke-") as workdir:
         manifest = os.path.join(workdir, "manifest.json")
         with open(manifest, "w", encoding="utf-8") as handle:
             json.dump(entries, handle)
 
-        first = _run_batch(manifest, url, os.path.join(workdir, "b1.json"))
-        second = _run_batch(manifest, url, os.path.join(workdir, "b2.json"))
+        try:
+            first = _run_batch(manifest, url, os.path.join(workdir, "b1.json"))
+            second = _run_batch(manifest, url, os.path.join(workdir, "b2.json"))
+        except RuntimeError as exc:
+            return report_failures([str(exc)])
 
     failures: List[str] = []
     bad = [s["name"] for s in first + second if s["status"] != "ok"]
@@ -128,51 +102,38 @@ def run_smoke(url: str, limit: int = 3) -> int:
             f"second batch missed the shared cache on: {warm_misses}"
         )
 
-    # Byte identity: a third, in-process compile against a hermetic memory
-    # cache must match the entries the server is holding, byte for byte.
-    jobs = bench_jobs(PINNED_SUITE[:limit])
-    service = CompilationService(cache=open_cache(None))
-    results = service.compile_many(jobs, workers=1)
+    # Byte identity: the entries the server holds for the warm batch's
+    # keys must match a hermetic in-process compile, byte for byte.
+    reference = suite_reference(limit)
     store = RemoteCacheStore(url)
     try:
-        for job_result in results:
-            if not job_result.ok:
-                failures.append(f"local reference compile failed: {job_result.name}")
-                continue
-            remote_bytes = _server_entry_bytes(store, job_result.key)
-            if remote_bytes is None:
+        for summary in second:
+            name, key = summary["name"], summary["key"]
+            entry = store.get(key)
+            if name not in reference:
+                failures.append(f"local reference compile failed: {name}")
+            elif entry is None:
+                failures.append(f"server has no entry for {name} ({key})")
+            elif content_bytes(entry, key) != reference[name]:
                 failures.append(
-                    f"server has no entry for {job_result.name} ({job_result.key})"
-                )
-            elif remote_bytes != result_content_bytes(job_result):
-                failures.append(
-                    f"server entry for {job_result.name} differs from a local "
+                    f"server entry for {name} differs from a local "
                     "compile (byte identity broken)"
                 )
     finally:
         store.close()
-        service.close()
 
     try:
-        with urllib.request.urlopen(f"{url}/metrics", timeout=5.0) as response:
-            metrics_text = response.read().decode("utf-8")
-    except (urllib.error.URLError, OSError) as exc:
+        metrics_text = client.metrics()
+    except (ServerError, OSError) as exc:
         failures.append(f"/metrics unreachable: {exc}")
-        metrics_text = ""
-    if metrics_text:
+    else:
         if "repro_remote_cache_requests_total" not in metrics_text:
             failures.append("/metrics lacks repro_remote_cache_requests_total")
-        hits = [
-            line for line in metrics_text.splitlines()
-            if line.startswith("repro_remote_cache_server_hits_total")
-        ]
-        if not hits or all(line.rstrip().endswith(" 0") for line in hits):
+        if not scrape_counter(metrics_text, "repro_remote_cache_server_hits_total"):
             failures.append("server hit counter never moved")
 
     if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
+        return report_failures(failures)
     print(
         f"cache smoke ok: {len(entries)} job(s), second batch 100% remote "
         "hits, byte-identical across processes"
@@ -182,7 +143,7 @@ def run_smoke(url: str, limit: int = 3) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.service.cache_smoke",
+        prog="python -m repro.serve.cache_smoke",
         description="Drive a running phoenix cache serve instance through "
                     "the two-process shared-cache acceptance checks.",
     )

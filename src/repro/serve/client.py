@@ -2,9 +2,12 @@
 
 Stdlib only: REST over ``http.client``, the event stream over a raw
 socket speaking the same RFC 6455 framing as the server
-(:mod:`repro.serve.ws`).  This is the client the test suite, the CI
-smoke job, and ``examples/serve_client.py`` all use — if it can drive
-the server, so can anything that speaks HTTP.
+(:mod:`repro.serve.ws`).  This is the client the test suite, both CI
+smoke drivers, and ``examples/serve_client.py`` all use — if it can drive
+the server, so can anything that speaks HTTP.  :meth:`~ServeClient.healthz`,
+:meth:`~ServeClient.metrics` and :meth:`~ServeClient.wait_ready` use only
+the routes every :class:`~repro.serve.http.HTTPApp` serves, so they work
+against ``phoenix cache serve`` too.
 
 Typical round trip::
 
@@ -42,7 +45,12 @@ class ServerError(Exception):
 
 
 class ServeClient:
-    """Thin blocking wrapper over the server's HTTP+WS surface."""
+    """Thin blocking wrapper over the server's HTTP+WS surface.
+
+    ``healthz``/``metrics``/``wait_ready`` work against either server
+    (``phoenix serve`` or ``phoenix cache serve``); the job methods need
+    ``phoenix serve``.
+    """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8077, timeout: float = 30.0):
         self.host = host

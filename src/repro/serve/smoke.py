@@ -10,43 +10,27 @@ The script:
 1. waits for ``/healthz``;
 2. submits a pinned-suite subset over HTTP and follows the WebSocket
    event stream until the terminal ``done`` event;
-3. compiles the same jobs locally and asserts the server's results are
-   **byte-identical** (canonical JSON, timings excluded);
-4. submits a second, distinct batch and asserts the warm pool was
+3. checks the server's results are **byte-identical** to a clean local
+   compile (:func:`repro.bench.suite_reference`);
+4. submits a second, distinct batch and checks the warm pool was
    reused, not re-forked (``repro_executor_pool_forks_total`` unchanged
    while ``repro_executor_pool_reuses_total`` grows) — the whole point
    of a resident server;
 5. scrapes ``/metrics`` for the serve request/queue series.
 
-Exit code 0 means all assertions held.
+Exit code 0 when every check holds; otherwise each failed check is
+printed as a ``FAIL: ...`` line naming what broke, and the exit code is 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
-from ..bench import PINNED_SUITE, bench_jobs, result_content_bytes
-from ..serialize.jsonutil import canonical_json_bytes
-from ..service.service import CompilationService
+from ..bench import suite_entries, suite_reference
+from ..serialize.results import content_bytes
 from .client import ServeClient
-
-
-def suite_entries(limit: int) -> List[Dict[str, Any]]:
-    """Pinned-suite rows as POST /v1/jobs entries."""
-    return [
-        {"name": name, "workload": spec, **overrides}
-        for name, spec, overrides in PINNED_SUITE[:limit]
-    ]
-
-
-def served_content_bytes(summary: Dict[str, Any]) -> bytes:
-    """Canonical bytes of one served result, mirroring the bench helper."""
-    payload = dict(summary["result"])
-    payload.pop("stage_timings", None)
-    payload["cache_key"] = summary["key"]
-    return canonical_json_bytes(payload)
 
 
 def scrape_counter(metrics_text: str, name: str) -> float:
@@ -60,11 +44,22 @@ def scrape_counter(metrics_text: str, name: str) -> float:
     return total
 
 
+def report_failures(failures: List[str]) -> int:
+    """Print each failure as a ``FAIL:`` line on stderr; the exit code."""
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def run_smoke(host: str, port: int, limit: int, timeout: float) -> int:
     client = ServeClient(host, port, timeout=timeout)
-    health = client.wait_ready(timeout=timeout)
+    try:
+        health = client.wait_ready(timeout=timeout)
+    except TimeoutError as exc:
+        return report_failures([str(exc)])
     print(f"server ready: {health}")
 
+    failures: List[str] = []
     entries = suite_entries(limit)
     submitted = client.submit(entries, name="serve-smoke")
     job_id = submitted["id"]
@@ -73,30 +68,31 @@ def run_smoke(host: str, port: int, limit: int, timeout: float) -> int:
     events = list(client.events(job_id, timeout=timeout))
     progress = [event for event in events if event.get("type") == "progress"]
     done = [event for event in events if event.get("type") == "done"]
-    assert len(progress) == len(entries), (
-        f"expected {len(entries)} progress events, saw {len(progress)}"
-    )
-    assert done and done[-1]["state"] == "done", f"terminal event missing: {events[-1:]}"
-    print(f"streamed {len(progress)} progress events, terminal state 'done'")
+    if len(progress) != len(entries):
+        failures.append(f"expected {len(entries)} progress events, saw {len(progress)}")
+    elif not done or done[-1]["state"] != "done":
+        failures.append(f"terminal event missing: {events[-1:]}")
+    else:
+        print(f"streamed {len(progress)} progress events, terminal state 'done'")
 
-    summary = client.wait(job_id, timeout=timeout)
-    results = summary["results"]
-    failed = [result["name"] for result in results if result["status"] != "ok"]
-    assert not failed, f"server-side failures: {failed}"
+    results = client.wait(job_id, timeout=timeout)["results"]
+    names = [entry["name"] for entry in entries]
+    if [served["name"] for served in results] != names:
+        failures.append(f"served jobs {[s['name'] for s in results]} are not {names}")
+    reference = suite_reference(limit)
+    compared = len(failures)
+    for served in results:
+        name = served["name"]
+        if served["status"] != "ok":
+            failures.append(f"server-side failure: {name}")
+        elif name not in reference:
+            failures.append(f"local reference compile failed: {name}")
+        elif content_bytes(served["result"], served["key"]) != reference[name]:
+            failures.append(f"served result for {name} diverges from a local compile")
+    if len(failures) == compared:
+        print(f"all {len(results)} served results byte-identical to local compile")
 
-    local = CompilationService().compile_many(
-        bench_jobs(PINNED_SUITE[:limit]), workers=1
-    )
-    mismatched = []
-    for local_result, served in zip(local, results):
-        assert local_result.name == served["name"]
-        if result_content_bytes(local_result) != served_content_bytes(served):
-            mismatched.append(served["name"])
-    assert not mismatched, f"served results diverge from local compile: {mismatched}"
-    print(f"all {len(results)} served results byte-identical to local compile")
-
-    before = client.metrics()
-    forks_before = scrape_counter(before, "repro_executor_pool_forks_total")
+    forks_before = scrape_counter(client.metrics(), "repro_executor_pool_forks_total")
 
     # A *distinct* second batch (different seeds → cache misses) must hit
     # the already-warm pool: zero new forks, at least one recorded reuse.
@@ -106,32 +102,39 @@ def run_smoke(host: str, port: int, limit: int, timeout: float) -> int:
     ]
     second = client.submit(second_entries, name="serve-smoke-warm")
     second_summary = client.wait(second["id"], timeout=timeout)
-    assert second_summary["state"] == "done", second_summary
+    if second_summary["state"] != "done":
+        failures.append(f"second batch ended {second_summary['state']!r}")
 
     after = client.metrics()
     forks_after = scrape_counter(after, "repro_executor_pool_forks_total")
     reuses_after = scrape_counter(after, "repro_executor_pool_reuses_total")
     if forks_before > 0:
-        assert forks_after == forks_before, (
-            f"second batch re-forked the pool ({forks_before} -> {forks_after})"
-        )
-        assert reuses_after >= 1, "warm pool was never reused"
-        print(
-            f"warm pool held: forks {forks_after:g} (unchanged), "
-            f"reuses {reuses_after:g}"
-        )
+        if forks_after != forks_before:
+            failures.append(
+                f"second batch re-forked the pool ({forks_before:g} -> {forks_after:g})"
+            )
+        elif reuses_after < 1:
+            failures.append("warm pool was never reused")
+        else:
+            print(
+                f"warm pool held: forks {forks_after:g} (unchanged), "
+                f"reuses {reuses_after:g}"
+            )
     else:
         # One worker (or one miss) runs inline; the warm-pool claim is
         # vacuous then, but the serve surface itself still got exercised.
         print("these batches ran inline; warm-pool check skipped")
 
     for series in ("repro_serve_requests_total", "repro_serve_jobs_submitted_total"):
-        assert series in after, f"metrics endpoint missing {series}"
+        if series not in after:
+            failures.append(f"metrics endpoint missing {series}")
     stats = client.stats()
     print(
         f"stats: queue={stats['queue']['depth']} "
         f"executor={stats['executor']} jobs/s={stats['queue']['jobs_per_second']}"
     )
+    if failures:
+        return report_failures(failures)
     print("serve smoke OK")
     return 0
 

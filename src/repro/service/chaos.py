@@ -31,7 +31,7 @@ from repro.obs import metrics as obs_metrics
 from repro.service import faultlab
 from repro.service.cache import open_cache
 from repro.service.resilience import RetryPolicy
-from repro.service.service import CompilationService, JobResult
+from repro.service.service import CompilationService, JobResult, jobs_from_entries
 
 logger = logging.getLogger(__name__)
 
@@ -100,7 +100,7 @@ def run_chaos(
     fault points can fire in this run (e.g. ``remote.*`` faults: the run
     has no remote tier), since such a run would survive vacuously.
     """
-    from repro.bench import PINNED_SUITE, bench_jobs, result_content_bytes
+    from repro.bench import result_content_bytes, suite_entries, suite_reference
 
     reachable = _REACHABLE_POINTS + (("executor.dispatch",) if workers > 1 else ())
     points = sorted({spec["point"] for spec in scenario.faults})
@@ -111,16 +111,9 @@ def run_chaos(
             f"(reachable: {', '.join(reachable)})"
         )
 
-    suite = PINNED_SUITE[: limit if limit else len(PINNED_SUITE)]
-    jobs = bench_jobs(suite)
+    jobs = jobs_from_entries(suite_entries(limit))
     policy = retry_policy if retry_policy is not None else DEFAULT_CHAOS_POLICY
-
-    reference: Dict[str, bytes] = {}
-    if verify:
-        clean = CompilationService().compile_many(jobs, workers=1)
-        for job_result in clean:
-            if job_result.ok:
-                reference[job_result.name] = result_content_bytes(job_result)
+    reference = suite_reference(limit) if verify else {}
 
     before = obs_metrics.REGISTRY.snapshot()
     started = time.perf_counter()

@@ -1,7 +1,7 @@
 """The ``phoenix`` command-line interface.
 
-Four subcommands expose the compilation service and the workload
-registry::
+A thin front end over the compilation service, its caches and servers,
+and the workload registry::
 
     phoenix compile --benchmark LiH_frz_JW --format metrics
     phoenix compile --input program.json --format qasm --output out.qasm
@@ -33,9 +33,16 @@ strings (``workload`` subcommands and the ``"workload"`` key of batch
 manifest entries).  ``compile``, ``batch`` and ``workload compile``
 share the compile flags ``--compiler``/``--isa``/``--topology``/
 ``--opt-level``; batch manifest entries may override those options and
-``lookahead``, and an entry key outside them is an error.  Run
+``lookahead``, and an entry key outside them is an error.  Every job
+list (benchmark names, a manifest, ``profile``'s workloads or pinned
+suite) is built by :func:`~repro.service.service.jobs_from_entries`.  Run
 ``python -m repro.service.cli --help`` (or the installed ``phoenix``
 entry point) for the full flag reference.
+
+Exit codes: 0 success; 1 a job, compile or profile job failed, or a
+chaos run did not survive; 2 a user error (one ``error: ...`` line on
+stderr: every user error is a ``ValueError`` or ``OSError``, or an
+argparse usage error); 130 a batch interrupted by SIGINT/SIGTERM.
 
 Observability: every subcommand accepts ``--log-level``/``--log-json``
 (structured logging via :func:`repro.obs.configure`); ``batch`` adds
@@ -59,6 +66,7 @@ import argparse
 import json
 import sys
 import threading
+import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -72,29 +80,20 @@ from repro.serialize.results import (
     terms_to_dict,
     workload_to_dict,
 )
-from repro.service.cache import open_cache, parse_spec
+from repro.service.cache import CacheSpec, open_cache, parse_spec
 from repro.service.journal import BatchJournal
+from repro.service.remotecache import RemoteCacheStore
 from repro.service.resilience import shutdown_guard
 from repro.service.service import (
-    CompilationJob,
     CompilationService,
-    JobResult,
     ProgressEvent,
     job_summary,
     jobs_from_entries,
 )
-from repro.service.shardcache import DiskCacheStore
 
 
-def _load_program(args: argparse.Namespace) -> List:
-    if getattr(args, "benchmark", None):
-        from repro.chemistry.molecules import benchmark_program
-
-        return benchmark_program(args.benchmark)
-    if getattr(args, "input", None):
-        data = json.loads(Path(args.input).read_text(encoding="utf-8"))
-        return terms_from_dict(data)
-    raise SystemExit("error: provide --benchmark NAME or --input FILE")
+def _load_json(path: str) -> Any:
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _options_from_args(args: argparse.Namespace) -> CompileOptions:
@@ -113,77 +112,76 @@ def _emit(text: str, output: Optional[str]) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _emit_result(
-    result, fmt: str, output: Optional[str],
+def _compile_and_emit(
+    args: argparse.Namespace, program: List, name: str, label: str,
     header_lines: List[str], workload=None,
-) -> None:
-    """Shared qasm/json/metrics emission of ``compile`` and ``workload
-    compile``; ``header_lines`` carries the per-command provenance rows of
-    the metrics format."""
-    if fmt == "qasm":
-        _emit(result.circuit.to_qasm(), output)
-    elif fmt == "json":
+) -> int:
+    """Compile one program through the service and emit it as qasm, json
+    or metrics: the body of ``compile`` and ``workload compile``.
+
+    ``label`` names the program in the failure message and
+    ``header_lines`` are the metrics format's provenance rows.
+    """
+    service = CompilationService(cache=open_cache(args.cache))
+    job_result = service.compile(program, _options_from_args(args), name=name)
+    result = job_result.result
+    if result is None:
+        sys.stderr.write(f"compilation of {label} failed:\n{job_result.error}")
+        return 1
+    if args.format == "qasm":
+        _emit(result.circuit.to_qasm(), args.output)
+    elif args.format == "json":
         _emit(
             json.dumps(result_to_dict(result, workload=workload), indent=2) + "\n",
-            output,
+            args.output,
         )
     else:  # metrics
-        lines = list(header_lines)
+        lines = [*header_lines, f"cached: {job_result.cached}"]
         lines += [f"{k}: {v}" for k, v in result.metrics.as_dict().items()]
         if result.routing_overhead is not None:
             lines.append(f"routing_overhead: {result.routing_overhead:.3f}")
         for stage, seconds in result.stage_timings.items():
             lines.append(f"stage.{stage}: {seconds:.4f}s")
-        _emit("\n".join(lines) + "\n", output)
+        _emit("\n".join(lines) + "\n", args.output)
+    return 0
 
 
-def _job_summary(job_result: JobResult) -> Dict[str, Any]:
-    return job_summary(job_result)
-
-
-def _progress_line(event: ProgressEvent) -> str:
+def _stderr_progress(event: ProgressEvent) -> None:
     """One ``k/N done`` line per finished job, for long-manifest visibility."""
     detail = event.outcome
     if event.outcome in ("miss", "error") and event.elapsed:
         detail += f", {event.elapsed:.2f}s"
     if event.attempts > 1:
         detail += f", {event.attempts} attempts"
-    return (
-        f"{event.completed}/{event.total} done {event.name} ({detail})\n"
-    )
-
-
-def _stderr_progress(event: ProgressEvent) -> None:
-    sys.stderr.write(_progress_line(event))
+    sys.stderr.write(f"{event.completed}/{event.total} done {event.name} ({detail})\n")
     sys.stderr.flush()
 
 
-_SIZE_SUFFIXES = {"": 1, "k": 1024, "m": 1024**2, "g": 1024**3, "t": 1024**4}
-_AGE_SUFFIXES = {"": 1.0, "s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0, "w": 604800.0}
+#: Quantity kind -> (unit suffix scales, examples for the error message).
+_QUANTITIES = {
+    "size": (
+        {"": 1, "k": 1024, "m": 1024**2, "g": 1024**3, "t": 1024**4},
+        "1048576, 512k, 200M, 1G",
+    ),
+    "age": (
+        {"": 1, "s": 1, "m": 60, "h": 3600, "d": 86400, "w": 604800},
+        "3600, 90m, 12h, 7d",
+    ),
+}
 
 
-def _parse_bytes(text: str) -> int:
-    """``"500M"`` -> bytes; bare numbers are bytes."""
-    text = text.strip().lower().removesuffix("b")
-    suffix = text[-1:] if text[-1:] in _SIZE_SUFFIXES and not text[-1:].isdigit() else ""
-    scale = _SIZE_SUFFIXES[suffix]
-    number = text[: len(text) - len(suffix)]
-    try:
-        return int(float(number) * scale)
-    except ValueError:
-        raise ValueError(f"invalid size {text!r}; expected e.g. 1048576, 512k, 200M, 1G")
-
-
-def _parse_age(text: str) -> float:
-    """``"7d"`` -> seconds; bare numbers are seconds."""
+def _parse_quantity(text: str, kind: str) -> float:
+    """``"200M"`` -> bytes, ``"7d"`` -> seconds; bare numbers are bytes or
+    seconds, and a size may end in ``b`` (``"200MB"``)."""
+    scales, examples = _QUANTITIES[kind]
     text = text.strip().lower()
-    suffix = text[-1:] if text[-1:] in _AGE_SUFFIXES and not text[-1:].isdigit() else ""
-    scale = _AGE_SUFFIXES[suffix]
-    number = text[: len(text) - len(suffix)]
+    if kind == "size":
+        text = text.removesuffix("b")
+    suffix = text[-1:] if text[-1:] in scales and not text[-1:].isdigit() else ""
     try:
-        return float(number) * scale
+        return float(text[: len(text) - len(suffix)]) * scales[suffix]
     except ValueError:
-        raise ValueError(f"invalid age {text!r}; expected e.g. 3600, 90m, 12h, 7d")
+        raise ValueError(f"invalid {kind} {text!r}; expected e.g. {examples}") from None
 
 
 def _add_compiler_flags(parser: argparse.ArgumentParser) -> None:
@@ -215,47 +213,28 @@ def _add_compiler_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
-    program = _load_program(args)
-    service = CompilationService(cache=open_cache(args.cache))
-    name = args.benchmark or Path(args.input).stem
-    job_result = service.compile(program, _options_from_args(args), name=name)
-    if not job_result.ok:
-        sys.stderr.write(f"compilation of {name!r} failed:\n{job_result.error}")
-        return 1
+    if args.benchmark:
+        from repro.chemistry.molecules import benchmark_program
 
-    _emit_result(
-        job_result.result, args.format, args.output,
-        header_lines=[f"benchmark: {name}", f"cached: {job_result.cached}"],
-    )
-    return 0
-
-
-def _jobs_from_manifest(path: str, defaults: CompileOptions) -> List[CompilationJob]:
-    entries = json.loads(Path(path).read_text(encoding="utf-8"))
-    if not isinstance(entries, list):
-        raise SystemExit("error: manifest must be a JSON list of job entries")
-    try:
-        return jobs_from_entries(entries, defaults)
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}")
+        name, program = args.benchmark, benchmark_program(args.benchmark)
+    else:
+        name, program = Path(args.input).stem, terms_from_dict(_load_json(args.input))
+    return _compile_and_emit(args, program, name, repr(name), [f"benchmark: {name}"])
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.chemistry.molecules import benchmark_program
-
     defaults = _options_from_args(args)
     if args.manifest:
-        jobs = _jobs_from_manifest(args.manifest, defaults)
+        entries = _load_json(args.manifest)
+        if not isinstance(entries, list):
+            raise ValueError("manifest must be a JSON list of job entries")
     elif args.benchmarks:
-        jobs = [
-            CompilationJob(name, benchmark_program(name), defaults)
-            for name in args.benchmarks
-        ]
+        entries = [{"benchmark": name} for name in args.benchmarks]
     else:
-        raise SystemExit("error: provide benchmark names or --manifest FILE")
-
+        raise ValueError("provide benchmark names or --manifest FILE")
+    jobs = jobs_from_entries(entries, defaults)
     if args.resume and not args.journal:
-        raise SystemExit("error: --resume needs --journal PATH")
+        raise ValueError("--resume needs --journal PATH")
 
     service = CompilationService(cache=open_cache(args.cache), timeout=args.timeout)
     progress = None if args.quiet else _stderr_progress
@@ -284,7 +263,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             trace_sink.close()
     if args.metrics_out:
         _write_metrics(args.metrics_out)
-    summaries = [_job_summary(job_result) for job_result in job_results]
+    summaries = [job_summary(job_result) for job_result in job_results]
 
     if args.format == "json":
         _emit(json.dumps(summaries, indent=2) + "\n", args.output)
@@ -341,7 +320,7 @@ def _profile_timings_from_file(path: str) -> List[Dict[str, float]]:
     """
     from repro.obs.profile import stage_timings_from_summaries
 
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = _load_json(path)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
@@ -362,19 +341,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         timings = _profile_timings_from_file(args.input)
         source = args.input
     else:
-        from repro.bench import PINNED_SUITE, bench_jobs
+        from repro.bench import PINNED_SUITE, suite_entries
 
         if args.workload:
-            from repro.workloads.registry import workload_from_spec
-
-            jobs = [
-                CompilationJob(spec, workload_from_spec(spec).to_terms())
-                for spec in args.workload
-            ]
+            jobs = jobs_from_entries([{"workload": spec} for spec in args.workload])
             source = f"{len(jobs)} workload(s)"
         else:
-            suite = PINNED_SUITE[: args.limit] if args.limit else PINNED_SUITE
-            jobs = bench_jobs(suite)
+            jobs = jobs_from_entries(suite_entries(args.limit))
             source = f"bench suite ({len(jobs)} of {len(PINNED_SUITE)} jobs)"
         service = CompilationService(cache=open_cache(args.cache))
         progress = None if args.quiet else _stderr_progress
@@ -433,157 +406,102 @@ def _cmd_workload_compile(args: argparse.Namespace) -> int:
     workload = workload_from_spec(args.spec)
     if args.topology == "auto":
         args.topology = workload.suggested_topology
-    options = _options_from_args(args)
-    service = CompilationService(cache=open_cache(args.cache))
-    job_result = service.compile(workload.to_terms(), options, name=workload.name)
-    if not job_result.ok:
-        sys.stderr.write(
-            f"compilation of workload {workload.spec!r} failed:\n{job_result.error}"
-        )
-        return 1
-
-    _emit_result(
-        job_result.result, args.format, args.output,
-        header_lines=[
+    return _compile_and_emit(
+        args, workload.to_terms(), workload.name, f"workload {workload.spec!r}",
+        [
             f"workload: {workload.spec}",
             f"fingerprint: {workload.fingerprint()}",
             f"qubits: {workload.num_qubits}",
             f"terms: {workload.num_terms}",
             f"topology: {args.topology or 'all-to-all'}",
-            f"cached: {job_result.cached}",
         ],
         workload=workload,
     )
-    return 0
 
 
-def _cmd_cache_serve(args: argparse.Namespace, spec) -> int:
+def _cmd_cache_serve(args: argparse.Namespace, spec: CacheSpec) -> int:
     # Imported lazily: repro.serve pulls in the asyncio stack.
     from repro.serve.cacheapp import CacheServeConfig, run_cache_serve
 
     if spec.has_remote:
-        sys.stderr.write(
-            "error: 'cache serve' fronts a local disk cache; point it at a "
-            "directory (--cache disk:DIR), not another server\n"
+        raise ValueError(
+            "'cache serve' fronts a local disk cache; point it at a "
+            "directory (--cache disk:DIR), not another server"
         )
-        return 2
-    if not spec.has_disk:
-        sys.stderr.write(
-            "error: 'cache serve' needs a disk cache to front (--cache disk:DIR)\n"
-        )
-        return 2
-    config = CacheServeConfig(
-        cache_dir=spec.disk_path,
-        host=args.host,
-        port=args.port,
-    )
+    if spec.disk_path is None:
+        raise ValueError("'cache serve' needs a disk cache to front (--cache disk:DIR)")
+    config = CacheServeConfig(cache_dir=spec.disk_path, host=args.host, port=args.port)
     return run_cache_serve(config)
 
 
-def _cmd_cache_remote(args: argparse.Namespace, spec) -> int:
-    """The actions that make sense against a remote spec.
-
-    ``stats`` proxies the server's ``/v1/stats``; ``ls``/``info``/``clear``
-    go through the store protocol; ``prune``/``doctor`` are filesystem
-    operations and are refused with a pointer at the server host.
-    """
-    from repro.service.remotecache import RemoteCacheStore, RemoteCacheUnavailable
-
-    if args.action in ("prune", "doctor"):
-        sys.stderr.write(
-            f"error: 'cache {args.action}' operates on a local cache "
-            f"directory; run it on the host serving {spec.remote_url} "
-            "(phoenix cache serve keeps prune/doctor machinery server-side)\n"
-        )
-        return 2
-    store = RemoteCacheStore(
-        spec.remote_url,
-        timeout=spec.remote_timeout if spec.remote_timeout is not None else 2.0,
-    )
-    try:
-        if args.action == "stats":
-            stats = store.fetch_stats()
-            print(json.dumps(stats, indent=2, sort_keys=True))
-        elif args.action == "info":
-            stats = store.fetch_stats()
-            usage = stats.get("usage", {})
-            print(f"cache: {spec.remote_url}")
-            print(f"entries: {usage.get('entries', '?')}")
-            print(f"size_bytes: {usage.get('total_bytes', '?')}")
-        elif args.action == "ls":
-            for key in store.keys():
-                print(key)
-        elif args.action == "clear":
-            removed = store.clear()
-            print(f"removed {removed} entries")
-        return 0
-    except RemoteCacheUnavailable as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    finally:
-        store.close()
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
-    target = args.cache
-    if target is None:
-        sys.stderr.write("error: provide --cache SPEC\n")
-        return 2
-    spec = parse_spec(target)
+    """``phoenix cache ACTION``: one code path per action for both tiers.
+
+    A disk directory and a cache server are both a :class:`CacheStore`;
+    ``info`` reads a usage dict of the same shape from either (the
+    server's is the ``usage`` field of its ``/v1/stats``).  ``stats``
+    prints text locally and the server's JSON remotely; ``prune`` and
+    ``doctor`` are filesystem operations, so they are local-only.
+    """
+    if args.cache is None:
+        raise ValueError("provide --cache SPEC")
+    spec = parse_spec(args.cache)
     if args.action == "serve":
         return _cmd_cache_serve(args, spec)
-    if spec.has_remote:
-        if spec.has_disk:
-            sys.stderr.write(
-                "error: cache ops take one tier at a time; name either the "
-                "disk directory or the server URL, not a composed spec\n"
-            )
-            return 2
-        return _cmd_cache_remote(args, spec)
-    if not spec.has_disk:
-        sys.stderr.write(
-            f"error: 'cache {args.action}' needs a disk or remote cache, "
-            f"got {target!r}\n"
+    if spec.has_remote and spec.has_disk:
+        raise ValueError(
+            "cache ops take one tier at a time; name either the "
+            "disk directory or the server URL, not a composed spec"
         )
-        return 2
-    cache_dir = spec.disk_path
+    if spec.has_remote and args.action in ("prune", "doctor"):
+        raise ValueError(
+            f"'cache {args.action}' operates on a local cache "
+            f"directory; run it on the host serving {spec.remote_url} "
+            "(phoenix cache serve keeps prune/doctor machinery server-side)"
+        )
+    location = spec.remote_url or spec.disk_path
+    if location is None:
+        raise ValueError(
+            f"'cache {args.action}' needs a disk or remote cache, got {args.cache!r}"
+        )
     # Inspection must not create state: a typo'd directory should fail,
     # not report a fresh empty cache.
-    if not Path(cache_dir).is_dir():
-        sys.stderr.write(f"error: no cache directory at {cache_dir!r}\n")
-        return 2
-    store = DiskCacheStore(cache_dir)
-    if args.action == "info":
-        usage = store.usage()
-        print(f"cache: {cache_dir}")
-        print(f"entries: {usage['entries']}")
-        print(f"size_bytes: {usage['total_bytes']}")
-    elif args.action == "stats":
-        usage = store.usage()
-        print(f"cache: {cache_dir}")
-        print(f"entries: {usage['entries']}")
-        print(f"size_bytes: {usage['total_bytes']}")
-        print(f"shards: {usage['shards']}")
-        print(f"max_shard_entries: {usage['max_shard_entries']}")
-        if usage["oldest_mtime"] is not None:
-            import time as _time
+    if spec.disk_path is not None and not Path(spec.disk_path).is_dir():
+        raise ValueError(f"no cache directory at {spec.disk_path!r}")
+    tiers = open_cache(args.cache)
+    try:
+        return _cache_action(args, tiers.remote if spec.has_remote else tiers.disk, location)
+    finally:
+        tiers.close()
 
-            now = _time.time()
-            print(f"oldest_entry_age_s: {now - usage['oldest_mtime']:.0f}")
-            print(f"newest_entry_age_s: {now - usage['newest_mtime']:.0f}")
+
+def _cache_action(args: argparse.Namespace, store: Any, location: str) -> int:
+    remote = isinstance(store, RemoteCacheStore)
+    if args.action == "stats" and remote:
+        print(json.dumps(store.fetch_stats(), indent=2, sort_keys=True))
+    elif args.action in ("info", "stats"):
+        usage = store.fetch_stats()["usage"] if remote else store.usage()
+        print(f"cache: {location}")
+        print(f"entries: {usage['entries']}")
+        print(f"size_bytes: {usage['total_bytes']}")
+        if args.action == "stats":
+            print(f"shards: {usage['shards']}")
+            print(f"max_shard_entries: {usage['max_shard_entries']}")
+            if usage["oldest_mtime"] is not None:
+                now = time.time()
+                print(f"oldest_entry_age_s: {now - usage['oldest_mtime']:.0f}")
+                print(f"newest_entry_age_s: {now - usage['newest_mtime']:.0f}")
     elif args.action == "ls":
         for key in store.keys():
             print(key)
     elif args.action == "clear":
-        removed = store.clear()
-        print(f"removed {removed} entries")
+        print(f"removed {store.clear()} entries")
     elif args.action == "prune":
         if args.max_bytes is None and args.max_age is None:
-            sys.stderr.write("error: prune needs --max-bytes and/or --max-age\n")
-            return 2
+            raise ValueError("prune needs --max-bytes and/or --max-age")
         report = store.prune(
-            max_bytes=_parse_bytes(args.max_bytes) if args.max_bytes else None,
-            max_age=_parse_age(args.max_age) if args.max_age else None,
+            max_bytes=int(_parse_quantity(args.max_bytes, "size")) if args.max_bytes else None,
+            max_age=_parse_quantity(args.max_age, "age") if args.max_age else None,
         )
         print(
             f"removed {report.removed_entries} entries "
@@ -594,7 +512,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
             print(f"swept {report.removed_tmp_files} stale temp files")
     elif args.action == "doctor":
         health = store.doctor(repair=not args.report_only, purge=args.purge)
-        print(f"cache: {cache_dir}")
+        print(f"cache: {location}")
         print(
             f"scanned {health.scanned} entries: {health.healthy} healthy, "
             f"{health.corrupt} corrupt"
@@ -672,11 +590,12 @@ def build_parser() -> argparse.ArgumentParser:
         "compile", help="compile one program and emit QASM/JSON/metrics",
         parents=[logging_parent],
     )
-    compile_parser.add_argument(
+    program_source = compile_parser.add_mutually_exclusive_group(required=True)
+    program_source.add_argument(
         "--benchmark", default=None,
         help="built-in Table-1 benchmark name, e.g. LiH_frz_JW",
     )
-    compile_parser.add_argument(
+    program_source.add_argument(
         "--input", default=None, help="JSON program file (term format)"
     )
     _add_compiler_flags(compile_parser)
@@ -963,9 +882,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        # User errors (unknown benchmark/topology, unreadable or malformed
-        # input files) become clean one-line failures; compilation errors
-        # inside jobs are already captured per job by the service.
+        # Every user error (unknown benchmark/topology, a malformed
+        # manifest, an unreadable file, an unreachable cache server) is a
+        # ValueError or OSError and ends here as one line and exit 2;
+        # compilation errors inside jobs are captured per job (exit 1).
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

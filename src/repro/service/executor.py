@@ -195,7 +195,11 @@ def run_payload_with_timeout(
         )
         return runner(payload)
 
+    fired = False
+
     def _on_alarm(signum: int, frame: Any) -> None:
+        nonlocal fired
+        fired = True
         raise JobTimeout()
 
     try:
@@ -206,12 +210,17 @@ def run_payload_with_timeout(
     try:
         signal.setitimer(signal.ITIMER_REAL, timeout)
         try:
-            return runner(payload)
+            result = runner(payload)
         except JobTimeout:
-            return _timeout_result(payload, timeout, time.perf_counter() - started)
+            pass
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+    # ``fired`` also catches a JobTimeout raised where Python swallows
+    # exceptions (a finalizer or a gc callback), so the runner returned.
+    if fired:
+        return _timeout_result(payload, timeout, time.perf_counter() - started)
+    return result
 
 
 def _execute_chunk(

@@ -51,9 +51,10 @@ _ABSORBED = (OSError, http.client.HTTPException, faultlab.InjectedFault)
 POOL_SIZE = 4
 
 
-class RemoteCacheUnavailable(RuntimeError):
-    """Raised only by the explicit ops surfaces (``fetch_stats``), never
-    by the :class:`CacheStore` read/write path."""
+class RemoteCacheUnavailable(ConnectionError):
+    """Raised only by the explicit ops surface (``fetch_stats``), never
+    by the :class:`CacheStore` read/write path.  An ``OSError``, so the
+    CLI reports it like any other user error."""
 
 
 class _ConnectionPool:

@@ -217,7 +217,7 @@ class TestStageTimingsSurface:
 
     def test_service_json_carries_stage_timings(self, uccsd_program):
         from repro.serialize.results import result_from_dict, result_to_dict
-        from repro.service.cli import _job_summary
+        from repro.service.service import job_summary
 
         service = CompilationService()
         job_result = service.compile(list(uccsd_program))
@@ -227,7 +227,7 @@ class TestStageTimingsSurface:
         assert round_tripped.stage_timings == pytest.approx(
             job_result.result.stage_timings
         )
-        assert _job_summary(job_result)["stage_timings"] == payload["stage_timings"]
+        assert job_summary(job_result)["stage_timings"] == payload["stage_timings"]
 
     def test_harness_surfaces_stage_timings(self, uccsd_program):
         from repro.experiments import stage_timing_table

@@ -13,11 +13,10 @@ import time
 
 import pytest
 
-from repro.serialize.results import result_to_dict
+from repro.serialize.results import content_bytes, result_to_dict
 from repro.serve.app import ServeApp, ServeConfig
 from repro.serve.client import ServerError
 from repro.serve.queue import Job
-from repro.serve.smoke import served_content_bytes
 from repro.service import faultlab
 from repro.service.cli import jobs_from_entries
 from repro.service.journal import load_journal
@@ -190,7 +189,9 @@ def test_ws_stream_matches_direct_compile_many(server):
         remote = dict(served["result"])
         remote.pop("stage_timings", None)
         assert remote == local
-        assert served_content_bytes(served)  # canonical form is stable
+        assert content_bytes(served["result"], served["key"]) == content_bytes(
+            local, direct.key
+        )
 
     # A late subscriber to a finished job replays full history then closes.
     replay = list(client.events(submitted["id"]))

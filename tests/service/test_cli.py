@@ -128,9 +128,9 @@ class TestBatchCommand:
         assert [row["name"] for row in by_name] == names
         assert by_name == summaries("--manifest", str(manifest))
 
-    def test_no_jobs_is_an_error(self):
-        with pytest.raises(SystemExit):
-            main(["batch"])
+    def test_no_jobs_is_an_error(self, capsys):
+        assert main(["batch"]) == 2
+        assert capsys.readouterr().err == "error: provide benchmark names or --manifest FILE\n"
 
     @pytest.mark.parametrize("key", ["opt_level", "seed"])
     def test_unknown_manifest_keys_are_errors(self, key, tmp_path, capsys):
@@ -140,11 +140,10 @@ class TestBatchCommand:
         manifest.write_text(
             json.dumps([{"workload": "tfim:n=4,lattice=ring", key: 3}]), encoding="utf-8"
         )
-        with pytest.raises(SystemExit) as excinfo:
-            main(["batch", "--manifest", str(manifest), "--workers", "1"])
-        assert str(excinfo.value) == (
+        assert main(["batch", "--manifest", str(manifest), "--workers", "1"]) == 2
+        assert capsys.readouterr().err == (
             f"error: job entry 0 has unknown keys {key!r}; expected name, benchmark, "
-            "workload, program, compiler, isa, topology, optimization_level, lookahead"
+            "workload, program, compiler, isa, topology, optimization_level, lookahead\n"
         )
 
     @pytest.mark.parametrize("level", ["7", "-3"])
@@ -169,6 +168,44 @@ class TestBatchCommand:
         assert summary["status"] == "error"
         assert summary["attempts"] == 2  # the default policy retries a timeout once
         assert summary["error"].startswith("job timed out after 0.01s")
+
+
+def exit_code(argv):
+    """``main(argv)``'s exit code, also when argparse exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+ENTRY = {"workload": "tfim:n=4,lattice=ring"}
+
+
+class TestUserErrorsExit2:
+    """Exit 1 means a job failed; every user error exits 2 with one
+    ``error:`` line on stderr (argparse's also print the usage first)."""
+
+    @pytest.mark.parametrize(
+        "argv, manifest",
+        [
+            (["batch", "--manifest", "{manifest}"], [{**ENTRY, "opt_level": 3}]),
+            (["batch", "--manifest", "{manifest}"], ENTRY),
+            (["batch", "--workers", "1"], None),
+            (["batch", "--manifest", "{manifest}", "--resume"], [ENTRY]),
+            (["compile"], None),
+            (["compile", "--benchmark", "LiH_frz_JW", "--input", "{manifest}"], None),
+        ],
+        ids=["bad-key", "not-a-list", "no-jobs", "resume-alone", "no-program", "two-programs"],
+    )
+    def test_user_error(self, argv, manifest, tmp_path, capsys):
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps(manifest), encoding="utf-8")
+        assert exit_code([arg.format(manifest=path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:], captured.err
+        assert all(line.startswith(("usage:", " ")) for line in lines[:-1]), captured.err
 
 
 class TestCacheCommand:
@@ -337,10 +374,10 @@ class TestBatchJournal:
         table = capsys.readouterr().out
         assert table.count("resume") == 2
 
-    def test_resume_without_journal_is_an_error(self, program_file, tmp_path):
+    def test_resume_without_journal_is_an_error(self, program_file, tmp_path, capsys):
         manifest = self.make_manifest(program_file, tmp_path)
-        with pytest.raises(SystemExit):
-            main(["batch", "--manifest", str(manifest), "--resume"])
+        assert main(["batch", "--manifest", str(manifest), "--resume"]) == 2
+        assert capsys.readouterr().err == "error: --resume needs --journal PATH\n"
 
 
 class TestCacheDoctor:

@@ -73,6 +73,23 @@ class TestRunPayloadWithTimeout:
         assert raw["index"] == 3
 
     @needs_alarm
+    @pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
+    def test_alarm_swallowed_by_a_finalizer_still_times_out(self):
+        class SlowFinalizer:
+            def __del__(self):
+                deadline = time.perf_counter() + 0.5
+                while time.perf_counter() < deadline:
+                    pass
+
+        def runner(payload):
+            SlowFinalizer()  # the alarm's JobTimeout is raised inside __del__
+            return {"index": payload["index"], "status": "ok"}
+
+        raw = run_payload_with_timeout({"index": 2}, 0.05, runner)
+        assert raw["status"] == "error" and raw["timeout"] is True
+        assert "timed out after 0.05s" in raw["error"]
+
+    @needs_alarm
     def test_fast_job_unaffected_and_alarm_cleared(self):
         raw = run_payload_with_timeout({"index": 0, "value": 5}, 5.0, echo_runner)
         assert raw["status"] == "ok"
