@@ -97,14 +97,14 @@ def result_content_bytes(job_result: JobResult) -> bytes:
     return content_bytes(result_to_dict(job_result.result), job_result.key)
 
 
-def suite_reference(limit: Optional[int] = None) -> Dict[str, bytes]:
-    """``{name: content bytes}`` of the first ``limit`` pinned jobs, from a
-    clean serial compile with a memory-only cache; failed jobs are absent.
+def reference_bytes(jobs: Sequence[CompilationJob]) -> Dict[str, bytes]:
+    """``{name: content bytes}`` of ``jobs`` from a clean serial compile
+    with a memory-only cache; failed jobs are absent.
 
     The byte-identity reference of ``phoenix chaos`` and both smoke drivers.
     """
     with CompilationService() as service:
-        results = service.compile_many(jobs_from_entries(suite_entries(limit)), workers=1)
+        results = service.compile_many(jobs, workers=1)
     return {r.name: result_content_bytes(r) for r in results if r.ok}
 
 

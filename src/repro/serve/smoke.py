@@ -11,7 +11,7 @@ The script:
 2. submits a pinned-suite subset over HTTP and follows the WebSocket
    event stream until the terminal ``done`` event;
 3. checks the server's results are **byte-identical** to a clean local
-   compile (:func:`repro.bench.suite_reference`);
+   compile (:func:`repro.bench.reference_bytes`);
 4. submits a second, distinct batch and checks the warm pool was
    reused, not re-forked (``repro_executor_pool_forks_total`` unchanged
    while ``repro_executor_pool_reuses_total`` grows) — the whole point
@@ -28,8 +28,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..bench import suite_entries, suite_reference
+from ..bench import reference_bytes, suite_entries
 from ..serialize.results import content_bytes
+from ..service.service import jobs_from_entries
 from .client import ServeClient
 
 
@@ -79,7 +80,7 @@ def run_smoke(host: str, port: int, limit: int, timeout: float) -> int:
     names = [entry["name"] for entry in entries]
     if [served["name"] for served in results] != names:
         failures.append(f"served jobs {[s['name'] for s in results]} are not {names}")
-    reference = suite_reference(limit)
+    reference = reference_bytes(jobs_from_entries(entries))
     compared = len(failures)
     for served in results:
         name = served["name"]

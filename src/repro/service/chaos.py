@@ -100,7 +100,7 @@ def run_chaos(
     fault points can fire in this run (e.g. ``remote.*`` faults: the run
     has no remote tier), since such a run would survive vacuously.
     """
-    from repro.bench import result_content_bytes, suite_entries, suite_reference
+    from repro.bench import reference_bytes, result_content_bytes, suite_entries
 
     reachable = _REACHABLE_POINTS + (("executor.dispatch",) if workers > 1 else ())
     points = sorted({spec["point"] for spec in scenario.faults})
@@ -113,7 +113,7 @@ def run_chaos(
 
     jobs = jobs_from_entries(suite_entries(limit))
     policy = retry_policy if retry_policy is not None else DEFAULT_CHAOS_POLICY
-    reference = suite_reference(limit) if verify else {}
+    reference = reference_bytes(jobs) if verify else {}
 
     before = obs_metrics.REGISTRY.snapshot()
     started = time.perf_counter()
