@@ -213,3 +213,181 @@ class TestBatchTraceFile:
         # ...and the Prometheus text file carries the batch's counters.
         text = Path(tmp_path / "metrics.prom").read_text(encoding="utf-8")
         assert 'repro_jobs_total{outcome="miss"} 1' in text
+
+
+def _journal_lines(path):
+    """The journal's job records, timings dropped, payloads summarised."""
+    import json
+
+    lines = []
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        if "key" not in record:
+            continue  # the header
+        pinned = {
+            field: record[field] for field in ("key", "name", "status", "attempts")
+        }
+        pinned["result"] = "result" in record
+        pinned["error"] = (
+            record["error"].strip().splitlines()[-1] if "error" in record else None
+        )
+        assert set(record) <= {"elapsed", "result", "error", *pinned}
+        lines.append(pinned)
+    return lines
+
+
+class TestOutcomePins:
+    """What every job outcome records, pinned per job.
+
+    One batch covers a fingerprint failure, a miss, an in-batch duplicate,
+    a failing compile and a cancelled job; a ``resume=True`` re-run of the
+    same jobs on a cold cache then replays an ok and an error record, hits
+    the cache the replay re-seeded, and compiles the job the drain
+    skipped.  For each job this pins the progress event (all but
+    ``elapsed``), the :class:`JobResult` flags, the ``repro_jobs_total``
+    deltas, the journal lines and the ``job`` span (timings dropped).
+    """
+
+    FLAGS = ("status", "cached", "deduplicated", "resumed", "cancelled", "timeout")
+
+    def run_batch(self, jobs, journal, **kwargs):
+        sink = trace.RecordingSink()
+        previous = trace.set_sink(sink)
+        before = dict(metrics.REGISTRY.snapshot().get("repro_jobs_total", {}))
+        events = []
+        cancel = kwargs.pop("cancel", None)
+
+        def progress(event):
+            events.append(event)
+            if cancel is not None and event.name == "bad":
+                cancel.set()  # drain: the jobs after "bad" never start
+
+        try:
+            results = CompilationService().compile_many(
+                jobs, workers=1, progress=progress, journal=str(journal),
+                cancel=cancel, **kwargs,
+            )
+        finally:
+            trace.set_sink(previous)
+        after = metrics.REGISTRY.snapshot()["repro_jobs_total"]
+        deltas = {
+            label: after[label] - before.get(label, 0.0)
+            for label in after
+            if after[label] != before.get(label, 0.0)
+        }
+        spans = [
+            (event["status"], {k: v for k, v in event["attrs"].items() if k != "elapsed"})
+            for event in sink.events
+            if event["name"] == "job"
+        ]
+        return results, events, deltas, spans
+
+    def test_every_outcome_records_the_same_facts(self, tmp_path, tiny_program):
+        import threading
+
+        jobs = [
+            CompilationJob("empty", []),
+            CompilationJob("a", tiny_program),
+            CompilationJob("a-twin", tiny_program),
+            CompilationJob("bad", tiny_program, CompileOptions(compiler="2qan")),
+            CompilationJob("c", tiny_program, CompileOptions(compiler="naive")),
+        ]
+        key_of = CompilationService().job_key
+        ka, kb, kc = key_of(jobs[1]), key_of(jobs[3]), key_of(jobs[4])
+        journal = tmp_path / "batch.wal"
+        fingerprint_error = "ValueError: cannot fingerprint an empty program"
+        qaan_error = "ValueError: 2QAN handles only 2-local programs (weight <= 2 terms)"
+        cancel_error = "cancelled before start (shutdown requested)"
+
+        # -- the first batch --------------------------------------------
+        results, events, deltas, spans = self.run_batch(
+            jobs, journal, cancel=threading.Event()
+        )
+        assert [
+            (e.name, e.status, e.outcome, e.completed, e.total, e.attempts, e.key)
+            for e in events
+        ] == [
+            ("empty", "error", "error", 1, 5, 1, ""),
+            ("a", "ok", "miss", 2, 5, 1, ka),
+            ("bad", "error", "error", 3, 5, 1, kb),
+            ("c", "error", "error", 4, 5, 0, kc),
+            ("a-twin", "ok", "dedup", 5, 5, 1, ka),
+        ]
+        assert [
+            (r.name, *(getattr(r, flag) for flag in self.FLAGS), r.attempts, r.key)
+            for r in results
+        ] == [
+            ("empty", "error", False, False, False, False, False, 1, ""),
+            ("a", "ok", False, False, False, False, False, 1, ka),
+            ("a-twin", "ok", False, True, False, False, False, 1, ka),
+            ("bad", "error", False, False, False, False, False, 1, kb),
+            ("c", "error", False, False, False, True, False, 0, kc),
+        ]
+        assert [
+            (r.error or "").strip().splitlines()[-1:] for r in results
+        ] == [[fingerprint_error], [], [], [qaan_error], [cancel_error]]
+        assert deltas == {"outcome=error": 3.0, "outcome=miss": 1.0, "outcome=dedup": 1.0}
+        assert spans == [
+            ("error", {"name": "empty", "outcome": "error", "cached": False, "key": ""}),
+            ("ok", {"name": "a", "compiler": "phoenix", "key": ka,
+                    "outcome": "miss", "attempts": 1, "timeout": False}),
+            ("error", {"name": "bad", "compiler": "2qan", "key": kb,
+                       "outcome": "error", "attempts": 1, "timeout": False}),
+            ("error", {"name": "c", "compiler": "naive", "key": kc,
+                       "outcome": "error", "attempts": 0, "timeout": False}),
+            ("ok", {"name": "a-twin", "outcome": "dedup", "cached": False, "key": ka}),
+        ]
+        first_lines = [
+            {"key": ka, "name": "a", "status": "ok", "attempts": 1,
+             "result": True, "error": None},
+            {"key": kb, "name": "bad", "status": "error", "attempts": 1,
+             "result": False, "error": qaan_error},
+            {"key": ka, "name": "a-twin", "status": "ok", "attempts": 1,
+             "result": True, "error": None},
+        ]
+        assert _journal_lines(journal) == first_lines
+
+        # -- the resumed re-run on a cold cache -------------------------
+        results, events, deltas, spans = self.run_batch(jobs, journal, resume=True)
+        assert [
+            (e.name, e.status, e.outcome, e.completed, e.total, e.attempts, e.key)
+            for e in events
+        ] == [
+            ("empty", "error", "error", 1, 5, 1, ""),
+            ("a", "ok", "resume", 2, 5, 1, ka),
+            ("a-twin", "ok", "hit", 3, 5, 1, ka),
+            ("bad", "error", "error", 4, 5, 1, kb),
+            ("c", "ok", "miss", 5, 5, 1, kc),
+        ]
+        assert [
+            (r.name, *(getattr(r, flag) for flag in self.FLAGS), r.attempts, r.key)
+            for r in results
+        ] == [
+            ("empty", "error", False, False, False, False, False, 1, ""),
+            ("a", "ok", False, False, True, False, False, 1, ka),
+            ("a-twin", "ok", True, False, False, False, False, 1, ka),
+            ("bad", "error", False, False, True, False, False, 1, kb),
+            ("c", "ok", False, False, False, False, False, 1, kc),
+        ]
+        # A replayed job did no work in this run.
+        assert results[1].elapsed == 0.0 and results[3].elapsed == 0.0
+        assert results[3].error.strip().splitlines()[-1] == qaan_error
+        assert deltas == {
+            "outcome=error": 2.0, "outcome=resume": 1.0,
+            "outcome=hit": 1.0, "outcome=miss": 1.0,
+        }
+        assert spans == [
+            ("error", {"name": "empty", "outcome": "error", "cached": False, "key": ""}),
+            ("ok", {"name": "a", "outcome": "resume", "cached": False, "key": ka}),
+            ("ok", {"name": "a-twin", "outcome": "hit", "cached": True, "key": ka}),
+            ("error", {"name": "bad", "outcome": "error", "cached": False, "key": kb}),
+            ("ok", {"name": "c", "compiler": "naive", "key": kc,
+                    "outcome": "miss", "attempts": 1, "timeout": False}),
+        ]
+        # Replays are not journaled again; the hit and the fresh compile are.
+        assert _journal_lines(journal) == first_lines + [
+            {"key": ka, "name": "a-twin", "status": "ok", "attempts": 1,
+             "result": True, "error": None},
+            {"key": kc, "name": "c", "status": "ok", "attempts": 1,
+             "result": True, "error": None},
+        ]
