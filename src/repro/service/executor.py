@@ -101,12 +101,7 @@ def _compile_payload(payload: Dict[str, Any]) -> RawResult:
             "elapsed": time.perf_counter() - started,
         }
     except Exception:
-        return {
-            "index": payload.get("index"),
-            "status": "error",
-            "error": traceback.format_exc(),
-            "elapsed": time.perf_counter() - started,
-        }
+        return _error_result(payload, traceback.format_exc(), time.perf_counter() - started)
 
 
 def execute_payload(payload: Dict[str, Any]) -> RawResult:
@@ -148,24 +143,26 @@ def warm_worker_process() -> None:
     list_workloads()
 
 
-def _timeout_result(payload: Dict[str, Any], timeout: float, elapsed: float) -> RawResult:
+def _error_result(
+    payload: Dict[str, Any], error: str, elapsed: float = 0.0, **flags: bool
+) -> RawResult:
+    """The raw result of a payload that produced no result; ``flags``
+    (``timeout``/``cancelled``) say why when it was not the compile."""
     return {
         "index": payload.get("index"),
         "status": "error",
-        "error": f"job timed out after {timeout:g}s",
-        "timeout": True,
+        "error": error,
         "elapsed": elapsed,
+        **flags,
     }
+
+
+def _timeout_result(payload: Dict[str, Any], timeout: float, elapsed: float) -> RawResult:
+    return _error_result(payload, f"job timed out after {timeout:g}s", elapsed, timeout=True)
 
 
 def _cancelled_result(payload: Dict[str, Any]) -> RawResult:
-    return {
-        "index": payload.get("index"),
-        "status": "error",
-        "error": "cancelled before start (shutdown requested)",
-        "cancelled": True,
-        "elapsed": 0.0,
-    }
+    return _error_result(payload, "cancelled before start (shutdown requested)", cancelled=True)
 
 
 def run_payload_with_timeout(
@@ -400,15 +397,7 @@ class _Run:
                 self.count_fallback()
                 self.attempt_inline(position)
             else:
-                self.finish(
-                    position,
-                    {
-                        "index": self.payloads[position].get("index"),
-                        "status": "error",
-                        "error": error,
-                        "elapsed": 0.0,
-                    },
-                )
+                self.finish(position, _error_result(self.payloads[position], error))
 
     def drain_queued(self) -> None:
         """Drain mode: cancel chunks still queued (their jobs report as
@@ -488,12 +477,7 @@ class _Run:
                 self.attempts[position] += 1
                 self.finish(
                     position,
-                    {
-                        "index": self.payloads[position].get("index"),
-                        "status": "error",
-                        "error": "executor lost track of this job",
-                        "elapsed": 0.0,
-                    },
+                    _error_result(self.payloads[position], "executor lost track of this job"),
                 )
         return [raw for raw in self.results if raw is not None]
 

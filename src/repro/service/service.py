@@ -12,9 +12,15 @@ parallel batch facility:
   a warmed process pool, both with per-job timeouts and bounded retry
   (jobs and results cross the process boundary as the JSON payloads of
   :mod:`repro.serialize`, so nothing depends on object identity);
+* every job ends with one of five outcomes (:attr:`JobResult.outcome`):
+  ``hit`` (cache), ``resume`` (journal replay), ``dedup`` (an identical
+  job earlier in the batch), ``miss`` (compiled) or ``error``; one
+  function records it as the ``repro_jobs_total`` label, the ``job``
+  span, the journal line and the ``progress`` event;
+* a stored payload (cache entry or journal record) that does not decode
+  is a miss: the job is recompiled and its result overwrites the entry;
 * results come back in the order the jobs were submitted, regardless of
-  which worker finished first, and a ``progress`` callback observes each
-  job (hit, dedup, miss, or error) as it completes; and
+  which worker finished first; and
 * a job that raises inside a worker is captured as a failed
   :class:`JobResult` with the traceback, without poisoning the batch.
 
@@ -45,20 +51,11 @@ from repro.serialize.results import (
     terms_to_dict,
 )
 from repro.service.cache import CacheStore, MemoryCacheStore, compilation_cache_key
-from repro.service.executor import (
-    Executor,
-    RawResult,
-    default_worker_count,
-    execute_payload,
-)
+from repro.service.executor import Executor, RawResult, default_worker_count
 from repro.service.journal import BatchJournal, open_journal
 from repro.service.resilience import RetryPolicy
 
 logger = logging.getLogger(__name__)
-
-
-def _count_job(outcome: str) -> None:
-    obs_metrics.counter("repro_jobs_total", outcome=outcome).inc()
 
 
 @dataclass(frozen=True)
@@ -165,6 +162,19 @@ class JobResult:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    @property
+    def outcome(self) -> str:
+        """``"error"`` unless ok, else ``"hit"``, ``"dedup"``, ``"resume"``
+        or ``"miss"`` (freshly compiled): the job's progress-event outcome,
+        ``job`` span ``outcome`` and ``repro_jobs_total`` label."""
+        if not self.ok:
+            return "error"
+        if self.cached:
+            return "hit"
+        if self.deduplicated:
+            return "dedup"
+        return "resume" if self.resumed else "miss"
+
 
 @dataclass(frozen=True)
 class ProgressEvent:
@@ -229,7 +239,7 @@ class CompilationService:
             executor = None
             if max_workers is None:
                 max_workers = 1
-        elif executor is not None and not callable(getattr(executor, "run", None)):
+        elif executor is not None and not isinstance(executor, Executor):
             raise TypeError(f"{executor!r} is not an executor: it has no run() method")
         self.cache = cache if cache is not None else MemoryCacheStore()
         self.executor = (
@@ -244,9 +254,7 @@ class CompilationService:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release owned executor resources (the persistent warm pool)."""
-        closer = getattr(self.executor, "close", None)
-        if callable(closer):
-            closer()
+        self.executor.close()
 
     def __enter__(self) -> "CompilationService":
         return self
@@ -290,7 +298,10 @@ class CompilationService:
         ``min(#misses, cpu_count)``; ``workers <= 1`` runs everything inline
         (deterministic and fork-free, useful in tests and restricted
         environments).  ``progress`` is called once per job as it
-        completes, cache hits included.
+        completes, with its outcome: ``hit``, ``resume``, ``dedup``,
+        ``miss`` or ``error``.  A cache entry or journal record that does
+        not decode is logged and compiled as a miss, and the fresh result
+        overwrites it in every cache tier.
 
         ``journal`` (a path or an open :class:`BatchJournal`) appends each
         terminal job outcome to a crash-safe write-ahead log;
@@ -324,80 +335,82 @@ class CompilationService:
         results: List[Optional[JobResult]] = [None] * len(jobs)
         pending: List[Dict[str, Any]] = []
         job_spans: List[obs_trace.SpanLike] = []  # aligned with ``pending``
-        keys: List[str] = []
+        keys = [""] * len(jobs)
         dispatched: Dict[str, int] = {}
         duplicates: List[int] = []
-        total = len(jobs)
         completed = 0
         batch_started = time.perf_counter()
 
-        replayed: Dict[str, Dict[str, Any]] = {}
-        if resume and journal is not None:
-            replayed = journal.completed()
-            if replayed:
-                logger.info(
-                    "resuming from journal %s: %d job(s) already terminal",
-                    journal.path,
-                    len(replayed),
-                )
+        replayed = journal.completed() if resume and journal is not None else {}
+        if replayed:
+            logger.info(
+                "resuming from journal %s: %d job(s) already terminal", journal.path, len(replayed)
+            )
 
-        def record_outcome(job_result: JobResult, encoded: Optional[Dict[str, Any]]) -> None:
-            """WAL one terminal outcome (skips replays and cancellations).
-
-            ``encoded`` is the result's cache payload, journaled as is.
-            """
-            if journal is None or not job_result.key:
-                return
-            if job_result.resumed or job_result.cancelled:
-                return
-            entry: Dict[str, Any] = {
-                "key": job_result.key,
-                "name": job_result.name,
-                "status": job_result.status,
-                "elapsed": job_result.elapsed,
-                "attempts": job_result.attempts,
-            }
-            if job_result.ok and encoded is not None:
-                entry["result"] = encoded
-            elif job_result.error is not None:
-                entry["error"] = job_result.error
-            journal.record(entry)
-
-        def emit(
-            job_result: JobResult, outcome: str, encoded: Optional[Dict[str, Any]] = None
+        def finish(
+            index: int,
+            job_result: JobResult,
+            encoded: Optional[Dict[str, Any]] = None,
+            job_span: Optional[obs_trace.SpanLike] = None,
         ) -> None:
+            """End one job: its result slot, counter, span, journal line
+            and progress event.  ``encoded`` is the result's cache payload,
+            journaled as is; ``job_span`` is the span of a dispatched job
+            (a job resolved without workers gets a zero-length one)."""
             nonlocal completed
             completed += 1
-            outcome = "error" if not job_result.ok else outcome
-            _count_job(outcome)
-            record_outcome(job_result, encoded)
+            results[index] = job_result
+            outcome = job_result.outcome
+            obs_metrics.counter("repro_jobs_total", outcome=outcome).inc()
+            if job_span is None:
+                job_span = obs_trace.start_span(
+                    "job", name=job_result.name, outcome=outcome,
+                    cached=job_result.cached, key=job_result.key,
+                )
+            else:
+                job_span.update(
+                    outcome=outcome, attempts=job_result.attempts,
+                    timeout=job_result.timeout, elapsed=job_result.elapsed,
+                )
+            job_span.end(status=job_result.status)
+            # Replays are already in the journal; a cancelled job must stay
+            # resumable, so it is never journaled.
+            if (
+                journal is not None
+                and job_result.key
+                and not (job_result.resumed or job_result.cancelled)
+            ):
+                entry = {
+                    attr: getattr(job_result, attr)
+                    for attr in ("key", "name", "status", "elapsed", "attempts")
+                }
+                if job_result.ok and encoded is not None:
+                    entry["result"] = encoded
+                elif job_result.error is not None:
+                    entry["error"] = job_result.error
+                journal.record(entry)
             if progress is not None:
                 progress(
                     ProgressEvent(
-                        name=job_result.name,
-                        status=job_result.status,
-                        outcome=outcome,
-                        completed=completed,
-                        total=total,
-                        elapsed=job_result.elapsed,
-                        attempts=job_result.attempts,
-                        key=job_result.key,
+                        name=job_result.name, status=job_result.status, outcome=outcome,
+                        completed=completed, total=len(jobs), elapsed=job_result.elapsed,
+                        attempts=job_result.attempts, key=job_result.key,
                     )
                 )
 
-        def short_span(job_result: JobResult, outcome: str) -> None:
-            """One already-finished span for a job resolved without workers."""
-            finished = obs_trace.start_span(
-                "job",
-                name=job_result.name,
-                outcome="error" if not job_result.ok else outcome,
-                cached=job_result.cached,
-                key=job_result.key,
-            )
-            finished.end(status=job_result.status)
+        def from_store(
+            job: CompilationJob, key: str, raw: RawResult, **flags: bool
+        ) -> Optional[JobResult]:
+            """A stored payload's result, or ``None`` when it does not
+            decode: the job then compiles as a miss and its fresh result
+            overwrites the entry."""
+            try:
+                return _result_from_raw(job.name, key, raw, **flags)
+            except Exception:
+                logger.warning("stored result for %r does not decode; recompiling", job.name)
+                return None
 
         for index, job in enumerate(jobs):
-            keys.append("")
             lookup_started = time.perf_counter()
             try:
                 key = self.job_key(job)
@@ -405,66 +418,34 @@ class CompilationService:
             except Exception:
                 # A job that cannot even be fingerprinted (e.g. an empty
                 # program) fails alone, like any other per-job error.
-                results[index] = JobResult(
-                    name=job.name, status="error", error=traceback.format_exc(),
-                    elapsed=time.perf_counter() - lookup_started,
-                )
                 logger.warning("job %r failed before dispatch (bad program?)", job.name)
-                short_span(results[index], "error")
-                emit(results[index], "error")
+                finish(
+                    index,
+                    JobResult(
+                        name=job.name, status="error", error=traceback.format_exc(),
+                        elapsed=time.perf_counter() - lookup_started,
+                    ),
+                )
                 continue
             keys[index] = key
-            if cached is None and key in replayed:
-                entry = replayed[key]
-                job_result: Optional[JobResult] = None
-                if entry.get("status") == "ok" and isinstance(entry.get("result"), dict):
-                    try:
-                        decoded = result_from_dict(entry["result"])
-                    except Exception:
-                        logger.warning(
-                            "journal result for %r does not decode; recompiling",
-                            job.name,
-                        )
-                    else:
-                        # Re-seed the cache so duplicates and later batches
-                        # hit instead of trusting the journal again.
-                        self.cache.put(key, entry["result"])
-                        job_result = JobResult(
-                            name=job.name,
-                            status="ok",
-                            result=decoded,
-                            resumed=True,
-                            key=key,
-                            attempts=int(entry.get("attempts", 1)),
-                        )
-                elif entry.get("status") == "error":
-                    job_result = JobResult(
-                        name=job.name,
-                        status="error",
-                        error=str(entry.get("error", "failed in a previous run")),
-                        resumed=True,
-                        key=key,
-                        attempts=int(entry.get("attempts", 1)),
-                    )
-                if job_result is not None:
-                    results[index] = job_result
-                    short_span(job_result, "resume")
-                    emit(job_result, "resume")
-                    continue
+            stored: Optional[JobResult] = None
             if cached is not None:
-                result = result_from_dict(cached)
-                obs_metrics.counter("repro_cache_hits_total", layer="service").inc()
-                # A warm job's honest wall clock is its lookup + decode time.
-                results[index] = JobResult(
-                    name=job.name,
-                    status="ok",
-                    result=result,
-                    cached=True,
-                    elapsed=time.perf_counter() - lookup_started,
-                    key=key,
-                )
-                short_span(results[index], "hit")
-                emit(results[index], "hit", cached)
+                stored = from_store(job, key, {"status": "ok", "result": cached}, cached=True)
+                if stored is not None:
+                    obs_metrics.counter("repro_cache_hits_total", layer="service").inc()
+                    # A warm job's honest wall clock is its lookup + decode time.
+                    stored.elapsed = time.perf_counter() - lookup_started
+            elif key in replayed:
+                # A replay did no work in this run: elapsed 0, the
+                # journaled attempts.
+                entry = dict(replayed[key], elapsed=0.0)
+                stored = from_store(job, key, entry, resumed=True)
+                if stored is not None and stored.ok:
+                    # Re-seed the cache so duplicates and later batches
+                    # hit instead of trusting the journal again.
+                    self.cache.put(key, entry["result"])
+            if stored is not None:
+                finish(index, stored, cached)
             elif key in dispatched:
                 # Identical content already in this batch: compile once and
                 # fan the result out afterwards.
@@ -481,9 +462,8 @@ class CompilationService:
                     "program": terms_to_dict(job.terms()),
                     "options": job.options.to_dict(),
                 }
-                trace_context = job_span.context()
-                if trace_context is not None:
-                    payload["trace"] = trace_context
+                if job_span:
+                    payload["trace"] = job_span.context()
                 pending.append(payload)
                 job_spans.append(job_span)
 
@@ -497,12 +477,10 @@ class CompilationService:
 
             def collect(position: int, raw: RawResult) -> None:
                 index = pending[position]["index"]
-                if results[index] is not None:
-                    return  # defensive: an executor reported this job twice
                 job = jobs[index]
                 if raw["status"] == "ok":
                     self.cache.put(keys[index], raw["result"])
-                job_result = results[index] = _result_from_raw(job.name, keys[index], raw)
+                job_result = _result_from_raw(job.name, keys[index], raw)
                 if not job_result.ok:
                     logger.warning(
                         "job %r %s after %d attempt(s)%s",
@@ -515,32 +493,15 @@ class CompilationService:
                 # Worker-side spans (the compile attempt and its nested
                 # stage spans) come back with the raw result; re-emitting
                 # them here keeps the whole batch trace in one file.
-                worker_events = raw.get("spans")
-                if worker_events:
-                    obs_trace.emit_events(worker_events)
-                job_span = job_spans[position]
-                if job_span:
-                    job_span.update(
-                        outcome="error" if not job_result.ok else "miss",
-                        attempts=job_result.attempts,
-                        timeout=job_result.timeout,
-                        elapsed=job_result.elapsed,
-                    )
-                    job_span.end(status=job_result.status)
-                emit(job_result, "miss", raw.get("result"))
+                obs_trace.emit_events(raw.get("spans", ()))
+                finish(index, job_result, raw.get("result"), job_spans[position])
 
+            # The executor reports every payload to ``collect`` exactly
+            # once, as it finishes.
             raw_results = self.executor.run(
-                pending,
-                workers=worker_count,
-                timeout=self.timeout,
-                progress=collect,
-                runner=execute_payload,
+                pending, workers=worker_count, timeout=self.timeout, progress=collect,
                 cancel=cancel,
             )
-            # The executor calls ``collect`` as jobs finish; the ordered
-            # return value backstops an injected one that does not.
-            for position, raw in enumerate(raw_results):
-                collect(position, raw)
 
             for index in duplicates:
                 fanout_started = time.perf_counter()
@@ -548,13 +509,12 @@ class CompilationService:
                 # cancelled (hence resumable, never journaled) or timed out
                 # exactly when the original is.
                 raw = raw_results[dispatched[keys[index]]]
-                results[index] = _result_from_raw(jobs[index].name, keys[index], raw)
-                if results[index].ok:
-                    results[index].deduplicated = True
+                job_result = _result_from_raw(jobs[index].name, keys[index], raw)
+                if job_result.ok:
+                    job_result.deduplicated = True
                     # The dedup job's own wall clock is the result fan-out.
-                    results[index].elapsed = time.perf_counter() - fanout_started
-                short_span(results[index], "dedup")
-                emit(results[index], "dedup", raw.get("result"))
+                    job_result.elapsed = time.perf_counter() - fanout_started
+                finish(index, job_result, raw.get("result"))
 
         ordered = [result for result in results if result is not None]
         failed = sum(1 for result in ordered if not result.ok)
@@ -579,16 +539,20 @@ class CompilationService:
     # ------------------------------------------------------------------
     def executor_stats(self) -> Dict[str, Any]:
         """Live executor facts for ops surfaces (``/v1/stats``)."""
-        breaker = getattr(self.executor, "breaker", None)
         return {
-            "keep_alive": getattr(self.executor, "keep_alive", False),
-            "pool_workers": getattr(self.executor, "pool_workers", 0),
-            "breaker": breaker.state if breaker is not None else "closed",
+            "keep_alive": self.executor.keep_alive,
+            "pool_workers": self.executor.pool_workers,
+            "breaker": self.executor.breaker.state,
         }
 
 
-def _result_from_raw(name: str, key: str, raw: RawResult) -> JobResult:
-    """The :class:`JobResult` of one executor outcome."""
+def _result_from_raw(name: str, key: str, raw: RawResult, **flags: bool) -> JobResult:
+    """The :class:`JobResult` of one raw outcome: an executor result, a
+    journal record, or a cache entry as ``{"status": "ok", "result": entry}``.
+
+    ``flags`` (``cached``/``resumed``) mark where a stored payload came
+    from.  Raises when an ``ok`` payload's result does not decode.
+    """
     ok = raw["status"] == "ok"
     return JobResult(
         name=name,
@@ -600,6 +564,7 @@ def _result_from_raw(name: str, key: str, raw: RawResult) -> JobResult:
         attempts=raw.get("attempts", 1),
         cancelled=bool(raw.get("cancelled")),
         timeout=bool(raw.get("timeout")),
+        **flags,
     )
 
 
@@ -614,15 +579,11 @@ def job_summary(job_result: JobResult, include_result: bool = False) -> Dict[str
     does, so clients can byte-compare against a local compile).
     """
     summary: Dict[str, Any] = {
-        "name": job_result.name,
-        "status": job_result.status,
-        "cached": job_result.cached,
-        "deduplicated": job_result.deduplicated,
-        "resumed": job_result.resumed,
-        "cancelled": job_result.cancelled,
-        "elapsed": job_result.elapsed,
-        "attempts": job_result.attempts,
-        "key": job_result.key,
+        attr: getattr(job_result, attr)
+        for attr in (
+            "name", "status", "cached", "deduplicated", "resumed",
+            "cancelled", "elapsed", "attempts", "key",
+        )
     }
     result = job_result.result
     if job_result.ok and result is not None:

@@ -1,0 +1,100 @@
+"""A stored payload that does not decode is a miss, not a batch failure.
+
+A cache entry can parse as a JSON object (or a JSON list, on disk) and
+still not be a compilation result: a hand-edited file, a foreign writer,
+a remote ``phoenix cache serve`` answering with whatever it holds.
+``compile_many`` must recompile such a job and overwrite the entry, the
+same rule a journal ``ok`` record whose result does not decode already
+followed.  Lives under ``tests/serve`` for the in-thread cache server.
+"""
+
+import json
+import logging
+
+import pytest
+
+from repro.serialize.results import result_from_dict
+from repro.service.cache import open_cache
+from repro.service.journal import BatchJournal
+from repro.service.service import CompilationJob, CompilationService
+from repro.pipeline.options import CompileOptions
+
+BOGUS = {"format": "repro-json-2", "bogus": 1}
+
+
+@pytest.fixture
+def jobs(tiny_program):
+    return [
+        CompilationJob("phoenix", tiny_program),
+        CompilationJob("naive", tiny_program, CompileOptions(compiler="naive")),
+    ]
+
+
+def disk_source(entry):
+    def seed(tmp_path, keys, make_cache_server):
+        root = tmp_path / "cache"
+        for key in keys:
+            path = root / key[:2] / f"{key}.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(entry), encoding="utf-8")
+        return f"disk:{root}", {}
+
+    return seed
+
+
+def remote_source(tmp_path, keys, make_cache_server):
+    handle = make_cache_server()
+    for key in keys:
+        handle.app.store.put(key, BOGUS)
+    return handle.url, {}
+
+
+def journal_source(tmp_path, keys, make_cache_server):
+    path = tmp_path / "batch.wal"
+    with BatchJournal(path) as journal:
+        for key in keys:
+            journal.record(
+                {"key": key, "name": "old", "status": "ok", "attempts": 1, "result": BOGUS}
+            )
+    return f"disk:{tmp_path / 'cache'}", {"journal": str(path), "resume": True}
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        pytest.param(disk_source(BOGUS), id="disk-object"),
+        pytest.param(disk_source([1, 2, 3]), id="disk-list"),
+        pytest.param(remote_source, id="remote"),
+        pytest.param(journal_source, id="journal"),
+    ],
+)
+def test_undecodable_stored_payload_is_recompiled_and_overwritten(
+    seed, jobs, tmp_path, make_cache_server, caplog
+):
+    keys = [CompilationService().job_key(job) for job in jobs]
+    spec, batch_kwargs = seed(tmp_path, keys, make_cache_server)
+
+    cache = open_cache(spec)
+    try:
+        with caplog.at_level(logging.WARNING, logger="repro.service.service"):
+            results = CompilationService(cache=cache).compile_many(
+                jobs, workers=1, **batch_kwargs
+            )
+    finally:
+        cache.close()
+    assert [(r.status, r.cached, r.resumed) for r in results] == [("ok", False, False)] * 2
+    warned = [r.getMessage() for r in caplog.records if "does not decode" in r.getMessage()]
+    assert len(warned) == 2
+
+    # The fresh results replaced the bad entries in the tier they came from.
+    cache = open_cache(spec)
+    try:
+        for key, result in zip(keys, results):
+            stored = cache.get(key)
+            assert stored is not None
+            decoded = result_from_dict(stored)
+            assert decoded.metrics.as_dict() == result.result.metrics.as_dict()
+        again = CompilationService(cache=cache).compile_many(jobs, workers=1)
+    finally:
+        cache.close()
+    assert [(r.status, r.cached) for r in again] == [("ok", True)] * 2
