@@ -477,10 +477,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 def _cache_action(args: argparse.Namespace, store: Any, location: str) -> int:
     remote = isinstance(store, RemoteCacheStore)
+    # Probe the server first: an unreachable one is an outage (exit 2),
+    # not the empty key list its read path degrades to.
+    server_stats = store.fetch_stats() if remote else None
     if args.action == "stats" and remote:
-        print(json.dumps(store.fetch_stats(), indent=2, sort_keys=True))
+        print(json.dumps(server_stats, indent=2, sort_keys=True))
     elif args.action in ("info", "stats"):
-        usage = store.fetch_stats()["usage"] if remote else store.usage()
+        usage = server_stats["usage"] if remote else store.usage()
         print(f"cache: {location}")
         print(f"entries: {usage['entries']}")
         print(f"size_bytes: {usage['total_bytes']}")

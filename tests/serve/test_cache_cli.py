@@ -172,11 +172,12 @@ class TestRemoteCache:
         )
         assert handle.app.store.usage()["entries"] == 1
 
-    def test_stats_against_a_closed_port_is_a_user_error(self, capsys):
+    @pytest.mark.parametrize("action", ["stats", "info", "ls", "clear"])
+    def test_stats_against_a_closed_port_is_a_user_error(self, action, capsys):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
             port = probe.getsockname()[1]
-        code, out, err = run(capsys, "cache", "stats", "--cache", f"http://127.0.0.1:{port}")
+        code, out, err = run(capsys, "cache", action, "--cache", f"http://127.0.0.1:{port}")
         assert out == ""
         assert_user_error(code, err, f"cache server http://127.0.0.1:{port} unreachable")
 
