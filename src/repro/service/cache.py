@@ -168,13 +168,20 @@ class CacheStore(Protocol):
     def __contains__(self, key: str) -> bool: ...
 
 
-class MemoryCacheStore:
-    """In-process dict store; safe for concurrent readers/writers."""
+#: Entries a :class:`MemoryCacheStore` holds before FIFO eviction.  It
+#: keeps decoded JSON dicts, which take 134-490 KiB each for the pinned
+#: bench suite (42-110 KiB as JSON).  A 256 MiB budget at 512 KiB per
+#: entry (the rounded-up worst case) gives 256 MiB / 512 KiB = 512.
+MEMORY_ENTRIES = 512
 
-    def __init__(self, max_entries: Optional[int] = None):
+
+class MemoryCacheStore:
+    """In-process dict store of at most :data:`MEMORY_ENTRIES` entries;
+    safe for concurrent readers/writers."""
+
+    def __init__(self):
         self._entries: Dict[str, Dict[str, Any]] = {}
         self._lock = threading.Lock()
-        self.max_entries = max_entries
         self.stats = CacheStats()
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -188,11 +195,7 @@ class MemoryCacheStore:
 
     def put(self, key: str, value: Dict[str, Any]) -> None:
         with self._lock:
-            if (
-                self.max_entries is not None
-                and key not in self._entries
-                and len(self._entries) >= self.max_entries
-            ):
+            if key not in self._entries and len(self._entries) >= MEMORY_ENTRIES:
                 # FIFO eviction keeps the store bounded; dict preserves
                 # insertion order so the oldest entry goes first.
                 self._entries.pop(next(iter(self._entries)))
@@ -225,7 +228,6 @@ class MemoryCacheStore:
         """Entry accounting plus live hit/miss counters (ops surfaces)."""
         return {
             "entries": len(self),
-            "max_entries": self.max_entries,
             "session": self.stats.as_dict(),
         }
 

@@ -8,6 +8,7 @@ from repro.paulis.fingerprint import program_fingerprint
 from repro.paulis.hamiltonian import Hamiltonian
 from repro.paulis.pauli import PauliTerm
 from repro.pipeline.options import CompileOptions
+from repro.service import cache as cache_module
 from repro.service.cache import (
     MemoryCacheStore,
     TieredCache,
@@ -122,8 +123,9 @@ class TestStores:
         with pytest.raises(ValueError):
             store.put("../escape", self.PAYLOAD)
 
-    def test_memory_store_eviction_is_fifo(self):
-        store = MemoryCacheStore(max_entries=2)
+    def test_memory_store_eviction_is_fifo(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "MEMORY_ENTRIES", 2)
+        store = MemoryCacheStore()
         store.put("k1", self.PAYLOAD)
         store.put("k2", self.PAYLOAD)
         store.put("k3", self.PAYLOAD)
@@ -212,12 +214,11 @@ class TestUsage:
     """Combined cache usage/occupancy reporting (the /v1/stats surface)."""
 
     def test_memory_usage_counts_entries(self):
-        store = MemoryCacheStore(max_entries=3)
+        store = MemoryCacheStore()
         store.put("k1", {"v": 1})
         store.put("k2", {"v": 2})
         usage = store.usage()
         assert usage["entries"] == 2
-        assert usage["max_entries"] == 3
         assert usage["session"]["puts"] == 2
 
     def test_disk_usage_reports_bytes_and_entries(self, tmp_path):
@@ -233,7 +234,7 @@ class TestUsage:
         from repro.service.resilience import CircuitBreaker
 
         tiered = TieredCache(
-            memory=MemoryCacheStore(max_entries=8),
+            memory=MemoryCacheStore(),
             disk=DiskCacheStore(
                 tmp_path / "cache",
                 breaker=CircuitBreaker("cache.test", min_calls=1, failure_threshold=0.1),
