@@ -579,11 +579,15 @@ def job_summary(job_result: JobResult, include_result: bool = False) -> Dict[str
     does, so clients can byte-compare against a local compile).
     """
     summary: Dict[str, Any] = {
-        attr: getattr(job_result, attr)
-        for attr in (
-            "name", "status", "cached", "deduplicated", "resumed",
-            "cancelled", "elapsed", "attempts", "key",
-        )
+        "name": job_result.name,
+        "status": job_result.status,
+        "cached": job_result.cached,
+        "deduplicated": job_result.deduplicated,
+        "resumed": job_result.resumed,
+        "cancelled": job_result.cancelled,
+        "elapsed": job_result.elapsed,
+        "attempts": job_result.attempts,
+        "key": job_result.key,
     }
     result = job_result.result
     if job_result.ok and result is not None:
