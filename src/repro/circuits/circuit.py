@@ -124,10 +124,6 @@ class QuantumCircuit:
     def swap(self, qubit0: int, qubit1: int):
         return self._add("swap", [qubit0, qubit1])
 
-    def controlled_pauli(self, kind: str, control: int, target: int):
-        """One of the six universal controlled Paulis, e.g. ``kind='xy'``."""
-        return self._add("c" + kind, [control, target])
-
     def rxx(self, theta: float, qubit0: int, qubit1: int):
         return self._add("rxx", [qubit0, qubit1], [theta])
 
@@ -247,13 +243,6 @@ class QuantumCircuit:
         from repro.serialize.circuits import circuit_to_json
 
         return circuit_to_json(self, indent=indent)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QuantumCircuit":
-        """Rebuild a circuit serialised with :meth:`to_json`."""
-        from repro.serialize.circuits import circuit_from_json
-
-        return circuit_from_json(text)
 
     def __repr__(self) -> str:
         return (

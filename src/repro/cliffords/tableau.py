@@ -30,14 +30,6 @@ class CliffordTableau:
             PauliString.from_sparse(num_qubits, {j: "Z"}) for j in range(num_qubits)
         ]
 
-    @classmethod
-    def from_circuit(cls, circuit) -> "CliffordTableau":
-        """Build the tableau of a Clifford circuit (raises on non-Clifford)."""
-        tableau = cls(circuit.num_qubits)
-        for gate in circuit:
-            tableau.append_gate(gate)
-        return tableau
-
     def append_gate(self, gate) -> None:
         """Compose one more Clifford gate onto the tableau (circuit order)."""
         self.x_images = [conjugate_pauli_by_gate(p, gate) for p in self.x_images]

@@ -50,11 +50,6 @@ class Topology:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def all_to_all(cls, num_qubits: int) -> "Topology":
-        edges = [(i, j) for i in range(num_qubits) for j in range(i + 1, num_qubits)]
-        return cls(num_qubits, edges, name=f"all-to-all-{num_qubits}")
-
-    @classmethod
     def line(cls, num_qubits: int) -> "Topology":
         return cls(num_qubits, [(i, i + 1) for i in range(num_qubits - 1)], name=f"line-{num_qubits}")
 

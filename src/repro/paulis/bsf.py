@@ -163,10 +163,6 @@ class BSF:
         """Eq. (4): number of qubits touched by the union of all rows."""
         return int(np.count_nonzero(self.support_mask()))
 
-    def column_weights(self) -> np.ndarray:
-        """How many rows act non-trivially on each qubit."""
-        return np.count_nonzero(self.x | self.z, axis=0)
-
     # ------------------------------------------------------------------
     # Elementary Clifford conjugation rules (with signs)
     # ------------------------------------------------------------------

@@ -12,7 +12,7 @@ tracked.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -122,13 +122,6 @@ class PauliString:
     def pauli_on(self, qubit: int) -> str:
         """The single-qubit Pauli label acting on ``qubit``."""
         return _BITS_TO_LABEL[(bool(self.x[qubit]), bool(self.z[qubit]))]
-
-    def is_identity(self) -> bool:
-        return self.weight() == 0
-
-    def is_diagonal(self) -> bool:
-        """True when the string contains only I and Z factors."""
-        return not bool(np.any(self.x))
 
     # ------------------------------------------------------------------
     # Algebra
@@ -275,10 +268,3 @@ class PauliTerm:
 
     def copy(self) -> "PauliTerm":
         return PauliTerm(self.string.copy(), self.coefficient)
-
-
-def terms_from_labels(
-    labeled: Iterable[Tuple[str, float]]
-) -> list[PauliTerm]:
-    """Convenience constructor: ``[("XXI", 0.5), ("ZZI", 0.1)] -> terms``."""
-    return [PauliTerm.from_label(label, coeff) for label, coeff in labeled]

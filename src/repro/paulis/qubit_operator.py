@@ -40,12 +40,6 @@ class QubitOperator:
         op.add(coefficient, PauliString.identity(num_qubits))
         return op
 
-    @classmethod
-    def from_string(cls, string: PauliString, coefficient: complex = 1.0) -> "QubitOperator":
-        op = cls(string.num_qubits)
-        op.add(coefficient, string)
-        return op
-
     def add(self, coefficient: complex, string: PauliString) -> None:
         coeff = complex(coefficient) * string.sign
         if string.sign != 1:

@@ -32,7 +32,7 @@ from repro.metrics.circuit_metrics import CircuitMetrics
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.paulis.pauli import PauliTerm
-from repro.pipeline.options import CompileOptions, Program, as_terms
+from repro.pipeline.options import CompileOptions
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.compiler import CompilationResult
@@ -65,11 +65,6 @@ class CompileContext:
     final_metrics: Optional[CircuitMetrics] = None
     stage_timings: Dict[str, float] = field(default_factory=dict)
     metadata: Dict[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def from_program(cls, program: Program, options: CompileOptions) -> "CompileContext":
-        terms = as_terms(program)
-        return cls(options=options, terms=terms, num_qubits=terms[0].num_qubits)
 
     @property
     def hardware_aware(self) -> bool:
@@ -182,12 +177,6 @@ class Pipeline:
 
     def inserted_after(self, name: str, stage: Stage) -> "Pipeline":
         index = self._index(name) + 1
-        stages = list(self.stages)
-        stages.insert(index, stage)
-        return Pipeline(stages)
-
-    def inserted_before(self, name: str, stage: Stage) -> "Pipeline":
-        index = self._index(name)
         stages = list(self.stages)
         stages.insert(index, stage)
         return Pipeline(stages)

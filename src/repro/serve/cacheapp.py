@@ -9,7 +9,8 @@ same asyncio server core as ``phoenix serve``
 method    path                    purpose
 ========  ======================  =========================================
 GET       ``/v1/cache/{key}``     entry as canonical JSON, or 404
-PUT       ``/v1/cache/{key}``     store the JSON body (204; 413 oversized)
+PUT       ``/v1/cache/{key}``     store the body (204; 400 not an entry;
+                                  413 oversized)
 DELETE    ``/v1/cache/{key}``     200 if removed, 404 if absent
 GET       ``/v1/keys``            ``{"keys": [...], "count": n}``
 GET       ``/v1/stats``           the store's ``usage()`` + server state
@@ -20,11 +21,12 @@ GET       ``/metrics``            Prometheus text exposition
 Keys are validated against :data:`repro.service.cache.KEY_RE`, the one
 key check every store uses, *before* they reach the store — a
 traversal-shaped key (``..``, separators, a leading dot) is a 400, never
-a filesystem path.  GET bodies
-are re-encoded through :func:`canonical_json_bytes`, so every reader of a
-key receives byte-identical payloads regardless of which writer stored
-it.  Store I/O runs via ``asyncio.to_thread`` so a slow disk never stalls
-the accept loop.
+a filesystem path.  A PUT body must pass
+:func:`repro.service.cache.decode_entry`, the one entry rule every tier
+and ``doctor`` apply, or it is a 400.  GET bodies are re-encoded through
+:func:`canonical_json_bytes`, so every reader of a key receives
+byte-identical payloads regardless of which writer stored it.  Store I/O
+runs via ``asyncio.to_thread`` so a slow disk never stalls the accept loop.
 
 Shutdown is the shared core's: the first SIGINT/SIGTERM drains
 (``/healthz`` flips to 503, the listener closes, the store closes), the
@@ -34,7 +36,6 @@ second aborts.  A WebSocket upgrade request gets plain dispatch here.
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from typing import Optional
 
 from ..obs import metrics as obs_metrics
 from ..serialize.jsonutil import canonical_json_bytes
-from ..service.cache import valid_key
+from ..service.cache import decode_entry, valid_key
 from ..service.shardcache import DiskCacheStore
 from .http import HTTPApp, Request, Response, Router
 
@@ -155,11 +156,9 @@ class CacheServeApp(HTTPApp):
             return bad_key
         key = request.params["key"]
         try:
-            value = json.loads(request.body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            return Response.error(400, f"bad JSON body: {exc}")
-        if not isinstance(value, dict):
-            return Response.error(400, "cache entry must be a JSON object")
+            value = decode_entry(request.body)
+        except ValueError as exc:
+            return Response.error(400, f"bad cache entry: {exc}")
         await asyncio.to_thread(self.store.put, key, value)
         obs_metrics.counter("repro_remote_cache_server_puts_total").inc()
         obs_metrics.histogram(

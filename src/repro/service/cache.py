@@ -3,9 +3,9 @@
 A cache *key* is ``"<program fingerprint>-<compiler config fingerprint>"``
 (see :func:`compilation_cache_key`); a cache *value* is the JSON-compatible
 dict produced by :func:`repro.serialize.results.result_to_dict`.  Every
-store satisfies the :class:`CacheStore` protocol — the uniform
-``get / put / delete / keys / clear / usage / close`` surface plus a
-``stats`` counter block — so callers never special-case tiers:
+store satisfies the :class:`CacheStore` protocol — ``get / put / usage /
+close`` plus a ``stats`` counter block — so the service never
+special-cases tiers:
 
 * :class:`MemoryCacheStore` — a thread-safe in-process dict.
 * :class:`repro.service.shardcache.DiskCacheStore` — one
@@ -18,9 +18,14 @@ store satisfies the :class:`CacheStore` protocol — the uniform
   remote; lower-tier hits are promoted toward memory, writes fan out
   best-effort to every tier.
 
+The disk and remote stores also carry ``keys / delete / clear``, which
+``phoenix cache ls|clear`` and the cache server call on one tier at a time.
+
 :func:`open_cache` is the one builder: it turns a URL-style *spec*
 (parsed by :func:`parse_spec`) into a :class:`TieredCache`.  Every key is
-checked against :data:`KEY_RE` by every store and by the cache server.
+checked against :data:`KEY_RE` by every store and by the cache server, and
+every stored payload is checked by :func:`decode_entry`: an entry is a
+JSON object, and anything else is a corrupt entry on every tier.
 
 **Tiers degrade, they do not raise.**  A cache is an accelerator: no I/O
 failure on the read or write path may take a compilation down.  Each
@@ -35,6 +40,7 @@ therefore a plain fall-through with no breaker logic of its own.
 
 from __future__ import annotations
 
+import json
 import re
 import threading
 from dataclasses import dataclass
@@ -42,7 +48,6 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
-    Iterator,
     List,
     Optional,
     Protocol,
@@ -73,6 +78,18 @@ def check_key(key: str) -> str:
     if not valid_key(key):
         raise ValueError(f"invalid cache key {key!r}")
     return key
+
+
+def decode_entry(data: bytes) -> Dict[str, Any]:
+    """The entry a stored payload holds, or :class:`ValueError`.
+
+    The one rule every tier, ``doctor`` and the cache server apply: an
+    entry is UTF-8 JSON whose top level is an object.
+    """
+    value = json.loads(data.decode("utf-8"))
+    if not isinstance(value, dict):
+        raise ValueError("cache entry is not a JSON object")
+    return value
 
 
 def compilation_cache_key(
@@ -128,14 +145,11 @@ class CacheStats:
 
 @runtime_checkable
 class CacheStore(Protocol):
-    """The uniform store surface every cache tier satisfies.
+    """The store surface the service and :class:`TieredCache` call.
 
-    This used to be a ``Union`` alias over the concrete stores, which
-    meant a new store (the remote tier) could not be named at all and
-    callers special-cased tiers for accounting.  It is now a real
-    :class:`typing.Protocol`: anything with this surface — memory, disk,
-    remote, tiered — is a cache store, checked structurally
-    by mypy and (``runtime_checkable``) by ``isinstance`` in tests.
+    A structural :class:`typing.Protocol`: anything with this surface —
+    memory, disk, remote, tiered — is a cache store, checked by mypy and
+    (``runtime_checkable``) by ``isinstance`` in tests.
 
     Contract notes beyond the signatures:
 
@@ -153,19 +167,9 @@ class CacheStore(Protocol):
 
     def put(self, key: str, value: Dict[str, Any]) -> None: ...
 
-    def delete(self, key: str) -> bool: ...
-
-    def keys(self) -> Iterator[str]: ...
-
-    def clear(self) -> int: ...
-
     def usage(self) -> Dict[str, Any]: ...
 
     def close(self) -> None: ...
-
-    def __len__(self) -> int: ...
-
-    def __contains__(self, key: str) -> bool: ...
 
 
 #: Entries a :class:`MemoryCacheStore` holds before FIFO eviction.  It
@@ -202,34 +206,11 @@ class MemoryCacheStore:
             self._entries[key] = value
             self.stats.puts += 1
 
-    def delete(self, key: str) -> bool:
-        with self._lock:
-            return self._entries.pop(key, None) is not None
-
-    def keys(self) -> Iterator[str]:
-        with self._lock:
-            return iter(list(self._entries))
-
-    def clear(self) -> int:
-        with self._lock:
-            count = len(self._entries)
-            self._entries.clear()
-            return count
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
     def usage(self) -> Dict[str, Any]:
         """Entry accounting plus live hit/miss counters (ops surfaces)."""
-        return {
-            "entries": len(self),
-            "session": self.stats.as_dict(),
-        }
+        with self._lock:
+            entries = len(self._entries)
+        return {"entries": entries, "session": self.stats.as_dict()}
 
     def close(self) -> None:
         """No resources held; part of the uniform store surface."""
@@ -253,11 +234,10 @@ class TieredCache:
 
     def __init__(
         self,
-        memory: Optional[MemoryCacheStore] = None,
         disk: Optional[DiskCacheStore] = None,
         remote: Optional[CacheStore] = None,
     ):
-        self.memory = memory if memory is not None else MemoryCacheStore()
+        self.memory = MemoryCacheStore()
         self.disk = disk
         self.remote = remote
         self.stats = CacheStats()
@@ -292,43 +272,6 @@ class TieredCache:
             tier.put(key, value)
         self.stats.puts += 1
 
-    def delete(self, key: str) -> bool:
-        deleted = self.memory.delete(key)
-        for tier in self._lower_tiers():
-            deleted = tier.delete(key) or deleted
-        return deleted
-
-    def keys(self) -> Iterator[str]:
-        seen = set(self.memory.keys())
-        yield from seen
-        for tier in self._lower_tiers():
-            for key in tier.keys():
-                if key not in seen:
-                    seen.add(key)
-                    yield key
-
-    def clear(self) -> int:
-        count = self.memory.clear()
-        for tier in self._lower_tiers():
-            count = max(count, tier.clear())
-        return count
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.memory or any(key in tier for tier in self._lower_tiers())
-
-    @property
-    def breaker(self) -> Optional[CircuitBreaker]:
-        """The disk tier's own breaker (read-only view), if it has one."""
-        return self.disk.breaker if self.disk is not None else None
-
-    @property
-    def degraded(self) -> bool:
-        """True while the disk tier is being skipped (breaker not closed)."""
-        return self.breaker is not None and self.breaker.state != "closed"
-
     def usage(self) -> Dict[str, Any]:
         """One combined accounting view across all tiers.
 
@@ -337,11 +280,12 @@ class TieredCache:
         stores' own ``usage()``, the degraded-mode flag and disk breaker
         state, and the tier-level hit/miss counters.
         """
+        breaker = self.disk.breaker if self.disk is not None else None
         usage = {
             "memory": self.memory.usage(),
             "disk": self.disk.usage() if self.disk is not None else None,
-            "degraded": self.degraded,
-            "breaker": self.breaker.state if self.breaker is not None else None,
+            "degraded": breaker is not None and breaker.state != "closed",
+            "breaker": breaker.state if breaker is not None else None,
             "session": self.stats.as_dict(),
         }
         if self.remote is not None:
@@ -359,7 +303,6 @@ class TieredCache:
 class CacheSpec:
     """The parsed tiers of one spec string."""
 
-    memory_only: bool = False
     disk_path: Optional[str] = None
     remote_url: Optional[str] = None
     remote_timeout: Optional[float] = None
@@ -395,7 +338,6 @@ def parse_spec(spec: str) -> CacheSpec:
     if not parts:
         raise ValueError(f"empty cache spec {spec!r}")
 
-    memory_only = False
     disk_path: Optional[str] = None
     remote_url: Optional[str] = None
     remote_timeout: Optional[float] = None
@@ -403,7 +345,7 @@ def parse_spec(spec: str) -> CacheSpec:
         split = urlsplit(part)
         scheme = split.scheme.lower()
         if part in ("memory", "memory:") or scheme == "memory":
-            memory_only = True
+            pass  # every cache has a memory tier
         elif scheme in ("http", "https"):
             if remote_url is not None:
                 raise ValueError(f"cache spec {spec!r} names two remote tiers")
@@ -442,7 +384,6 @@ def parse_spec(spec: str) -> CacheSpec:
                 "(expected memory:, disk:/path, or http://host:port)"
             )
     return CacheSpec(
-        memory_only=memory_only,
         disk_path=disk_path,
         remote_url=remote_url,
         remote_timeout=remote_timeout,

@@ -437,8 +437,8 @@ def _cmd_cache_serve(args: argparse.Namespace, spec: CacheSpec) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     """``phoenix cache ACTION``: one code path per action for both tiers.
 
-    A disk directory and a cache server are both a :class:`CacheStore`;
-    ``info`` reads a usage dict of the same shape from either (the
+    A disk directory and a cache server both carry ``keys``/``clear``,
+    which ``ls``/``clear`` call; ``info`` reads a usage dict of the same shape from either (the
     server's is the ``usage`` field of its ``/v1/stats``).  ``stats``
     prints text locally and the server's JSON remotely; ``prune`` and
     ``doctor`` are filesystem operations, so they are local-only.

@@ -37,7 +37,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs import metrics as obs_metrics
 
@@ -376,7 +376,3 @@ def resolve_scenario(spec: str, seed: Optional[int] = None) -> Scenario:
         f"unknown scenario {spec!r}; expected one of "
         f"{sorted(BUILTIN_SCENARIOS)} or a path to a scenario JSON file"
     )
-
-
-def iter_scenarios() -> Iterator[Scenario]:
-    yield from BUILTIN_SCENARIOS.values()

@@ -37,7 +37,7 @@ from urllib.parse import urlsplit
 from repro.obs import metrics as obs_metrics
 from repro.serialize.jsonutil import canonical_json_bytes
 from repro.service import faultlab
-from repro.service.cache import CacheStats, check_key
+from repro.service.cache import CacheStats, check_key, decode_entry
 from repro.service.resilience import CircuitBreaker
 
 logger = logging.getLogger(__name__)
@@ -103,7 +103,8 @@ class _ConnectionPool:
 class RemoteCacheStore:
     """A cache served over HTTP by ``phoenix cache serve``.
 
-    Satisfies the :class:`repro.service.cache.CacheStore` protocol.  All
+    Satisfies the :class:`repro.service.cache.CacheStore` protocol and
+    carries ``keys / delete / clear`` for ``phoenix cache ls|clear``.  All
     infrastructure failures are absorbed as misses/drops behind the
     store's breaker; see the module docstring for the full contract.
     """
@@ -183,9 +184,7 @@ class RemoteCacheStore:
             faultlab.fire("remote.get", key=key)
             status, data = self._request("GET", f"/v1/cache/{key}")
             if status == 200:
-                value = json.loads(data.decode("utf-8"))
-                if not isinstance(value, dict):
-                    raise ValueError("cache entry is not a JSON object")
+                value = decode_entry(data)
                 self.stats.hits += 1
                 self.breaker.record_success()
                 return value
@@ -252,13 +251,6 @@ class RemoteCacheStore:
             if self.delete(key):
                 count += 1
         return count
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __contains__(self, key: str) -> bool:
-        check_key(key)
-        return any(existing == key for existing in self.keys())
 
     def fetch_stats(self) -> Dict[str, Any]:
         """The server's ``/v1/stats`` view, raising when unreachable.

@@ -240,7 +240,10 @@ class CompilationService:
             if max_workers is None:
                 max_workers = 1
         elif executor is not None and not isinstance(executor, Executor):
-            raise TypeError(f"{executor!r} is not an executor: it has no run() method")
+            raise TypeError(
+                f"{executor!r} is not an Executor; pass an instance of "
+                "repro.service.executor.Executor or of a subclass"
+            )
         self.cache = cache if cache is not None else MemoryCacheStore()
         self.executor = (
             executor

@@ -1,7 +1,9 @@
 """The content-addressed disk cache: sharded, self-healing, prunable.
 
-:class:`DiskCacheStore` keeps one JSON file per entry and satisfies the
-:class:`~repro.service.cache.CacheStore` protocol:
+:class:`DiskCacheStore` keeps one JSON file per entry.  It satisfies the
+:class:`~repro.service.cache.CacheStore` protocol and also carries
+``keys / delete / clear`` for ``phoenix cache ls|clear`` and the cache
+server:
 
 * one fixed layout, ``root/<key[:2]>/<key>.json``.  A directory carrying
   a ``shard-layout.json`` marker (written by older releases) that is
@@ -10,10 +12,13 @@
 * atomic temp-file + rename writes through the canonical JSON encoder, so
   any number of worker processes can share one directory and concurrent
   writers of one key produce byte-identical files;
-* degradation instead of failure: a corrupt entry is a logged miss and is
-  **quarantined** into a ``corrupt/`` sidecar (``repro_cache_quarantined_total``)
-  that :meth:`DiskCacheStore.doctor` can inspect, restore, or purge; an
-  I/O error is a logged miss or dropped write (``repro_cache_io_errors_total``);
+* degradation instead of failure: a corrupt entry (one that
+  :func:`~repro.service.cache.decode_entry` rejects, so anything but a
+  JSON object) is a logged miss and is **quarantined** into a
+  ``corrupt/`` sidecar (``repro_cache_quarantined_total``) that
+  :meth:`DiskCacheStore.doctor` counts with the same rule and can
+  inspect, restore, or purge; an I/O error is a logged miss or dropped
+  write (``repro_cache_io_errors_total``);
 * an optional :class:`~repro.service.resilience.CircuitBreaker` fed by
   every outcome and gating the store itself: a ``get``/``put`` the
   breaker refuses is a miss/dropped write that never touches the disk
@@ -45,7 +50,7 @@ from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 from repro.obs import metrics as obs_metrics
 from repro.serialize.jsonutil import canonical_json
 from repro.service import faultlab
-from repro.service.cache import CacheStats, check_key
+from repro.service.cache import CacheStats, check_key, decode_entry
 from repro.service.resilience import CircuitBreaker
 
 logger = logging.getLogger(__name__)
@@ -224,13 +229,12 @@ class DiskCacheStore:
             return None
         try:
             faultlab.fire("cache.get", key=key)
-            with path.open("r", encoding="utf-8") as handle:
-                value = json.load(handle)
+            value = decode_entry(path.read_bytes())
         except FileNotFoundError:
             self._disk_outcome(ok=True)  # the disk worked; the entry is absent
             self.stats.misses += 1
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError) as exc:
+        except ValueError as exc:
             self._quarantine(key, path, str(exc))
             self._disk_outcome(ok=False)
             self.stats.misses += 1
@@ -300,12 +304,6 @@ class DiskCacheStore:
                 continue
             count += 1
         return count
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.keys())
-
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
 
     def close(self) -> None:
         """No handles held open between calls; uniform surface only."""
@@ -436,10 +434,9 @@ class DiskCacheStore:
     @staticmethod
     def _validate_file(path: Path) -> bool:
         try:
-            with path.open("r", encoding="utf-8") as handle:
-                json.load(handle)
+            decode_entry(path.read_bytes())
             return True
-        except (OSError, ValueError, UnicodeDecodeError):
+        except (OSError, ValueError):
             return False
 
     def doctor(self, repair: bool = True, purge: bool = False) -> DoctorReport:

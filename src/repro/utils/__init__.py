@@ -1,16 +1,10 @@
 """Small shared utilities used across the PHOENIX reproduction."""
 
-from repro.utils.validation import (
-    check_qubit_index,
-    check_positive,
-    check_probability,
-)
+from repro.utils.validation import check_qubit_index
 from repro.utils.maths import geometric_mean, kron_all
 
 __all__ = [
     "check_qubit_index",
-    "check_positive",
-    "check_probability",
     "geometric_mean",
     "kron_all",
 ]

@@ -20,17 +20,3 @@ def check_qubit_index(qubit: int, num_qubits: int, what: str = "qubit") -> int:
             f"{what} index {qubit} out of range for {num_qubits} qubits"
         )
     return qubit
-
-
-def check_positive(value: float, what: str = "value") -> float:
-    """Validate that ``value`` is strictly positive."""
-    if value <= 0:
-        raise ValueError(f"{what} must be positive, got {value}")
-    return value
-
-
-def check_probability(value: float, what: str = "probability") -> float:
-    """Validate that ``value`` lies in the closed interval [0, 1]."""
-    if value < 0 or value > 1:
-        raise ValueError(f"{what} must lie in [0, 1], got {value}")
-    return value

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import Gate
 from repro.simulation.unitary import circuit_unitary
 
 #: QASM name -> library name, reversing the export table's one rename.
@@ -87,7 +88,7 @@ class TestQasmGateFamilies:
     @pytest.mark.parametrize("kind", ["xx", "yy", "zz", "xy", "yz", "zx"])
     def test_controlled_paulis_rebase_to_qelib(self, kind):
         circuit = QuantumCircuit(2)
-        circuit.controlled_pauli(kind, 0, 1)
+        circuit.append(Gate("c" + kind, (0, 1)))
         qasm = circuit.to_qasm()
         assert f"c{kind}" not in qasm
         parsed = parse_qasm(qasm)
@@ -114,7 +115,7 @@ class TestQasmGateFamilies:
 
     def test_mixed_circuit_parses_back(self):
         circuit = QuantumCircuit(3)
-        circuit.h(0).cx(0, 1).rz(0.5, 1).controlled_pauli("yz", 1, 2).rpp(
+        circuit.h(0).cx(0, 1).rz(0.5, 1).append(Gate("cyz", (1, 2))).rpp(
             "x", "x", -0.3, 0, 2
         )
         parsed = parse_qasm(circuit.to_qasm())
@@ -141,7 +142,7 @@ class TestQasmExport:
 
     def test_native_ir_gates_are_lowered(self):
         circuit = QuantumCircuit(2)
-        circuit.controlled_pauli("xy", 0, 1).rpp("x", "z", 0.3, 0, 1)
+        circuit.append(Gate("cxy", (0, 1))).rpp("x", "z", 0.3, 0, 1)
         qasm = circuit.to_qasm()
         # Universal controlled Paulis and rpp do not exist in qelib1: they
         # must have been rebased to cx + 1Q gates.

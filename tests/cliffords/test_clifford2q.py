@@ -59,7 +59,7 @@ class TestConjugation:
     def test_circuit_conjugation_matches_matrices(self):
         rng = np.random.default_rng(5)
         circuit = QuantumCircuit(3)
-        circuit.h(0).s(1).cx(0, 1).cx(1, 2).sdg(2).controlled_pauli("xy", 2, 0)
+        circuit.h(0).s(1).cx(0, 1).cx(1, 2).sdg(2).append(Gate("cxy", (2, 0)))
         conj = circuit_unitary(circuit)
         letters = np.array(list("IXYZ"))
         for _ in range(10):

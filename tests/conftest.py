@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from repro.hardware.topology import Topology
 from repro.paulis.pauli import PauliString, PauliTerm
+
+
+def all_to_all(num_qubits: int) -> Topology:
+    """The complete coupling graph: compiling on it is logical compilation."""
+    return Topology(
+        num_qubits, combinations(range(num_qubits), 2), name=f"all-to-all-{num_qubits}"
+    )
 
 
 def random_term(rng: np.random.Generator, support, num_qubits: int) -> PauliTerm:

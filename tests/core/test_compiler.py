@@ -9,6 +9,7 @@ from repro.hardware.topology import Topology
 from repro.paulis.hamiltonian import Hamiltonian
 from repro.simulation.evolution import terms_unitary
 from repro.simulation.unitary import circuit_unitary
+from tests.conftest import all_to_all
 
 
 class TestPhoenixLogical:
@@ -84,5 +85,5 @@ class TestPhoenixHardwareAware:
         assert result.routing_overhead >= 1.0 or result.metrics.swap_count == 0
 
     def test_all_to_all_topology_is_logical_compilation(self, small_program):
-        result = PhoenixCompiler(topology=Topology.all_to_all(5)).compile(small_program)
+        result = PhoenixCompiler(topology=all_to_all(5)).compile(small_program)
         assert result.routed is None

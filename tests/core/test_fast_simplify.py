@@ -285,7 +285,9 @@ LOGICAL_FAMILY_SPECS = (
 @pytest.mark.parametrize("spec", LOGICAL_FAMILY_SPECS)
 def test_simplify_stage_equals_per_group_simplify(spec, monkeypatch):
     terms = workload_from_spec(spec).to_terms()
-    context = CompileContext.from_program(terms, CompileOptions())
+    context = CompileContext(
+        options=CompileOptions(), terms=terms, num_qubits=terms[0].num_qubits
+    )
     GroupStage().run(context)
     groups = list(context.groups)
 

@@ -7,6 +7,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.hardware.routing.sabre import route_circuit, sabre_initial_mapping
 from repro.hardware.topology import Topology
 from repro.simulation.unitary import circuit_unitary
+from tests.conftest import all_to_all
 
 
 def _undo_final_permutation(routed) -> QuantumCircuit:
@@ -50,7 +51,7 @@ class TestRouting:
     def test_all_to_all_is_a_noop(self):
         circuit = QuantumCircuit(3)
         circuit.cx(0, 2)
-        routed = route_circuit(circuit, Topology.all_to_all(3))
+        routed = route_circuit(circuit, all_to_all(3))
         assert routed.swap_count == 0
         assert len(routed.circuit) == 1
 

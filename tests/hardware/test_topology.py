@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from repro.hardware.topology import Topology
+from tests.conftest import all_to_all
 
 
 class TestTopologyConstructors:
     def test_all_to_all(self):
-        topo = Topology.all_to_all(5)
-        assert topo.is_all_to_all()
-        assert topo.graph.number_of_edges() == 10
+        assert all_to_all(5).is_all_to_all()
+        assert not Topology.ring(5).is_all_to_all()
 
     def test_line_and_ring(self):
         line = Topology.line(4)

@@ -27,10 +27,6 @@ class TestBSFBasics:
         assert bsf.total_weight() == 2
         assert list(bsf.row_weights()) == [1, 1]
 
-    def test_column_weights(self):
-        bsf = BSF.from_labels([("XY", 1.0), ("XZ", 1.0), ("IX", 1.0)])
-        assert list(bsf.column_weights()) == [2, 3]
-
     def test_empty_term_list_rejected(self):
         with pytest.raises(ValueError):
             BSF.from_terms([])

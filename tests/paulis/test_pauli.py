@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.paulis.pauli import PauliString, PauliTerm, terms_from_labels
+from repro.paulis.pauli import PauliString, PauliTerm
 
 
 class TestPauliStringConstruction:
@@ -26,7 +26,6 @@ class TestPauliStringConstruction:
 
     def test_identity(self):
         string = PauliString.identity(4)
-        assert string.is_identity()
         assert string.weight() == 0
 
     def test_invalid_sign_rejected(self):
@@ -43,10 +42,6 @@ class TestPauliStringQueries:
     def test_pauli_on(self):
         string = PauliString.from_label("XYZI")
         assert [string.pauli_on(q) for q in range(4)] == ["X", "Y", "Z", "I"]
-
-    def test_is_diagonal(self):
-        assert PauliString.from_label("ZIZ").is_diagonal()
-        assert not PauliString.from_label("ZIX").is_diagonal()
 
     def test_equality_and_hash(self):
         a = PauliString.from_label("XZ")
@@ -99,11 +94,6 @@ class TestPauliTerm:
         term = PauliTerm(string, 0.5)
         assert term.coefficient == pytest.approx(-0.5)
         assert term.string.sign == 1
-
-    def test_terms_from_labels(self):
-        terms = terms_from_labels([("XX", 0.1), ("ZZ", 0.2)])
-        assert len(terms) == 2
-        assert terms[1].to_label() == "ZZ"
 
     def test_support_and_weight(self):
         term = PauliTerm.from_label("IXZ", 1.0)

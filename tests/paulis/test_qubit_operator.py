@@ -8,7 +8,9 @@ from repro.paulis.qubit_operator import QubitOperator
 
 
 def _op(label: str, coeff: complex) -> QubitOperator:
-    return QubitOperator.from_string(PauliString.from_label(label), coeff)
+    op = QubitOperator(len(label))
+    op.add(coeff, PauliString.from_label(label))
+    return op
 
 
 class TestQubitOperator:

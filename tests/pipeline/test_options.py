@@ -7,6 +7,7 @@ from repro.paulis.hamiltonian import Hamiltonian
 from repro.paulis.pauli import PauliTerm
 from repro.pipeline.options import CompileOptions, as_terms
 from repro.pipeline.registry import compiler_names
+from tests.conftest import all_to_all
 
 #: Every topology spec family, at sizes that are not all-to-all.
 SPEC_TOPOLOGIES = (None, "heavy-hex", "manhattan", "line-5", "ring-6", "grid-2x3")
@@ -86,7 +87,7 @@ class TestCompileOptionsValidation:
 
     def test_hardware_aware_needs_a_real_topology(self):
         assert CompileOptions(topology=Topology.line(4)).hardware_aware
-        assert not CompileOptions(topology=Topology.all_to_all(4)).hardware_aware
+        assert not CompileOptions(topology=all_to_all(4)).hardware_aware
 
 
 class TestConfigFingerprint:

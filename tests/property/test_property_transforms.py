@@ -40,7 +40,7 @@ def random_circuits(draw):
             if name == "rzz":
                 circuit.rzz(draw(st.floats(-3, 3, allow_nan=False)), a, b)
             elif name == "cxy":
-                circuit.controlled_pauli("xy", a, b)
+                circuit.append(Gate("cxy", (a, b)))
             elif name == "swap":
                 circuit.swap(a, b)
             elif name == "cz":

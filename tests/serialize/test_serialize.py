@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import gate_matrix
+from repro.circuits.gates import Gate, gate_matrix
 from repro.core.compiler import PhoenixCompiler
 from repro.hardware.topology import Topology
 from repro.metrics.circuit_metrics import circuit_metrics
@@ -66,7 +66,7 @@ def every_family_circuit() -> QuantumCircuit:
     circuit.h(0).x(1).sdg(2)
     circuit.rx(0.25, 0).u3(0.1, -0.2, 0.3, 1)
     circuit.cx(0, 1).cz(1, 2).swap(0, 2)
-    circuit.controlled_pauli("xy", 0, 2).rpp("y", "z", -0.75, 1, 2)
+    circuit.append(Gate("cxy", (0, 2))).rpp("y", "z", -0.75, 1, 2)
     circuit.rxx(0.5, 0, 1).rzz(1.25, 1, 2)
     circuit.su4(gate_matrix("rpp", (1.0, 3.0, 0.4)), 0, 1)
     return circuit
@@ -88,7 +88,7 @@ class TestCircuitRoundTrip:
 
     def test_circuit_json_hooks(self):
         circuit = every_family_circuit()
-        rebuilt = QuantumCircuit.from_json(circuit.to_json())
+        rebuilt = circuit_from_json(circuit.to_json())
         assert gate_tuples(rebuilt) == gate_tuples(circuit)
 
     def test_payload_is_pure_json(self):

@@ -1,11 +1,13 @@
 """A stored payload that does not decode is a miss, not a batch failure.
 
-A cache entry can parse as a JSON object (or a JSON list, on disk) and
-still not be a compilation result: a hand-edited file, a foreign writer,
-a remote ``phoenix cache serve`` answering with whatever it holds.
-``compile_many`` must recompile such a job and overwrite the entry, the
-same rule a journal ``ok`` record whose result does not decode already
-followed.  Lives under ``tests/serve`` for the in-thread cache server.
+A cache entry can parse as a JSON object and still not be a compilation
+result: a hand-edited file, a foreign writer, a remote ``phoenix cache
+serve`` answering with whatever it holds.  ``compile_many`` must recompile
+such a job and overwrite the entry, the same rule a journal ``ok`` record
+whose result does not decode already followed.  A JSON list on disk is not
+an entry at all: the disk tier quarantines it and reports a miss, so the
+job is recompiled the same way.  Lives under ``tests/serve`` for the
+in-thread cache server.
 """
 
 import json
@@ -20,6 +22,10 @@ from repro.service.service import CompilationJob, CompilationService
 from repro.pipeline.options import CompileOptions
 
 BOGUS = {"format": "repro-json-2", "bogus": 1}
+
+#: (logger, message) of the warning each bad entry raises.
+SERVICE_WARNING = ("repro.service.service", "does not decode")
+TIER_WARNING = ("repro.service.shardcache", "quarantined corrupt cache entry")
 
 
 @pytest.fixture
@@ -60,30 +66,31 @@ def journal_source(tmp_path, keys, make_cache_server):
 
 
 @pytest.mark.parametrize(
-    "seed",
+    "seed, warning",
     [
-        pytest.param(disk_source(BOGUS), id="disk-object"),
-        pytest.param(disk_source([1, 2, 3]), id="disk-list"),
-        pytest.param(remote_source, id="remote"),
-        pytest.param(journal_source, id="journal"),
+        pytest.param(disk_source(BOGUS), SERVICE_WARNING, id="disk-object"),
+        pytest.param(disk_source([1, 2, 3]), TIER_WARNING, id="disk-list"),
+        pytest.param(remote_source, SERVICE_WARNING, id="remote"),
+        pytest.param(journal_source, SERVICE_WARNING, id="journal"),
     ],
 )
 def test_undecodable_stored_payload_is_recompiled_and_overwritten(
-    seed, jobs, tmp_path, make_cache_server, caplog
+    seed, warning, jobs, tmp_path, make_cache_server, caplog
 ):
     keys = [CompilationService().job_key(job) for job in jobs]
     spec, batch_kwargs = seed(tmp_path, keys, make_cache_server)
 
+    logger, message = warning
     cache = open_cache(spec)
     try:
-        with caplog.at_level(logging.WARNING, logger="repro.service.service"):
+        with caplog.at_level(logging.WARNING, logger=logger):
             results = CompilationService(cache=cache).compile_many(
                 jobs, workers=1, **batch_kwargs
             )
     finally:
         cache.close()
     assert [(r.status, r.cached, r.resumed) for r in results] == [("ok", False, False)] * 2
-    warned = [r.getMessage() for r in caplog.records if "does not decode" in r.getMessage()]
+    warned = [r.getMessage() for r in caplog.records if message in r.getMessage()]
     assert len(warned) == 2
 
     # The fresh results replaced the bad entries in the tier they came from.

@@ -9,6 +9,7 @@ import pytest
 from repro.obs import metrics as obs_metrics
 from repro.service import faultlab
 from repro.service.cache import (
+    CacheSpec,
     CacheStore,
     MemoryCacheStore,
     TieredCache,
@@ -23,9 +24,7 @@ from repro.service.shardcache import DiskCacheStore
 class TestParseSpec:
     def test_memory_spellings(self):
         for spec in ("memory", "memory:"):
-            parsed = parse_spec(spec)
-            assert parsed.memory_only
-            assert not parsed.has_disk and not parsed.has_remote
+            assert parse_spec(spec) == CacheSpec()
 
     def test_bare_path_is_rejected_with_a_pointer_to_disk(self):
         for bare in (".cache", "/var/cache/phoenix", "disk:/a,/b"):

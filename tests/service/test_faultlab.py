@@ -95,7 +95,7 @@ class TestScenarios:
     def test_builtin_scenarios_validate(self):
         names = set(faultlab.BUILTIN_SCENARIOS)
         assert {"ci-smoke", "cache-corruption", "disk-pressure", "flaky-workers"} <= names
-        for scenario in faultlab.iter_scenarios():
+        for scenario in faultlab.BUILTIN_SCENARIOS.values():
             assert scenario.injections()  # every builtin arms cleanly
 
     def test_resolve_scenario_by_name_and_seed_override(self):

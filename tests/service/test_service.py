@@ -10,6 +10,7 @@ from repro.pipeline.registry import compiler_names
 from repro.service.cache import open_cache
 from repro.service.executor import Executor
 from repro.service.service import CompilationJob, CompilationService
+from tests.conftest import all_to_all
 
 
 def gate_tuples(circuit):
@@ -41,7 +42,7 @@ class TestRegistry:
             spec = topology_to_spec(topo)
             assert resolve_topology(spec).fingerprint() == topo.fingerprint()
         assert topology_to_spec(None) is None
-        for unshippable in (Topology.all_to_all(4), Topology(3, [(0, 1)], name="weird")):
+        for unshippable in (all_to_all(4), Topology(3, [(0, 1)], name="weird")):
             with pytest.raises(ValueError):
                 topology_to_spec(unshippable)
 
@@ -195,9 +196,14 @@ class TestCompilationService:
         with pytest.raises(ValueError, match="unknown executor"):
             CompilationService(executor=name)
 
-    def test_injected_executor_must_have_run(self):
-        with pytest.raises(TypeError, match="no run"):
-            CompilationService(executor=object())
+    class DuckExecutor:
+        def run(self, payloads, **kwargs):
+            return []
+
+    @pytest.mark.parametrize("executor", [object(), DuckExecutor()], ids=["plain", "duck"])
+    def test_injected_executor_must_be_an_executor(self, executor):
+        with pytest.raises(TypeError, match="is not an Executor"):
+            CompilationService(executor=executor)
 
 
 class RecordingExecutor(Executor):

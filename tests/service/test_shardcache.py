@@ -109,19 +109,18 @@ class TestLayout:
 
 
 class TestStoreSurface:
-    def test_round_trip_delete_contains_len(self, tmp_path):
+    def test_round_trip_keys_delete_clear(self, tmp_path):
         store = DiskCacheStore(tmp_path / "cache")
         keys = [f"{i:02x}{KEY}" for i in range(8)]
         for i, key in enumerate(keys):
             store.put(key, {"value": i})
-        assert len(store) == 8
-        assert sorted(store.keys()) == sorted(keys)
-        assert keys[3] in store and "ff" + KEY not in store
+        assert list(store.keys()) == sorted(keys)
+        assert store.get(keys[3]) == {"value": 3}
         assert store.delete(keys[3]) is True
         assert store.delete(keys[3]) is False
-        assert len(store) == 7
+        assert keys[3] not in store.keys()
         assert store.clear() == 7
-        assert len(store) == 0
+        assert list(store.keys()) == []
 
     def test_canonical_bytes_on_disk(self, tmp_path):
         """Entries are canonical JSON, so equal payloads are equal files."""
@@ -180,7 +179,7 @@ class TestStoreSurface:
         # A fresh tier over the same directory hits disk, promotes to memory.
         fresh = open_cache(f"disk:{tmp_path / 'cache'}")
         assert fresh.get(KEY) == {"value": 9}
-        assert KEY in fresh.memory
+        assert fresh.memory.get(KEY) == {"value": 9}
 
 
 class TestUsage:
@@ -339,14 +338,23 @@ class TestConcurrentWriters:
 class TestQuarantine:
     """A hand-corrupted entry file must degrade to a miss, not an error."""
 
+    @pytest.mark.parametrize(
+        "corrupt", ['{"value": 1,, TRUNCATED', "[1, 2]"], ids=["truncated", "list"]
+    )
     def test_corrupt_entry_is_a_miss_and_moves_to_the_sidecar(
-        self, tmp_path, clean_metrics
+        self, tmp_path, clean_metrics, corrupt
     ):
         store = DiskCacheStore(tmp_path / "cache")
         store.put(KEY, {"value": 1})
-        store._path(KEY).write_text('{"value": 1,, TRUNCATED', encoding="utf-8")
+        store._path(KEY).write_text(corrupt, encoding="utf-8")
+        report = store.doctor(repair=False)
+        assert (report.healthy, report.corrupt, report.quarantined) == (0, 1, 0)
 
-        assert store.get(KEY) is None  # a miss, never an exception
+        tier = TieredCache(disk=store)
+        assert tier.get(KEY) is None  # a miss, never an exception
+        assert (tier.stats.hits, tier.stats.misses) == (0, 1)
+        assert (store.stats.hits, store.stats.misses) == (0, 1)
+        assert store.stats.hit_rate == tier.stats.hit_rate == 0.0
         assert not store._path(KEY).exists()
         assert (store.quarantine_dir / f"{KEY}.json").exists()
         assert store.stats.quarantined == 1
@@ -364,12 +372,11 @@ class TestQuarantine:
         # The stale quarantined copy stays in the sidecar for `cache doctor`.
         assert (store.quarantine_dir / f"{KEY}.json").exists()
 
-    def test_sidecar_is_invisible_to_iteration_len_and_clear(self, tmp_path):
+    def test_sidecar_is_invisible_to_keys_and_clear(self, tmp_path):
         store = DiskCacheStore(tmp_path / "cache")
         store.put(KEY, {"value": 1})
         store._path(KEY).write_text("garbage", encoding="utf-8")
         store.get(KEY)
-        assert len(store) == 0
         assert list(store.keys()) == []
         assert store.clear() == 0
         assert (store.quarantine_dir / f"{KEY}.json").exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import GATE_NAMES_2Q
+from repro.circuits.gates import GATE_NAMES_2Q, Gate
 from repro.simulation.unitary import circuit_unitary
 from repro.synthesis.rebase import rebase_to_cx
 
@@ -22,7 +22,7 @@ class TestRebase:
     def test_controlled_paulis(self):
         circuit = QuantumCircuit(2)
         for kind in ("xx", "yy", "zz", "xy", "yz", "zx"):
-            circuit.controlled_pauli(kind, 0, 1)
+            circuit.append(Gate("c" + kind, (0, 1)))
         rebased = rebase_to_cx(circuit)
         assert {g.name for g in rebased if g.is_two_qubit()} <= _ALLOWED_2Q_AFTER_REBASE
         _assert_equivalent(circuit, rebased)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import Gate
 from repro.simulation.unitary import circuit_unitary
 from repro.transforms.cancellation import cancel_adjacent_inverses, merge_rotations
 
@@ -61,7 +62,7 @@ class TestInverseCancellation:
         optimizer must actually remove them.
         """
         circuit = QuantumCircuit(2)
-        circuit.controlled_pauli(kind, 0, 1).controlled_pauli(kind, 1, 0)
+        circuit.append(Gate("c" + kind, (0, 1))).append(Gate("c" + kind, (1, 0)))
         optimized = cancel_adjacent_inverses(circuit)
         assert len(optimized) == 0
         assert _equivalent(circuit, QuantumCircuit(2))
@@ -77,7 +78,7 @@ class TestInverseCancellation:
     def test_swapped_asymmetric_controlled_pauli_survives(self, kind):
         """cxy(0,1) != cxy(1,0): asymmetric kinds still compare by order."""
         circuit = QuantumCircuit(2)
-        circuit.controlled_pauli(kind, 0, 1).controlled_pauli(kind, 1, 0)
+        circuit.append(Gate("c" + kind, (0, 1))).append(Gate("c" + kind, (1, 0)))
         optimized = cancel_adjacent_inverses(circuit)
         assert len(optimized) == 2
         assert _equivalent(circuit, optimized)
