@@ -12,7 +12,7 @@ tracked.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -26,6 +26,13 @@ _PAULI_LABEL_TO_BITS = {
 }
 
 _BITS_TO_LABEL = {v: k for k, v in _PAULI_LABEL_TO_BITS.items()}
+
+#: Batch label codec.  A Pauli's code is ``x | z << 1``: ``_BYTE_OF_CODE``
+#: maps a code to its label character, and ``_CODE_OF_BYTE`` maps every
+#: byte to its code (either case), or to 4 for a byte that is not a Pauli.
+_BYTE_OF_CODE = np.frombuffer(b"IXZY", dtype=np.uint8)
+_CODE_OF_BYTE = np.full(256, 4, dtype=np.uint8)
+_CODE_OF_BYTE[_BYTE_OF_CODE] = _CODE_OF_BYTE[_BYTE_OF_CODE | 0x20] = np.arange(4)
 
 _PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -268,3 +275,72 @@ class PauliTerm:
 
     def copy(self) -> "PauliTerm":
         return PauliTerm(self.string.copy(), self.coefficient)
+
+
+def labels_to_bits(labels: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``(x, z)`` rows of equal-length labels, as two ``(T, n)`` bool arrays.
+
+    Reads every label in one table lookup, with :meth:`PauliString.from_label`'s
+    alphabet (``IXYZ`` in either case).  Raises ``ValueError`` for a label
+    that is not a string, a character outside that alphabet (non-ASCII
+    included), or labels of different lengths.
+    """
+    try:
+        text = "".join(labels).encode("ascii")
+    except (TypeError, UnicodeEncodeError):
+        raise _bad_label(labels) from None
+    width = len(labels[0]) if labels else 0
+    if set(map(len, labels)) - {width}:
+        raise ValueError(
+            f"Pauli labels must all have the same length; got lengths "
+            f"{sorted(set(map(len, labels)))}"
+        )
+    codes = _CODE_OF_BYTE[np.frombuffer(text, dtype=np.uint8)]
+    if codes.size and codes.max() > 3:
+        raise _bad_label(labels)
+    codes = codes.reshape(len(labels), width)
+    return (codes & 1).astype(bool), (codes & 2).astype(bool)
+
+
+def _bad_label(labels: Sequence[str]) -> ValueError:
+    """The error for the first label :func:`labels_to_bits` cannot read."""
+    for label in labels:
+        if not isinstance(label, str):
+            return ValueError(f"a Pauli label must be a string, got {label!r}")
+        for ch in label:
+            if not ch.isascii() or ch.upper() not in _PAULI_LABEL_TO_BITS:
+                return ValueError(f"invalid Pauli character {ch!r} in {label!r}")
+    return ValueError("invalid Pauli labels")
+
+
+def bits_to_labels(x: np.ndarray, z: np.ndarray) -> List[str]:
+    """The labels of the rows of two ``(T, n)`` bool arrays, in one lookup."""
+    codes = x.astype(np.uint8) | z.astype(np.uint8) << 1
+    num_terms, width = codes.shape
+    if not width:
+        return [""] * num_terms
+    text = _BYTE_OF_CODE[codes].tobytes().decode("ascii")
+    return [text[start:start + width] for start in range(0, len(text), width)]
+
+
+def terms_from_bits(
+    x: np.ndarray, z: np.ndarray, coefficients: Sequence[float]
+) -> List[PauliTerm]:
+    """``+1``-signed terms over the rows of two ``(T, n)`` bool arrays.
+
+    Trusted: each term adopts its rows as they are, without the copies and
+    checks of :class:`PauliString`'s constructor, so ``x`` and ``z`` must be
+    fresh arrays the caller keeps no other use of, and every coefficient a
+    ``float``.  Terms share no memory: each owns one row of each array.
+    """
+    terms = []
+    for x_row, z_row, coefficient in zip(list(x), list(z), coefficients):
+        string = PauliString.__new__(PauliString)
+        string.x = x_row
+        string.z = z_row
+        string.sign = 1
+        term = PauliTerm.__new__(PauliTerm)
+        term.string = string
+        term.coefficient = coefficient
+        terms.append(term)
+    return terms

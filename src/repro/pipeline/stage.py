@@ -5,7 +5,7 @@ A :class:`Stage` is a named unit of compilation work operating on a mutable
 per-stage wall-clock timings into the context, and notifies optional
 instrumentation hooks around every stage.  Pipelines are immutable values:
 the composition helpers (:meth:`Pipeline.replaced`,
-:meth:`Pipeline.inserted_after`, ...) return new pipelines, which is how
+:meth:`Pipeline.inserted_after`) return new pipelines, which is how
 ablations and custom instrumentation stages are injected without touching
 the compiler classes.
 """
@@ -180,10 +180,6 @@ class Pipeline:
         stages = list(self.stages)
         stages.insert(index, stage)
         return Pipeline(stages)
-
-    def without(self, name: str) -> "Pipeline":
-        index = self._index(name)
-        return Pipeline(self.stages[:index] + self.stages[index + 1:])
 
     def __repr__(self) -> str:
         return f"Pipeline({self.stage_names()})"

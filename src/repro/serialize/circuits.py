@@ -18,12 +18,17 @@ entry only when they encode to the same bits: ``rz(0.0)`` and
 matrices on the same qubits.  A compilation result shares one table
 between its circuits (:mod:`repro.serialize.results`).
 
-Decoding builds each table entry once through the validated
-:class:`~repro.circuits.gates.Gate` constructor, checks every circuit's
-ops are in-range int indices, and checks each distinct gate a circuit
-uses against that circuit's width, so no circuit pays per-gate
-validation.  The previous gate-list format (``repro-json-1``, one dict per
-gate) is still read, for persisted cache and journal entries.
+Decoding builds each table entry once.  An entry of exactly the shape
+:func:`gate_to_dict` writes for a gate without a matrix (``int`` qubits
+that do not repeat, ``float`` params) already holds the values the
+:class:`~repro.circuits.gates.Gate` constructor would coerce to, so it
+becomes a gate directly; every other entry (an ``su4`` matrix, an
+``int`` param, a ``bool`` qubit...) goes through the validated
+constructor.  Decoding then checks that every circuit's ops are in-range
+int indices and that the gates a circuit uses fit its width, so no
+circuit pays per-gate validation.  The previous gate-list format
+(``repro-json-1``, one dict per gate) is still read, through the
+constructor, for persisted cache and journal entries.
 """
 
 from __future__ import annotations
@@ -121,19 +126,51 @@ class GateTable:
         return {"num_qubits": circuit.num_qubits, "ops": ops}
 
 
+def _table_gate(entry: Any) -> Gate:
+    """One gate-table entry as a gate.
+
+    An entry of exactly the shape :func:`gate_to_dict` writes for a gate
+    without a matrix -- a ``str`` name, a list of ``int`` qubits that do
+    not repeat and, only when there are params, a list of ``float`` params
+    -- already holds the values the :class:`Gate` constructor would coerce
+    to, so the gate adopts them as they are (setting its fields the way
+    unpickling does).  Every other entry (an ``su4`` matrix, a repeated
+    qubit, an ``int`` param, a ``bool``, a missing field...) goes through
+    :func:`gate_from_dict`, which coerces it or raises.
+    """
+    if type(entry) is dict and len(entry) == 2 + ("params" in entry):
+        name = entry.get("name")
+        qubits = entry.get("qubits")
+        params = entry.get("params", [])
+        if (
+            type(name) is str
+            and type(qubits) is list
+            and type(params) is list
+            and set(map(type, qubits)) <= {int}
+            and set(map(type, params)) <= {float}
+            and len(set(qubits)) == len(qubits)
+        ):
+            gate = object.__new__(Gate)
+            gate.__dict__.update(
+                name=name, qubits=tuple(qubits), params=tuple(params), matrix_override=None
+            )
+            return gate
+    return gate_from_dict(entry)
+
+
 def decode_gate_table(entries: Any) -> List[Gate]:
-    """The validated gates of a payload's ``"gates"`` table."""
+    """The gates of a payload's ``"gates"`` table, each entry checked once."""
     if not isinstance(entries, list):
         raise ValueError("the gate table must be a list of gates")
-    return [gate_from_dict(entry) for entry in entries]
+    return [_table_gate(entry) for entry in entries]
 
 
 def decode_table_circuit(data: Dict[str, Any], table: Sequence[Gate]) -> QuantumCircuit:
     """Rebuild one ``{"num_qubits", "ops"}`` circuit over a decoded table.
 
     Every op must be an int (not a bool) indexing the table, and every
-    distinct gate the circuit uses must fit its width; each distinct gate
-    is checked once.
+    distinct gate the circuit uses must fit its width: the lowest and
+    highest qubit they address are checked.
     """
     num_qubits = int(data["num_qubits"])
     ops = data["ops"]
@@ -144,9 +181,10 @@ def decode_table_circuit(data: Dict[str, Any], table: Sequence[Gate]) -> Quantum
         raise ValueError(
             f"circuit op indices must lie in [0, {len(table)}) for its gate table"
         )
-    for position in used:
-        for qubit in table[position].qubits:
-            check_qubit_index(qubit, num_qubits)
+    qubits = {qubit for position in used for qubit in table[position].qubits}
+    if qubits:
+        check_qubit_index(min(qubits), num_qubits)
+        check_qubit_index(max(qubits), num_qubits)
     return QuantumCircuit.from_checked_gates(num_qubits, list(map(table.__getitem__, ops)))
 
 

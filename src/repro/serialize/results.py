@@ -23,6 +23,13 @@ compile); it then decodes to the same object.  ``routed`` holds the
 :class:`~repro.hardware.routing.sabre.RoutingSummary`, not the SWAP
 circuit.  ``repro-json-1`` payloads (one dict per gate, ``routed`` with
 its circuit) still decode, for entries persisted by earlier builds.
+
+``implemented_terms`` decodes in one batch: every label is read with one
+table lookup into the binary symplectic ``(x, z)`` rows
+(:func:`~repro.paulis.pauli.labels_to_bits`), and each term adopts its
+rows.  A term list with a coefficient count other than its label count,
+labels of different lengths, or a character outside ``IXYZ`` (either
+case) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -30,12 +37,14 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.circuits.circuit import QuantumCircuit
 from repro.core.compiler import CompilationResult
 from repro.hardware.routing.sabre import RoutingSummary
 from repro.hardware.topology import Topology
 from repro.metrics.circuit_metrics import CircuitMetrics
-from repro.paulis.pauli import PauliTerm
+from repro.paulis.pauli import PauliTerm, bits_to_labels, labels_to_bits, terms_from_bits
 from repro.serialize.jsonutil import canonical_json_bytes
 from repro.serialize.circuits import (
     LEGACY_FORMAT,
@@ -77,19 +86,39 @@ def metrics_from_dict(data: Dict[str, Any]) -> CircuitMetrics:
 
 
 def terms_to_dict(terms: Sequence[PauliTerm]) -> Dict[str, Any]:
-    """An ordered Pauli-exponentiation list as labels + coefficients."""
+    """An ordered Pauli-exponentiation list as labels + coefficients.
+
+    The terms must act on one register (``ValueError`` otherwise); their
+    stacked bit rows become labels in one lookup.
+    """
+    strings = [term.string for term in terms]
+    labels: List[str] = []
+    if strings:
+        labels = bits_to_labels(
+            np.stack([string.x for string in strings]),
+            np.stack([string.z for string in strings]),
+        )
     return {
         "num_qubits": terms[0].num_qubits if terms else 0,
-        "labels": [term.to_label() for term in terms],
+        "labels": labels,
         "coefficients": [float(term.coefficient) for term in terms],
     }
 
 
 def terms_from_dict(data: Dict[str, Any]) -> List[PauliTerm]:
-    return [
-        PauliTerm.from_label(label, coeff)
-        for label, coeff in zip(data["labels"], data["coefficients"])
-    ]
+    """Rebuild a :func:`terms_to_dict` term list, every label in one batch.
+
+    Raises ``ValueError`` unless there is one coefficient per label and
+    every label is an ``IXYZ`` string (either case) of the same length.
+    """
+    labels, coefficients = data["labels"], data["coefficients"]
+    if len(labels) != len(coefficients):
+        raise ValueError(
+            f"a term list needs one coefficient per label; got {len(labels)} "
+            f"labels and {len(coefficients)} coefficients"
+        )
+    x, z = labels_to_bits(labels)
+    return terms_from_bits(x, z, list(map(float, coefficients)))
 
 
 def _topology_to_dict(topology: Topology) -> Dict[str, Any]:

@@ -28,6 +28,7 @@ from repro.serialize import (
     terms_from_dict,
     terms_to_dict,
 )
+from repro.serialize.circuits import decode_gate_table, gate_from_dict
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -225,6 +226,45 @@ class TestGateTable:
         ]
         assert payload["ops"] == [0, 1, 0, 1]
         assert payload["num_qubits"] == 2
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "h", "qubits": [0]},
+            {"name": "rz", "qubits": [2], "params": [-0.0]},
+            {"name": "u3", "qubits": [1], "params": [0.1, -0.2, 0.3]},
+            {"name": "rz", "qubits": [0], "params": [1]},
+            {"name": "cx", "qubits": [True, 0]},
+            {"name": "cx", "qubits": [0.0, 1]},
+            {"name": "rz", "qubits": [0], "params": []},
+            {"name": "rz", "qubits": (0,), "params": (0.5,)},
+            circuit_to_dict(QuantumCircuit(2).su4(gate_matrix("rpp", (1.0, 3.0, 0.4)), 0, 1))[
+                "gates"
+            ][0],
+        ],
+    )
+    def test_table_entries_decode_like_the_gate_constructor(self, entry):
+        [gate] = decode_gate_table([entry])
+        reference = gate_from_dict(entry)
+        assert gate_bits([gate]) == gate_bits([reference])
+        assert gate == reference and hash(gate) == hash(reference)
+        assert list(map(type, gate.qubits)) == [int] * len(reference.qubits)
+        assert list(map(type, gate.params)) == [float] * len(reference.params)
+
+    @pytest.mark.parametrize(
+        "entry, error",
+        [
+            ({"name": "cx", "qubits": [1, 1]}, ValueError),
+            ({"name": "h"}, KeyError),
+            ({"qubits": [0]}, KeyError),
+            ({"name": "rz", "qubits": [0], "params": ["x"]}, ValueError),
+        ],
+    )
+    def test_bad_table_entries_raise_like_the_gate_constructor(self, entry, error):
+        with pytest.raises(error):
+            gate_from_dict(entry)
+        with pytest.raises(error):
+            decode_gate_table([entry])
 
     def test_signed_zero_angles_stay_distinct(self):
         circuit = QuantumCircuit(1).rz(0.0, 0).rz(-0.0, 0).rz(0.0, 0)

@@ -1,8 +1,11 @@
 """Tests for the batch compilation service."""
 
+import json
+
 import pytest
 
 from repro.core.compiler import PhoenixCompiler
+from repro.obs import metrics
 from repro.paulis.pauli import PauliTerm
 from repro.hardware.topology import Topology, resolve_topology, topology_to_spec
 from repro.pipeline.options import CompileOptions
@@ -179,6 +182,31 @@ class TestCompilationService:
         first.compile(tiny_program)
         second = CompilationService(cache=open_cache(f"disk:{tmp_path / 'cache'}"))
         assert second.compile(tiny_program).cached
+
+    @pytest.mark.parametrize("damage", ["missing-coefficient", "ragged-labels"])
+    def test_malformed_stored_term_list_is_recompiled(self, damage, tiny_program, tmp_path):
+        spec = f"disk:{tmp_path / 'cache'}"
+        job = CompilationJob("tiny", tiny_program)
+        key = CompilationService().job_key(job)
+        CompilationService(cache=open_cache(spec)).compile_many([job], workers=1)
+        path = tmp_path / "cache" / key[:2] / f"{key}.json"
+        good = path.read_bytes()
+        entry = json.loads(good)
+        terms = entry["implemented_terms"]
+        if damage == "missing-coefficient":
+            terms["coefficients"].pop()
+        else:
+            terms["labels"][-1] += "I"
+        path.write_text(json.dumps(entry), encoding="utf-8")
+
+        misses = metrics.REGISTRY.snapshot()["repro_cache_misses_total"]["layer=service"]
+        [result] = CompilationService(cache=open_cache(spec)).compile_many([job], workers=1)
+        assert result.ok and not result.cached
+        after = metrics.REGISTRY.snapshot()["repro_cache_misses_total"]["layer=service"]
+        assert after == misses + 1
+        rewritten = json.loads(path.read_bytes())
+        assert rewritten["implemented_terms"] == json.loads(good)["implemented_terms"]
+        assert CompilationService(cache=open_cache(spec)).compile(tiny_program).cached
 
     def test_serial_shorthand_compiles_inline(self, tiny_program, qaoa_line_program):
         service = CompilationService(executor="serial")
