@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -237,12 +237,6 @@ class QuantumCircuit:
         from repro.circuits.qasm import circuit_to_qasm
 
         return circuit_to_qasm(self)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        """Serialise to the JSON wire format of :mod:`repro.serialize`."""
-        from repro.serialize.circuits import circuit_to_json
-
-        return circuit_to_json(self, indent=indent)
 
     def __repr__(self) -> str:
         return (

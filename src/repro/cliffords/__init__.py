@@ -1,13 +1,11 @@
-"""Clifford formalism: the 2Q Clifford generator set and tableau tools."""
+"""Clifford formalism: the 2Q Clifford generator set and Pauli conjugation."""
 
 from repro.cliffords.clifford2q import Clifford2Q, CLIFFORD2Q_KINDS
 from repro.cliffords.conjugation import conjugate_pauli_by_gate, conjugate_pauli_by_circuit
-from repro.cliffords.tableau import CliffordTableau
 
 __all__ = [
     "Clifford2Q",
     "CLIFFORD2Q_KINDS",
     "conjugate_pauli_by_gate",
     "conjugate_pauli_by_circuit",
-    "CliffordTableau",
 ]

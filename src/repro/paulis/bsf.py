@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.paulis.pauli import PauliString, PauliTerm
+from repro.paulis.pauli import PauliString, PauliTerm, labels_to_bits
 
 #: The six universal controlled Paulis forming a generator set of the
 #: two-qubit Clifford group (Eq. (5) of the paper).  Each name ``"ab"``
@@ -123,9 +123,11 @@ class BSF:
 
     @classmethod
     def from_labels(cls, labeled: Sequence[Tuple[str, float]]) -> "BSF":
-        return cls.from_terms(
-            [PauliTerm(PauliString.from_label(lbl), c) for lbl, c in labeled]
-        )
+        """Build a tableau from ``[(label, coefficient), ...]`` pairs."""
+        if not labeled:
+            raise ValueError("cannot build a BSF from an empty term list")
+        x, z = labels_to_bits([label for label, _ in labeled])
+        return cls(x, z, [c for _, c in labeled])
 
     def to_terms(self) -> List[PauliTerm]:
         """Convert back to Pauli exponentiations with signed coefficients."""

@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.paulis.pauli import PauliString, PauliTerm
+from repro.paulis.pauli import PauliString, PauliTerm, labels_to_bits
 
 
 class Hamiltonian:
@@ -37,10 +37,10 @@ class Hamiltonian:
         """Build from ``[(label, coefficient), ...]`` pairs."""
         if not labeled:
             raise ValueError("cannot infer qubit count from an empty term list")
-        num_qubits = len(labeled[0][0])
-        ham = cls(num_qubits)
-        for label, coeff in labeled:
-            ham.add_term(coeff, PauliString.from_label(label))
+        x, z = labels_to_bits([label for label, _ in labeled])
+        ham = cls(x.shape[1])
+        for x_row, z_row, (_, coeff) in zip(x, z, labeled):
+            ham.add_term(coeff, PauliString(x_row, z_row))
         return ham
 
     @classmethod

@@ -18,14 +18,12 @@ import numpy as np
 
 from repro.utils.maths import kron_all
 
-_PAULI_LABEL_TO_BITS = {
-    "I": (0, 0),
-    "X": (1, 0),
-    "Y": (1, 1),
-    "Z": (0, 1),
-}
+_BITS_TO_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
-_BITS_TO_LABEL = {v: k for k, v in _PAULI_LABEL_TO_BITS.items()}
+#: Either ASCII case of a Pauli letter -> its ``(x, z)`` bits.
+_PAULI_LABEL_TO_BITS = {
+    ch: bits for bits, label in _BITS_TO_LABEL.items() for ch in (label, label.lower())
+}
 
 #: Batch label codec.  A Pauli's code is ``x | z << 1``: ``_BYTE_OF_CODE``
 #: maps a code to its label character, and ``_CODE_OF_BYTE`` maps every
@@ -72,17 +70,11 @@ class PauliString:
     def from_label(cls, label: str, sign: int = 1) -> "PauliString":
         """Build a Pauli string from a label such as ``"XIZY"``.
 
-        The leftmost character acts on qubit 0.
+        The leftmost character acts on qubit 0.  The label is read by
+        :func:`labels_to_bits`.
         """
-        label = label.upper()
-        bits = []
-        for ch in label:
-            if ch not in _PAULI_LABEL_TO_BITS:
-                raise ValueError(f"invalid Pauli character {ch!r} in {label!r}")
-            bits.append(_PAULI_LABEL_TO_BITS[ch])
-        x = [b[0] for b in bits]
-        z = [b[1] for b in bits]
-        return cls(x, z, sign=sign)
+        x, z = labels_to_bits([label])
+        return cls(x[0], z[0], sign=sign)
 
     @classmethod
     def from_sparse(
@@ -94,7 +86,9 @@ class PauliString:
         for qubit, pauli in paulis.items():
             if qubit < 0 or qubit >= num_qubits:
                 raise ValueError(f"qubit {qubit} out of range for {num_qubits}")
-            xb, zb = _PAULI_LABEL_TO_BITS[pauli.upper()]
+            if pauli not in _PAULI_LABEL_TO_BITS:
+                raise ValueError(f"invalid Pauli character {pauli!r} on qubit {qubit}")
+            xb, zb = _PAULI_LABEL_TO_BITS[pauli]
             x[qubit] = xb
             z[qubit] = zb
         return cls(x, z, sign=sign)
@@ -280,8 +274,11 @@ class PauliTerm:
 def labels_to_bits(labels: Sequence[str]) -> Tuple[np.ndarray, np.ndarray]:
     """The ``(x, z)`` rows of equal-length labels, as two ``(T, n)`` bool arrays.
 
-    Reads every label in one table lookup, with :meth:`PauliString.from_label`'s
-    alphabet (``IXYZ`` in either case).  Raises ``ValueError`` for a label
+    The one Pauli label parser: :meth:`PauliString.from_label`,
+    :meth:`~repro.paulis.hamiltonian.Hamiltonian.from_labels`,
+    :meth:`~repro.paulis.bsf.BSF.from_labels` and the term-list decoder
+    all read labels here, every label in one table lookup.  The alphabet
+    is ``IXYZ`` in either ASCII case.  Raises ``ValueError`` for a label
     that is not a string, a character outside that alphabet (non-ASCII
     included), or labels of different lengths.
     """
@@ -308,7 +305,7 @@ def _bad_label(labels: Sequence[str]) -> ValueError:
         if not isinstance(label, str):
             return ValueError(f"a Pauli label must be a string, got {label!r}")
         for ch in label:
-            if not ch.isascii() or ch.upper() not in _PAULI_LABEL_TO_BITS:
+            if ch not in _PAULI_LABEL_TO_BITS:
                 return ValueError(f"invalid Pauli character {ch!r} in {label!r}")
     return ValueError("invalid Pauli labels")
 

@@ -18,17 +18,16 @@ entry only when they encode to the same bits: ``rz(0.0)`` and
 matrices on the same qubits.  A compilation result shares one table
 between its circuits (:mod:`repro.serialize.results`).
 
-Decoding builds each table entry once.  An entry of exactly the shape
-:func:`gate_to_dict` writes for a gate without a matrix (``int`` qubits
-that do not repeat, ``float`` params) already holds the values the
-:class:`~repro.circuits.gates.Gate` constructor would coerce to, so it
-becomes a gate directly; every other entry (an ``su4`` matrix, an
-``int`` param, a ``bool`` qubit...) goes through the validated
-constructor.  Decoding then checks that every circuit's ops are in-range
-int indices and that the gates a circuit uses fit its width, so no
-circuit pays per-gate validation.  The previous gate-list format
-(``repro-json-1``, one dict per gate) is still read, through the
-constructor, for persisted cache and journal entries.
+Decoding builds each table entry once, through :func:`gate_from_dict`,
+the one gate-entry decoder.  It applies the
+:class:`~repro.circuits.gates.Gate` constructor's rules itself (``int``
+qubits that do not repeat, ``float`` params) and reads an ``su4`` matrix
+in one array conversion, so no entry pays for the constructor.  Decoding
+then checks that every circuit's ops are in-range int indices and that the
+gates a circuit uses fit its width, so no circuit pays per-gate
+validation.  The previous gate-list format (``repro-json-1``, one dict per
+gate) is still read, for persisted cache and journal entries: its list
+decodes as a table whose ops are ``0..n-1``.
 """
 
 from __future__ import annotations
@@ -54,13 +53,6 @@ def _matrix_to_lists(matrix: np.ndarray) -> List[List[List[float]]]:
     return [[[float(entry.real), float(entry.imag)] for entry in row] for row in mat]
 
 
-def _matrix_from_lists(data: List[List[List[float]]]) -> np.ndarray:
-    return np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in data],
-        dtype=complex,
-    )
-
-
 def gate_to_dict(gate: Gate) -> Dict[str, Any]:
     """One gate as a JSON-compatible dict."""
     payload: Dict[str, Any] = {"name": gate.name, "qubits": list(gate.qubits)}
@@ -72,16 +64,37 @@ def gate_to_dict(gate: Gate) -> Dict[str, Any]:
 
 
 def gate_from_dict(data: Dict[str, Any]) -> Gate:
-    """Rebuild a gate from :func:`gate_to_dict` output."""
+    """Rebuild a gate from :func:`gate_to_dict` output: the one entry decoder.
+
+    Applies the :class:`Gate` constructor's rules itself -- ``int()`` on
+    each qubit, ``float()`` on each param, ``ValueError`` for a repeated
+    qubit, ``KeyError`` for a missing ``name`` or ``qubits`` -- and reads a
+    ``matrix`` of ``[real, imag]`` pairs as one float array viewed as
+    ``complex128`` (bit-exact); a matrix that is not ``2**k x 2**k``
+    finite pairs, for a gate on ``k`` qubits, raises ``ValueError``.  The
+    gate then adopts the coerced values (setting its fields the way
+    unpickling does), so the constructor never runs.
+    """
+    name = data["name"]
+    qubits = tuple(map(int, data["qubits"]))
+    params = tuple(map(float, data.get("params", ())))
+    if len(set(qubits)) != len(qubits):
+        raise ValueError(f"gate {name} addresses a repeated qubit: {qubits}")
     matrix: Optional[np.ndarray] = None
     if "matrix" in data:
-        matrix = _matrix_from_lists(data["matrix"])
-    return Gate(
-        data["name"],
-        tuple(data["qubits"]),
-        tuple(data.get("params", ())),
-        matrix,
-    )
+        dim = 2 ** len(qubits)
+        try:
+            pairs = np.array(data["matrix"], dtype=np.float64)
+            if pairs.shape != (dim, dim, 2) or not np.isfinite(pairs).all():
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"gate {name} matrix must be {dim}x{dim} finite [real, imag] pairs"
+            ) from None
+        matrix = pairs.view(np.complex128).reshape(dim, dim)
+    gate = object.__new__(Gate)
+    gate.__dict__.update(name=name, qubits=qubits, params=params, matrix_override=matrix)
+    return gate
 
 
 def _gate_key(gate: Gate) -> Hashable:
@@ -126,43 +139,11 @@ class GateTable:
         return {"num_qubits": circuit.num_qubits, "ops": ops}
 
 
-def _table_gate(entry: Any) -> Gate:
-    """One gate-table entry as a gate.
-
-    An entry of exactly the shape :func:`gate_to_dict` writes for a gate
-    without a matrix -- a ``str`` name, a list of ``int`` qubits that do
-    not repeat and, only when there are params, a list of ``float`` params
-    -- already holds the values the :class:`Gate` constructor would coerce
-    to, so the gate adopts them as they are (setting its fields the way
-    unpickling does).  Every other entry (an ``su4`` matrix, a repeated
-    qubit, an ``int`` param, a ``bool``, a missing field...) goes through
-    :func:`gate_from_dict`, which coerces it or raises.
-    """
-    if type(entry) is dict and len(entry) == 2 + ("params" in entry):
-        name = entry.get("name")
-        qubits = entry.get("qubits")
-        params = entry.get("params", [])
-        if (
-            type(name) is str
-            and type(qubits) is list
-            and type(params) is list
-            and set(map(type, qubits)) <= {int}
-            and set(map(type, params)) <= {float}
-            and len(set(qubits)) == len(qubits)
-        ):
-            gate = object.__new__(Gate)
-            gate.__dict__.update(
-                name=name, qubits=tuple(qubits), params=tuple(params), matrix_override=None
-            )
-            return gate
-    return gate_from_dict(entry)
-
-
 def decode_gate_table(entries: Any) -> List[Gate]:
     """The gates of a payload's ``"gates"`` table, each entry checked once."""
     if not isinstance(entries, list):
         raise ValueError("the gate table must be a list of gates")
-    return [_table_gate(entry) for entry in entries]
+    return list(map(gate_from_dict, entries))
 
 
 def decode_table_circuit(data: Dict[str, Any], table: Sequence[Gate]) -> QuantumCircuit:
@@ -188,14 +169,6 @@ def decode_table_circuit(data: Dict[str, Any], table: Sequence[Gate]) -> Quantum
     return QuantumCircuit.from_checked_gates(num_qubits, list(map(table.__getitem__, ops)))
 
 
-def decode_gate_list(data: Dict[str, Any]) -> QuantumCircuit:
-    """Rebuild a ``repro-json-1`` circuit (one dict per gate)."""
-    circuit = QuantumCircuit(int(data["num_qubits"]))
-    for gate_data in data["gates"]:
-        circuit.append(gate_from_dict(gate_data))
-    return circuit
-
-
 def circuit_to_dict(circuit: QuantumCircuit) -> Dict[str, Any]:
     """A circuit as a JSON-compatible dict: a one-circuit gate table."""
     table = GateTable()
@@ -207,9 +180,11 @@ def circuit_to_dict(circuit: QuantumCircuit) -> Dict[str, Any]:
 
 def circuit_from_dict(data: Dict[str, Any]) -> QuantumCircuit:
     """Rebuild a circuit from :func:`circuit_to_dict` output (or a v1 one)."""
-    if check_format(data) == LEGACY_FORMAT:
-        return decode_gate_list(data)
-    return decode_table_circuit(data, decode_gate_table(data["gates"]))
+    legacy = check_format(data) == LEGACY_FORMAT
+    table = decode_gate_table(data["gates"])
+    if legacy:
+        data = {"num_qubits": data["num_qubits"], "ops": list(range(len(table)))}
+    return decode_table_circuit(data, table)
 
 
 def circuit_to_json(circuit: QuantumCircuit, indent: Optional[int] = None) -> str:

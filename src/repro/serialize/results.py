@@ -24,12 +24,15 @@ compile); it then decodes to the same object.  ``routed`` holds the
 circuit.  ``repro-json-1`` payloads (one dict per gate, ``routed`` with
 its circuit) still decode, for entries persisted by earlier builds.
 
-``implemented_terms`` decodes in one batch: every label is read with one
-table lookup into the binary symplectic ``(x, z)`` rows
-(:func:`~repro.paulis.pauli.labels_to_bits`), and each term adopts its
-rows.  A term list with a coefficient count other than its label count,
-labels of different lengths, or a character outside ``IXYZ`` (either
-case) raises ``ValueError``.
+Each payload element has one decoder.  Gate entries of either format go
+through :func:`~repro.serialize.circuits.gate_from_dict`, once per table
+entry; a ``repro-json-1`` circuit's gate list reads as a table whose ops
+are ``0..n-1``.  ``implemented_terms`` decodes in one batch: every label
+is read with one table lookup into the binary symplectic ``(x, z)`` rows
+(:func:`~repro.paulis.pauli.labels_to_bits`, the one label parser), and
+each term adopts its rows.  A term list with a coefficient count other
+than its label count, labels of different lengths, or a character
+outside ``IXYZ`` (either ASCII case) raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from repro.serialize.circuits import (
     SERIALIZATION_FORMAT,
     GateTable,
     check_format,
-    decode_gate_list,
+    circuit_from_dict,
     decode_gate_table,
     decode_table_circuit,
 )
@@ -251,7 +254,7 @@ def content_bytes(payload: Dict[str, Any], key: str) -> bytes:
 def _circuits_from_dict(data: Dict[str, Any]) -> Tuple[QuantumCircuit, QuantumCircuit]:
     """The final and logical circuits of a result payload of either format."""
     if check_format(data) == LEGACY_FORMAT:
-        return decode_gate_list(data["circuit"]), decode_gate_list(data["logical_circuit"])
+        return circuit_from_dict(data["circuit"]), circuit_from_dict(data["logical_circuit"])
     table = decode_gate_table(data["gates"])
     circuit = decode_table_circuit(data["circuit"], table)
     logical = data["logical_circuit"]

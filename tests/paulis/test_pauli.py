@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.paulis.bsf import BSF
+from repro.paulis.hamiltonian import Hamiltonian
 from repro.paulis.pauli import PauliString, PauliTerm
 
 
@@ -31,6 +33,37 @@ class TestPauliStringConstruction:
     def test_invalid_sign_rejected(self):
         with pytest.raises(ValueError):
             PauliString(np.zeros(2, bool), np.zeros(2, bool), sign=2)
+
+
+#: Every public way in for a Pauli label, called with one label.
+LABEL_PARSERS = {
+    "PauliString.from_label": PauliString.from_label,
+    "PauliTerm.from_label": lambda label: PauliTerm.from_label(label, 0.5).string,
+    "Hamiltonian.from_labels": lambda label: Hamiltonian.from_labels([(label, 0.5)]).terms[0][1],
+    "BSF.from_labels": lambda label: BSF.from_labels([(label, 0.5)]).to_terms()[0].string,
+}
+
+
+class TestOneLabelParser:
+    """Each label entry point reads labels the same way (``IXYZ``, either ASCII case)."""
+
+    @pytest.mark.parametrize("parser", sorted(LABEL_PARSERS))
+    @pytest.mark.parametrize("label", ["X\u0131", "\u0131", "X\u0131Z"])
+    def test_dotless_i_is_rejected(self, parser, label):
+        # "\u0131".upper() == "I": a parser that upper-cases first accepts it.
+        with pytest.raises(ValueError, match="invalid Pauli character"):
+            LABEL_PARSERS[parser](label)
+
+    def test_from_sparse_rejects_the_dotless_i(self):
+        with pytest.raises(ValueError, match="invalid Pauli character"):
+            PauliString.from_sparse(2, {0: "X", 1: "\u0131"})
+
+    @pytest.mark.parametrize("parser", sorted(LABEL_PARSERS))
+    def test_lower_case_labels_parse(self, parser):
+        assert LABEL_PARSERS[parser]("xyzi") == PauliString.from_label("XYZI")
+
+    def test_from_sparse_reads_lower_case(self):
+        assert PauliString.from_sparse(3, {0: "x", 2: "y"}).to_label() == "XIY"
 
 
 class TestPauliStringQueries:

@@ -89,7 +89,7 @@ class TestCircuitRoundTrip:
 
     def test_circuit_json_hooks(self):
         circuit = every_family_circuit()
-        rebuilt = circuit_from_json(circuit.to_json())
+        rebuilt = circuit_from_json(circuit_to_json(circuit))
         assert gate_tuples(rebuilt) == gate_tuples(circuit)
 
     def test_payload_is_pure_json(self):
@@ -244,8 +244,13 @@ class TestGateTable:
         ],
     )
     def test_table_entries_decode_like_the_gate_constructor(self, entry):
+        matrix = None
+        if "matrix" in entry:
+            matrix = np.array([[complex(re, im) for re, im in row] for row in entry["matrix"]])
+        reference = Gate(
+            entry["name"], tuple(entry["qubits"]), tuple(entry.get("params", ())), matrix
+        )
         [gate] = decode_gate_table([entry])
-        reference = gate_from_dict(entry)
         assert gate_bits([gate]) == gate_bits([reference])
         assert gate == reference and hash(gate) == hash(reference)
         assert list(map(type, gate.qubits)) == [int] * len(reference.qubits)
@@ -264,6 +269,29 @@ class TestGateTable:
         with pytest.raises(error):
             gate_from_dict(entry)
         with pytest.raises(error):
+            decode_gate_table([entry])
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[[1.0, 0.0, 0.0]] * 4] * 4,
+            [[[1.0, 0.0]] * 4] * 3 + [[[1.0, 0.0]] * 3 + [[1.0, 0.0, 0.0]]],
+            [[[1.0, 0.0]] * 4] * 3 + [5],
+            [[[1.0, 0.0]] * 4] * 3 + ["row"],
+            [[[1.0, 0.0]] * 4] * 3 + [[{"re": 1.0}] * 4],
+            [[[1.0, 0.0]] * 4] * 3 + [[[1.0, None]] * 4],
+            [[[1.0, 0.0]] * 2] * 2,
+            [[1.0, 0.0]] * 16,
+            None,
+        ],
+        ids=[
+            "pairs-of-3", "one-pair-of-3", "int-row", "str-row", "dict-entries",
+            "null-imag", "2x2", "flat", "null",
+        ],
+    )
+    def test_malformed_matrix_raises(self, matrix):
+        entry = {"name": "su4", "qubits": [0, 1], "matrix": matrix}
+        with pytest.raises(ValueError, match="matrix"):
             decode_gate_table([entry])
 
     def test_signed_zero_angles_stay_distinct(self):

@@ -15,7 +15,7 @@ import logging
 
 import pytest
 
-from repro.serialize.results import result_from_dict
+from repro.serialize.results import result_from_dict, result_to_dict
 from repro.service.cache import open_cache
 from repro.service.journal import BatchJournal
 from repro.service.service import CompilationJob, CompilationService
@@ -105,3 +105,41 @@ def test_undecodable_stored_payload_is_recompiled_and_overwritten(
     finally:
         cache.close()
     assert [(r.status, r.cached) for r in again] == [("ok", True)] * 2
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        pytest.param(lambda matrix: matrix[0][0].append(0.0), id="pair-of-3"),
+        pytest.param(lambda matrix: matrix.__setitem__(1, 5), id="int-row"),
+    ],
+)
+def test_stored_su4_matrix_that_does_not_decode_is_recompiled(
+    damage, tiny_program, tmp_path, caplog
+):
+    job = CompilationJob("su4", tiny_program, CompileOptions(isa="su4"))
+    spec = f"disk:{tmp_path / 'cache'}"
+    key = CompilationService().job_key(job)
+    path = tmp_path / "cache" / key[:2] / f"{key}.json"
+
+    cache = open_cache(spec)
+    try:
+        [fresh] = CompilationService(cache=cache).compile_many([job], workers=1)
+    finally:
+        cache.close()
+    entry = json.loads(path.read_text())
+    su4 = next(gate for gate in entry["gates"] if "matrix" in gate)
+    damage(su4["matrix"])
+    path.write_text(json.dumps(entry), encoding="utf-8")
+
+    logger, message = SERVICE_WARNING
+    cache = open_cache(spec)
+    try:
+        with caplog.at_level(logging.WARNING, logger=logger):
+            [result] = CompilationService(cache=cache).compile_many([job], workers=1)
+    finally:
+        cache.close()
+    assert (result.status, result.cached) == ("ok", False)
+    assert any(message in record.getMessage() for record in caplog.records)
+    # The fresh result replaced the damaged entry.
+    assert json.loads(path.read_text())["gates"] == result_to_dict(fresh.result)["gates"]

@@ -10,6 +10,7 @@ raises a bound says why.
 
 import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.circuits.gates import Gate
 from repro.hardware.routing import sabre
 from repro.paulis.pauli import PauliString
 from repro.pipeline.options import CompileOptions
+from repro.serialize.results import result_from_dict
 from repro.service import service as service_module
 from repro.service.cache import open_cache
 from repro.service.service import CompilationJob, CompilationService
@@ -27,6 +29,13 @@ from repro.workloads.registry import workload_from_spec
 FROM_LABEL_PER_WARM_HIT = 0
 #: ``result_from_dict`` calls per warm hit: the stored payload decodes once.
 RESULT_DECODES_PER_WARM_HIT = 1
+#: ``Gate.__post_init__`` calls per decode, warm hit or ``repro-json-1``
+#: fixture: every table entry, ``su4`` matrices included, is decoded by
+#: ``gate_from_dict`` without the ``Gate`` constructor.
+GATE_CONSTRUCTIONS_PER_DECODE = 0
+
+#: The committed ``repro-json-1`` result payloads.
+V1_FIXTURES = sorted((Path(__file__).parents[1] / "serialize" / "fixtures").glob("v1_*.json"))
 
 #: Warm-hit programs: one whose table holds ``su4`` gates, one without.
 WARM_JOBS = {
@@ -83,7 +92,7 @@ def test_warm_hits_decode_in_batches(name, calls, tmp_path):
     service = CompilationService(cache=cache)
     key = service.job_key(job)
     table = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())["gates"]
-    su4_entries = sum("matrix" in entry for entry in table)
+    assert any("matrix" in entry for entry in table) == (options.isa == "su4")
     try:
         for tier in ("disk", "memory"):
             calls.clear()
@@ -93,9 +102,19 @@ def test_warm_hits_decode_in_batches(name, calls, tmp_path):
             assert len(result.result.implemented_terms) == len(job.terms())
             assert calls["result_from_dict"] <= RESULT_DECODES_PER_WARM_HIT, tier
             assert calls["from_label"] <= FROM_LABEL_PER_WARM_HIT, tier
-            assert calls["Gate.__post_init__"] <= su4_entries, tier
+            assert calls["Gate.__post_init__"] <= GATE_CONSTRUCTIONS_PER_DECODE, tier
     finally:
         cache.close()
+
+
+@pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda path: path.stem)
+def test_v1_fixtures_decode_without_the_gate_constructor(path, calls):
+    payload = json.loads(path.read_text())
+    calls.clear()
+    result = result_from_dict(payload)
+    assert len(result.circuit) == len(payload["circuit"]["gates"])
+    assert calls["from_label"] <= FROM_LABEL_PER_WARM_HIT
+    assert calls["Gate.__post_init__"] <= GATE_CONSTRUCTIONS_PER_DECODE
 
 
 @pytest.mark.parametrize("name", sorted(ROUTED_PROGRAMS))
