@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -127,12 +127,18 @@ def two_qubit_pauli_rotation(pauli0: str, pauli1: str, theta: float) -> np.ndarr
     return _rotation(op, theta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Gate:
     """A single gate instruction: a name, target qubits, and parameters.
 
     ``matrix_override`` is used only by the opaque ``su4`` gate, whose
     unitary cannot be derived from a name and scalar parameters.
+
+    The constructor makes every qubit an ``int`` and every parameter a
+    ``float`` in one pass, then rejects a repeated qubit.  Code that holds
+    values already in that form (the result decoder, the router's
+    relabelled gates) adopts them into ``object.__new__(Gate)``'s
+    ``__dict__``, the way unpickling does, and skips the constructor.
     """
 
     name: str
@@ -140,11 +146,20 @@ class Gate:
     params: Tuple[float, ...] = ()
     matrix_override: Optional[np.ndarray] = field(default=None, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"gate {self.name} addresses a repeated qubit: {self.qubits}")
+    def __init__(
+        self,
+        name: str,
+        qubits: Iterable[int],
+        params: Iterable[float] = (),
+        matrix_override: Optional[np.ndarray] = None,
+    ):
+        qubits = tuple(map(int, qubits))
+        params = tuple(map(float, params))
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"gate {name} addresses a repeated qubit: {qubits}")
+        self.__dict__.update(
+            name=name, qubits=qubits, params=params, matrix_override=matrix_override
+        )
 
     @property
     def num_qubits(self) -> int:

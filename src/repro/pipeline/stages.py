@@ -157,9 +157,7 @@ class RouteStage:
 
     def route(self, context: CompileContext) -> RoutedCircuit:
         """SABRE-route the optimised logical CX circuit."""
-        return route_circuit(
-            context.logical_cx, context.options.topology, decompose_swaps=False
-        )
+        return route_circuit(context.logical_cx, context.options.topology)
 
     def run(self, context: CompileContext) -> None:
         if not context.hardware_aware:
@@ -177,12 +175,19 @@ class RouteStage:
         context.final_metrics = replace(
             circuit_metrics(hardware_circuit), swap_count=routed.swap_count
         )
-        logical_cx_count = max(1, circuit_metrics(context.logical_cx).cx_count)
-        context.routing_overhead = (
-            context.final_metrics.cx_count / logical_cx_count
-            if options.isa == "cnot"
-            else None
-        )
+        context.routing_overhead = None
+        if options.isa == "cnot":
+            # Under the CNOT ISA the consolidate stage has already measured
+            # ``logical_cx`` as the logical circuit; only a pipeline without
+            # that stage measures it here.
+            logical_cx_metrics = (
+                context.logical_metrics
+                if context.logical is context.logical_cx
+                else circuit_metrics(context.logical_cx)
+            )
+            context.routing_overhead = context.final_metrics.cx_count / max(
+                1, logical_cx_metrics.cx_count
+            )
 
 
 def frontend_stages() -> List[Stage]:

@@ -1,5 +1,8 @@
 """Tests for the gate library."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -68,6 +71,19 @@ class TestGateObject:
     def test_self_inverse_dagger(self):
         gate = Gate("cxy", (0, 1))
         assert gate.dagger() is gate
+
+    def test_constructor_coerces_and_keeps_the_dataclass_behaviour(self):
+        gate = Gate("rz", [np.int64(2)], [np.float32(0.5)])
+        assert type(gate.qubits[0]) is int and type(gate.params[0]) is float
+        assert gate == Gate(name="rz", qubits=(2,), params=(0.5,))
+        assert hash(gate) == hash(Gate("rz", (2,), (0.5,)))
+        assert Gate("su4", (0, 1), (), np.eye(4)) == Gate("su4", (0, 1))
+        assert repr(gate) == "Gate(rz(0.5), qubits=(2,))"
+        assert pickle.loads(pickle.dumps(gate)) == gate
+        moved = dataclasses.replace(gate, qubits=[3])
+        assert moved.qubits == (3,) and moved.params == (0.5,)
+        with pytest.raises(ValueError, match="repeated qubit"):
+            dataclasses.replace(Gate("cx", (0, 1)), qubits=(1, 1))
 
 
 class TestU3Extraction:

@@ -7,6 +7,7 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.hardware.routing.sabre import route_circuit, sabre_initial_mapping
 from repro.hardware.topology import Topology
 from repro.simulation.unitary import circuit_unitary
+from repro.synthesis.rebase import rebase_to_cx
 from tests.conftest import all_to_all
 
 
@@ -85,15 +86,15 @@ class TestRouting:
         overlap = abs(np.trace(a.conj().T @ b)) / a.shape[0]
         assert overlap == pytest.approx(1.0, abs=1e-9)
 
-    def test_decompose_swaps_flag(self):
+    def test_swaps_rebase_to_cnots(self):
         circuit = QuantumCircuit(4)
         circuit.cx(0, 3)
         routed = route_circuit(
-            circuit, Topology.line(4), initial_mapping={i: i for i in range(4)},
-            decompose_swaps=True,
+            circuit, Topology.line(4), initial_mapping={i: i for i in range(4)}
         )
-        assert routed.circuit.count("swap") == 0
-        assert routed.circuit.count("cx") >= 4
+        decomposed = rebase_to_cx(routed.circuit)
+        assert decomposed.count("swap") == 0
+        assert decomposed.count("cx") >= 4
 
     def test_one_qubit_gates_follow_mapping(self):
         circuit = QuantumCircuit(3)
@@ -102,3 +103,28 @@ class TestRouting:
         routed = route_circuit(circuit, topo, initial_mapping={0: 0, 1: 1, 2: 2})
         h_gates = [g for g in routed.circuit if g.name == "h"]
         assert len(h_gates) == 1
+
+
+class TestInitialMappingChecks:
+    """``route_circuit`` rejects an ``initial_mapping`` it cannot route from."""
+
+    @staticmethod
+    def _circuit():
+        circuit = QuantumCircuit(3)
+        circuit.cx(0, 2).cx(1, 2)
+        return circuit
+
+    def test_rejects_a_mapping_that_is_not_injective(self):
+        with pytest.raises(ValueError, match="distinct physical qubit"):
+            route_circuit(self._circuit(), Topology.line(4), initial_mapping={0: 0, 1: 0, 2: 2})
+
+    def test_rejects_a_mapping_missing_a_logical_qubit(self):
+        with pytest.raises(ValueError, match="distinct physical qubit"):
+            route_circuit(self._circuit(), Topology.line(4), initial_mapping={0: 0, 1: 1})
+
+    @pytest.mark.parametrize("physical", [4, -1])
+    def test_rejects_a_physical_qubit_off_the_topology(self, physical):
+        with pytest.raises(ValueError, match="distinct physical qubit"):
+            route_circuit(
+                self._circuit(), Topology.line(4), initial_mapping={0: 0, 1: 1, 2: physical}
+            )

@@ -99,7 +99,7 @@ class TestLegacyPathReplica:
         logical = consolidate_su4(native) if isa == "su4" else logical_cx
         final_circuit, final_metrics = logical, circuit_metrics(logical)
         if hardware_aware:
-            routed = route_circuit(logical_cx, topology, decompose_swaps=False)
+            routed = route_circuit(logical_cx, topology)
             hardware = optimize_circuit(
                 rebase_to_cx(routed.circuit), level=optimization_level
             )
