@@ -2,10 +2,10 @@
 
 Submits a four-job compiler sweep (the same UCCSD benchmark through
 ``phoenix``, ``tetris``, ``paulihedral``, and ``naive``) to a resident
-compilation server, follows the WebSocket event stream as each program
-completes, and prints the final metrics table fetched from
-``GET /v1/jobs/<id>``.  Everything goes over plain HTTP + RFC 6455
-WebSocket via :class:`repro.serve.client.ServeClient` — no SDK, no
+compilation server, follows the job's Server-Sent Events stream
+(``GET /v1/jobs/<id>/events``) as each program completes, and prints the
+final metrics table fetched from ``GET /v1/jobs/<id>``.  Everything goes
+over plain HTTP via :class:`repro.serve.client.ServeClient` — no SDK, no
 dependencies; any HTTP client could do the same.
 
 Start a server first (in another terminal, or backgrounded)::

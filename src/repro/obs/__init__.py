@@ -49,7 +49,6 @@ from repro.obs.trace import (
     sink_override,
     span,
     start_span,
-    traced,
 )
 
 # Library etiquette: without this, an unconfigured "repro" tree would fall
@@ -77,5 +76,4 @@ __all__ = [
     "sink_override",
     "span",
     "start_span",
-    "traced",
 ]

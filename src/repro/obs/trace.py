@@ -23,12 +23,11 @@ spans processes.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import threading
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 __all__ = [
     "JsonlSink",
@@ -41,7 +40,6 @@ __all__ = [
     "sink_override",
     "span",
     "start_span",
-    "traced",
 ]
 
 #: A sink is anything with ``emit(event_dict)``; plain callables work too.
@@ -330,22 +328,3 @@ def current_context() -> Context:
         return None
     return stack[-1].context()
 
-
-def traced(name: Optional[str] = None, **attributes: Any) -> Callable:
-    """Decorator form: run the function body inside a span.
-
-    The sink check happens per call, so decorating is free until tracing
-    is actually configured.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with span(span_name, **attributes):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -247,11 +247,6 @@ class BSF:
         """A new BSF containing only the rows where ``mask`` is True."""
         return BSF(self.x[mask], self.z[mask], self.coefficients[mask], self.signs[mask])
 
-    def restricted_to(self, qubits: Sequence[int]) -> "BSF":
-        """A new BSF keeping only the given qubit columns (in order)."""
-        idx = list(qubits)
-        return BSF(self.x[:, idx], self.z[:, idx], self.coefficients, self.signs)
-
     def __repr__(self) -> str:
         return (
             f"BSF(num_terms={self.num_terms}, num_qubits={self.num_qubits}, "

@@ -176,11 +176,6 @@ class PauliString:
             z[dest] = self.z[local]
         return PauliString(x, z, sign=self.sign)
 
-    def restricted_to(self, qubits: Sequence[int]) -> "PauliString":
-        """The string restricted to ``qubits`` (in the given order)."""
-        idx = list(qubits)
-        return PauliString(self.x[idx], self.z[idx], sign=self.sign)
-
     def to_matrix(self) -> np.ndarray:
         """Dense matrix of the (signed) Pauli string; qubit 0 is the
         leftmost tensor factor (most significant)."""

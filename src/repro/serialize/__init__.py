@@ -15,9 +15,7 @@ from repro.serialize.jsonutil import canonical_json, canonical_json_bytes
 from repro.serialize.circuits import (
     SERIALIZATION_FORMAT,
     circuit_from_dict,
-    circuit_from_json,
     circuit_to_dict,
-    circuit_to_json,
     gate_from_dict,
     gate_to_dict,
 )
@@ -25,9 +23,7 @@ from repro.serialize.results import (
     metrics_from_dict,
     metrics_to_dict,
     result_from_dict,
-    result_from_json,
     result_to_dict,
-    result_to_json,
     terms_from_dict,
     terms_to_dict,
     workload_from_dict,
@@ -42,16 +38,12 @@ __all__ = [
     "gate_from_dict",
     "circuit_to_dict",
     "circuit_from_dict",
-    "circuit_to_json",
-    "circuit_from_json",
     "metrics_to_dict",
     "metrics_from_dict",
     "terms_to_dict",
     "terms_from_dict",
     "result_to_dict",
     "result_from_dict",
-    "result_to_json",
-    "result_from_json",
     "workload_to_dict",
     "workload_from_dict",
 ]

@@ -32,7 +32,6 @@ decodes as a table whose ops are ``0..n-1``.
 
 from __future__ import annotations
 
-import json
 import struct
 from typing import Any, Dict, Hashable, List, Optional, Sequence
 
@@ -185,14 +184,6 @@ def circuit_from_dict(data: Dict[str, Any]) -> QuantumCircuit:
     if legacy:
         data = {"num_qubits": data["num_qubits"], "ops": list(range(len(table)))}
     return decode_table_circuit(data, table)
-
-
-def circuit_to_json(circuit: QuantumCircuit, indent: Optional[int] = None) -> str:
-    return json.dumps(circuit_to_dict(circuit), indent=indent)
-
-
-def circuit_from_json(text: str) -> QuantumCircuit:
-    return circuit_from_dict(json.loads(text))
 
 
 def check_format(data: Dict[str, Any]) -> str:

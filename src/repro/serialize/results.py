@@ -37,7 +37,6 @@ outside ``IXYZ`` (either ASCII case) raises ``ValueError``.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -287,12 +286,3 @@ def result_from_dict(data: Dict[str, Any]) -> CompilationResult:
         },
     )
 
-
-def result_to_json(
-    result: CompilationResult, indent: Optional[int] = None, workload=None
-) -> str:
-    return json.dumps(result_to_dict(result, workload=workload), indent=indent)
-
-
-def result_from_json(text: str) -> CompilationResult:
-    return result_from_dict(json.loads(text))

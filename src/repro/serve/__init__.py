@@ -2,9 +2,10 @@
 
 ``phoenix serve`` keeps one :class:`~repro.service.service.CompilationService`
 alive with a persistent warm process pool and exposes it over a
-stdlib-only asyncio HTTP/WebSocket surface: a bounded job queue with
-429 backpressure, per-job :class:`~repro.service.service.ProgressEvent`
-streaming, Prometheus metrics, and a two-signal graceful drain that
+stdlib-only asyncio HTTP surface: a bounded job queue with 429
+backpressure, per-job :class:`~repro.service.service.ProgressEvent`
+streaming as Server-Sent Events, Prometheus metrics, and a two-signal
+graceful drain that
 journals in-flight work.  :class:`~repro.serve.client.ServeClient` is
 the matching blocking client.
 

@@ -1,15 +1,15 @@
 """The resident compilation server behind ``phoenix serve``.
 
 One long-lived :class:`~repro.service.service.CompilationService` with a
-persistent warm process pool, fronted by an asyncio HTTP/WebSocket
-surface:
+persistent warm process pool, fronted by an asyncio HTTP surface:
 
 ========  ========================  =======================================
 method    path                      purpose
 ========  ========================  =======================================
 POST      ``/v1/jobs``              submit a batch (429 + Retry-After full)
 GET       ``/v1/jobs/{id}``         job state, results once terminal
-GET (WS)  ``/v1/jobs/{id}/events``  stream ProgressEvents, history first
+GET       ``/v1/jobs/{id}/events``  Server-Sent Events: ProgressEvents,
+                                    history first, ending after ``done``
 GET       ``/healthz``              liveness + drain state
 GET       ``/metrics``              Prometheus text exposition
 GET       ``/v1/stats``             queue/cache/executor/task snapshot
@@ -35,14 +35,13 @@ signal aborts.
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import json
 import logging
 import threading
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, AsyncGenerator, Dict, List, Optional
 
 from ..obs import metrics as obs_metrics
 from ..service.cache import CacheStore, open_cache
@@ -54,7 +53,6 @@ from ..service.service import (
     job_summary,
     jobs_from_entries,
 )
-from . import ws
 from .http import HTTPApp, Request, Response, Router
 from .queue import Job, JobQueue, QueueFull
 
@@ -236,8 +234,7 @@ class ServeApp(HTTPApp):
         router.add("GET", "/v1/stats", self._route_stats)
         router.add("POST", "/v1/jobs", self._route_submit)
         router.add("GET", "/v1/jobs/{id}", self._route_job)
-        # The events route is WS-only; plain GETs get told to upgrade.
-        router.add("GET", "/v1/jobs/{id}/events", self._route_events_http)
+        router.add("GET", "/v1/jobs/{id}/events", self._route_events)
         return router
 
     def _count_request(self, method: str, route: str, status: int) -> None:
@@ -329,106 +326,23 @@ class ServeApp(HTTPApp):
             return Response.error(404, f"no such job: {request.params['id']}")
         return Response.json(job.summary())
 
-    async def _route_events_http(self, request: Request) -> Response:
-        return Response.error(
-            426, "this endpoint streams over WebSocket; send an Upgrade request",
-            headers={"Upgrade": "websocket"},
-        )
-
-    # -- WebSocket streaming -------------------------------------------
-
-    async def _upgrade(
-        self, request: Request, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Every upgrade request is ours: stream events or answer an error."""
-        handler, route, params, _known = self._router.match("GET", request.path)
-        if handler != self._route_events_http:
-            writer.write(Response.error(404, f"no WS route at {request.path}").encode(False))
-            await writer.drain()
-            return True
-        job = self.queue.get(params["id"])
+    async def _route_events(self, request: Request) -> Response:
+        job = self.queue.get(request.params["id"])
         if job is None:
-            self._count_request("WS", route or request.path, 404)
-            writer.write(
-                Response.error(404, f"no such job: {params['id']}").encode(False)
-            )
-            await writer.drain()
-            return True
-        key = request.headers.get("sec-websocket-key")
-        if not key:
-            writer.write(
-                Response.error(400, "missing Sec-WebSocket-Key").encode(False)
-            )
-            await writer.drain()
-            return True
-        writer.write(
-            Response(
-                status=101,
-                headers={
-                    "Upgrade": "websocket",
-                    "Connection": "Upgrade",
-                    "Sec-WebSocket-Accept": ws.accept_key(key),
-                },
-            ).encode()
-        )
-        await writer.drain()
-        self._count_request("WS", route or request.path, 101)
-        obs_metrics.gauge("repro_serve_ws_connections").inc()
+            return Response.error(404, f"no such job: {request.params['id']}")
+        return Response(content_type="text/event-stream", stream=self._event_stream(job))
+
+    @staticmethod
+    async def _event_stream(job: Job) -> AsyncGenerator[bytes, None]:
+        """One ``data: <json>`` record per event, history first; ends after ``done``."""
         events = job.subscribe()
+        obs_metrics.gauge("repro_serve_event_streams").inc()
         try:
-            await self._stream_events(job, events, reader, writer)
-        except (ConnectionError, ws.WebSocketError, asyncio.IncompleteReadError):
-            pass  # client went away; nothing to salvage
+            while (event := await events.get()) is not None:
+                yield b"data: " + json.dumps(event, sort_keys=True).encode("utf-8") + b"\n\n"
         finally:
             job.unsubscribe(events)
-            obs_metrics.gauge("repro_serve_ws_connections").dec()
-        return True
-
-    async def _stream_events(
-        self,
-        job: Job,
-        events: "asyncio.Queue[Optional[Dict[str, Any]]]",
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        """Write history + live events; answer pings; stop on close."""
-        incoming = asyncio.ensure_future(ws.decode_frame_async(reader.readexactly))
-        outgoing = asyncio.ensure_future(events.get())
-        try:
-            while True:
-                done, _pending = await asyncio.wait(
-                    {incoming, outgoing}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if incoming in done:
-                    opcode, payload = incoming.result()
-                    if opcode == ws.OP_CLOSE:
-                        writer.write(ws.encode_frame(payload, ws.OP_CLOSE))
-                        await writer.drain()
-                        return
-                    if opcode == ws.OP_PING:
-                        writer.write(ws.encode_frame(payload, ws.OP_PONG))
-                        await writer.drain()
-                    incoming = asyncio.ensure_future(
-                        ws.decode_frame_async(reader.readexactly)
-                    )
-                if outgoing in done:
-                    event = outgoing.result()
-                    if event is None:
-                        # Terminal sentinel: say goodbye properly.
-                        writer.write(ws.encode_frame(b"", ws.OP_CLOSE))
-                        await writer.drain()
-                        return
-                    writer.write(
-                        ws.encode_frame(json.dumps(event, sort_keys=True).encode("utf-8"))
-                    )
-                    await writer.drain()
-                    outgoing = asyncio.ensure_future(events.get())
-        finally:
-            for task in (incoming, outgoing):
-                if not task.done():
-                    task.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await task
+            obs_metrics.gauge("repro_serve_event_streams").dec()
 
 
 def run_serve(config: ServeConfig) -> int:

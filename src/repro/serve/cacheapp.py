@@ -30,7 +30,7 @@ runs via ``asyncio.to_thread`` so a slow disk never stalls the accept loop.
 
 Shutdown is the shared core's: the first SIGINT/SIGTERM drains
 (``/healthz`` flips to 503, the listener closes, the store closes), the
-second aborts.  A WebSocket upgrade request gets plain dispatch here.
+second aborts.
 """
 
 from __future__ import annotations

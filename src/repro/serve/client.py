@@ -1,8 +1,7 @@
 """Blocking client for a running ``phoenix serve`` instance.
 
-Stdlib only: REST over ``http.client``, the event stream over a raw
-socket speaking the same RFC 6455 framing as the server
-(:mod:`repro.serve.ws`).  This is the client the test suite, both CI
+Stdlib only: REST and the Server-Sent Events stream both over
+``http.client``.  This is the client the test suite, both CI
 smoke drivers, and ``examples/serve_client.py`` all use — if it can drive
 the server, so can anything that speaks HTTP.  :meth:`~ServeClient.healthz`,
 :meth:`~ServeClient.metrics` and :meth:`~ServeClient.wait_ready` use only
@@ -20,15 +19,10 @@ Typical round trip::
 
 from __future__ import annotations
 
-import base64
 import http.client
 import json
-import os
-import socket
 import time
 from typing import Any, Dict, Iterator, List, Optional, Union
-
-from . import ws
 
 __all__ = ["ServeClient", "ServerError"]
 
@@ -44,8 +38,16 @@ class ServerError(Exception):
         self.retry_after = retry_after
 
 
+def _decode(raw: bytes) -> Any:
+    """A response body as JSON, or as text when it is not JSON."""
+    try:
+        return json.loads(raw.decode("utf-8")) if raw else None
+    except ValueError:
+        return raw.decode("utf-8", "replace")
+
+
 class ServeClient:
-    """Thin blocking wrapper over the server's HTTP+WS surface.
+    """Thin blocking wrapper over the server's HTTP surface.
 
     ``healthz``/``metrics``/``wait_ready`` work against either server
     (``phoenix serve`` or ``phoenix cache serve``); the job methods need
@@ -88,10 +90,7 @@ class ServeClient:
 
     def _json(self, method: str, path: str, payload: Optional[Any] = None) -> Any:
         status, headers, raw = self._request(method, path, payload)
-        try:
-            decoded = json.loads(raw.decode("utf-8")) if raw else None
-        except ValueError:
-            decoded = raw.decode("utf-8", "replace")
+        decoded = _decode(raw)
         if status >= 400:
             retry_after = headers.get("retry-after")
             raise ServerError(
@@ -157,81 +156,27 @@ class ServeClient:
                     ) from None
                 time.sleep(poll)
 
-    # -- WebSocket event stream ---------------------------------------
+    # -- event stream --------------------------------------------------
 
     def events(self, job_id: str, timeout: Optional[float] = None) -> Iterator[Dict[str, Any]]:
         """Yield the job's event stream (history first, then live).
 
-        Ends when the server closes the stream after the terminal
-        ``{"type": "done", ...}`` event.  ``timeout`` bounds each frame
+        Reads the ``text/event-stream`` response one ``data:`` line at a
+        time; ends when the server closes it after the terminal
+        ``{"type": "done", ...}`` event.  ``timeout`` bounds each line
         read (defaults to the client timeout).
         """
-        sock = socket.create_connection(
-            (self.host, self.port), timeout=timeout or self.timeout
+        connection = http.client.HTTPConnection(
+            self.host, self.port, timeout=timeout or self.timeout
         )
         try:
-            key = base64.b64encode(os.urandom(16)).decode("ascii")
-            handshake = (
-                f"GET /v1/jobs/{job_id}/events HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Key: {key}\r\n"
-                "Sec-WebSocket-Version: 13\r\n\r\n"
-            )
-            sock.sendall(handshake.encode("ascii"))
-            status, headers, buffered = self._read_handshake_response(sock)
-            if status != 101:
-                raise ServerError(status, f"WebSocket upgrade refused ({status})")
-            expected = ws.accept_key(key)
-            if headers.get("sec-websocket-accept") != expected:
-                raise ws.WebSocketError("Sec-WebSocket-Accept mismatch")
-            # Bytes read past the handshake terminator are the head of the
-            # first frame; serve them before touching the socket again.
-            leftovers = bytearray(buffered)
-
-            def read_exact(count: int) -> bytes:
-                chunks = bytearray()
-                while leftovers and len(chunks) < count:
-                    take = min(count - len(chunks), len(leftovers))
-                    chunks += leftovers[:take]
-                    del leftovers[:take]
-                while len(chunks) < count:
-                    chunk = sock.recv(count - len(chunks))
-                    if not chunk:
-                        raise ws.WebSocketError("connection closed mid-frame")
-                    chunks += chunk
-                return bytes(chunks)
-
-            while True:
-                opcode, payload = ws.decode_frame(read_exact)
-                if opcode == ws.OP_CLOSE:
-                    sock.sendall(ws.encode_frame(payload, ws.OP_CLOSE, mask=True))
-                    return
-                if opcode == ws.OP_PING:
-                    sock.sendall(ws.encode_frame(payload, ws.OP_PONG, mask=True))
-                    continue
-                if opcode == ws.OP_TEXT:
-                    yield json.loads(payload.decode("utf-8"))
+            connection.request("GET", f"/v1/jobs/{job_id}/events")
+            # The response owns the socket of a ``Connection: close`` reply.
+            with connection.getresponse() as response:
+                if response.status != 200:
+                    raise ServerError(response.status, _decode(response.read()))
+                for line in response:
+                    if line.startswith(b"data:"):
+                        yield json.loads(line[len(b"data:"):])
         finally:
-            sock.close()
-
-    @staticmethod
-    def _read_handshake_response(
-        sock: socket.socket,
-    ) -> "tuple[int, Dict[str, str], bytes]":
-        data = b""
-        while b"\r\n\r\n" not in data:
-            chunk = sock.recv(4096)
-            if not chunk:
-                raise ws.WebSocketError("connection closed during WS handshake")
-            data = data + chunk
-        raw_head, remainder = data.split(b"\r\n\r\n", 1)
-        head = raw_head.decode("latin-1")
-        lines = head.split("\r\n")
-        status = int(lines[0].split()[1])
-        headers: Dict[str, str] = {}
-        for line in lines[1:]:
-            name, _, value = line.partition(":")
-            headers[name.strip().lower()] = value.strip()
-        return status, headers, remainder
+            connection.close()

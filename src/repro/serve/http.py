@@ -6,13 +6,16 @@ scientific stack): request parsing, a segment-pattern router, response
 building, and :class:`HTTPApp`, the server both apps subclass.  It
 deliberately implements only what their surfaces need —
 ``Content-Length`` bodies (no chunked uploads), keep-alive connection
-reuse, and ``Upgrade: websocket`` detection.  A malformed request gets
-400 and a ``Content-Length`` over the body limit 413
-(:class:`PayloadTooLarge`), on both servers alike.
+reuse, and streamed response bodies.  A malformed request gets 400 and a
+``Content-Length`` over the body limit 413 (:class:`PayloadTooLarge`),
+on both servers alike.
 
 Handlers are ``async (Request) -> Response``; :class:`Response` carries
 status + body + headers, with :meth:`Response.json` as the JSON shortcut
-every ops endpoint uses.
+every ops endpoint uses.  A response with a ``stream`` (an async
+generator of byte chunks) goes out with ``Connection: close`` and no
+``Content-Length``: the body is the chunks, and it ends when the stream
+does, or when the client hangs up.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, AsyncGenerator, Awaitable, Callable, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from ..obs import metrics as obs_metrics
@@ -45,13 +48,15 @@ __all__ = [
     "read_request",
 ]
 
+#: Seconds a drain lets open streamed responses finish before cutting them.
+STREAM_GRACE_SECONDS = 2.0
+
 #: Largest request body accepted (a serialized batch of programs is a few
 #: MB at most; anything bigger is a mistake, answered with 413).
 MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Reason phrases for the statuses this server actually emits.
 REASONS = {
-    101: "Switching Protocols",
     200: "OK",
     202: "Accepted",
     204: "No Content",
@@ -60,7 +65,6 @@ REASONS = {
     405: "Method Not Allowed",
     408: "Request Timeout",
     413: "Payload Too Large",
-    426: "Upgrade Required",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -90,25 +94,22 @@ class Request:
         return json.loads(self.body.decode("utf-8"))
 
     @property
-    def wants_websocket(self) -> bool:
-        return (
-            "websocket" in self.headers.get("upgrade", "").lower()
-            and "upgrade" in self.headers.get("connection", "").lower()
-        )
-
-    @property
     def keep_alive(self) -> bool:
         return "close" not in self.headers.get("connection", "").lower()
 
 
 @dataclass
 class Response:
-    """Status + body + headers; rendered to wire bytes by :meth:`encode`."""
+    """Status + body + headers; rendered to wire bytes by :meth:`encode`.
+
+    With a ``stream`` the body is its chunks instead of ``body``.
+    """
 
     status: int = 200
     body: bytes = b""
     content_type: str = "application/json"
     headers: Dict[str, str] = field(default_factory=dict)
+    stream: Optional[AsyncGenerator[bytes, None]] = None
 
     @classmethod
     def json(
@@ -132,11 +133,15 @@ class Response:
         return cls.json({"error": message, "status": status}, status, headers)
 
     def encode(self, keep_alive: bool = True) -> bytes:
+        """Head plus body; a streamed response's head only."""
         reason = REASONS.get(self.status, "Unknown")
         lines = [f"HTTP/1.1 {self.status} {reason}"]
         headers = dict(self.headers)
         headers.setdefault("Content-Type", self.content_type)
-        headers.setdefault("Content-Length", str(len(self.body)))
+        if self.stream is None:
+            headers.setdefault("Content-Length", str(len(self.body)))
+        else:
+            keep_alive = False  # the stream ends where the connection does
         headers.setdefault("Connection", "keep-alive" if keep_alive else "close")
         lines += [f"{name}: {value}" for name, value in headers.items()]
         return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + self.body
@@ -280,6 +285,8 @@ class HTTPApp:
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopped: Optional[asyncio.Event] = None
         self._drain_task: Optional["asyncio.Task[None]"] = None
+        #: Connection tasks writing a streamed response right now.
+        self._streams: Set["asyncio.Task[Any]"] = set()
         self._started_at = time.monotonic()
         self._router = self._build_router()
 
@@ -294,12 +301,6 @@ class HTTPApp:
 
     def _close(self) -> None:
         """Release the app's resources (runs on a worker thread)."""
-
-    async def _upgrade(
-        self, request: Request, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Take over an ``Upgrade`` request's connection; ``False`` dispatches it."""
-        return False
 
     def _count_request(self, method: str, route: str, status: int) -> None:
         raise NotImplementedError
@@ -347,7 +348,7 @@ class HTTPApp:
     async def stop(self) -> None:
         """Immediate teardown (tests); :meth:`drain` is the graceful path."""
         await self.supervisor.shutdown()
-        await self._close_resources()
+        await self._close_resources(stream_grace=0.0)
 
     async def drain(self) -> None:
         """Graceful shutdown: 503 on ``/healthz``, :meth:`_on_drain`, close."""
@@ -357,17 +358,35 @@ class HTTPApp:
         self.drain_token.set()  # idempotent; also reaches any cancel-token user
         await self._on_drain()
         await self.supervisor.shutdown()
-        await self._close_resources()
+        await self._close_resources(stream_grace=STREAM_GRACE_SECONDS)
         logger.info("drain complete")
 
-    async def _close_resources(self) -> None:
+    async def _close_resources(self, stream_grace: float) -> None:
         if self._server is not None:
             self._server.close()
+            await self._end_streams(stream_grace)
             await self._server.wait_closed()
             self._server = None
         await asyncio.to_thread(self._close)
         if self._stopped is not None:
             self._stopped.set()
+
+    async def _end_streams(self, grace: float) -> None:
+        """Give open streams ``grace`` seconds to finish, then cut them.
+
+        A drained app's streams have their last chunks queued already; a
+        stream whose source never ends would otherwise hold shutdown
+        open (from Python 3.12, ``Server.wait_closed`` waits for every
+        connection).
+        """
+        if not self._streams:
+            return
+        if grace > 0:
+            await asyncio.wait(set(self._streams), timeout=grace)
+        pending = set(self._streams)
+        for task in pending:
+            task.cancel()
+        await asyncio.gather(*pending, return_exceptions=True)
 
     async def _watch_drain_token(self) -> None:
         """Poll the cross-thread drain event from inside the loop."""
@@ -401,9 +420,10 @@ class HTTPApp:
                     return
                 if request is None:
                     return
-                if request.wants_websocket and await self._upgrade(request, reader, writer):
-                    return  # the upgrade consumed the connection
                 response = await self._dispatch(request)
+                if response.stream is not None:
+                    await self._write_stream(response, reader, writer)
+                    return
                 writer.write(response.encode(keep_alive=request.keep_alive))
                 await writer.drain()
                 if not request.keep_alive:
@@ -411,9 +431,47 @@ class HTTPApp:
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            # A forked pool worker holds a copy of every socket open at the
+            # fork, so only a shutdown (not a close) tells the client that
+            # a Connection: close response, a stream's above all, has ended.
+            with contextlib.suppress(Exception):
+                writer.write_eof()
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
+
+    async def _write_stream(
+        self, response: Response, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
+        """Write the head, then each chunk, until the stream ends.
+
+        A read of the client side races every chunk: the client sends
+        nothing after its request, so a completed read means it hung up.
+        """
+        assert response.stream is not None
+        stream = response.stream
+        task = asyncio.current_task()
+        assert task is not None
+        self._streams.add(task)
+        hangup = asyncio.ensure_future(reader.read(1))
+        chunk = asyncio.ensure_future(anext(stream, None))
+        try:
+            writer.write(response.encode(keep_alive=False))
+            await writer.drain()
+            while True:
+                await asyncio.wait({hangup, chunk}, return_when=asyncio.FIRST_COMPLETED)
+                data = chunk.result() if chunk.done() else None
+                if data is None:  # the stream ended or the client hung up
+                    return
+                writer.write(data)
+                await writer.drain()
+                chunk = asyncio.ensure_future(anext(stream, None))
+        finally:
+            self._streams.discard(task)
+            for pending in (hangup, chunk):
+                pending.cancel()
+            await asyncio.gather(hangup, chunk, return_exceptions=True)
+            await stream.aclose()
 
     async def _dispatch(self, request: Request) -> Response:
         handler, route, params, path_known = self._router.match(

@@ -3,7 +3,7 @@
 A :class:`Job` is one submitted batch (one or many programs) moving
 through ``queued → running → done|error|cancelled``.  Every
 :class:`~repro.service.service.ProgressEvent` the compile pipeline emits
-is recorded on the job *and* fanned out to any live WebSocket
+is recorded on the job *and* fanned out to any live event-stream
 subscribers, so a late subscriber replays history and then rides the
 live stream with no gap.
 
@@ -33,7 +33,7 @@ TERMINAL_STATES = frozenset({"done", "error", "cancelled"})
 HISTORY = 256
 
 #: Sentinel pushed into a subscriber queue when its job reaches a
-#: terminal state — tells the WS writer to send the final frame and close.
+#: terminal state — tells the event stream to end its response.
 _STREAM_END = None
 
 
@@ -76,7 +76,7 @@ class Job:
             queue.put_nowait(event)
 
     def subscribe(self) -> "asyncio.Queue[Optional[Dict[str, Any]]]":
-        """History-then-live event feed for one WebSocket connection.
+        """History-then-live event feed for one event-stream response.
 
         The returned queue is pre-loaded with every event so far; if the
         job is already terminal the end-of-stream sentinel follows

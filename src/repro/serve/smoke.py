@@ -8,8 +8,9 @@ background), then::
 The script:
 
 1. waits for ``/healthz``;
-2. submits a pinned-suite subset over HTTP and follows the WebSocket
-   event stream until the terminal ``done`` event;
+2. submits a pinned-suite subset over HTTP and follows the job's
+   Server-Sent Events stream until the terminal ``done`` event, then
+   checks that stream is served as ``text/event-stream``;
 3. checks the server's results are **byte-identical** to a clean local
    compile (:func:`repro.bench.reference_bytes`);
 4. submits a second, distinct batch and checks the warm pool was
@@ -75,6 +76,10 @@ def run_smoke(host: str, port: int, limit: int, timeout: float) -> int:
         failures.append(f"terminal event missing: {events[-1:]}")
     else:
         print(f"streamed {len(progress)} progress events, terminal state 'done'")
+    status, headers, _body = client._request("GET", f"/v1/jobs/{job_id}/events")
+    content_type = headers.get("content-type", "")
+    if status != 200 or not content_type.startswith("text/event-stream"):
+        failures.append(f"events answered {status} {content_type!r}, not text/event-stream")
 
     results = client.wait(job_id, timeout=timeout)["results"]
     names = [entry["name"] for entry in entries]

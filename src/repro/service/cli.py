@@ -243,7 +243,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.trace_out:
         trace_sink = obs.JsonlSink(args.trace_out)
         previous_sink = obs.set_sink(trace_sink)
-    journal = BatchJournal(args.journal, fsync=args.fsync) if args.journal else None
+    journal = BatchJournal(args.journal) if args.journal else None
     cancel = threading.Event()
     try:
         with shutdown_guard(cancel):
@@ -656,11 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay jobs already terminal in --journal instead of "
              "recompiling them",
     )
-    batch_parser.add_argument(
-        "--fsync", default="line", choices=["line", "close", "off"],
-        help="journal durability: fsync per record, once at close, or "
-             "never (default: line)",
-    )
     batch_parser.set_defaults(func=_cmd_batch)
 
     profile_parser = subparsers.add_parser(
@@ -824,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_parser = subparsers.add_parser(
         "serve",
-        help="run the resident compilation server (HTTP + WebSocket, warm "
+        help="run the resident compilation server (HTTP + Server-Sent Events, warm "
              "process pool, bounded job queue)",
         parents=[logging_parent],
     )

@@ -14,10 +14,9 @@ never reached a terminal outcome**.  Design points:
   otherwise unparseable trailing line (that job simply counts as
   unfinished) and takes the *last* record per cache key, so re-running a
   batch against an old journal is harmless.
-* **Fsync policy** — ``fsync="line"`` (default) fsyncs after every
-  record: the strongest crash guarantee, one ``fsync`` per compiled job
-  (compilations run seconds; the fsync is noise).  ``"close"`` fsyncs
-  once at close, ``"off"`` never does (the OS page cache decides).
+* **Fsync per record** — every record is fsynced before ``record``
+  returns: the strongest crash guarantee, one ``fsync`` per compiled job
+  (compilations run seconds; the fsync is noise).
 * **Keyed by cache key** — records are matched to jobs by their
   content-addressed compilation key, not by position, so a resumed batch
   may reorder, drop, or extend the job list and still skip exactly the
@@ -46,9 +45,6 @@ __all__ = ["JOURNAL_FORMAT", "BatchJournal", "load_journal"]
 
 JOURNAL_FORMAT = "phoenix-batch-journal-1"
 
-#: Fsync policies accepted by :class:`BatchJournal`.
-FSYNC_POLICIES = ("line", "close", "off")
-
 #: Journal record statuses that mean "this job is done, skip it on resume".
 TERMINAL_STATUSES = frozenset({"ok", "error"})
 
@@ -56,13 +52,8 @@ TERMINAL_STATUSES = frozenset({"ok", "error"})
 class BatchJournal:
     """Append-only journal of per-job outcomes for one (or more) batches."""
 
-    def __init__(self, path: Union[str, Path], fsync: str = "line"):
-        if fsync not in FSYNC_POLICIES:
-            raise ValueError(
-                f"unknown fsync policy {fsync!r}; expected one of {FSYNC_POLICIES}"
-            )
+    def __init__(self, path: Union[str, Path]):
         self.path = Path(path)
-        self.fsync = fsync
         self.records_written = 0
         self.append_errors = 0
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -78,8 +69,7 @@ class BatchJournal:
         line = json.dumps(payload, sort_keys=True, default=str) + "\n"
         self._stream.write(line)
         self._stream.flush()
-        if self.fsync == "line":
-            os.fsync(self._stream.fileno())
+        os.fsync(self._stream.fileno())
 
     def record(self, entry: Dict[str, Any]) -> bool:
         """Append one job outcome; returns False (and degrades) on failure.
@@ -114,8 +104,7 @@ class BatchJournal:
     def close(self) -> None:
         try:
             self._stream.flush()
-            if self.fsync in ("line", "close"):
-                os.fsync(self._stream.fileno())
+            os.fsync(self._stream.fileno())
         except (OSError, ValueError):  # pragma: no cover - closed stream
             pass
         self._stream.close()
@@ -176,11 +165,11 @@ def load_journal(
 
 
 def open_journal(
-    journal: Optional[Union[str, Path, BatchJournal]], fsync: str = "line"
+    journal: Optional[Union[str, Path, BatchJournal]],
 ) -> Tuple[Optional[BatchJournal], bool]:
     """``(journal object, whether the caller owns/closes it)``."""
     if journal is None:
         return None, False
     if isinstance(journal, BatchJournal):
         return journal, False
-    return BatchJournal(journal, fsync=fsync), True
+    return BatchJournal(journal), True

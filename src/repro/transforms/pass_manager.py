@@ -39,8 +39,8 @@ class PassManager:
 
     def run(self, circuit: QuantumCircuit) -> QuantumCircuit:
         current = circuit
+        signature = (len(current), current.count_2q())
         for _ in range(self.max_iterations if self.iterate else 1):
-            signature = (len(current), current.count_2q())
             for pass_ in self.passes:
                 current = pass_.run(current)
             new_signature = (len(current), current.count_2q())
@@ -49,6 +49,7 @@ class PassManager:
             )
             if not self.iterate or not improved:
                 break
+            signature = new_signature
         return current
 
     def __repr__(self) -> str:

@@ -15,7 +15,6 @@ from repro.obs.trace import (
     sink_override,
     span,
     start_span,
-    traced,
 )
 
 
@@ -32,13 +31,6 @@ class TestZeroCostWhenDisabled:
             assert outer.context() is None
         assert start_span("detached").context() is None
         assert current_context() is None
-
-    def test_decorated_function_runs_plain(self):
-        @traced()
-        def double(value):
-            return value * 2
-
-        assert double(21) == 42
 
 
 class TestNestingAndAttributes:
@@ -160,19 +152,6 @@ class TestSpanIds:
         assert all(sid.startswith(f"{os.getpid():x}-") for sid in ids)
         for live in spans:
             live.end()
-
-    def test_traced_decorator_records_qualname(self):
-        sink = RecordingSink()
-        set_sink(sink)
-
-        @traced(flavor="test")
-        def unit():
-            return 1
-
-        unit()
-        (event,) = sink.events
-        assert event["name"].endswith("unit")
-        assert event["attrs"] == {"flavor": "test"}
 
     def test_context_matches_innermost_span(self):
         set_sink(RecordingSink())

@@ -57,14 +57,6 @@ def test_parse_malformed_raises(raw):
         parse(raw)
 
 
-def test_websocket_upgrade_detection():
-    request = parse(
-        b"GET /v1/jobs/abc/events HTTP/1.1\r\nUpgrade: websocket\r\n"
-        b"Connection: keep-alive, Upgrade\r\nSec-WebSocket-Key: aaaa\r\n\r\n"
-    )
-    assert request.wants_websocket
-
-
 def test_response_encode_and_json():
     response = Response.json({"ok": True}, status=202, headers={"Retry-After": "3"})
     wire = response.encode(keep_alive=False)

@@ -1,12 +1,14 @@
 """End-to-end tests against a live in-thread ``phoenix serve``.
 
-These cover the PR's contract: queue backpressure (429), WS streaming
+These cover the server's contract: queue backpressure (429), event-stream
 equivalence with a direct ``compile_many``, byte-identical results,
 graceful drain (journal + pending manifest + resume replay), worker
 restart under supervision, and the client round trip under the
 ``flaky-workers`` fault scenario.
 """
 
+import asyncio
+import http.client
 import json
 import threading
 import time
@@ -15,7 +17,8 @@ import pytest
 
 from repro.serialize.results import content_bytes, result_to_dict
 from repro.serve.app import ServeApp, ServeConfig
-from repro.serve.client import ServerError
+from repro.serve.client import ServeClient, ServerError
+from repro.serve.smoke import scrape_counter
 from repro.serve.queue import Job
 from repro.service import faultlab
 from repro.service.cli import jobs_from_entries
@@ -98,10 +101,9 @@ def test_ops_endpoints_and_error_surface(server):
     assert status == 405
     status, _headers, _body = client._request("GET", "/no/such/route")
     assert status == 404
-    # The events route without an Upgrade header tells you to upgrade.
-    status, headers, _body = client._request("GET", "/v1/jobs/xyz/events")
-    assert status == 426
-    assert headers.get("upgrade") == "websocket"
+    # The events route of an unknown job is a plain 404.
+    status, _headers, _body = client._request("GET", "/v1/jobs/xyz/events")
+    assert status == 404
 
     with pytest.raises(ServerError) as bad:
         client.submit([{"benchmark": "NOPE"}])
@@ -154,7 +156,7 @@ def test_queue_backpressure_answers_429_with_retry_after(make_server):
         assert client.wait(submitted["id"], timeout=60)["state"] == "done"
 
 
-def test_ws_stream_matches_direct_compile_many(server):
+def test_event_stream_matches_direct_compile_many(server):
     client = server.client
 
     direct_events = []
@@ -196,6 +198,173 @@ def test_ws_stream_matches_direct_compile_many(server):
     # A late subscriber to a finished job replays full history then closes.
     replay = list(client.events(submitted["id"]))
     assert replay == streamed
+
+
+def wait_until(condition, timeout=15.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def follow_events(client, job_id):
+    """Read a job's event stream on a thread: ``(thread, events)``.
+
+    The events list ends with the exception that stopped the read, if any.
+    """
+    streamed = []
+
+    def read():
+        try:
+            streamed.extend(client.events(job_id))
+        except Exception as exc:
+            streamed.append(exc)
+
+    reader = threading.Thread(target=read, daemon=True)
+    reader.start()
+    return reader, streamed
+
+
+def test_event_stream_is_one_data_line_per_event(server):
+    client = server.client
+    submitted = client.submit(FAST_ENTRIES, name="wire")
+    streamed = list(client.events(submitted["id"]))
+
+    status, headers, body = client._request("GET", f"/v1/jobs/{submitted['id']}/events")
+    assert status == 200
+    assert headers["content-type"] == "text/event-stream"
+    assert headers["connection"] == "close"
+    assert "content-length" not in headers
+    records = body.decode("utf-8").split("\n\n")
+    assert records.pop() == ""  # the body ends with a record's blank line
+    assert all(record.startswith("data: ") and "\n" not in record for record in records)
+    assert [json.loads(record[len("data: "):]) for record in records] == streamed
+    assert streamed[-1]["type"] == "done"
+
+
+def test_websocket_upgrade_request_gets_the_event_stream(server):
+    # A client asking to upgrade gets the same Server-Sent Events reply:
+    # there is no 101 / 426 path any more.
+    client = server.client
+    submitted = client.submit([FAST_ENTRIES[0]], name="upgrade")
+    streamed = list(client.events(submitted["id"]))
+    connection = http.client.HTTPConnection("127.0.0.1", server.app.bound_port, timeout=30)
+    try:
+        connection.request(
+            "GET",
+            f"/v1/jobs/{submitted['id']}/events",
+            headers={
+                "Upgrade": "websocket",
+                "Connection": "keep-alive, Upgrade",
+                "Sec-WebSocket-Key": "dGhlIHNhbXBsZSBub25jZQ==",
+                "Sec-WebSocket-Version": "13",
+            },
+        )
+        response = connection.getresponse()
+        assert response.status == 200
+        assert response.getheader("content-type") == "text/event-stream"
+        assert response.getheader("upgrade") is None
+        body = response.read().decode("utf-8")
+    finally:
+        connection.close()
+    assert [
+        json.loads(line[len("data: "):]) for line in body.split("\n") if line
+    ] == streamed
+
+
+def test_client_hangup_mid_stream_unsubscribes(make_server):
+    app = ServeApp(ServeConfig(port=0, workers=1, queue_size=8))
+    started, release = gated_compile(app)
+    handle = make_server(app=app)
+    client = handle.client
+    try:
+        submitted = client.submit([FAST_ENTRIES[0]], name="hangup")
+        assert started.wait(15)
+        job = app.queue.get(submitted["id"])
+        connection = http.client.HTTPConnection("127.0.0.1", app.bound_port, timeout=10)
+        connection.request("GET", f"/v1/jobs/{submitted['id']}/events")
+        response = connection.getresponse()
+        assert response.status == 200
+        wait_until(lambda: job.subscribers)
+        response.close()  # a Connection: close reply owns the socket
+        connection.close()
+        wait_until(lambda: not job.subscribers)
+        assert scrape_counter(client.metrics(), "repro_serve_event_streams") == 0
+        assert client.healthz()["http_status"] == 200
+    finally:
+        release.set()
+    assert client.wait(submitted["id"], timeout=60)["state"] == "done"
+
+
+def test_stream_open_across_the_pool_fork_still_ends(make_server, clean_metrics):
+    # The forked pool workers inherit the stream's socket; the stream must
+    # still end for the client once the job is done.  (``clean_metrics``
+    # keeps this pool's fork count out of later warm-pool checks.)
+    app = ServeApp(ServeConfig(port=0, workers=2, queue_size=8))
+    started, release = gated_compile(app)
+    handle = make_server(app=app)
+    client = ServeClient("127.0.0.1", app.bound_port, timeout=20)
+    submitted = client.submit(FAST_ENTRIES, name="fork")
+    assert started.wait(15)
+    job = app.queue.get(submitted["id"])
+    reader, streamed = follow_events(client, submitted["id"])
+    wait_until(lambda: job.subscribers)
+    release.set()
+    reader.join(10)  # well inside the client's 20 s read timeout
+    assert not reader.is_alive(), "the stream did not end after its done event"
+    assert streamed[-1]["type"] == "done" and streamed[-1]["state"] == "done"
+    assert app.service.executor_stats()["pool_workers"] == 2
+
+
+def test_stop_returns_while_a_stream_is_open():
+    # The loop keeps running after stop(), so a stream stop() left open
+    # would stay open (and hold Server.wait_closed from Python 3.12 on).
+    app = ServeApp(ServeConfig(port=0, workers=1, queue_size=8))
+    started, release = gated_compile(app)
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    try:
+        asyncio.run_coroutine_threadsafe(app.start(), loop).result(timeout=15)
+        client = ServeClient("127.0.0.1", app.bound_port, timeout=30)
+        submitted = client.submit([FAST_ENTRIES[0]], name="open-stream")
+        assert started.wait(15)
+        job = app.queue.get(submitted["id"])
+        reader, streamed = follow_events(client, submitted["id"])
+        wait_until(lambda: job.subscribers)
+        asyncio.run_coroutine_threadsafe(app.stop(), loop).result(timeout=15)
+        assert not job.subscribers
+        reader.join(15)
+        assert not reader.is_alive(), "the stream outlived stop()"
+        assert streamed == []  # the job never got to publish
+    finally:
+        release.set()
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(15)
+        loop.run_until_complete(loop.shutdown_default_executor())
+        loop.close()
+
+
+def test_drain_returns_while_a_stream_is_open(make_server):
+    app = ServeApp(ServeConfig(port=0, workers=1, queue_size=8))
+    started, release = gated_compile(app)
+    handle = make_server(app=app)
+    submitted = handle.client.submit([FAST_ENTRIES[0]], name="open-stream")
+    assert started.wait(15)
+    job = app.queue.get(submitted["id"])
+    reader, streamed = follow_events(handle.client, submitted["id"])
+    wait_until(lambda: job.subscribers)
+    app.drain_token.set()
+    release.set()
+    handle.thread.join(30)
+    assert not handle.thread.is_alive(), "drain did not complete"
+    reader.join(15)
+    assert not reader.is_alive()
+    # The drain cancelled the batch before its program ran; the open
+    # stream still received the terminal event before the server closed.
+    assert streamed[-1] == {
+        "type": "done", "state": "cancelled", "ok": 0, "error": 0, "cancelled": 1,
+    }
 
 
 def test_drain_journals_inflight_and_parks_queued_jobs(make_server, tmp_path):

@@ -44,6 +44,23 @@ class TestServeSmoke:
             f"FAIL: served result for {FIRST_JOB} diverges from a local compile\n"
         )
 
+    def test_events_not_served_as_an_event_stream_fail(self, make_server, monkeypatch, capsys):
+        real_request = ServeClient._request
+
+        def json_events(self, method, path, payload=None):
+            status, headers, raw = real_request(self, method, path, payload)
+            if path.endswith("/events"):
+                headers["content-type"] = "application/json"
+            return status, headers, raw
+
+        monkeypatch.setattr(ServeClient, "_request", json_events)
+        assert run_serve_smoke(make_server(ServeConfig(port=0, workers=1))) == 1
+        captured = capsys.readouterr()
+        assert "serve smoke OK" not in captured.out
+        assert captured.err == (
+            "FAIL: events answered 200 'application/json', not text/event-stream\n"
+        )
+
 
 class TestCacheSmoke:
     def test_passes_on_a_healthy_server(self, make_cache_server, capsys):

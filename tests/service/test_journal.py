@@ -3,9 +3,8 @@
 import json
 import threading
 
-import pytest
-
 from repro.service import faultlab
+from repro.service import journal as journal_module
 from repro.service import service as service_module
 from repro.service.cache import MemoryCacheStore
 from repro.service.journal import BatchJournal, load_journal, open_journal
@@ -81,11 +80,24 @@ class TestBatchJournal:
         assert set(entries) == {"k1", "k2"}
         assert stats["header"] is not None  # written once, not twice
 
-    def test_fsync_policy_validated(self, tmp_path):
-        with pytest.raises(ValueError):
-            BatchJournal(tmp_path / "run.wal", fsync="sometimes")
-        for policy in ("line", "close", "off"):
-            BatchJournal(tmp_path / f"{policy}.wal", fsync=policy).close()
+    def test_every_record_is_fsynced_before_record_returns(self, tmp_path, monkeypatch):
+        path = tmp_path / "run.wal"
+        synced = []
+
+        def fsync(fd):
+            # What is on disk at each fsync: the record just appended is there.
+            synced.append(path.read_text(encoding="utf-8").count("\n"))
+
+        monkeypatch.setattr(journal_module.os, "fsync", fsync)
+        journal = BatchJournal(path)
+        assert synced == [1]  # the header
+        assert journal.record({"key": "k1", "status": "ok"})
+        assert journal.record({"key": "k2", "status": "ok"})
+        assert synced == [1, 2, 3]
+        assert not journal.record({"status": "ok"})  # rejected: nothing written
+        assert synced == [1, 2, 3]
+        journal.close()
+        assert synced == [1, 2, 3, 3]
 
     def test_open_journal_passthrough_and_ownership(self, tmp_path):
         assert open_journal(None) == (None, False)

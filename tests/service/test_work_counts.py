@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.hardware.routing import sabre
 from repro.paulis.pauli import PauliString
@@ -23,6 +24,8 @@ from repro.serialize.results import result_from_dict
 from repro.service import service as service_module
 from repro.service.cache import open_cache
 from repro.service.service import CompilationJob, CompilationService
+from repro.transforms.optimize import O2_PIPELINE, O3_PIPELINE
+from repro.transforms.pass_manager import CircuitPass
 from repro.workloads.registry import workload_from_spec
 
 #: ``PauliString.from_label`` calls per warm hit: the term list decodes in
@@ -54,6 +57,15 @@ ROUTED_PROGRAMS = {
                           CompileOptions(topology="heavy-hex"), 49),
     "tket-uccsd-10q-hh": ("uccsd:electrons=2,orbitals=10,encoding=jw,seed=540147495",
                           CompileOptions(compiler="tket", topology="heavy-hex"), 273),
+}
+
+#: O0 programs -> the optimisation pipeline run on them.  ``PassManager.run``
+#: computes the ``(len, count_2q)`` signature once before the first round
+#: and once after each round.  Each program takes two rounds, so rounds + 1
+#: counts differ from the two per round of a signature taken at both ends.
+PASS_MANAGER_PROGRAMS = {
+    "uccsd-6q-jw-O3": ("uccsd:electrons=2,orbitals=6,encoding=jw", O3_PIPELINE),
+    "kpauli-8q-O2": ("kpauli:n=8,num_terms=20,k=3,seed=1", O2_PIPELINE),
 }
 
 
@@ -135,3 +147,34 @@ def test_sabre_work_per_swap(name, calls):
     assert result.routed is not None and 0 < result.routed.swap_count <= swaps
     assert calls["_choose_swap"] <= result.routed.swap_count
     assert calls["Gate.__init__ in route_circuit"] <= result.routed.swap_count
+
+
+@pytest.mark.parametrize("name", sorted(PASS_MANAGER_PROGRAMS))
+def test_pass_manager_counts_2q_once_per_round(name, monkeypatch):
+    spec, pipeline = PASS_MANAGER_PROGRAMS[name]
+    terms = workload_from_spec(spec).to_terms()
+    circuit = CompileOptions(optimization_level=0).build().compile(terms).circuit
+    counts = Counter()
+    in_pass = [0]
+    run_pass, count_2q = CircuitPass.run, QuantumCircuit.count_2q
+
+    def counted_run(self, current):
+        counts[self.name] += 1
+        in_pass[0] += 1
+        try:
+            return run_pass(self, current)
+        finally:
+            in_pass[0] -= 1
+
+    def counted_count_2q(self):
+        # Passes may count 2Q gates themselves; only the manager's count.
+        if not in_pass[0]:
+            counts["count_2q"] += 1
+        return count_2q(self)
+
+    monkeypatch.setattr(CircuitPass, "run", counted_run)
+    monkeypatch.setattr(QuantumCircuit, "count_2q", counted_count_2q)
+    pipeline.run(circuit)
+    rounds = counts[pipeline.passes[0].name]
+    assert rounds >= 2, "one round cannot tell the signature counts apart"
+    assert counts["count_2q"] <= rounds + 1
