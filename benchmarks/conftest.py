@@ -78,36 +78,6 @@ def bench_record_header() -> dict:
     }
 
 
-class ReferenceSimplifyStage:
-    """``simplify`` through the reference copy-and-rescore scan (test oracle)."""
-
-    name = "simplify"
-
-    def run(self, context) -> None:
-        from repro.core.cost import bsf_cost_reference
-        from repro.core.simplify import simplify_group
-
-        context.groups = [
-            simplify_group(group, cost_function=bsf_cost_reference)
-            for group in context.groups
-        ]
-
-
-class ReferenceOrderStage:
-    """``order`` through the reference per-pair window scan (test oracle)."""
-
-    name = "order"
-
-    def run(self, context) -> None:
-        from repro.core.ordering import _order_indices_reference
-
-        order = _order_indices_reference(
-            context.groups, context.num_qubits, context.options.lookahead,
-            context.hardware_aware,
-        )
-        context.groups = [context.groups[i] for i in order]
-
-
 def compile_with_stages(terms, *stages):
     """PHOENIX on ``terms`` with ``stages`` swapped in by stage name."""
     from repro.core.compiler import PhoenixCompiler

@@ -3,10 +3,10 @@
 Runs every pinned bench-suite workload (``repro.bench.PINNED_SUITE``)
 through the PHOENIX frontend once (group + simplify), then times
 ``order_groups`` (batched geometry, broadcast window scoring) against the
-test-oracle reference scan ``_order_indices_reference`` (per-pair
-``assembling_cost``).  The orderings must be bit-identical on every job —
-this is the golden equivalence gate for the fast scorer — and the
-speedups are recorded in
+reference scan ``order_indices_reference`` of
+``tests/oracles/ordering.py`` (per-pair ``assembling_cost``).  The
+orderings must be bit-identical on every job — this is the golden
+equivalence gate for the fast scorer — and the speedups are recorded in
 ``benchmarks/results/perf_ordering_speedup.txt`` (human-readable) and
 ``benchmarks/results/BENCH_ordering.json`` (machine-readable, with when
 and where it was measured) to track the perf trajectory across PRs.
@@ -26,17 +26,17 @@ import time
 from benchmarks.conftest import (
     FULL_SUITE,
     RESULTS_DIR,
-    ReferenceOrderStage,
     bench_record_header,
     compile_with_stages,
     write_report,
 )
 from repro.bench import PINNED_SUITE
 from repro.core.grouping import group_terms
-from repro.core.ordering import _order_indices_reference, order_groups
+from repro.core.ordering import order_groups
 from repro.core.simplify import simplify_groups
 from repro.experiments import format_table
 from repro.workloads.registry import workload_from_spec
+from tests.oracles.ordering import ReferenceOrderStage, order_indices_reference
 
 import pytest
 
@@ -89,7 +89,7 @@ def test_perf_ordering_fast_vs_reference():
         simplified = simplify_groups(group_terms(terms))
 
         start = time.perf_counter()
-        order_ref = _order_indices_reference(simplified, num_qubits, 10, routing_aware)
+        order_ref = order_indices_reference(simplified, num_qubits, 10, routing_aware)
         ordered_ref = [simplified[i] for i in order_ref]
         seconds_ref = time.perf_counter() - start
         start = time.perf_counter()

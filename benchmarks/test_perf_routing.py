@@ -4,10 +4,10 @@ Compiles every hardware job of the pinned bench suite
 (``repro.bench.PINNED_SUITE`` rows with a ``topology``) and perfbench's
 seed-1 hardware programs (``perfbench/programs.py``), capturing each
 circuit the pipeline routes.  On each it runs ``route_circuit`` (integer
-tables, placement included) and the test-oracle reference
-``_route_circuit_reference``: the emitted gates, SWAP count and mappings
-must be bit-identical on every job — the golden equivalence gate for the
-array router.  The times are recorded in
+tables, placement included) and the dict-based reference router
+``route_circuit_reference`` of ``tests/oracles/sabre.py``: the emitted
+gates, SWAP count and mappings must be bit-identical on every job — the
+golden equivalence gate for the array router.  The times are recorded in
 ``benchmarks/results/perf_routing_speedup.txt`` (human-readable) and
 ``benchmarks/results/BENCH_routing.json`` (machine-readable, with when and
 where it was measured).
@@ -33,6 +33,7 @@ from repro.hardware.routing import sabre
 from repro.pipeline import stages
 from repro.pipeline.options import CompileOptions
 from repro.workloads.registry import workload_from_spec
+from tests.oracles.sabre import route_circuit_reference
 
 pytestmark = [pytest.mark.slow, pytest.mark.perf]
 
@@ -97,14 +98,14 @@ def test_perf_routing_array_vs_reference(monkeypatch):
     instances = {}
     for name, circuit, topology in inputs:
         fast = sabre.route_circuit(circuit, topology)
-        reference = sabre._route_circuit_reference(circuit, topology)
+        reference = route_circuit_reference(circuit, topology)
         # Golden gate: both routers must emit the identical routed circuit.
         assert _record(fast) == _record(reference), (
             f"{name}: array router diverged from the reference"
         )
         seconds_ref = seconds_fast = 0.0
         if PERF_SMOKE or FULL_SUITE:
-            seconds_ref = _best_seconds(sabre._route_circuit_reference, circuit, topology)
+            seconds_ref = _best_seconds(route_circuit_reference, circuit, topology)
             seconds_fast = _best_seconds(sabre.route_circuit, circuit, topology)
         rows.append([
             name,

@@ -3,9 +3,9 @@
 Runs the Table I UCCSD suite through the production path — one
 ``simplify_groups`` call over every IR group, the batched Eq. (6) engine
 the ``simplify`` stage runs — and through the reference copy-and-rescore
-scan one group at a time (``simplify_group`` with the test-oracle cost
-``bsf_cost_reference``), checks the outputs are bit-identical, and records
-the speedups in
+scan one group at a time (``simplify_group`` with the pairwise cost
+``bsf_cost_reference`` of ``tests/oracles/cost.py``), checks the outputs
+are bit-identical, and records the speedups in
 ``benchmarks/results/perf_simplify_speedup.txt`` (human-readable) and
 ``benchmarks/results/BENCH_simplify.json`` (machine-readable: suite,
 seconds, speedup, plus when and where it was measured) to track the perf
@@ -28,15 +28,15 @@ import time
 from benchmarks.conftest import (
     FULL_SUITE,
     RESULTS_DIR,
-    ReferenceSimplifyStage,
     bench_record_header,
     compile_with_stages,
     write_report,
 )
-from repro.core.cost import bsf_cost_reference
 from repro.core.grouping import group_terms
 from repro.core.simplify import simplify_group, simplify_groups
 from repro.experiments import format_table
+from tests.oracles.cost import bsf_cost_reference
+from tests.oracles.simplify import ReferenceSimplifyStage
 
 import pytest
 

@@ -20,11 +20,11 @@ so
 
 ``sum_{i<j} || m_i | m_j || = sum_c [ C(rows, 2) - C(rows - k_c, 2) ]``.
 
-Both :func:`bsf_cost` and :func:`cost_terms` evaluate this identity from
-the column popcounts in O(rows * qubits) with no 3-D intermediates.  Every
-intermediate is an integer (the final cost is an exact multiple of 0.5), so
-the closed form is bit-identical to the reference pairwise evaluation,
-which is kept as :func:`bsf_cost_reference` for the equivalence tests.
+:func:`bsf_cost` evaluates this identity from the column popcounts in
+O(rows * qubits) with no 3-D intermediates.  Every intermediate is an
+integer (the final cost is an exact multiple of 0.5), so the closed form is
+bit-identical to the reference pairwise evaluation, which is kept as the
+test oracle in ``tests/oracles/cost.py``.
 """
 
 from __future__ import annotations
@@ -70,43 +70,3 @@ def bsf_cost(bsf: BSF) -> float:
     return float(w_tot) * float(n_nl) ** 2 + float(support_overlap) + 0.5 * float(
         x_overlap + z_overlap
     )
-
-
-def cost_terms(bsf: BSF) -> dict:
-    """The three Eq. (6) terms separately (used by the ablation study)."""
-    if bsf.num_terms == 0:
-        return {"weight_bias": 0.0, "support_overlap": 0.0, "xz_overlap": 0.0}
-    w_tot, n_nl, support_overlap, x_overlap, z_overlap = _cost_parts(bsf)
-    return {
-        "weight_bias": float(w_tot) * float(n_nl) ** 2,
-        "support_overlap": float(support_overlap),
-        "xz_overlap": 0.5 * float(x_overlap + z_overlap),
-    }
-
-
-def bsf_cost_reference(bsf: BSF) -> float:
-    """The original pairwise-broadcast Eq. (6) evaluation.
-
-    O(rows^2 * qubits) with dense 3-D intermediates; kept callable so the
-    property tests can check the closed form (and the incremental candidate
-    scores of the batched Clifford2Q engine) against it bit for bit.
-    """
-    if bsf.num_terms == 0:
-        return 0.0
-    x = bsf.x
-    z = bsf.z
-    support = x | z
-    weights = support.sum(axis=1)
-    nonlocal_count = int(np.count_nonzero(weights > 1))
-    total_weight = int(np.count_nonzero(support.any(axis=0)))
-
-    cost = float(total_weight) * float(nonlocal_count) ** 2
-    rows = bsf.num_terms
-    if rows >= 2:
-        pair_support = (support[:, None, :] | support[None, :, :]).sum(axis=2)
-        pair_x = (x[:, None, :] | x[None, :, :]).sum(axis=2)
-        pair_z = (z[:, None, :] | z[None, :, :]).sum(axis=2)
-        iu = np.triu_indices(rows, k=1)
-        cost += float(pair_support[iu].sum())
-        cost += 0.5 * float(pair_x[iu].sum() + pair_z[iu].sum())
-    return cost

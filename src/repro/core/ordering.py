@@ -13,39 +13,32 @@ appended.  The assembling cost combines
    interaction graph of the preceding block and the head interaction graph
    of the succeeding block (more similar -> smaller routing transition).
 
-Window scorers
---------------
-Two equivalent scorers implement the greedy window scan:
-
-* :func:`order_groups` never materialises the per-group circuits.  A
-  simplified group's 2Q gate sequence is symbolically
-  ``[C_1..C_k] + [weight-2 final rotations] + [C_k..C_1]``, so it
-  batch-precomputes every block's endian geometry
-  (:func:`repro.circuits.dag.two_qubit_geometry`), packs supports and
-  zero-endian masks into ``np.uint64`` words, encodes boundary-Clifford runs
-  as padded integer-code rows, and (for hardware-aware runs) row-normalises
-  the Eq. (7) distance matrices once.  A whole lookahead window is then
-  scored in a handful of broadcast numpy ops — union/interlock via popcount,
-  seam-cancellation credits via a prefix-match ``cumprod``, similarity via
-  one matvec — instead of per-pair Python dict lookups.  All non-routing
-  costs are exact integers in float64, and the final scan replicates the
-  reference's sequential strict-improvement tie-breaking, so orderings are
-  bit-identical.
-* :func:`_order_indices_reference` is the original per-pair
-  :func:`build_block`/:func:`assembling_cost` loop, kept as the oracle for
-  the equivalence tests.
+Window scorer
+-------------
+:func:`order_groups` never materialises the per-group circuits.  A
+simplified group's 2Q gate sequence is symbolically
+``[C_1..C_k] + [weight-2 final rotations] + [C_k..C_1]``, so it
+batch-precomputes every block's endian geometry
+(:func:`repro.circuits.dag.two_qubit_geometry`), packs supports and
+zero-endian masks into ``np.uint64`` words, encodes boundary-Clifford runs
+as padded integer-code rows, and (for hardware-aware runs) row-normalises
+the Eq. (7) distance matrices once.  A whole lookahead window is then
+scored in a handful of broadcast numpy ops — union/interlock via popcount,
+seam-cancellation credits via a prefix-match ``cumprod``, similarity via
+one matvec — instead of per-pair Python dict lookups.  All non-routing
+costs are exact integers in float64, and the final scan replicates the
+reference's sequential strict-improvement tie-breaking, so orderings are
+bit-identical.  The reference is the original per-pair loop over emitted
+group circuits, kept as the test oracle in ``tests/oracles/ordering.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.dag import circuit_layers, endian_vectors, two_qubit_geometry
-from repro.core.emission import group_to_circuit
+from repro.circuits.dag import two_qubit_geometry
 from repro.core.simplify import SimplifiedGroup
 from repro.paulis.packed import pack_bits, pack_index_masks, popcount
 
@@ -53,42 +46,6 @@ _MIN_SIMILARITY = 1e-3
 
 #: Seam-cancellation heuristic: Clifford names that match with swapped qubits.
 _SYMMETRIC_CLIFFORDS = ("cxx", "cyy", "czz")
-
-
-@dataclass
-class GroupBlock:
-    """Cached geometry of one simplified group used by the ordering pass."""
-
-    simplified: SimplifiedGroup
-    circuit: QuantumCircuit
-    support: Tuple[int, ...]
-    e_left: Dict[int, int]
-    e_right: Dict[int, int]
-    depth_2q: int
-    leading_cliffords: List[Tuple[str, Tuple[int, int]]]
-    trailing_cliffords: List[Tuple[str, Tuple[int, int]]]
-    head_distances: np.ndarray
-    tail_distances: np.ndarray
-
-
-def _boundary_cliffords(circuit: QuantumCircuit, from_left: bool) -> List[Tuple[str, Tuple[int, int]]]:
-    """The run of universal-controlled-Pauli gates at one end of a subcircuit.
-
-    Interleaved 1Q rotations are skipped: they do not change which 2Q
-    Cliffords *could* cancel at a seam (the heuristic the ordering uses),
-    even though the actual cancellation is performed later by the
-    optimisation passes only when truly adjacent.
-    """
-    gates = list(circuit) if from_left else list(reversed(circuit.gates))
-    boundary = []
-    for gate in gates:
-        if gate.num_qubits == 1:
-            continue
-        if gate.name.startswith("c") and len(gate.name) == 3:
-            boundary.append((gate.name, gate.qubits))
-            continue
-        break
-    return boundary
 
 
 def _all_pairs_bfs_distances(edges, num_qubits: int) -> np.ndarray:
@@ -125,119 +82,6 @@ def _all_pairs_bfs_distances(edges, num_qubits: int) -> np.ndarray:
     return distances
 
 
-def _interface_distance_matrix(
-    circuit: QuantumCircuit, num_qubits: int, from_tail: bool
-) -> np.ndarray:
-    """Distance matrix of the head/tail qubit-interaction graph (Eq. (7)).
-
-    The tail (head) is grown from the right (left) of the subcircuit,
-    adding 2Q gates until every support qubit is covered.  Unreachable
-    pairs and untouched qubits contribute distance 0 so their rows drop out
-    of the cosine similarity.
-    """
-    two_qubit_gates = [g for g in circuit if g.is_two_qubit()]
-    if from_tail:
-        two_qubit_gates = list(reversed(two_qubit_gates))
-    target_support = set()
-    for gate in two_qubit_gates:
-        target_support.update(gate.qubits)
-    edges = []
-    covered = set()
-    for gate in two_qubit_gates:
-        edges.append((gate.qubits[0], gate.qubits[1]))
-        covered.update(gate.qubits)
-        if covered >= target_support:
-            break
-    return _all_pairs_bfs_distances(edges, num_qubits)
-
-
-def build_block(simplified: SimplifiedGroup, num_qubits: int) -> GroupBlock:
-    """Precompute the ordering geometry of one simplified group."""
-    circuit = group_to_circuit(simplified, num_qubits)
-    support = simplified.group.qubits
-    e_left_list, e_right_list = endian_vectors(circuit, qubits=list(support))
-    depth_2q = len(circuit_layers(circuit, two_qubit_only=True))
-    return GroupBlock(
-        simplified=simplified,
-        circuit=circuit,
-        support=support,
-        e_left=dict(zip(support, e_left_list)),
-        e_right=dict(zip(support, e_right_list)),
-        depth_2q=depth_2q,
-        leading_cliffords=_boundary_cliffords(circuit, from_left=True),
-        trailing_cliffords=_boundary_cliffords(circuit, from_left=False),
-        head_distances=_interface_distance_matrix(circuit, num_qubits, from_tail=False),
-        tail_distances=_interface_distance_matrix(circuit, num_qubits, from_tail=True),
-    )
-
-
-def _seam_cancellations(prev: GroupBlock, nxt: GroupBlock) -> int:
-    """Number of Clifford2Q pairs that match across the seam."""
-    count = 0
-    for (name_a, qubits_a), (name_b, qubits_b) in zip(
-        prev.trailing_cliffords, nxt.leading_cliffords
-    ):
-        same_gate = name_a == name_b and qubits_a == qubits_b
-        symmetric = name_a in ("cxx", "cyy", "czz")
-        swapped = symmetric and name_a == name_b and qubits_a == tuple(reversed(qubits_b))
-        if same_gate or swapped:
-            count += 1
-        else:
-            break
-    return count
-
-
-def _similarity(prev: GroupBlock, nxt: GroupBlock) -> float:
-    """Eq. (7): summed cosine similarity of distance-matrix rows."""
-    total = 0.0
-    tail = prev.tail_distances
-    head = nxt.head_distances
-    for i in range(tail.shape[0]):
-        norm_a = np.linalg.norm(tail[i])
-        norm_b = np.linalg.norm(head[i])
-        if norm_a < 1e-12 or norm_b < 1e-12:
-            continue
-        total += float(np.dot(tail[i], head[i]) / (norm_a * norm_b))
-    return total
-
-
-def assembling_cost(
-    prev: GroupBlock,
-    nxt: GroupBlock,
-    routing_aware: bool = False,
-) -> float:
-    """The uniform assembling cost of placing ``nxt`` right after ``prev``."""
-    union = sorted(set(prev.support) | set(nxt.support))
-    e_r = np.array([prev.e_right.get(q, prev.depth_2q) for q in union], dtype=float)
-    e_l = np.array([nxt.e_left.get(q, nxt.depth_2q) for q in union], dtype=float)
-
-    zero_left = e_l == 0
-    zero_right = e_r == 0
-    interlocked = bool(np.all(e_r[zero_left] > 0)) and bool(np.all(e_l[zero_right] > 0))
-    if interlocked:
-        cost = float(np.sum(e_r + e_l))
-    else:
-        cost = float(np.sum(e_r + e_l - 1))
-
-    cancellations = _seam_cancellations(prev, nxt)
-    if cancellations:
-        cost -= 2.0 * cancellations
-        # A cancelled pair that is alone in its boundary layer also removes a
-        # layer of depth on that side.
-        if prev.trailing_cliffords and len(prev.trailing_cliffords) >= cancellations:
-            cost -= 1.0
-        if nxt.leading_cliffords and len(nxt.leading_cliffords) >= cancellations:
-            cost -= 1.0
-
-    if routing_aware:
-        similarity = max(_similarity(prev, nxt), _MIN_SIMILARITY)
-        cost = cost / similarity
-    return cost
-
-
-# ----------------------------------------------------------------------
-# Fast scorer: batch block geometry + broadcast window scoring
-# ----------------------------------------------------------------------
 def _symbolic_two_qubit_pairs(
     simplified: SimplifiedGroup,
 ) -> Tuple[List[Tuple[int, int]], List[Tuple[str, Tuple[int, int]]], bool]:
@@ -248,8 +92,8 @@ def _symbolic_two_qubit_pairs(
     terms are weight <= 1.  The 2Q gates are therefore exactly the chosen
     Cliffords, the weight-2 final rotations, and the Cliffords again in
     reverse.  Returns ``(pairs, clifford_gates, has_weight2_final)`` where
-    ``clifford_gates`` uses the same ``(name, qubits)`` form as
-    :func:`_boundary_cliffords`.
+    ``clifford_gates`` uses the ``(name, qubits)`` form of the reference's
+    boundary scan.
     """
     clifford_gates = [
         ("c" + c.kind, (c.control, c.target)) for c in simplified.cliffords
@@ -305,9 +149,9 @@ def _normalized_rows(matrix: np.ndarray) -> np.ndarray:
 class _FastBlocks:
     """Dense batch geometry of all blocks, built once per ordering run.
 
-    Everything :func:`assembling_cost` reads per pair is precomputed here as
-    a per-block row so that a whole lookahead window is scored with
-    broadcast numpy ops in :meth:`window_costs`.
+    Everything the reference's assembling cost reads per pair is
+    precomputed here as a per-block row so that a whole lookahead window is
+    scored with broadcast numpy ops in :meth:`window_costs`.
     """
 
     def __init__(
@@ -444,31 +288,6 @@ def _order_indices_fast(
         best_cost = None
         for position in range(len(window)):
             cost = float(costs[position])
-            if best_cost is None or cost < best_cost - 1e-12:
-                best_cost = cost
-                best_position = position
-        ordered.append(remaining.pop(best_position))
-    return ordered
-
-
-def _order_indices_reference(
-    simplified_groups: Sequence[SimplifiedGroup],
-    num_qubits: int,
-    lookahead: int,
-    routing_aware: bool,
-) -> List[int]:
-    blocks = [build_block(group, num_qubits) for group in simplified_groups]
-    remaining = sorted(
-        range(len(blocks)), key=lambda i: (-blocks[i].simplified.group.weight, i)
-    )
-    ordered: List[int] = [remaining.pop(0)]
-    while remaining:
-        last_block = blocks[ordered[-1]]
-        window = remaining[: max(1, lookahead)]
-        best_position = 0
-        best_cost = None
-        for position, candidate in enumerate(window):
-            cost = assembling_cost(last_block, blocks[candidate], routing_aware)
             if best_cost is None or cost < best_cost - 1e-12:
                 best_cost = cost
                 best_position = position

@@ -31,9 +31,8 @@ function:
   call per compile.
 * the reference scan, :func:`_best_clifford_reference`, is the original
   per-group copy-and-rescore loop; it serves every other cost function
-  (e.g. the ablation study) and, with
-  :func:`~repro.core.cost.bsf_cost_reference`, is the test oracle for the
-  batched engine.
+  (e.g. the ablation study).  Under the pairwise Eq. (6) cost kept in
+  ``tests/oracles/cost.py`` it is the test oracle for the batched engine.
 
 Output structure
 ----------------
@@ -501,25 +500,6 @@ def _first_argmins(
     return np.divmod(first, orientations)
 
 
-def fast_candidate_costs(bsf: BSF) -> List[Tuple[Clifford2Q, float]]:
-    """Every candidate Clifford with its Eq. (6) cost from the batched scorer.
-
-    The costs are exact (the scorer works in doubled-integer units), in the
-    same candidate order as the reference scan; used by the equivalence
-    property tests.
-    """
-    tableaux = _Tableaux([bsf])
-    _, a_idx, b_idx, cost2 = _candidate_scores2(
-        tableaux.x, tableaux.z, tableaux.row_counts()
-    )
-    cols = tableaux.cols[0]
-    return [
-        (_oriented_clifford(o, int(cols[a]), int(cols[b])), cost2[p, o] / 2.0)
-        for p, (a, b) in enumerate(zip(a_idx, b_idx))
-        for o in range(len(_ORIENTATIONS))
-    ]
-
-
 def simplify_groups(
     groups: Sequence[IRGroup], max_epochs: Optional[int] = None
 ) -> List[SimplifiedGroup]:
@@ -531,7 +511,8 @@ def simplify_groups(
     call, picks each group's winner with a segmented arg-min and applies
     the winners word-wide.  A group past its greedy budget takes
     :func:`_fallback_clifford` instead.  The result for each group is
-    bit-identical to :func:`simplify_group` with the reference scan.
+    bit-identical to the reference scan's (:func:`simplify_group` under
+    the pairwise Eq. (6) oracle in ``tests/oracles/cost.py``).
     """
     if any(not group.terms for group in groups):
         raise ValueError("cannot simplify an empty IR group")

@@ -15,7 +15,8 @@ status + body + headers, with :meth:`Response.json` as the JSON shortcut
 every ops endpoint uses.  A response with a ``stream`` (an async
 generator of byte chunks) goes out with ``Connection: close`` and no
 ``Content-Length``: the body is the chunks, and it ends when the stream
-does, or when the client hangs up.
+does, or when the client hangs up.  A stream whose source raises ends
+there too; the failure is logged with its route and counted as a 500.
 """
 
 from __future__ import annotations
@@ -499,7 +500,26 @@ class HTTPApp:
             time.perf_counter() - started
         )
         self._count_request(request.method, route, response.status)
+        if response.stream is not None:
+            response.stream = self._guarded_stream(response.stream, request.method, route)
         return response
+
+    async def _guarded_stream(
+        self, stream: AsyncGenerator[bytes, None], method: str, route: str
+    ) -> AsyncGenerator[bytes, None]:
+        """``stream``'s chunks; a source that raises is logged and counted.
+
+        Its 200 head is already out, so the failure is one more request of
+        the route with status 500, and the response ends where it stopped.
+        """
+        try:
+            async for chunk in stream:
+                yield chunk
+        except Exception:
+            logger.exception("stream for %s %s failed", method, route)
+            self._count_request(method, route, 500)
+        finally:
+            await stream.aclose()
 
     # -- shared routes -------------------------------------------------
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.cost import bsf_cost, bsf_cost_reference, cost_terms, pairs_of
+from repro.core.cost import bsf_cost, pairs_of
 from repro.paulis.bsf import BSF
+from tests.oracles.cost import bsf_cost_reference, cost_terms
 
 
 class TestBsfCost:

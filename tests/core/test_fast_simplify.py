@@ -13,12 +13,11 @@ import pytest
 
 import repro.paulis.packed as packed_module
 import repro.pipeline.stages as stages_module
-from repro.core.cost import bsf_cost, bsf_cost_reference
+from repro.core.cost import bsf_cost
 from repro.core.grouping import IRGroup, group_terms
 from repro.core.simplify import (
     _candidate_cliffords,
     _candidate_pairs,
-    fast_candidate_costs,
     simplify_group,
     simplify_groups,
 )
@@ -29,6 +28,8 @@ from repro.pipeline.stage import CompileContext
 from repro.pipeline.stages import GroupStage, SimplifyStage
 from repro.workloads.registry import workload_from_spec
 from tests.conftest import random_term
+from tests.oracles.cost import bsf_cost_reference
+from tests.oracles.simplify import fast_candidate_costs
 
 
 def _random_bsf(rng, rows, qubits, density=0.35):

@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from repro.core.grouping import group_terms
-from repro.core.ordering import (
-    _all_pairs_bfs_distances,
-    _order_indices_reference,
-    assembling_cost,
-    build_block,
-    order_groups,
-)
+from repro.core.ordering import _all_pairs_bfs_distances, order_groups
 from repro.core.simplify import simplify_group
 from repro.paulis.pauli import PauliTerm
+from tests.oracles.ordering import assembling_cost, build_block, order_indices_reference
 
 
 class TestAllPairsBfs:
@@ -117,7 +112,7 @@ def _workload_simplified(spec):
 
 def order_reference(simplified, num_qubits, lookahead=10, routing_aware=False):
     """The ordering through the reference per-pair scan (the test oracle)."""
-    order = _order_indices_reference(simplified, num_qubits, lookahead, routing_aware)
+    order = order_indices_reference(simplified, num_qubits, lookahead, routing_aware)
     return [simplified[i] for i in order]
 
 
@@ -132,14 +127,11 @@ class TestFastEngine:
 
         For every group of a real workload, the symbolic pair sequence must
         list exactly the emitted circuit's 2Q gates, and the symbolic
-        boundary must equal :func:`_boundary_cliffords` on both ends.
+        boundary must equal :func:`boundary_cliffords` on both ends.
         """
         from repro.core.emission import group_to_circuit
-        from repro.core.ordering import (
-            _boundary_cliffords,
-            _symbolic_boundary,
-            _symbolic_two_qubit_pairs,
-        )
+        from repro.core.ordering import _symbolic_boundary, _symbolic_two_qubit_pairs
+        from tests.oracles.ordering import boundary_cliffords
 
         simplified, num_qubits = _workload_simplified("xxz:n=12,lattice=chain")
         assert simplified
@@ -149,8 +141,8 @@ class TestFastEngine:
             emitted_pairs = [g.qubits for g in circuit if g.is_two_qubit()]
             assert [tuple(p) for p in pairs] == emitted_pairs
             boundary = _symbolic_boundary(clifford_gates, has_final2)
-            assert boundary == _boundary_cliffords(circuit, from_left=True)
-            assert boundary == _boundary_cliffords(circuit, from_left=False)
+            assert boundary == boundary_cliffords(circuit, from_left=True)
+            assert boundary == boundary_cliffords(circuit, from_left=False)
 
     @pytest.mark.parametrize("routing_aware", [False, True])
     @pytest.mark.parametrize(
@@ -186,7 +178,7 @@ class TestSeamCreditsAreRealized:
         swapped-qubit symmetric-gate fix restores.
         """
         from repro.circuits.circuit import QuantumCircuit
-        from repro.core.ordering import _seam_cancellations
+        from tests.oracles.ordering import seam_cancellations
         from repro.circuits.gates import Gate
         from repro.transforms.optimize import optimize_circuit
 
@@ -197,7 +189,7 @@ class TestSeamCreditsAreRealized:
         blocks = [build_block(g, num_qubits) for g in ordered]
         credited_pairs = 0
         for prev, nxt in zip(blocks, blocks[1:]):
-            cancellations = _seam_cancellations(prev, nxt)
+            cancellations = seam_cancellations(prev, nxt)
             if not cancellations:
                 continue
             credited_pairs += 1

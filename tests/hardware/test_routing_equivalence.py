@@ -1,7 +1,7 @@
 """The array SABRE router and placement against their reference oracles.
 
 ``route_circuit`` and ``sabre_initial_mapping`` must reproduce
-``_route_circuit_reference`` and ``_sabre_initial_mapping_reference``
+``route_circuit_reference`` and ``sabre_initial_mapping_reference``
 exactly: the emitted gate list (names, qubits, params and the very same
 ``su4`` matrix objects), the SWAP sequence and count, and the initial and
 final mappings including their key order.  The inputs are drawn circuits on
@@ -22,6 +22,7 @@ from repro.hardware.topology import Topology
 from repro.pipeline import stages
 from repro.pipeline.options import CompileOptions
 from repro.workloads.registry import workload_from_spec
+from tests.oracles.sabre import route_circuit_reference, sabre_initial_mapping_reference
 
 TOPOLOGIES = {
     "line-7": Topology.line(7),
@@ -51,10 +52,10 @@ def _routing_record(routed):
 
 def _assert_routers_agree(circuit, topology, initial_mapping=None, label=None):
     fast = sabre.route_circuit(circuit, topology, initial_mapping)
-    reference = sabre._route_circuit_reference(circuit, topology, initial_mapping)
+    reference = route_circuit_reference(circuit, topology, initial_mapping)
     assert _routing_record(fast) == _routing_record(reference), label
     assert list(sabre.sabre_initial_mapping(circuit, topology).items()) == list(
-        sabre._sabre_initial_mapping_reference(circuit, topology).items()
+        sabre_initial_mapping_reference(circuit, topology).items()
     ), label
     return fast
 
@@ -141,6 +142,6 @@ def test_a_gate_across_components_fails_in_both_routers():
     circuit = QuantumCircuit(2)
     circuit.h(0).cx(0, 1)
     split = Topology(4, [(0, 1), (2, 3)])
-    for route in (sabre.route_circuit, sabre._route_circuit_reference):
+    for route in (sabre.route_circuit, route_circuit_reference):
         with pytest.raises(RuntimeError):
             route(circuit, split, {0: 0, 1: 2})

@@ -11,7 +11,7 @@ the same gates (bit for bit, signed zeros included) and metrics.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -30,19 +30,16 @@ def _sweep(gates: List[Optional[Gate]], try_combine) -> bool:
         if gate is None:
             continue
         predecessors = {stacks[q][-1] for q in gate.qubits if stacks.get(q)}
+        prev_index = next(iter(predecessors)) if len(predecessors) == 1 else None
+        prev = None if prev_index is None else gates[prev_index]
         combined = None
-        prev_index = None
-        if len(predecessors) == 1:
-            prev_index = next(iter(predecessors))
-            prev = gates[prev_index]
-            if prev is not None and set(prev.qubits) == set(gate.qubits):
-                combined = try_combine(prev, gate)
-        if combined is None:
+        if prev is not None and set(prev.qubits) == set(gate.qubits):
+            combined = try_combine(prev, gate)
+        if prev_index is None or prev is None or combined is None:
             for q in gate.qubits:
                 stacks.setdefault(q, []).append(index)
             continue
         changed = True
-        prev = gates[prev_index]
         for q in prev.qubits:
             if stacks.get(q) and stacks[q][-1] == prev_index:
                 stacks[q].pop()
@@ -154,7 +151,7 @@ def consolidate_su4(circuit: QuantumCircuit, keep_single_qubit: bool = True) -> 
     """
     result = QuantumCircuit(circuit.num_qubits)
     open_blocks: Dict[int, Optional[_Block]] = {q: None for q in range(circuit.num_qubits)}
-    ordered_blocks: List[object] = []  # _Block or Gate in emission order
+    ordered_blocks: List[Union[_Block, Gate]] = []  # in emission order
 
     def close_block_on(qubit: int) -> None:
         block = open_blocks[qubit]

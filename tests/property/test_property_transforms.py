@@ -6,7 +6,6 @@ from typing import List
 
 import numpy as np
 import pytest
-import reference_passes
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
@@ -20,6 +19,7 @@ from repro.transforms.commutation import _sift_commuting
 from repro.transforms.fusion import drop_identities
 from repro.transforms.optimize import optimize_circuit
 from repro.transforms.pass_manager import CircuitPass, PassManager
+from tests.oracles import reference_passes
 
 _NUM_QUBITS = 3
 

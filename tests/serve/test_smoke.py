@@ -26,6 +26,17 @@ class TestServeSmoke:
         assert captured.out.endswith("serve smoke OK\n")
         assert "FAIL" not in captured.err
 
+    def test_pool_counts_from_before_the_smoke_do_not_count(
+        self, make_server, clean_metrics, capsys
+    ):
+        clean_metrics.counter("repro_executor_pool_forks_total").inc(3)
+        clean_metrics.counter("repro_executor_pool_reuses_total").inc(5)
+        assert run_serve_smoke(make_server(ServeConfig(port=0, workers=1))) == 0
+        captured = capsys.readouterr()
+        assert "warm-pool check skipped" in captured.out
+        assert "warm pool held" not in captured.out
+        assert captured.out.endswith("serve smoke OK\n")
+
     def test_an_altered_served_result_fails_by_name(self, make_server, monkeypatch, capsys):
         real_wait = ServeClient.wait
 

@@ -9,6 +9,7 @@ these tests pin the core's streaming contract (chunk order, hang-up,
 
 import asyncio
 import http.client
+import logging
 import socket
 import threading
 import time
@@ -26,7 +27,7 @@ class StreamApp(HTTPApp):
 
     Job id ``live`` streams the fed chunks, ``raises`` one chunk and then
     an exception, ``fixed`` the bytes in :attr:`fixed_body`; any other id
-    answers 404.
+    answers 404.  :attr:`counted` records every ``_count_request`` call.
     """
 
     name = "stream-test"
@@ -37,13 +38,14 @@ class StreamApp(HTTPApp):
         self.fixed_body = b""
         self.opened = threading.Event()
         self.closed = threading.Event()
+        self.counted: list = []
         self._chunks: "asyncio.Queue[bytes | None] | None" = None
 
     def _on_start(self) -> None:
         self._chunks = asyncio.Queue()
 
     def _count_request(self, method: str, route: str, status: int) -> None:
-        pass
+        self.counted.append((method, route, status))
 
     def _build_router(self):
         router = super()._build_router()
@@ -223,6 +225,30 @@ def test_a_stream_that_raises_ends_the_response(stream_app):
         sock.close()
     with ServeClient("127.0.0.1", stream_app.bound_port, timeout=10) as client:
         assert client.healthz()["http_status"] == 200
+
+
+def test_a_raising_source_is_logged_and_counted_not_left_to_the_loop(stream_app, caplog):
+    unhandled = []
+    stream_app.loop.call_soon_threadsafe(
+        stream_app.loop.set_exception_handler, lambda loop, context: unhandled.append(context)
+    )
+    caplog.set_level(logging.ERROR, logger=serve_http.__name__)
+    sock, reader = open_stream(stream_app, "raises")
+    try:
+        read_head(reader)
+        assert reader.read() == b"data: {}\n\n"
+    finally:
+        reader.close()
+        sock.close()
+    with ServeClient("127.0.0.1", stream_app.bound_port, timeout=10) as client:
+        assert client.healthz()["http_status"] == 200
+    records = [r for r in caplog.records if r.name == serve_http.__name__]
+    assert [r.getMessage() for r in records] == [
+        "stream for GET /v1/jobs/{id}/events failed"
+    ]
+    assert records[0].exc_info[0] is RuntimeError
+    assert stream_app.counted.count(("GET", "/v1/jobs/{id}/events", 500)) == 1
+    assert unhandled == []
 
 
 # -- shutdown ----------------------------------------------------------------

@@ -32,12 +32,8 @@ import numpy as np
 import pytest
 
 from repro.core.compiler import PhoenixCompiler
-from repro.core.cost import bsf_cost_reference
-from repro.core.ordering import _order_indices_reference
-from repro.core.simplify import simplify_group
 from repro.hardware.topology import resolve_topology
 from repro.paulis.fingerprint import program_fingerprint
-from repro.pipeline import FunctionStage
 from repro.pipeline.options import CompileOptions
 from repro.pipeline.registry import (
     build_compiler,
@@ -49,6 +45,8 @@ from repro.simulation.evolution import terms_unitary
 from repro.simulation.statevector import apply_circuit
 from repro.simulation.unitary import circuit_unitary
 from repro.workloads.registry import list_workloads
+from tests.oracles.ordering import ReferenceOrderStage
+from tests.oracles.simplify import ReferenceSimplifyStage
 
 #: Pinned seeds of the differential sample; two per family keeps the suite
 #: fast while still exercising seed-dependent structure (couplings, graphs,
@@ -241,21 +239,6 @@ class TestHardwareAwareDifferential:
         assert abs(np.vdot(expected, actual)) == pytest.approx(1.0, abs=1e-9)
 
 
-def _reference_simplify(context):
-    context.groups = [
-        simplify_group(group, cost_function=bsf_cost_reference)
-        for group in context.groups
-    ]
-
-
-def _reference_order(context):
-    order = _order_indices_reference(
-        context.groups, context.num_qubits, context.options.lookahead,
-        context.hardware_aware,
-    )
-    context.groups = [context.groups[i] for i in order]
-
-
 class ReferenceScanPhoenix(PhoenixCompiler):
     """PHOENIX with the reference simplify and order scans swapped in."""
 
@@ -263,8 +246,8 @@ class ReferenceScanPhoenix(PhoenixCompiler):
         return (
             super()
             .build_pipeline()
-            .replaced("simplify", FunctionStage("simplify", _reference_simplify))
-            .replaced("order", FunctionStage("order", _reference_order))
+            .replaced("simplify", ReferenceSimplifyStage())
+            .replaced("order", ReferenceOrderStage())
         )
 
 
