@@ -11,7 +11,7 @@ equivalence checking and error analysis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
 from repro.circuits.circuit import QuantumCircuit
@@ -38,6 +38,40 @@ class CompilationResult:
     routing_overhead: Optional[float] = None
     #: Per-stage wall-clock seconds recorded by :meth:`Pipeline.run`.
     stage_timings: Dict[str, float] = field(default_factory=dict)
+
+    def copy(self) -> "CompilationResult":
+        """A result sharing no mutable container with this one.
+
+        The circuits (each with its own gate list; a logical circuit that
+        *is* the final circuit stays one object), ``implemented_terms``,
+        ``stage_timings``, both metrics' ``gate_counts`` and the routing
+        mappings are new.  The immutable leaves are shared: frozen
+        :class:`~repro.circuits.gates.Gate` objects (a decoded ``su4``
+        gate's matrix is read-only), the
+        :class:`~repro.paulis.pauli.PauliTerm` objects and the
+        :class:`~repro.hardware.topology.Topology`.
+        """
+        circuit = self.circuit.copy()
+        logical = circuit if self.logical_circuit is self.circuit else self.logical_circuit.copy()
+        routed = self.routed
+        if routed is not None:
+            routed = replace(
+                routed,
+                initial_mapping=dict(routed.initial_mapping),
+                final_mapping=dict(routed.final_mapping),
+            )
+        return replace(
+            self,
+            circuit=circuit,
+            logical_circuit=logical,
+            metrics=replace(self.metrics, gate_counts=dict(self.metrics.gate_counts)),
+            logical_metrics=replace(
+                self.logical_metrics, gate_counts=dict(self.logical_metrics.gate_counts)
+            ),
+            implemented_terms=list(self.implemented_terms),
+            routed=routed,
+            stage_timings=dict(self.stage_timings),
+        )
 
     @property
     def cx_count(self) -> int:

@@ -68,11 +68,11 @@ def gate_from_dict(data: Dict[str, Any]) -> Gate:
     Applies the :class:`Gate` constructor's rules itself -- ``int()`` on
     each qubit, ``float()`` on each param, ``ValueError`` for a repeated
     qubit, ``KeyError`` for a missing ``name`` or ``qubits`` -- and reads a
-    ``matrix`` of ``[real, imag]`` pairs as one float array viewed as
-    ``complex128`` (bit-exact); a matrix that is not ``2**k x 2**k``
-    finite pairs, for a gate on ``k`` qubits, raises ``ValueError``.  The
-    gate then adopts the coerced values (setting its fields the way
-    unpickling does), so the constructor never runs.
+    ``matrix`` of ``[real, imag]`` pairs as one read-only float array
+    viewed as ``complex128`` (bit-exact); a matrix that is not
+    ``2**k x 2**k`` finite pairs, for a gate on ``k`` qubits, raises
+    ``ValueError``.  The gate then adopts the coerced values (setting its
+    fields the way unpickling does), so the constructor never runs.
     """
     name = data["name"]
     qubits = tuple(map(int, data["qubits"]))
@@ -91,6 +91,8 @@ def gate_from_dict(data: Dict[str, Any]) -> Gate:
                 f"gate {name} matrix must be {dim}x{dim} finite [real, imag] pairs"
             ) from None
         matrix = pairs.view(np.complex128).reshape(dim, dim)
+        # Decoded results share their gates, so a matrix must not change.
+        matrix.setflags(write=False)
     gate = object.__new__(Gate)
     gate.__dict__.update(name=name, qubits=qubits, params=params, matrix_override=matrix)
     return gate

@@ -47,10 +47,13 @@ from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
+    Generic,
     List,
     Optional,
     Protocol,
+    TypeVar,
     runtime_checkable,
 )
 from urllib.parse import parse_qs, urlsplit
@@ -173,10 +176,42 @@ class CacheStore(Protocol):
 
 
 #: Entries a :class:`MemoryCacheStore` holds before FIFO eviction.  It
-#: keeps decoded JSON dicts, which take 134-490 KiB each for the pinned
-#: bench suite (42-110 KiB as JSON).  A 256 MiB budget at 512 KiB per
+#: keeps decoded JSON dicts, which take 33-493 KiB each for the pinned
+#: bench suite (5-96 KiB as JSON).  A 256 MiB budget at 512 KiB per
 #: entry (the rounded-up worst case) gives 256 MiB / 512 KiB = 512.
 MEMORY_ENTRIES = 512
+
+_V = TypeVar("_V")
+
+
+class FifoMap(Generic[_V]):
+    """A dict of at most ``limit()`` entries that evicts the oldest first;
+    safe for concurrent readers/writers.
+
+    ``limit`` is called on each insert, so a bound read from a module
+    constant follows that constant.  :attr:`lock` is reentrant, so an
+    owner may hold it around a call to keep its own counters in step.
+    """
+
+    def __init__(self, limit: Callable[[], int]) -> None:
+        self._limit = limit
+        self._entries: Dict[str, _V] = {}
+        self.lock = threading.RLock()
+
+    def get(self, key: str) -> Optional[_V]:
+        with self.lock:
+            return self._entries.get(key)
+
+    def put(self, key: str, value: _V) -> None:
+        with self.lock:
+            if key not in self._entries and len(self._entries) >= self._limit():
+                # A dict keeps insertion order, so the oldest entry goes first.
+                self._entries.pop(next(iter(self._entries)))
+            self._entries[key] = value
+
+    def __len__(self) -> int:
+        with self.lock:
+            return len(self._entries)
 
 
 class MemoryCacheStore:
@@ -184,12 +219,11 @@ class MemoryCacheStore:
     safe for concurrent readers/writers."""
 
     def __init__(self):
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._lock = threading.Lock()
+        self._entries: FifoMap[Dict[str, Any]] = FifoMap(lambda: MEMORY_ENTRIES)
         self.stats = CacheStats()
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        with self._lock:
+        with self._entries.lock:
             value = self._entries.get(key)
             if value is None:
                 self.stats.misses += 1
@@ -198,19 +232,13 @@ class MemoryCacheStore:
             return value
 
     def put(self, key: str, value: Dict[str, Any]) -> None:
-        with self._lock:
-            if key not in self._entries and len(self._entries) >= MEMORY_ENTRIES:
-                # FIFO eviction keeps the store bounded; dict preserves
-                # insertion order so the oldest entry goes first.
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = value
+        with self._entries.lock:
+            self._entries.put(key, value)
             self.stats.puts += 1
 
     def usage(self) -> Dict[str, Any]:
         """Entry accounting plus live hit/miss counters (ops surfaces)."""
-        with self._lock:
-            entries = len(self._entries)
-        return {"entries": entries, "session": self.stats.as_dict()}
+        return {"entries": len(self._entries), "session": self.stats.as_dict()}
 
     def close(self) -> None:
         """No resources held; part of the uniform store surface."""

@@ -17,6 +17,11 @@ parallel batch facility:
   job earlier in the batch), ``miss`` (compiled) or ``error``; one
   function records it as the ``repro_jobs_total`` label, the ``job``
   span, the journal line and the ``progress`` event;
+* each stored payload decodes at most once per service: the service
+  keeps the decoded result beside the payload object it came from, so a
+  memory-tier hit (the tier hands back that same object), a duplicate in
+  the batch or a replayed journal record gets a
+  :meth:`~repro.core.compiler.CompilationResult.copy` instead of a decode;
 * a stored payload (cache entry or journal record) that does not decode
   is a miss: the job is recompiled and its result overwrites the entry;
 * results come back in the order the jobs were submitted, regardless of
@@ -36,7 +41,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.compiler import CompilationResult
 from repro.obs import metrics as obs_metrics
@@ -50,7 +55,7 @@ from repro.serialize.results import (
     terms_from_dict,
     terms_to_dict,
 )
-from repro.service.cache import CacheStore, MemoryCacheStore, compilation_cache_key
+from repro.service.cache import CacheStore, FifoMap, MemoryCacheStore, compilation_cache_key
 from repro.service.executor import Executor, RawResult, default_worker_count
 from repro.service.journal import BatchJournal, open_journal
 from repro.service.resilience import RetryPolicy
@@ -198,6 +203,43 @@ class ProgressEvent:
 ProgressCallback = Callable[[ProgressEvent], None]
 
 
+#: Decoded results a :class:`CompilationService` keeps beside the payloads
+#: they came from, evicted FIFO.  For the pinned bench suite a decoded
+#: result takes 47-608 KiB.  An entry usually shares its payload with the
+#: memory tier, but it may still hold one the tier has dropped (33-493
+#: KiB), so one entry costs at most 608 + 493 = 1101 KiB and 64 entries
+#: at most 69 MiB beside the tier's 256 MiB.  A key this map drops but
+#: the tier still holds costs one decode, not a recompile.
+DECODED_ENTRIES = 64
+
+
+class _DecodedResults:
+    """Cache key -> (payload, the result decoded from it).
+
+    :meth:`decode` runs ``result_from_dict`` at most once per payload
+    object.  An entry answers only for the very payload it was decoded
+    from (``is``, not ``==``), so an overwritten, evicted, re-promoted or
+    bogus cache entry is decoded afresh, and a payload that does not
+    decode never enters.  Every caller gets its own
+    :meth:`~repro.core.compiler.CompilationResult.copy`; the decoded
+    original is never handed out.  At most :data:`DECODED_ENTRIES`
+    entries (read at call time).
+    """
+
+    def __init__(self) -> None:
+        self._entries: FifoMap[Tuple[Dict[str, Any], CompilationResult]] = FifoMap(
+            lambda: DECODED_ENTRIES
+        )
+
+    def decode(self, key: str, payload: Dict[str, Any]) -> CompilationResult:
+        """A copy of ``payload``'s result; raises when it does not decode."""
+        entry = self._entries.get(key)
+        if entry is None or entry[0] is not payload:
+            entry = (payload, result_from_dict(payload))
+            self._entries.put(key, entry)
+        return entry[1].copy()
+
+
 class CompilationService:
     """Cached, parallel front end over the registered compilers.
 
@@ -253,6 +295,7 @@ class CompilationService:
         self.max_workers = max_workers
         self.timeout = timeout
         self._options_fingerprints: Dict[CompileOptions, str] = {}
+        self._decoded = _DecodedResults()
 
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -408,7 +451,7 @@ class CompilationService:
             decode: the job then compiles as a miss and its fresh result
             overwrites the entry."""
             try:
-                return _result_from_raw(job.name, key, raw, **flags)
+                return _result_from_raw(job.name, key, raw, self._decoded, **flags)
             except Exception:
                 logger.warning("stored result for %r does not decode; recompiling", job.name)
                 return None
@@ -436,7 +479,8 @@ class CompilationService:
                 stored = from_store(job, key, {"status": "ok", "result": cached}, cached=True)
                 if stored is not None:
                     obs_metrics.counter("repro_cache_hits_total", layer="service").inc()
-                    # A warm job's honest wall clock is its lookup + decode time.
+                    # A warm job's honest wall clock is its lookup + hand-out
+                    # (decode or copy) time.
                     stored.elapsed = time.perf_counter() - lookup_started
             elif key in replayed:
                 # A replay did no work in this run: elapsed 0, the
@@ -483,7 +527,7 @@ class CompilationService:
                 job = jobs[index]
                 if raw["status"] == "ok":
                     self.cache.put(keys[index], raw["result"])
-                job_result = _result_from_raw(job.name, keys[index], raw)
+                job_result = _result_from_raw(job.name, keys[index], raw, self._decoded)
                 if not job_result.ok:
                     logger.warning(
                         "job %r %s after %d attempt(s)%s",
@@ -512,7 +556,7 @@ class CompilationService:
                 # cancelled (hence resumable, never journaled) or timed out
                 # exactly when the original is.
                 raw = raw_results[dispatched[keys[index]]]
-                job_result = _result_from_raw(jobs[index].name, keys[index], raw)
+                job_result = _result_from_raw(jobs[index].name, keys[index], raw, self._decoded)
                 if job_result.ok:
                     job_result.deduplicated = True
                     # The dedup job's own wall clock is the result fan-out.
@@ -549,18 +593,21 @@ class CompilationService:
         }
 
 
-def _result_from_raw(name: str, key: str, raw: RawResult, **flags: bool) -> JobResult:
+def _result_from_raw(
+    name: str, key: str, raw: RawResult, decoded: _DecodedResults, **flags: bool
+) -> JobResult:
     """The :class:`JobResult` of one raw outcome: an executor result, a
     journal record, or a cache entry as ``{"status": "ok", "result": entry}``.
 
     ``flags`` (``cached``/``resumed``) mark where a stored payload came
-    from.  Raises when an ``ok`` payload's result does not decode.
+    from.  An ``ok`` payload's result comes from ``decoded``, which raises
+    when it does not decode.
     """
     ok = raw["status"] == "ok"
     return JobResult(
         name=name,
         status="ok" if ok else "error",
-        result=result_from_dict(raw["result"]) if ok else None,
+        result=decoded.decode(key, raw["result"]) if ok else None,
         error=None if ok else raw.get("error", "unknown executor failure"),
         elapsed=raw.get("elapsed", 0.0),
         key=key,

@@ -336,6 +336,19 @@ class TestGateTable:
             rebuilt = result_from_dict(json.loads(text))
             assert canonical_json(result_to_dict(rebuilt)) == text
 
+    @pytest.mark.parametrize("isa", ["cnot", "su4"])
+    def test_copy_encodes_equal_to_its_original(self, small_program, isa):
+        for topology in (None, Topology.grid(2, 3)):
+            result = PhoenixCompiler(isa=isa, topology=topology).compile(small_program)
+            for original in (result, result_from_dict(result_to_dict(result))):
+                before = result_to_dict(original)
+                copied = original.copy()
+                assert result_to_dict(copied) == before
+                assert result_to_dict(original) == before
+                assert (copied.logical_circuit is copied.circuit) == (
+                    original.logical_circuit is original.circuit
+                )
+
 
 class TestTamperedTablePayloads:
     @pytest.fixture

@@ -1,4 +1,4 @@
-"""Work counts of the warm-hit and routing paths, pinned as upper bounds.
+"""Work counts of the warm-hit, miss and routing paths, pinned as upper bounds.
 
 Perf claims here are checked by counting work, not by timing it: each test
 wraps a function from the test side (as ``perfbench/layers.py`` wraps its
@@ -31,8 +31,16 @@ from repro.workloads.registry import workload_from_spec
 #: ``PauliString.from_label`` calls per warm hit: the term list decodes in
 #: one batch, so no label is parsed on its own.
 FROM_LABEL_PER_WARM_HIT = 0
-#: ``result_from_dict`` calls per warm hit: the stored payload decodes once.
-RESULT_DECODES_PER_WARM_HIT = 1
+#: ``result_from_dict`` calls per disk hit: the stored payload decodes once.
+RESULT_DECODES_PER_DISK_HIT = 1
+#: ``result_from_dict`` calls per memory hit: the memory tier hands back the
+#: payload object the service already decoded, so the hit takes a copy.
+RESULT_DECODES_PER_MEMORY_HIT = 0
+#: ``result_from_dict`` calls of one batch of identical jobs that all miss:
+#: the compiled payload decodes once and every duplicate takes a copy.
+RESULT_DECODES_PER_DEDUPLICATED_MISS = 1
+#: Identical jobs in the deduplicated batch.
+DUPLICATES = 4
 #: ``Gate.__init__`` calls per decode, warm hit or ``repro-json-1``
 #: fixture: every table entry, ``su4`` matrices included, is decoded by
 #: ``gate_from_dict`` without the ``Gate`` constructor.
@@ -115,6 +123,7 @@ def test_warm_hits_decode_in_batches(name, calls, tmp_path):
     key = service.job_key(job)
     table = json.loads((tmp_path / key[:2] / f"{key}.json").read_text())["gates"]
     assert any("matrix" in entry for entry in table) == (options.isa == "su4")
+    decodes = {"disk": RESULT_DECODES_PER_DISK_HIT, "memory": RESULT_DECODES_PER_MEMORY_HIT}
     try:
         for tier in ("disk", "memory"):
             calls.clear()
@@ -122,11 +131,53 @@ def test_warm_hits_decode_in_batches(name, calls, tmp_path):
             assert result.cached
             assert getattr(cache, tier).stats.hits == 1
             assert len(result.result.implemented_terms) == len(job.terms())
-            assert calls["result_from_dict"] <= RESULT_DECODES_PER_WARM_HIT, tier
+            assert calls["result_from_dict"] <= decodes[tier], tier
             assert calls["from_label"] <= FROM_LABEL_PER_WARM_HIT, tier
             assert calls["Gate.__init__"] <= GATE_CONSTRUCTIONS_PER_DECODE, tier
     finally:
         cache.close()
+
+
+@pytest.mark.parametrize("name", sorted(WARM_JOBS))
+def test_a_miss_leaves_its_decode_for_the_next_memory_hit(name, calls):
+    spec, options = WARM_JOBS[name]
+    job = CompilationJob(name, workload_from_spec(spec).to_terms(), options)
+    service = CompilationService(cache=open_cache(None))
+    [miss] = service.compile_many([job], workers=1)
+    assert miss.ok and not miss.cached
+    calls.clear()
+    [hit] = service.compile_many([job], workers=1)
+    assert hit.cached and service.cache.memory.stats.hits == 1
+    assert calls["result_from_dict"] <= RESULT_DECODES_PER_MEMORY_HIT
+
+
+def test_a_journal_replay_leaves_its_decode_for_the_next_memory_hit(calls, tmp_path):
+    name = "uccsd-6q-jw"
+    spec, options = WARM_JOBS[name]
+    job = CompilationJob(name, workload_from_spec(spec).to_terms(), options)
+    wal = tmp_path / "batch.wal"
+    CompilationService(cache=open_cache(None)).compile_many([job], workers=1, journal=str(wal))
+    service = CompilationService(cache=open_cache(None))
+    calls.clear()
+    [replayed] = service.compile_many([job], workers=1, journal=str(wal), resume=True)
+    assert replayed.outcome == "resume"
+    assert calls["result_from_dict"] <= RESULT_DECODES_PER_DISK_HIT
+    calls.clear()
+    [hit] = service.compile_many([job], workers=1)
+    assert hit.cached
+    assert calls["result_from_dict"] <= RESULT_DECODES_PER_MEMORY_HIT
+
+
+@pytest.mark.parametrize("name", sorted(WARM_JOBS))
+def test_duplicates_of_one_miss_decode_once(name, calls):
+    spec, options = WARM_JOBS[name]
+    job = CompilationJob(name, workload_from_spec(spec).to_terms(), options)
+    calls.clear()
+    results = CompilationService(cache=open_cache(None)).compile_many(
+        [job] * DUPLICATES, workers=1
+    )
+    assert [result.outcome for result in results] == ["miss"] + ["dedup"] * (DUPLICATES - 1)
+    assert calls["result_from_dict"] <= RESULT_DECODES_PER_DEDUPLICATED_MISS
 
 
 @pytest.mark.parametrize("path", V1_FIXTURES, ids=lambda path: path.stem)
