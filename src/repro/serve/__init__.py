@@ -17,14 +17,15 @@ Both are subclasses of one server core, :class:`~repro.serve.http.HTTPApp`:
 the listener, keep-alive connection loop, routing (404/405, 500 capture),
 ``/healthz``, ``/metrics`` and the drain lifecycle exist once.  On either
 server a malformed request is a 400 and a ``Content-Length`` over the
-body limit a 413.
+body limit a 413.  Their long-lived tasks (the signal watcher, and
+``phoenix serve``'s compile worker) are plain ``asyncio`` tasks; a crash
+in the compile worker costs one job, never the queue.
 """
 
 from repro.serve.app import ServeApp, ServeConfig, run_serve
 from repro.serve.cacheapp import CacheServeApp, CacheServeConfig, run_cache_serve
 from repro.serve.client import ServeClient, ServerError
 from repro.serve.queue import Job, JobQueue, QueueFull
-from repro.serve.supervisor import Supervisor
 
 __all__ = [
     "ServeApp",
@@ -38,5 +39,4 @@ __all__ = [
     "Job",
     "JobQueue",
     "QueueFull",
-    "Supervisor",
 ]

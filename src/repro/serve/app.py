@@ -20,7 +20,10 @@ Compilation itself stays the blocking, battle-tested
 thread via ``asyncio.to_thread`` and bridges its progress callback back
 into the loop with ``call_soon_threadsafe``.  Exactly one compile worker
 task consumes the queue (batches are sequential per service by design;
-parallelism lives *inside* a batch, in the warm process pool).
+parallelism lives *inside* a batch, in the warm process pool).  A crash
+in that worker costs the one job it was running, never the queue: the
+worker logs it, counts it in ``repro_serve_task_restarts_total``, shows
+it in ``/v1/stats`` ``tasks`` and takes the next job.
 
 The listener, connection loop, dispatch, ``/healthz``, ``/metrics`` and
 the two-signal lifecycle are the shared :class:`~repro.serve.http.HTTPApp`
@@ -35,6 +38,7 @@ signal aborts.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import logging
 import threading
@@ -101,6 +105,9 @@ class ServeApp(HTTPApp):
         self.service = service if service is not None else self._build_service(config)
         self.queue = JobQueue(capacity=config.queue_size)
         self._journal: Optional[BatchJournal] = None
+        #: Exceptions the compile worker survived, and the last one.
+        self._worker_restarts = 0
+        self._worker_error: Optional[str] = None
 
     @staticmethod
     def _build_service(config: ServeConfig) -> CompilationService:
@@ -124,7 +131,7 @@ class ServeApp(HTTPApp):
     def _on_start(self) -> None:
         if self.config.journal is not None:
             self._journal = BatchJournal(self.config.journal)
-        self.supervisor.spawn("compile-worker", self._compile_worker)
+        self._spawn("compile-worker", self._compile_worker())
 
     def _listening_detail(self) -> str:
         return (
@@ -149,7 +156,7 @@ class ServeApp(HTTPApp):
             "draining: %d queued job(s) parked, waiting for the in-flight batch",
             len(parked),
         )
-        await self.supervisor.wait(["compile-worker"])
+        await asyncio.wait([self._tasks["compile-worker"]])
 
     def _close(self) -> None:
         if self._journal is not None:
@@ -179,11 +186,20 @@ class ServeApp(HTTPApp):
     # -- compile worker ------------------------------------------------
 
     async def _compile_worker(self) -> None:
-        while True:
-            job = await self.queue.next_job()
-            if job is None:
-                return
-            await self._run_job(job)
+        """Run queued jobs until the drain sentinel; a crash costs one job."""
+        while (job := await self.queue.next_job()) is not None:
+            try:
+                await self._run_job(job)
+            except Exception as exc:
+                logger.exception("compile worker crashed on job %s; taking the next job", job.id)
+                self._worker_restarts += 1
+                self._worker_error = f"{type(exc).__name__}: {exc}"
+                obs_metrics.counter(
+                    "repro_serve_task_restarts_total", task="compile-worker"
+                ).inc()
+                if not job.finished:
+                    with contextlib.suppress(Exception):
+                        job.finish("error", self._worker_error)
 
     async def _run_job(self, job: Job) -> None:
         job.state = "running"
@@ -245,10 +261,9 @@ class ServeApp(HTTPApp):
     # -- route handlers ------------------------------------------------
 
     async def _route_stats(self, request: Request) -> Response:
-        cache_usage: Dict[str, Any] = {}
-        usage = getattr(self.service.cache, "usage", None)
-        if callable(usage):
-            cache_usage = usage()
+        # A disk tier stats every entry and a remote tier makes a round
+        # trip: neither may hold up the loop's other requests and streams.
+        cache_usage = await asyncio.to_thread(self.service.cache.usage)
         return Response.json(
             {
                 "uptime_seconds": round(time.monotonic() - self._started_at, 3),
@@ -256,9 +271,28 @@ class ServeApp(HTTPApp):
                 "queue": self.queue.stats(),
                 "cache": cache_usage,
                 "executor": self.service.executor_stats(),
-                "tasks": self.supervisor.stats(),
+                "tasks": [self._task_stats(name, task) for name, task in self._tasks.items()],
             }
         )
+
+    def _task_stats(self, name: str, task: "asyncio.Task[None]") -> Dict[str, Any]:
+        """One ``/v1/stats`` ``tasks`` entry."""
+        worker = name == "compile-worker"
+        error = self._worker_error if worker else None
+        if not task.done():
+            state = "running"
+        elif task.cancelled():
+            state = "cancelled"
+        elif (exc := task.exception()) is not None:
+            state, error = "failed", f"{type(exc).__name__}: {exc}"
+        else:
+            state = "finished"
+        return {
+            "name": name,
+            "state": state,
+            "restarts": self._worker_restarts if worker else 0,
+            "last_error": error,
+        }
 
     async def _route_submit(self, request: Request) -> Response:
         if self.draining:

@@ -64,8 +64,6 @@ class CacheServeConfig:
     cache_dir: str
     host: str = "127.0.0.1"
     port: int = 8078  # 0 = ephemeral (tests read the bound port back)
-    #: Largest single entry accepted on PUT; oversized bodies get 413.
-    max_entry_bytes: int = 16 * 1024 * 1024
 
 
 class CacheServeApp(HTTPApp):
@@ -73,6 +71,8 @@ class CacheServeApp(HTTPApp):
 
     name = "phoenix cache serve"
     request_histogram = "repro_remote_cache_request_seconds"
+    #: Largest single entry accepted on PUT; oversized bodies get 413.
+    max_body = 16 * 1024 * 1024
     config: CacheServeConfig
 
     def __init__(
@@ -82,7 +82,6 @@ class CacheServeApp(HTTPApp):
         drain_token: Optional[threading.Event] = None,
     ) -> None:
         super().__init__(config, drain_token)
-        self.max_body = config.max_entry_bytes
         self.store = store if store is not None else DiskCacheStore(config.cache_dir)
 
     def _listening_detail(self) -> str:

@@ -17,6 +17,11 @@ generator of byte chunks) goes out with ``Connection: close`` and no
 ``Content-Length``: the body is the chunks, and it ends when the stream
 does, or when the client hangs up.  A stream whose source raises ends
 there too; the failure is logged with its route and counted as a 500.
+
+An app's long-lived tasks are plain ``asyncio`` tasks (:meth:`HTTPApp._spawn`)
+that run until they return (:meth:`HTTPApp.drain` waits for them through
+the app's drain hook) or :meth:`HTTPApp.stop` cancels them.  The core's
+own, the signal watcher, drains the app once the drain token is set.
 """
 
 from __future__ import annotations
@@ -28,13 +33,14 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, AsyncGenerator, Awaitable, Callable, Dict, List, Optional, Set, Tuple
+from typing import (
+    Any, AsyncGenerator, Awaitable, Callable, Coroutine, Dict, List, Optional, Set, Tuple,
+)
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..service.resilience import shutdown_guard
-from .supervisor import Supervisor
 
 logger = logging.getLogger(__name__)
 
@@ -271,7 +277,6 @@ class HTTPApp:
 
     def __init__(self, config: Any, drain_token: Optional[threading.Event] = None) -> None:
         self.config = config
-        self.supervisor = Supervisor()
         self.draining = False
         #: Set by the signal handler (or tests) and polled by the watcher
         #: task, which then drains; apps may hand it on as a cancel token.
@@ -285,7 +290,8 @@ class HTTPApp:
         self.loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.base_events.Server] = None
         self._stopped: Optional[asyncio.Event] = None
-        self._drain_task: Optional["asyncio.Task[None]"] = None
+        #: The app's long-lived tasks (:meth:`_spawn`), by name.
+        self._tasks: Dict[str, "asyncio.Task[None]"] = {}
         #: Connection tasks writing a streamed response right now.
         self._streams: Set["asyncio.Task[Any]"] = set()
         self._started_at = time.monotonic()
@@ -294,7 +300,7 @@ class HTTPApp:
     # -- hooks ---------------------------------------------------------
 
     def _on_start(self) -> None:
-        """Open resources and spawn app tasks (runs in the loop, pre-bind)."""
+        """Open resources and :meth:`_spawn` app tasks (in the loop, pre-bind)."""
 
     async def _on_drain(self) -> None:
         """Wind the app's work down before the listener closes."""
@@ -320,7 +326,7 @@ class HTTPApp:
             self._handle_connection, self.config.host, self.config.port
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
-        self.supervisor.spawn("signal-watcher", self._watch_drain_token)
+        self._spawn("signal-watcher", self._watch_drain_token())
         logger.info(
             "%s listening on %s:%d (%s)",
             self.name,
@@ -346,9 +352,16 @@ class HTTPApp:
                 return 130
         return 0
 
+    def _spawn(self, name: str, coro: Coroutine[Any, Any, None]) -> None:
+        """Run ``coro`` as the long-lived task ``name`` until it returns or
+        :meth:`stop` cancels it (a task that must outlive a crash catches it)."""
+        self._tasks[name] = asyncio.get_running_loop().create_task(coro, name=name)
+
     async def stop(self) -> None:
         """Immediate teardown (tests); :meth:`drain` is the graceful path."""
-        await self.supervisor.shutdown()
+        for task in self._tasks.values():
+            task.cancel()
+        await asyncio.gather(*self._tasks.values(), return_exceptions=True)
         await self._close_resources(stream_grace=0.0)
 
     async def drain(self) -> None:
@@ -358,7 +371,6 @@ class HTTPApp:
         self.draining = True
         self.drain_token.set()  # idempotent; also reaches any cancel-token user
         await self._on_drain()
-        await self.supervisor.shutdown()
         await self._close_resources(stream_grace=STREAM_GRACE_SECONDS)
         logger.info("drain complete")
 
@@ -390,14 +402,10 @@ class HTTPApp:
         await asyncio.gather(*pending, return_exceptions=True)
 
     async def _watch_drain_token(self) -> None:
-        """Poll the cross-thread drain event from inside the loop."""
+        """Poll the cross-thread drain event from inside the loop, then drain."""
         while not self.drain_token.is_set():
             await asyncio.sleep(0.05)
-        # Hand off to an *unsupervised* task: drain() tears the supervisor
-        # down, and a task cannot cancel the tree it is running under.
-        self._drain_task = asyncio.get_running_loop().create_task(
-            self.drain(), name="drain"
-        )
+        await self.drain()
 
     # -- HTTP surface --------------------------------------------------
 

@@ -169,15 +169,8 @@ class JobQueue:
         return job
 
     def push_sentinel(self) -> None:
-        """Wake one worker for shutdown.
-
-        Only called after :meth:`drain_pending` has emptied the queue, so
-        the put cannot block; the assertion documents that ordering.
-        """
-        try:
-            self._pending.put_nowait(None)
-        except asyncio.QueueFull:  # pragma: no cover - drain always precedes
-            raise RuntimeError("push_sentinel() requires a drained queue") from None
+        """Stop the worker after its current job (call after :meth:`drain_pending`)."""
+        self._pending.put_nowait(None)
 
     def mark_finished(self, job: Job) -> None:
         self._completions.append(time.monotonic())

@@ -7,7 +7,9 @@ background), then::
 
 The script:
 
-1. waits for ``/healthz``;
+1. waits for ``/healthz`` and checks every long-lived server task in
+   ``/v1/stats`` is ``running`` (a stopped compile worker would leave
+   the submissions below queued forever, so this failure ends the smoke);
 2. submits a pinned-suite subset over HTTP and follows the job's
    Server-Sent Events stream until the terminal ``done`` event, then
    checks that stream is served as ``text/event-stream``;
@@ -22,7 +24,8 @@ The script:
    worker) or are all cached move neither counter and skip the check; on a
    pool, a one-program first batch also runs inline, so ``--limit`` must
    be at least 2 for the second batch to find the pool warm;
-5. scrapes ``/metrics`` for the serve request/queue series.
+5. scrapes ``/metrics`` for the serve request/queue series and checks
+   the server's tasks are still ``running``.
 
 Exit code 0 when every check holds; otherwise each failed check is
 printed as a ``FAIL: ...`` line naming what broke, and the exit code is 1.
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..bench import reference_bytes, suite_entries
 from ..serialize.results import content_bytes
@@ -58,6 +61,15 @@ def report_failures(failures: List[str]) -> int:
     return 1 if failures else 0
 
 
+def stopped_tasks(stats: Dict[str, Any]) -> List[str]:
+    """A failure for each ``/v1/stats`` task whose state is not ``running``."""
+    return [
+        f"task {task['name']} is {task['state']!r}, not running"
+        for task in stats["tasks"]
+        if task["state"] != "running"
+    ]
+
+
 def pool_counts(metrics_text: str) -> Tuple[float, float]:
     """``(forks, reuses)`` of the executor's pool counters."""
     return (
@@ -73,6 +85,8 @@ def run_smoke(host: str, port: int, limit: int, timeout: float) -> int:
     except TimeoutError as exc:
         return report_failures([str(exc)])
     print(f"server ready: {health}")
+    if stopped := stopped_tasks(client.stats()):
+        return report_failures(stopped)
     forks_before, reuses_before = pool_counts(client.metrics())
 
     failures: List[str] = []
@@ -145,6 +159,7 @@ def run_smoke(host: str, port: int, limit: int, timeout: float) -> int:
         if series not in after:
             failures.append(f"metrics endpoint missing {series}")
     stats = client.stats()
+    failures += stopped_tasks(stats)
     print(
         f"stats: queue={stats['queue']['depth']} "
         f"executor={stats['executor']} jobs/s={stats['queue']['jobs_per_second']}"

@@ -141,4 +141,6 @@ def make_cache_server(tmp_path):
 @pytest.fixture
 def cache_server(make_cache_server):
     """A cache server with a small (64 KiB) entry cap."""
-    return make_cache_server(max_entry_bytes=64 * 1024)
+    handle = make_cache_server()
+    handle.app.max_body = 64 * 1024  # read per request, so set after start is fine
+    return handle

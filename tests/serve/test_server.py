@@ -2,9 +2,10 @@
 
 These cover the server's contract: queue backpressure (429), event-stream
 equivalence with a direct ``compile_many``, byte-identical results,
-graceful drain (journal + pending manifest + resume replay), worker
-restart under supervision, and the client round trip under the
-``flaky-workers`` fault scenario.
+graceful drain (journal + pending manifest + resume replay), a compile
+worker that survives crashed jobs, ``/v1/stats`` served off the event
+loop, and the client round trip under the ``flaky-workers`` fault
+scenario.
 """
 
 import asyncio
@@ -345,6 +346,19 @@ def test_stop_returns_while_a_stream_is_open():
         loop.close()
 
 
+def test_stop_cancels_the_long_lived_tasks():
+    async def run():
+        app = ServeApp(ServeConfig(port=0, workers=1, queue_size=8))
+        await app.start()
+        tasks = list(app._tasks.values())
+        await app.stop()
+        return tasks
+
+    tasks = asyncio.run(run())
+    assert [task.get_name() for task in tasks] == ["compile-worker", "signal-watcher"]
+    assert all(task.cancelled() for task in tasks)
+
+
 def test_drain_returns_while_a_stream_is_open(make_server):
     app = ServeApp(ServeConfig(port=0, workers=1, queue_size=8))
     started, release = gated_compile(app)
@@ -457,6 +471,73 @@ def test_supervisor_restarts_crashed_compile_worker(server):
     assert worker["state"] == "running"
     assert "poisoned terminal transition" in worker["last_error"]
     assert "repro_serve_task_restarts_total" in client.metrics()
+
+
+class PoisonJob(Job):
+    """A job whose terminal transition raises: the crash escapes ``_run_job``."""
+
+    def finish(self, state, error=None):
+        raise RuntimeError("poisoned terminal transition")
+
+
+def test_crashes_spread_over_the_server_life_never_stop_the_queue(server):
+    # Three crashes in the server's life, never two in a row: each costs
+    # its own job only, and every ordinary job still runs.
+    client = server.client
+    app = server.app
+    poison = [
+        PoisonJob(id=f"poison{index}", name="poison", entries=[],
+                  jobs=jobs_from_entries([FAST_ENTRIES[0]]))
+        for index in range(3)
+    ]
+    ordinary = [
+        Job(id=f"ok{index}", name=f"ok{index}", entries=[entry],
+            jobs=jobs_from_entries([entry]))
+        for index, entry in enumerate(FAST_ENTRIES)
+    ]
+    order = [poison[0], ordinary[0], poison[1], ordinary[1], poison[2], ordinary[2], ordinary[3]]
+
+    def submit_all():
+        for job in order:
+            app.queue.submit(job)
+
+    app.loop.call_soon_threadsafe(submit_all)
+    for job in ordinary:
+        assert client.wait(job.id, timeout=60)["state"] == "done"
+    worker = next(
+        task for task in client.stats()["tasks"] if task["name"] == "compile-worker"
+    )
+    assert worker["state"] == "running"
+    assert worker["restarts"] == 3
+    assert "poisoned terminal transition" in worker["last_error"]
+
+
+def test_stats_reads_cache_usage_off_the_event_loop(make_server):
+    # A slow usage() (a disk tier stats every entry, a remote tier makes a
+    # round trip) must not hold up the server's other requests.
+    app = ServeApp(ServeConfig(port=0, workers=1, queue_size=8))
+    entered = threading.Event()
+    release = threading.Event()
+    real_usage = app.service.cache.usage
+
+    def blocking_usage():
+        entered.set()
+        release.wait(30)
+        return real_usage()
+
+    app.service.cache.usage = blocking_usage
+    handle = make_server(app=app)
+    stats = []
+    reader = threading.Thread(target=lambda: stats.append(handle.client.stats()), daemon=True)
+    reader.start()
+    try:
+        assert entered.wait(15), "the stats request never reached usage()"
+        quick = ServeClient("127.0.0.1", app.bound_port, timeout=5)
+        assert quick.healthz()["http_status"] == 200
+    finally:
+        release.set()
+    reader.join(15)
+    assert stats and stats[0]["cache"] == real_usage()
 
 
 def test_client_roundtrip_under_flaky_workers(make_server):

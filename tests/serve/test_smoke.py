@@ -3,8 +3,12 @@
 ``repro.serve.smoke`` drives a ``phoenix serve`` and
 ``repro.serve.cache_smoke`` a ``phoenix cache serve`` (with two real
 ``phoenix batch`` subprocesses).  Each must pass on a healthy server and,
-when a result is altered, return 1 with a ``FAIL:`` line naming the job.
+when a result is altered, return 1 with a ``FAIL:`` line naming the job;
+the serve smoke also fails, naming the task, when a server task has
+stopped.
 """
+
+import time
 
 from repro.bench import PINNED_SUITE
 from repro.serve import cache_smoke, smoke
@@ -71,6 +75,19 @@ class TestServeSmoke:
         assert captured.err == (
             "FAIL: events answered 200 'application/json', not text/event-stream\n"
         )
+
+    def test_a_stopped_server_task_fails_by_name(self, make_server, capsys):
+        handle = make_server(ServeConfig(port=0, workers=1))
+        worker = handle.app._tasks["compile-worker"]
+        handle.app.loop.call_soon_threadsafe(worker.cancel)
+        deadline = time.monotonic() + 10
+        while not worker.done():
+            assert time.monotonic() < deadline, "the compile worker was never cancelled"
+            time.sleep(0.01)
+        assert run_serve_smoke(handle) == 1
+        captured = capsys.readouterr()
+        assert "serve smoke OK" not in captured.out
+        assert captured.err == "FAIL: task compile-worker is 'cancelled', not running\n"
 
 
 class TestCacheSmoke:
