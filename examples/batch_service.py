@@ -97,7 +97,8 @@ def main() -> None:
         obs.set_sink(sink)
     started = time.perf_counter()
     try:
-        results = service.compile_many(jobs, workers=args.workers)
+        with service:
+            results = service.compile_many(jobs, workers=args.workers)
     finally:
         if sink is not None:
             obs.set_sink(None)

@@ -109,16 +109,9 @@ def reference_bytes(jobs: Sequence[CompilationJob]) -> Dict[str, bytes]:
 
 
 def _timed_pass(
-    jobs: Sequence[CompilationJob],
-    workers: int,
-    timeout: Optional[float] = None,
-    cache: Optional[str] = None,
-    service: Optional[CompilationService] = None,
-) -> Tuple[CompilationService, List[JobResult], Dict[str, Any]]:
-    """One timed ``compile_many`` pass on a fresh service, or on ``service``
-    (which then carries its own ``timeout``)."""
-    if service is None:
-        service = CompilationService(cache=open_cache(cache), timeout=timeout)
+    service: CompilationService, jobs: Sequence[CompilationJob], workers: int
+) -> Tuple[List[JobResult], Dict[str, Any]]:
+    """One timed ``compile_many`` pass of ``jobs`` on ``service``."""
     started = time.perf_counter()
     results = service.compile_many(jobs, workers=workers)
     wall = time.perf_counter() - started
@@ -133,7 +126,7 @@ def _timed_pass(
         "cached_jobs": sum(1 for r in results if r.cached),
         "per_job_seconds": {r.name: r.elapsed for r in results},
     }
-    return service, results, summary
+    return results, summary
 
 
 def _stage_aggregates(results: Sequence[JobResult]) -> Dict[str, Dict[str, float]]:
@@ -204,13 +197,13 @@ def run_bench(
             workers, cpu_count, effective_workers,
         )
 
-    _, serial_results, serial_summary = _timed_pass(jobs, 1, timeout)
-    process_service, process_results, process_summary = _timed_pass(
-        jobs, workers, timeout, cache=cache
-    )
-    remote_after_process = _remote_tier_stats(process_service)
-    _, warm_results, warm_summary = _timed_pass(jobs, workers, service=process_service)
-    remote_after_warm = _remote_tier_stats(process_service)
+    with CompilationService(cache=open_cache(None), timeout=timeout) as serial_service:
+        serial_results, serial_summary = _timed_pass(serial_service, jobs, 1)
+    with CompilationService(cache=open_cache(cache), timeout=timeout) as process_service:
+        process_results, process_summary = _timed_pass(process_service, jobs, workers)
+        remote_after_process = _remote_tier_stats(process_service)
+        warm_results, warm_summary = _timed_pass(process_service, jobs, workers)
+        remote_after_warm = _remote_tier_stats(process_service)
     # An honest record of the parallelism actually available: a speedup
     # floor is meaningless when the pool had fewer cores than workers.
     process_summary["effective_workers"] = effective_workers

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -214,15 +214,6 @@ class QuantumCircuit:
     def depth_2q(self) -> int:
         """Two-qubit depth (the paper's ``Depth-2Q`` metric)."""
         return self.depth(two_qubit_only=True)
-
-    def two_qubit_pairs(self) -> List[Tuple[int, int]]:
-        """Ordered list of (sorted) qubit pairs of each 2Q gate."""
-        pairs = []
-        for gate in self._gates:
-            if gate.is_two_qubit():
-                a, b = gate.qubits
-                pairs.append((min(a, b), max(a, b)))
-        return pairs
 
     # ------------------------------------------------------------------
     # Simulation / export hooks (implemented in other modules)

@@ -165,12 +165,6 @@ class Topology:
         self._distances_key = key
         return cached
 
-    def distance(self, a: int, b: int) -> float:
-        return float(self.distance_matrix()[a, b])
-
-    def shortest_path(self, a: int, b: int) -> List[int]:
-        return nx.shortest_path(self.graph, a, b)
-
     def __repr__(self) -> str:
         return (
             f"Topology(name={self.name!r}, num_qubits={self.num_qubits}, "

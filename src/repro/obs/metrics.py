@@ -161,10 +161,6 @@ class Histogram:
             if len(self._samples) < MAX_SAMPLES:
                 insort(self._samples, value)
 
-    def percentile(self, q: float) -> float:
-        with self._lock:
-            return quantile(self._samples, q)
-
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0

@@ -154,14 +154,6 @@ class PauliString:
         phase = (1j) ** (phase_power % 4)
         return phase * self.sign * other.sign, PauliString(x, z)
 
-    def tensor(self, other: "PauliString") -> "PauliString":
-        """Concatenate two strings: self on low qubits, other on high qubits."""
-        return PauliString(
-            np.concatenate([self.x, other.x]),
-            np.concatenate([self.z, other.z]),
-            sign=self.sign * other.sign,
-        )
-
     def expand(self, num_qubits: int, qubit_map: Sequence[int]) -> "PauliString":
         """Embed this string into a larger register.
 

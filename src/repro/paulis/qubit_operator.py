@@ -31,10 +31,6 @@ class QubitOperator:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def zero(cls, num_qubits: int) -> "QubitOperator":
-        return cls(num_qubits)
-
-    @classmethod
     def identity(cls, num_qubits: int, coefficient: complex = 1.0) -> "QubitOperator":
         op = cls(num_qubits)
         op.add(coefficient, PauliString.identity(num_qubits))

@@ -57,10 +57,14 @@ def register_compiler(
     ``register_compiler("mine", MyCompiler)``.
 
     Runtime registrations live in this process; batch workers see them via
-    the service's fork-based worker pool.  On platforms without ``fork``
-    (spawn semantics), workers re-import from scratch — put the
-    registration at import time of a module the worker imports, or run
-    with ``workers=1``.
+    the service's fork-based worker pool, which copies the registry when
+    it forks.  That pool stays warm across batches, so a compiler
+    registered after it forked reaches its workers only once the pool is
+    re-forked: after ``CompilationService.close()``, or for a batch that
+    asks for more workers.  Register before the first batch that fans
+    out.  On platforms without ``fork`` (spawn semantics), workers
+    re-import from scratch — put the registration at import time of a
+    module the worker imports, or run with ``workers=1``.
     """
     if not overwrite and name in COMPILERS and COMPILERS[name] is not factory:
         raise ValueError(f"compiler {name!r} is already registered")

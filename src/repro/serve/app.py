@@ -48,9 +48,8 @@ from pathlib import Path
 from typing import Any, AsyncGenerator, Dict, List, Optional
 
 from ..obs import metrics as obs_metrics
-from ..service.cache import CacheStore, open_cache
+from ..service.cache import open_cache
 from ..service.journal import BatchJournal
-from ..service.resilience import RetryPolicy
 from ..service.service import (
     CompilationService,
     ProgressEvent,
@@ -74,8 +73,6 @@ class ServeConfig:
     queue_size: int = 64
     workers: Optional[int] = None  # process-pool width per batch; 1 = inline
     timeout: Optional[float] = None  # per-program compile budget, seconds
-    retries: int = 1
-    retry_errors: bool = False
     #: Cache spec (memory:, disk:/path, http://host:port, composed tiers).
     cache: Optional[str] = None
     journal: Optional[str] = None  # WAL path; also anchors the pending manifest
@@ -102,29 +99,14 @@ class ServeApp(HTTPApp):
         drain_token: Optional[threading.Event] = None,
     ) -> None:
         super().__init__(config, drain_token)
-        self.service = service if service is not None else self._build_service(config)
+        self.service = service if service is not None else CompilationService(
+            cache=open_cache(config.cache), max_workers=config.workers, timeout=config.timeout
+        )
         self.queue = JobQueue(capacity=config.queue_size)
         self._journal: Optional[BatchJournal] = None
         #: Exceptions the compile worker survived, and the last one.
         self._worker_restarts = 0
         self._worker_error: Optional[str] = None
-
-    @staticmethod
-    def _build_service(config: ServeConfig) -> CompilationService:
-        # ``retry_errors`` also retries transient *errors* (a flaky worker
-        # should not fail a remote client's job), not just the
-        # timeouts/crashes the batch CLI retries by default.
-        retry_policy = RetryPolicy(
-            max_retries=config.retries, retry_errors=config.retry_errors
-        )
-        cache: CacheStore = open_cache(config.cache)
-        return CompilationService(
-            cache=cache,
-            max_workers=config.workers,
-            timeout=config.timeout,
-            retry_policy=retry_policy,
-            keep_alive=True,
-        )
 
     # -- lifecycle hooks ---------------------------------------------
 

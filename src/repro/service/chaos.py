@@ -30,6 +30,7 @@ from typing import Any, Dict, List, Optional
 from repro.obs import metrics as obs_metrics
 from repro.service import faultlab
 from repro.service.cache import open_cache
+from repro.service.executor import Executor
 from repro.service.resilience import RetryPolicy
 from repro.service.service import CompilationService, JobResult, jobs_from_entries
 
@@ -123,19 +124,18 @@ def run_chaos(
     with tempfile.TemporaryDirectory(prefix="phoenix-chaos-") as tmp:
         # A real disk tier (with its breaker) so cache faults exercise the
         # quarantine/degradation machinery, not just the in-memory dict.
-        cache = open_cache(f"disk:{tmp}")
-        service = CompilationService(
-            cache=cache,
+        with CompilationService(
+            cache=open_cache(f"disk:{tmp}"),
             timeout=timeout,
-            retry_policy=policy,
-        )
-        with faultlab.active(scenario) as armed:
-            try:
-                chaos_results = service.compile_many(jobs, workers=workers)
-            except Exception as exc:  # the gate: the service must not raise
-                crashed = f"{type(exc).__name__}: {exc}"
-                logger.exception("chaos run escaped the service layer")
-        fired = armed.fired()
+            executor=Executor(retry_policy=policy),
+        ) as service:
+            with faultlab.active(scenario) as armed:
+                try:
+                    chaos_results = service.compile_many(jobs, workers=workers)
+                except Exception as exc:  # the gate: the service must not raise
+                    crashed = f"{type(exc).__name__}: {exc}"
+                    logger.exception("chaos run escaped the service layer")
+            fired = armed.fired()
     elapsed = time.perf_counter() - started
     after = obs_metrics.REGISTRY.snapshot()
 

@@ -122,8 +122,8 @@ def _compile_and_emit(
     ``label`` names the program in the failure message and
     ``header_lines`` are the metrics format's provenance rows.
     """
-    service = CompilationService(cache=open_cache(args.cache))
-    job_result = service.compile(program, _options_from_args(args), name=name)
+    with CompilationService(cache=open_cache(args.cache)) as service:
+        job_result = service.compile(program, _options_from_args(args), name=name)
     result = job_result.result
     if result is None:
         sys.stderr.write(f"compilation of {label} failed:\n{job_result.error}")
@@ -246,7 +246,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     journal = BatchJournal(args.journal) if args.journal else None
     cancel = threading.Event()
     try:
-        with shutdown_guard(cancel):
+        with service, shutdown_guard(cancel):
             job_results = service.compile_many(
                 jobs,
                 workers=args.workers,
@@ -349,11 +349,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         else:
             jobs = jobs_from_entries(suite_entries(args.limit))
             source = f"bench suite ({len(jobs)} of {len(PINNED_SUITE)} jobs)"
-        service = CompilationService(cache=open_cache(args.cache))
         progress = None if args.quiet else _stderr_progress
-        job_results = service.compile_many(
-            jobs, workers=1, progress=progress
-        )
+        with CompilationService(cache=open_cache(args.cache)) as service:
+            job_results = service.compile_many(jobs, workers=1, progress=progress)
         failed = [r.name for r in job_results if not r.ok]
         if failed:
             sys.stderr.write(f"profile jobs failed: {failed}\n")
@@ -560,8 +558,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_size=args.queue_size,
         workers=args.workers,
         timeout=args.timeout,
-        retries=args.retries,
-        retry_errors=args.retry_errors,
         cache=args.cache,
         journal=args.journal,
         resume=args.resume,
@@ -836,20 +832,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--workers", type=int, default=None,
         help="process-pool width per batch (default: min(#misses, "
-             "cpu_count)); 1 runs every batch inline",
+             "cpu_count)); the pool stays warm across batches and re-forks "
+             "only for a wider batch; 1 runs every batch inline",
     )
     serve_parser.add_argument(
         "--timeout", type=float, default=None,
         help="per-program wall-clock budget in seconds (default: unlimited)",
-    )
-    serve_parser.add_argument(
-        "--retries", type=int, default=1,
-        help="executor retry budget per program (default: 1)",
-    )
-    serve_parser.add_argument(
-        "--retry-errors", action="store_true",
-        help="also retry programs that fail with errors, not just "
-             "timeouts/crashes (for flaky environments)",
     )
     serve_parser.add_argument(
         "--cache", default=None, metavar="SPEC",

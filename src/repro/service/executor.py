@@ -2,11 +2,14 @@
 
 :class:`Executor` runs serialized job payloads and picks *how* from the
 worker count alone: one worker (or one payload) runs inline in this
-process; more fan out across a ``fork``-based process pool with
+process; more fan out, one pool future per job, across a ``fork``-based
+process pool that the executor owns, with
 
-* per-process warmup (workers pre-import the compiler and workload
-  registries once, not per job),
-* chunked dispatch (many small jobs share one submission round-trip),
+* one warm pool per executor: the first batch that fans out forks it
+  and warms its workers (they pre-import the compiler and workload
+  registries once, not per job), later batches reuse it, a batch
+  re-forks it only when it asks for more workers than the pool has or
+  the pool broke, and :meth:`Executor.close` shuts it down,
 * a per-job wall-clock timeout enforced *inside* the worker via
   ``SIGALRM`` (a slow job becomes an error result without killing or
   blocking its worker),
@@ -22,15 +25,18 @@ process; more fan out across a ``fork``-based process pool with
   errors captured as result dicts rather than raised.
 
 Every inline attempt — a one-worker batch, the open-breaker and no-pool
-fallbacks, a pool that breaks mid-dispatch, the survivors of a crashed
-chunk — goes through one attempt loop, so a job reports the same
-``attempts`` and retry counts whichever way it ended up inline.
+fallbacks, a pool that breaks mid-dispatch, a job whose worker died —
+goes through one attempt loop, so a job reports the same ``attempts``
+and retry counts whichever way it ended up inline.
 
 ``run(payloads)`` takes a sequence of JSON-compatible payload dicts and
 returns one raw result dict per payload, in order.  A raw result always
 carries ``status`` ("ok" or "error"), ``elapsed``, and ``attempts``;
 timeouts additionally carry ``timeout: True`` and jobs skipped by a
-cancel token carry ``cancelled: True``.  The payload runner is pluggable
+cancel token carry ``cancelled: True``: once the token is set, every job
+that has not started is skipped and the started ones finish (on the pool
+the token is read each time a result comes back, so a job the pool
+starts before then still runs).  The payload runner is pluggable
 (``runner=``) so the retry/timeout machinery is testable without
 compiling anything; the default runner :func:`execute_payload` compiles
 one serialized compilation job exactly as
@@ -47,7 +53,7 @@ import threading
 import time
 import traceback
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -220,13 +226,6 @@ def run_payload_with_timeout(
     return result
 
 
-def _execute_chunk(
-    payloads: List[Dict[str, Any]], timeout: Optional[float], runner: Runner
-) -> List[RawResult]:
-    """Worker-side loop: one chunk of payloads, each under the job timeout."""
-    return [run_payload_with_timeout(payload, timeout, runner) for payload in payloads]
-
-
 def _pool_worker_init() -> None:
     """Pool initializer: make workers SIGINT-immune, then pre-warm them.
 
@@ -276,7 +275,7 @@ class _Run:
         self.policy = policy
         self.results: List[Optional[RawResult]] = [None] * len(payloads)
         self.attempts = [0] * len(payloads)
-        self.pending: Dict[Future, List[int]] = {}
+        self.pending: Dict[Future, int] = {}  # future -> position
         self.pool_broken = False  # dispatch failed: no more submissions
         self.pool_failed = False  # the breaker records a failure
         self.wedged = False  # workers outlived the safety timeout
@@ -321,8 +320,8 @@ class _Run:
                 self.policy.max_retries + 1,
             )
 
-    def run_inline(self, positions: Iterable[int]) -> None:
-        for position in positions:
+    def run_inline(self) -> None:
+        for position in range(len(self.payloads)):
             if self.cancelled():
                 self.finish(position, _cancelled_result(self.payloads[position]))
             else:
@@ -336,16 +335,13 @@ class _Run:
             obs_metrics.counter("repro_executor_inline_fallbacks_total").inc()
 
     # -- pool -----------------------------------------------------------
-    def submit(self, pool: ProcessPoolExecutor, positions: List[int]) -> bool:
+    def submit(self, pool: ProcessPoolExecutor, position: int) -> bool:
         if self.pool_broken:
             return False
         try:
-            faultlab.fire("executor.dispatch", jobs=len(positions))
+            faultlab.fire("executor.dispatch")
             future = pool.submit(
-                _execute_chunk,
-                [self.payloads[position] for position in positions],
-                self.timeout,
-                self.runner,
+                run_payload_with_timeout, self.payloads[position], self.timeout, self.runner
             )
         except (RuntimeError, faultlab.InjectedFault):
             # Pool already broken/shut down, or the fault lab decided
@@ -356,7 +352,7 @@ class _Run:
                 "process pool broke; remaining jobs fall back to inline execution"
             )
             return False
-        self.pending[future] = positions
+        self.pending[future] = position
         return True
 
     def pool_result(self, pool: ProcessPoolExecutor, position: int, raw: RawResult) -> None:
@@ -374,71 +370,60 @@ class _Run:
             self.policy.max_retries + 1,
         )
         # No backoff sleep here: a re-dispatched job queues behind the
-        # in-flight chunks, and sleeping would stall result collection for
+        # in-flight jobs, and sleeping would stall result collection for
         # every other job.
-        if not self.submit(pool, [position]):
+        if not self.submit(pool, position):
             self.count_fallback()
             self.attempt_inline(position)
 
-    def chunk_failed(self, positions: List[int], error: str) -> None:
-        """A worker died under this chunk: retry its survivors inline."""
+    def worker_died(self, position: int, error: str) -> None:
+        """The pool broke under this job: retry it inline."""
+        if not self.pool_failed:
+            logger.warning(
+                "a pool worker died; retrying its jobs inline: %s",
+                error.strip().splitlines()[-1] if error.strip() else error,
+            )
         self.pool_failed = True
-        logger.warning(
-            "worker chunk of %d job(s) failed; retrying survivors inline: %s",
-            len(positions),
-            error.strip().splitlines()[-1] if error.strip() else error,
-        )
-        for position in positions:
-            if self.results[position] is not None:
-                continue
-            self.attempts[position] += 1
-            if self.attempts[position] <= self.policy.max_retries and not self.cancelled():
-                _count("repro_executor_retries_total", POOL)
-                self.count_fallback()
-                self.attempt_inline(position)
-            else:
-                self.finish(position, _error_result(self.payloads[position], error))
+        self.attempts[position] += 1
+        if self.attempts[position] <= self.policy.max_retries and not self.cancelled():
+            _count("repro_executor_retries_total", POOL)
+            self.count_fallback()
+            self.attempt_inline(position)
+        else:
+            self.finish(position, _error_result(self.payloads[position], error))
 
     def drain_queued(self) -> None:
-        """Drain mode: cancel chunks still queued (their jobs report as
-        cancelled), let running chunks finish."""
+        """Drain mode: cancel the jobs that have not started (they report
+        as cancelled), let running jobs finish."""
         for future in list(self.pending):
             if future.cancel():
-                for position in self.pending.pop(future):
-                    if self.results[position] is None:
-                        self.finish(position, _cancelled_result(self.payloads[position]))
+                position = self.pending.pop(future)
+                self.finish(position, _cancelled_result(self.payloads[position]))
 
     def abandon_wedged(self) -> None:
         """Hard-wedged workers: record timeouts and give up on the pool."""
         self.wedged = True
         logger.error(
-            "%d in-flight chunk(s) exceeded the safety timeout; abandoning the pool",
+            "%d in-flight job(s) exceeded the safety timeout; abandoning the pool",
             len(self.pending),
         )
-        for future, positions in self.pending.items():
+        for future, position in self.pending.items():
             future.cancel()
-            for position in positions:
-                if self.results[position] is None:
-                    self.attempts[position] += 1
-                    self.finish(
-                        position,
-                        _timeout_result(self.payloads[position], self.timeout or 0.0, 0.0),
-                    )
+            self.attempts[position] += 1
+            self.finish(
+                position, _timeout_result(self.payloads[position], self.timeout or 0.0, 0.0)
+            )
         self.pending.clear()
 
-    def run_pool(self, pool: ProcessPoolExecutor, workers: int) -> None:
-        count = len(self.payloads)
-        chunk_size = max(1, count // (workers * 4))
-        for start in range(0, count, chunk_size):
-            chunk = list(range(start, min(start + chunk_size, count)))
+    def run_pool(self, pool: ProcessPoolExecutor) -> None:
+        for position in range(len(self.payloads)):
             if self.cancelled():
-                for position in chunk:
-                    self.finish(position, _cancelled_result(self.payloads[position]))
-            elif not self.submit(pool, chunk):
-                # Pool broke mid-dispatch: this chunk (and, via the
+                self.finish(position, _cancelled_result(self.payloads[position]))
+            elif not self.submit(pool, position):
+                # Pool broke mid-dispatch: this job (and, via the
                 # pool_broken latch, every later one) runs inline.
                 self.count_fallback()
-                self.run_inline(chunk)
+                self.attempt_inline(position)
         while self.pending:
             if self.cancelled():
                 self.drain_queued()
@@ -453,22 +438,18 @@ class _Run:
                 self.abandon_wedged()
                 break
             for future in done:
-                positions = self.pending.pop(future)
+                position = self.pending.pop(future)
                 try:
-                    raws = future.result()
+                    raw = future.result()
                 except BaseException:
-                    self.chunk_failed(positions, traceback.format_exc())
-                    continue
-                for position, raw in zip(positions, raws):
+                    self.worker_died(position, traceback.format_exc())
+                else:
                     self.pool_result(pool, position, raw)
 
     def safety_timeout(self) -> Optional[float]:
-        if not self.timeout:
-            return None
         # The in-worker alarm should always fire first; this outer net only
         # catches workers wedged in uninterruptible native code.
-        longest = max(len(positions) for positions in self.pending.values())
-        return self.timeout * max(1, longest) + SAFETY_GRACE
+        return self.timeout + SAFETY_GRACE if self.timeout else None
 
     def ordered(self) -> List[RawResult]:
         # Belt and braces: no payload may come back without a result dict.
@@ -483,33 +464,33 @@ class _Run:
 
 
 class Executor:
-    """Run payloads inline or over a fork pool, picked by the worker count.
+    """Run payloads inline or over the executor's fork pool, picked by the
+    worker count.
 
     ``run`` goes inline when ``workers <= 1``, when there is a single
     payload, while the pool ``breaker`` is open, or when no pool can be
-    forked here; otherwise it fans chunks of ``len(payloads) // (workers
-    * 4)`` (at least 1) over the pool, so stragglers rebalance while tiny
-    jobs still amortize dispatch.  ``retry_policy`` defaults to one retry
-    of a timed-out or crashed job; inline retry after a broken pool
-    assumes failures are transient infrastructure issues, not jobs that
-    deterministically kill their interpreter.
+    forked here; otherwise every payload becomes one future on the pool.
+    ``retry_policy`` defaults to one retry of a timed-out or crashed job;
+    inline retry after a broken pool assumes failures are transient
+    infrastructure issues, not jobs that deterministically kill their
+    interpreter.
 
-    ``keep_alive=True`` turns the fork pool into a **persistent warm
-    pool**: the first fan-out forks and warms the workers, later ones
-    reuse them (no re-fork, no re-import, no registry re-warmup) until an
-    explicit :meth:`close` — the resident server's mode, but equally
-    useful for repeated batches inside one long-lived process.  A broken
-    pool is discarded and re-forked on the next call.  Pool lifecycle is
-    observable: ``repro_executor_pool_forks_total`` counts pool creations,
-    ``repro_executor_pool_reuses_total`` counts warm reuses, and the
-    ``repro_executor_pool_workers`` gauge tracks the live worker count.
+    The pool lives as long as the executor: the first fan-out forks and
+    warms it, later ones reuse it (no re-fork, no re-import, no registry
+    re-warmup).  A batch that asks for more workers than the pool has
+    re-forks it that wide; one that asks for fewer runs on the wider
+    pool.  A pool that broke or wedged is discarded, so the next fan-out
+    forks afresh, and :meth:`close` (or leaving a ``with`` block) shuts
+    it down.  ``repro_executor_pool_forks_total`` counts pool creations,
+    ``repro_executor_pool_reuses_total`` warm reuses, and the
+    ``repro_executor_pool_workers`` gauge the live worker count (0 after
+    every shutdown).
     """
 
     def __init__(
         self,
         retry_policy: Optional[RetryPolicy] = None,
         breaker: Optional[CircuitBreaker] = None,
-        keep_alive: bool = False,
     ):
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         # min_calls=2: two straight pool failures trip the breaker, so the
@@ -518,17 +499,16 @@ class Executor:
         self.breaker = (
             breaker if breaker is not None else CircuitBreaker("executor.pool", min_calls=2)
         )
-        self.keep_alive = keep_alive
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
 
     @property
     def pool_workers(self) -> int:
-        """Workers in the live keep-alive pool (0 when none is warm)."""
-        return self._pool_workers if self._pool is not None else 0
+        """Workers in the live pool (0 when none is warm)."""
+        return self._pool_workers
 
     def close(self) -> None:
-        """Shut down the persistent pool (no-op when none is alive)."""
+        """Shut down the pool (no-op when none is alive)."""
         self._discard_pool(wait=True)
 
     def __enter__(self) -> "Executor":
@@ -555,9 +535,9 @@ class Executor:
         workers = max(1, min(int(workers or default_worker_count(count)), count))
         pool = self._pool_for(workers, count) if workers > 1 else None
         if pool is None:
-            run.run_inline(range(count))
+            run.run_inline()
         else:
-            self._fan_out(run, pool, workers)
+            self._fan_out(run, pool)
         return run.ordered()
 
     def _pool_for(self, workers: int, count: int) -> Optional[ProcessPoolExecutor]:
@@ -584,23 +564,18 @@ class Executor:
             )
         return pool
 
-    def _fan_out(self, run: _Run, pool: ProcessPoolExecutor, workers: int) -> None:
+    def _fan_out(self, run: _Run, pool: ProcessPoolExecutor) -> None:
         try:
-            run.run_pool(pool, workers)
+            run.run_pool(pool)
         except BaseException:
             run.pool_failed = True
             raise
         finally:
-            failed = run.pool_failed or run.wedged
-            if pool is not self._pool:
-                pool.shutdown(wait=not run.wedged, cancel_futures=True)
-            elif failed:
-                # A sick persistent pool is worthless warm: discard it so
-                # the next batch forks fresh instead of inheriting damage.
-                self._discard_pool(wait=not run.wedged)
             # Every allow() gets exactly one outcome, so a half-open probe
-            # can never wedge the breaker.
-            if failed:
+            # can never wedge the breaker.  A sick pool is worthless warm:
+            # it is discarded, so the next batch forks fresh.
+            if run.pool_failed or run.wedged:
+                self._discard_pool(wait=not run.wedged)
                 self.breaker.record_failure()
             else:
                 self.breaker.record_success()
@@ -614,23 +589,18 @@ class Executor:
             pool.shutdown(wait=wait, cancel_futures=True)
 
     def _acquire_pool(self, workers: int) -> Optional[ProcessPoolExecutor]:
-        """A pool to run on: the warm persistent one, or a fresh fork.
-
-        A persistent pool keeps the worker count of its first creation; a
-        later batch asking for more workers reuses it anyway (re-forking
-        would forfeit the warmup the pool exists to preserve).
-        """
-        if self.keep_alive and self._pool is not None:
+        """The warm pool when it is wide enough, else a fresh fork."""
+        if self._pool is not None and workers <= self._pool_workers:
             obs_metrics.counter("repro_executor_pool_reuses_total").inc()
             return self._pool
+        self._discard_pool()
         pool = self._open_pool(workers)
         if pool is None:
             return None
         obs_metrics.counter("repro_executor_pool_forks_total").inc()
         obs_metrics.gauge("repro_executor_pool_workers").set(workers)
-        if self.keep_alive:
-            self._pool = pool
-            self._pool_workers = workers
+        self._pool = pool
+        self._pool_workers = workers
         return pool
 
     def _open_pool(self, workers: int) -> Optional[ProcessPoolExecutor]:

@@ -7,7 +7,7 @@ named fault points —
 * ``cache.get`` / ``cache.put`` — the disk cache tier's read/write path,
 * ``worker.compile`` — inside the payload compile attempt (fires in the
   worker process under a fork-based pool),
-* ``executor.dispatch`` — process-pool chunk submission,
+* ``executor.dispatch`` — process-pool job submission,
 * ``journal.record`` — the write-ahead journal's line append,
 * ``remote.get`` / ``remote.put`` / ``remote.connect`` — the remote cache
   tier's request paths (:mod:`repro.service.remotecache`)

@@ -56,6 +56,9 @@ class BatchJournal:
         self.path = Path(path)
         self.records_written = 0
         self.append_errors = 0
+        #: Terminal records by key: parsed from the file on the first
+        #: :meth:`completed`, then kept current by :meth:`record`.
+        self._terminal: Optional[Dict[str, Dict[str, Any]]] = None
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         # O_APPEND: every write() lands at the current end of file even
@@ -65,11 +68,12 @@ class BatchJournal:
             self._append({"format": JOURNAL_FORMAT, "version": 1})
 
     # ------------------------------------------------------------------
-    def _append(self, payload: Dict[str, Any]) -> None:
+    def _append(self, payload: Dict[str, Any]) -> str:
         line = json.dumps(payload, sort_keys=True, default=str) + "\n"
         self._stream.write(line)
         self._stream.flush()
         os.fsync(self._stream.fileno())
+        return line
 
     def record(self, entry: Dict[str, Any]) -> bool:
         """Append one job outcome; returns False (and degrades) on failure.
@@ -82,7 +86,7 @@ class BatchJournal:
             faultlab.fire("journal.record", key=entry.get("key"))
             if not entry.get("key"):
                 raise ValueError("journal entries need a non-empty 'key'")
-            self._append(entry)
+            line = self._append(entry)
         except Exception:
             self.append_errors += 1
             obs_metrics.counter("repro_journal_errors_total").inc()
@@ -94,12 +98,21 @@ class BatchJournal:
             )
             return False
         self.records_written += 1
+        if self._terminal is not None and _is_terminal(entry):
+            # The record as a replay of the file would read it back.
+            self._terminal[str(entry["key"])] = json.loads(line)
         return True
 
     def completed(self) -> Dict[str, Dict[str, Any]]:
-        """Terminal outcomes already on disk, keyed by compilation key."""
-        entries, _ = load_journal(self.path)
-        return entries
+        """Terminal outcomes already on disk, keyed by compilation key.
+
+        The file is parsed once per journal object; later calls see the
+        records appended since through :meth:`record`, but not lines
+        another process appended to the file after that parse.
+        """
+        if self._terminal is None:
+            self._terminal, _ = load_journal(self.path)
+        return dict(self._terminal)
 
     def close(self) -> None:
         try:
@@ -114,6 +127,10 @@ class BatchJournal:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def _is_terminal(record: Dict[str, Any]) -> bool:
+    return bool(record.get("key")) and record.get("status") in TERMINAL_STATUSES
 
 
 def load_journal(
@@ -148,11 +165,10 @@ def load_journal(
             if "format" in record and "key" not in record:
                 stats["header"] = record
                 continue
-            key = record.get("key")
-            if not key or record.get("status") not in TERMINAL_STATUSES:
+            if not _is_terminal(record):
                 stats["malformed"] += 1
                 continue
-            entries[str(key)] = record
+            entries[str(record["key"])] = record
     if stats["malformed"]:
         logger.warning(
             "journal %s: skipped %d malformed line(s) out of %d "

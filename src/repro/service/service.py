@@ -9,7 +9,9 @@ parallel batch facility:
 * cache misses go to the service's one
   :class:`~repro.service.executor.Executor`, and the worker count picks
   how they run: one worker (or one miss) runs inline, more fan out across
-  a warmed process pool, both with per-job timeouts and bounded retry
+  the executor's process pool, which stays warm from the first batch
+  that fans out until :meth:`CompilationService.close`; both ways run
+  with per-job timeouts and bounded retry
   (jobs and results cross the process boundary as the JSON payloads of
   :mod:`repro.serialize`, so nothing depends on object identity);
 * every job ends with one of five outcomes (:attr:`JobResult.outcome`):
@@ -58,7 +60,6 @@ from repro.serialize.results import (
 from repro.service.cache import CacheStore, FifoMap, MemoryCacheStore, compilation_cache_key
 from repro.service.executor import Executor, RawResult, default_worker_count
 from repro.service.journal import BatchJournal, open_journal
-from repro.service.resilience import RetryPolicy
 
 logger = logging.getLogger(__name__)
 
@@ -246,21 +247,18 @@ class CompilationService:
     ``max_workers`` (default: ``min(#misses, cpu_count)``; 1 runs inline)
     is the default worker count that :meth:`compile_many` can override per
     batch; ``timeout`` is every job's wall-clock budget in seconds
-    (``None`` = unlimited).  The service builds one
-    :class:`~repro.service.executor.Executor` from ``retry_policy``
-    (default: one retry of a timed-out or crashed job) and ``keep_alive``
-    and keeps it for its lifetime; ``executor=`` injects a ready one
-    instead (it brings its own settings), and the string ``"serial"`` is
+    (``None`` = unlimited).  The service keeps one
+    :class:`~repro.service.executor.Executor` for its lifetime: a default
+    one (one retry of a timed-out or crashed job), or ``executor=`` for
+    one with its own retry policy or breaker.  The string ``"serial"`` is
     kept as shorthand for a default of one worker.
 
-    One breaker per service means pool health learned in one batch keeps
-    later batches from re-paying the broken-pool discovery cost.
-    ``keep_alive=True`` makes that executor's process pool **persistent
-    and warm** across batches: the first batch that fans out forks and
-    warms the workers, every later batch reuses them, and :meth:`close`
-    (or leaving a ``with`` block) shuts them down.  This is the resident
-    server's mode, and it equally serves repeated batches inside one
-    long-lived process.
+    One executor per service means pool health learned in one batch keeps
+    later batches from re-paying the broken-pool discovery cost, and its
+    process pool stays warm across batches: the first batch that fans out
+    forks and warms the workers, later batches reuse them, and
+    :meth:`close` (or leaving a ``with`` block) shuts them down.  A
+    caller that fans out closes its service.
     """
 
     def __init__(
@@ -269,8 +267,6 @@ class CompilationService:
         executor: Union[Executor, str, None] = None,
         max_workers: Optional[int] = None,
         timeout: Optional[float] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        keep_alive: bool = False,
     ):
         if isinstance(executor, str):
             if executor != "serial":
@@ -287,11 +283,7 @@ class CompilationService:
                 "repro.service.executor.Executor or of a subclass"
             )
         self.cache = cache if cache is not None else MemoryCacheStore()
-        self.executor = (
-            executor
-            if executor is not None
-            else Executor(retry_policy=retry_policy, keep_alive=keep_alive)
-        )
+        self.executor = executor if executor is not None else Executor()
         self.max_workers = max_workers
         self.timeout = timeout
         self._options_fingerprints: Dict[CompileOptions, str] = {}
@@ -299,7 +291,7 @@ class CompilationService:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release owned executor resources (the persistent warm pool)."""
+        """Shut down the executor's warm pool (no-op when none is alive)."""
         self.executor.close()
 
     def __enter__(self) -> "CompilationService":
@@ -587,7 +579,6 @@ class CompilationService:
     def executor_stats(self) -> Dict[str, Any]:
         """Live executor facts for ops surfaces (``/v1/stats``)."""
         return {
-            "keep_alive": self.executor.keep_alive,
             "pool_workers": self.executor.pool_workers,
             "breaker": self.executor.breaker.state,
         }

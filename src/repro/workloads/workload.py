@@ -6,7 +6,7 @@ family name, the complete parameter set (defaults merged in), and the seed.
 Its :meth:`~Workload.fingerprint` covers all of that *and* the canonical
 symplectic content of the terms, so it composes with a compiler's
 ``config_fingerprint`` into the same content-addressed cache keys the
-compilation service uses (:meth:`~Workload.cache_key`).
+compilation service uses.
 """
 
 from __future__ import annotations
@@ -132,20 +132,6 @@ class Workload:
         hasher.update(self.seed.to_bytes(8, "little", signed=True))
         hasher.update(program_fingerprint(self.terms, canonical=True).encode("ascii"))
         return hasher.hexdigest()
-
-    def cache_key(self, config_fingerprint: str, canonical: bool = True) -> str:
-        """The service cache key of this program under a compiler config.
-
-        Identical to what :meth:`repro.service.service.CompilationService.job_key`
-        computes for a job carrying ``self.terms``, so generated workloads
-        share cache entries with any other route that compiles the same
-        program content.
-        """
-        from repro.service.cache import compilation_cache_key
-
-        return compilation_cache_key(
-            self.terms, config_fingerprint, canonical=canonical
-        )
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:

@@ -66,8 +66,3 @@ class TestCircuitMetrics:
         circuit.h(0).h(0).cx(0, 1).h(1).cx(0, 1)
         assert circuit.depth() == 5
         assert circuit.depth_2q() == 2
-
-    def test_two_qubit_pairs(self):
-        circuit = QuantumCircuit(3)
-        circuit.cx(0, 1).cx(1, 0).cx(1, 2)
-        assert circuit.two_qubit_pairs() == [(0, 1), (0, 1), (1, 2)]

@@ -38,11 +38,11 @@ class TestDistanceCache:
 
     def test_graph_mutation_invalidates_cache(self):
         line = Topology.line(5)
-        assert line.distance(0, 4) == 4
+        assert line.distance_matrix()[0, 4] == 4
         line.graph.add_edge(0, 4)  # mutate the coupling graph in place
         # The content fingerprint changes, so the stale matrix is dropped.
-        assert line.distance(0, 4) == 1
-        assert line.distance(1, 4) == 2
+        assert line.distance_matrix()[0, 4] == 1
+        assert line.distance_matrix()[1, 4] == 2
 
     def test_sabre_routing_unchanged_by_cache(self):
         circuit = _routing_fixture_circuit()

@@ -14,9 +14,9 @@ class TestTopologyConstructors:
 
     def test_line_and_ring(self):
         line = Topology.line(4)
-        assert line.distance(0, 3) == 3
+        assert line.distance_matrix()[0, 3] == 3
         ring = Topology.ring(4)
-        assert ring.distance(0, 3) == 1
+        assert ring.distance_matrix()[0, 3] == 1
 
     def test_grid(self):
         grid = Topology.grid(2, 3)
@@ -46,10 +46,9 @@ class TestTopologyQueries:
         assert np.allclose(distances, distances.T)
         assert distances[0, 8] == 4
 
-    def test_neighbors_and_shortest_path(self):
+    def test_neighbors(self):
         topo = Topology.line(5)
         assert topo.neighbors(2) == [1, 3]
-        assert topo.shortest_path(0, 4) == [0, 1, 2, 3, 4]
 
     def test_edges_sorted_pairs(self):
         topo = Topology.line(3)

@@ -30,7 +30,10 @@ def sabre_initial_mapping_reference(
     """The dict-and-rescan placement ``sabre_initial_mapping`` replaced."""
     interaction: Dict[Tuple[int, int], int] = {}
     strength = np.zeros(circuit.num_qubits)
-    for a, b in circuit.two_qubit_pairs():
+    for gate in circuit.gates:
+        if not gate.is_two_qubit():
+            continue
+        a, b = sorted(gate.qubits)
         interaction[(a, b)] = interaction.get((a, b), 0) + 1
         strength[a] += 1
         strength[b] += 1

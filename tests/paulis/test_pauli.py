@@ -104,11 +104,6 @@ class TestPauliAlgebra:
             expected = a.to_matrix() @ b.to_matrix()
             assert np.allclose(expected, phase * product.to_matrix())
 
-    def test_tensor(self):
-        a = PauliString.from_label("XZ")
-        b = PauliString.from_label("Y")
-        assert a.tensor(b).to_label() == "XZY"
-
     def test_expand(self):
         small = PauliString.from_label("XY")
         embedded = small.expand(5, [1, 3])

@@ -23,7 +23,9 @@ from repro.serve.smoke import scrape_counter
 from repro.serve.queue import Job
 from repro.service import faultlab
 from repro.service.cli import jobs_from_entries
+from repro.service.executor import Executor
 from repro.service.journal import load_journal
+from repro.service.resilience import RetryPolicy
 from repro.service.service import CompilationService
 
 FAST_ENTRIES = [
@@ -89,7 +91,7 @@ def test_ops_endpoints_and_error_surface(server):
 
     stats = client.stats()
     assert stats["queue"]["capacity"] == 8
-    assert stats["executor"]["keep_alive"] is True
+    assert stats["executor"] == {"pool_workers": 0, "breaker": "closed"}
     assert {task["name"] for task in stats["tasks"]} == {
         "compile-worker", "signal-watcher",
     }
@@ -543,10 +545,10 @@ def test_stats_reads_cache_usage_off_the_event_loop(make_server):
 def test_client_roundtrip_under_flaky_workers(make_server):
     # The resident server retries transient worker errors; under the
     # seeded flaky-workers scenario every program still lands.
-    config = ServeConfig(
-        port=0, workers=1, queue_size=8, retries=5, retry_errors=True
-    )
-    handle = make_server(config)
+    policy = RetryPolicy(max_retries=5, retry_errors=True)
+    service = CompilationService(max_workers=1, executor=Executor(retry_policy=policy))
+    config = ServeConfig(port=0, workers=1, queue_size=8)
+    handle = make_server(app=ServeApp(config, service=service))
     client = handle.client
     with faultlab.active(faultlab.BUILTIN_SCENARIOS["flaky-workers"]) as lab:
         submitted = client.submit(FAST_ENTRIES, name="flaky")

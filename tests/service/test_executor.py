@@ -270,19 +270,19 @@ def pid_runner(payload):
     return {"index": payload["index"], "status": "ok", "pid": os.getpid()}
 
 
-class TestKeepAlivePool:
-    """The persistent warm pool behind ``keep_alive=True``."""
+class TestWarmPool:
+    """The pool an executor owns: forked once, reused, closed."""
 
     def test_workers_survive_across_runs(self, clean_metrics):
-        with Executor(keep_alive=True) as executor:
+        with Executor() as executor:
             first = executor.run(_payloads(4), workers=2, runner=pid_runner)
             assert executor.pool_workers == 2
             second = executor.run(_payloads(4), workers=2, runner=pid_runner)
             first_pids = {raw["pid"] for raw in first}
             second_pids = {raw["pid"] for raw in second}
             # Same pool, same processes: across both runs only the two
-            # original workers ever appear (chunk scheduling may hand a
-            # whole run to one of them, so equality is too strong).
+            # original workers ever appear (scheduling may hand a whole
+            # run to one of them, so equality is too strong).
             assert len(first_pids | second_pids) <= 2
             assert first_pids and second_pids
             forks = clean_metrics.counter("repro_executor_pool_forks_total")
@@ -295,7 +295,7 @@ class TestKeepAlivePool:
         assert clean_metrics.gauge("repro_executor_pool_workers").as_value() == 0
 
     def test_close_then_run_forks_a_fresh_pool(self, clean_metrics):
-        executor = Executor(keep_alive=True)
+        executor = Executor()
         try:
             executor.run(_payloads(3), workers=2, runner=pid_runner)
             executor.close()
@@ -307,12 +307,25 @@ class TestKeepAlivePool:
         finally:
             executor.close()
 
-    def test_without_keep_alive_every_run_forks(self, clean_metrics):
-        executor = Executor()
-        executor.run(_payloads(3), workers=2, runner=pid_runner)
-        executor.run(_payloads(3), workers=2, runner=pid_runner)
+    def test_a_wider_batch_reforks_and_a_narrower_one_reuses(self, clean_metrics):
+        with Executor() as executor:
+            executor.run(_payloads(3), workers=2, runner=pid_runner)
+            executor.run(_payloads(3), workers=3, runner=pid_runner)
+            assert executor.pool_workers == 3
+            executor.run(_payloads(3), workers=2, runner=pid_runner)
+            assert executor.pool_workers == 3
+            forks = clean_metrics.counter("repro_executor_pool_forks_total")
+            reuses = clean_metrics.counter("repro_executor_pool_reuses_total")
+            assert forks.as_value() == 2
+            assert reuses.as_value() == 1
+
+    def test_a_broken_pool_is_discarded_and_its_gauge_zeroed(self, clean_metrics):
+        executor = Executor(retry_policy=RetryPolicy(max_retries=0))
+        raws = executor.run(_payloads(2), workers=2, runner=always_crash_runner)
+        assert all(raw["status"] == "error" for raw in raws)
         assert executor.pool_workers == 0
-        forks = clean_metrics.counter("repro_executor_pool_forks_total")
-        reuses = clean_metrics.counter("repro_executor_pool_reuses_total")
-        assert forks.as_value() == 2
-        assert reuses.as_value() == 0
+        assert clean_metrics.gauge("repro_executor_pool_workers").as_value() == 0
+        # The next fan-out forks a fresh pool.
+        executor.run(_payloads(2), workers=2, runner=pid_runner)
+        assert clean_metrics.counter("repro_executor_pool_forks_total").as_value() == 2
+        executor.close()

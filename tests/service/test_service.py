@@ -268,20 +268,20 @@ class TestBatchOverrides:
         assert [call["workers"] for call in calls] == [3, 1]
 
     def test_one_executor_for_the_service_lifetime(self, tiny_program):
-        service = CompilationService(keep_alive=True)
+        service = CompilationService()
         executor = service.executor
         service.compile_many([CompilationJob("a", tiny_program)])
         service.compile_many([CompilationJob("b", tiny_program, CompileOptions(lookahead=5))])
-        assert service.executor is executor and executor.keep_alive
+        assert service.executor is executor
 
 
-class TestKeepAliveService:
-    """The service-owned persistent warm pool (the resident server's mode)."""
+class TestWarmPoolService:
+    """The warm pool of the service's executor, kept across batches."""
 
     def test_persistent_executor_reused_across_batches(
         self, tiny_program, qaoa_line_program, clean_metrics
     ):
-        with CompilationService(max_workers=2, keep_alive=True) as service:
+        with CompilationService(max_workers=2) as service:
             # Two batches with distinct programs: both fan out, only the
             # first may fork.
             first = service.compile_many(
@@ -300,7 +300,6 @@ class TestKeepAliveService:
                 workers=2,
             )
             assert all(result.ok for result in first + second)
-            assert stats_between["keep_alive"] is True
             assert stats_between["pool_workers"] == 2
             forks = clean_metrics.counter("repro_executor_pool_forks_total")
             reuses = clean_metrics.counter("repro_executor_pool_reuses_total")
@@ -310,7 +309,25 @@ class TestKeepAliveService:
         assert service.executor_stats()["pool_workers"] == 0
 
     def test_close_is_idempotent_and_safe_without_pool(self):
-        service = CompilationService(keep_alive=True)
+        service = CompilationService()
         service.close()
         service.close()
         assert service.executor_stats()["pool_workers"] == 0
+
+    def test_close_zeroes_the_pool_gauge(
+        self, tiny_program, qaoa_line_program, clean_metrics
+    ):
+        service = CompilationService()
+        results = service.compile_many(
+            [
+                CompilationJob("a", tiny_program),
+                CompilationJob("b", qaoa_line_program),
+                CompilationJob("c", tiny_program, CompileOptions(lookahead=5)),
+            ],
+            workers=2,
+        )
+        assert all(result.ok for result in results)
+        assert clean_metrics.counter("repro_executor_pool_forks_total").as_value() == 1
+        service.close()
+        assert service.executor_stats()["pool_workers"] == 0
+        assert clean_metrics.gauge("repro_executor_pool_workers").as_value() == 0

@@ -1,4 +1,4 @@
-"""Work counts of the warm-hit, miss and routing paths, pinned as upper bounds.
+"""Work counts of the warm-hit, miss, routing, journal and pool paths, pinned as bounds.
 
 Perf claims here are checked by counting work, not by timing it: each test
 wraps a function from the test side (as ``perfbench/layers.py`` wraps its
@@ -21,8 +21,11 @@ from repro.paulis.pauli import PauliString
 from repro.pipeline import stages
 from repro.pipeline.options import CompileOptions
 from repro.serialize.results import result_from_dict
+from repro.service import journal as journal_module
 from repro.service import service as service_module
 from repro.service.cache import open_cache
+from repro.service.executor import Executor
+from repro.service.journal import BatchJournal
 from repro.service.service import CompilationJob, CompilationService
 from repro.transforms.optimize import O2_PIPELINE, O3_PIPELINE
 from repro.transforms.pass_manager import CircuitPass
@@ -45,6 +48,18 @@ DUPLICATES = 4
 #: fixture: every table entry, ``su4`` matrices included, is decoded by
 #: ``gate_from_dict`` without the ``Gate`` constructor.
 GATE_CONSTRUCTIONS_PER_DECODE = 0
+
+#: ``load_journal`` calls of :data:`RESUMED_BATCHES` resumed batches on
+#: one :class:`BatchJournal`: the file is parsed once, and ``record``
+#: keeps the terminal map current after that.
+JOURNAL_PARSES_PER_JOURNAL = 1
+RESUMED_BATCHES = 3
+
+#: Pool forks of two fanned-out batches on one service: the first forks,
+#: the second reuses the warm pool.  A second batch asking for more
+#: workers than the pool has re-forks once.
+POOL_FORKS_PER_TWO_BATCHES = 1
+POOL_FORKS_PER_WIDER_SECOND_BATCH = 2
 
 #: The committed ``repro-json-1`` result payloads.
 V1_FIXTURES = sorted((Path(__file__).parents[1] / "serialize" / "fixtures").glob("v1_*.json"))
@@ -229,3 +244,67 @@ def test_pass_manager_counts_2q_once_per_round(name, monkeypatch):
     rounds = counts[pipeline.passes[0].name]
     assert rounds >= 2, "one round cannot tell the signature counts apart"
     assert counts["count_2q"] <= rounds + 1
+
+
+def test_resumed_batches_parse_their_journal_once(monkeypatch, tmp_path):
+    counts = Counter()
+    load_journal = journal_module.load_journal
+
+    def counted(*args, **kwargs):
+        counts["load_journal"] += 1
+        return load_journal(*args, **kwargs)
+
+    monkeypatch.setattr(journal_module, "load_journal", counted)
+    service = CompilationService(cache=open_cache(None))
+    with BatchJournal(tmp_path / "batch.wal") as journal:
+        outcomes = []
+        for seed in range(RESUMED_BATCHES):
+            spec = f"kpauli:n=5,num_terms=6,k=2,seed={seed}"
+            job = CompilationJob(f"kp-{seed}", workload_from_spec(spec).to_terms())
+            [result] = service.compile_many([job], workers=1, journal=journal, resume=True)
+            outcomes.append(result.outcome)
+        # A fresh service replays what the earlier batches recorded.
+        [replayed] = CompilationService(cache=open_cache(None)).compile_many(
+            [job], workers=1, journal=journal, resume=True
+        )
+    assert outcomes == ["miss"] * RESUMED_BATCHES
+    assert replayed.outcome == "resume"
+    assert counts["load_journal"] <= JOURNAL_PARSES_PER_JOURNAL
+
+
+def _fan_out_batch(batch, size):
+    """``size`` distinct small programs, named by ``batch``."""
+    return [
+        CompilationJob(
+            f"{batch}-{index}",
+            workload_from_spec(f"kpauli:n=5,num_terms=6,k=2,seed={10 * batch + index}").to_terms(),
+        )
+        for index in range(size)
+    ]
+
+
+@pytest.mark.parametrize(
+    "widths, forks",
+    [((2, 2), POOL_FORKS_PER_TWO_BATCHES), ((2, 3), POOL_FORKS_PER_WIDER_SECOND_BATCH)],
+    ids=["same-width", "wider-second"],
+)
+def test_fanned_out_batches_share_one_pool(widths, forks, monkeypatch):
+    counts = Counter()
+    open_pool, acquire_pool = Executor._open_pool, Executor._acquire_pool
+
+    def counted_open(self, workers):
+        counts["forks"] += 1
+        return open_pool(self, workers)
+
+    def counted_acquire(self, workers):
+        counts["acquires"] += 1
+        return acquire_pool(self, workers)
+
+    monkeypatch.setattr(Executor, "_open_pool", counted_open)
+    monkeypatch.setattr(Executor, "_acquire_pool", counted_acquire)
+    with CompilationService(cache=open_cache(None)) as service:
+        for batch, width in enumerate(widths):
+            results = service.compile_many(_fan_out_batch(batch, width), workers=width)
+            assert [result.outcome for result in results] == ["miss"] * width
+    assert counts["acquires"] == len(widths)  # every batch fanned out
+    assert counts["forks"] == forks

@@ -167,27 +167,32 @@ class TestWorkloadSerialization:
 class TestCacheKeyComposition:
     def test_workload_cache_key_matches_service_job_key(self):
         from repro.pipeline.options import CompileOptions
+        from repro.service.cache import compilation_cache_key
         from repro.service.service import CompilationJob, CompilationService
 
         workload = workload_from_spec("heisenberg:n=6,seed=4")
         options = CompileOptions(compiler="phoenix")
         service = CompilationService()
         job = CompilationJob("wl", workload.to_terms(), options)
-        assert service.job_key(job) == workload.cache_key(options.fingerprint())
+        assert service.job_key(job) == compilation_cache_key(
+            workload.terms, options.fingerprint()
+        )
 
     def test_order_sensitive_compilers_use_sequence_keys(self):
         from repro.pipeline.options import CompileOptions
+        from repro.service.cache import compilation_cache_key
         from repro.service.service import CompilationJob, CompilationService
 
         workload = workload_from_spec("tfim:n=5,seed=4")
         options = CompileOptions(compiler="naive")
         service = CompilationService()
         job = CompilationJob("wl", workload.to_terms(), options)
-        assert service.job_key(job) == workload.cache_key(
-            options.fingerprint(), canonical=False
+        assert service.job_key(job) == compilation_cache_key(
+            workload.terms, options.fingerprint(), canonical=False
         )
 
     def test_generated_suites_hit_the_cache_on_rerun(self):
+        from repro.service.cache import compilation_cache_key
         from repro.service.service import CompilationService
 
         workload = workload_from_spec("xxz:n=5,seed=2")
@@ -196,6 +201,6 @@ class TestCacheKeyComposition:
         second = service.compile(workload.to_terms(), name="second")
         assert first.ok and second.ok
         assert not first.cached and second.cached
-        assert first.key == second.key == workload.cache_key(
-            first.key.rsplit("-", 1)[1]
+        assert first.key == second.key == compilation_cache_key(
+            workload.terms, first.key.rsplit("-", 1)[1]
         )
