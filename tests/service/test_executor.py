@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.service import executor as executor_module
 from repro.service.executor import (
     Executor,
     default_worker_count,
@@ -50,6 +51,14 @@ def crash_first_attempt_runner(payload):
 
 def always_crash_runner(payload):
     os._exit(1)
+
+
+def alarm_blocking_runner(payload):
+    """Blocks ``SIGALRM`` (as uninterruptible native code would ignore
+    it) and outlives its budget plus the safety grace."""
+    signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
+    time.sleep(2.0)
+    return {"index": payload["index"], "status": "ok", "value": payload["value"]}
 
 
 def _payloads(count, **extra):
@@ -217,12 +226,31 @@ class TestPool:
     def test_empty_payload_list(self):
         assert Executor().run([], workers=2) == []
 
-    def test_broken_pool_at_dispatch_falls_back_inline(self):
+    def test_broken_pool_at_dispatch_falls_back_inline(self, clean_metrics):
         """A pool that cannot accept work must not lose jobs: every payload
         still runs (inline) and comes back ok, never 'lost track'."""
         raws = _broken_pool_executor().run(_payloads(4), workers=2, runner=echo_runner)
         assert [raw["status"] for raw in raws] == ["ok"] * 4
         assert [raw["value"] for raw in raws] == [0, 10, 20, 30]
+        # One broken pool is one event, however many jobs it strands.
+        assert clean_metrics.counter("repro_executor_broken_pools_total").as_value() == 1
+        assert clean_metrics.counter("repro_executor_inline_fallbacks_total").as_value() == 1
+
+    @needs_alarm
+    def test_wedged_workers_time_out_and_discard_the_pool(self, monkeypatch, clean_metrics):
+        """Workers that ignore the in-worker alarm trip the outer safety
+        net: their jobs end as timeouts, the pool is discarded and the
+        breaker records a failure."""
+        monkeypatch.setattr(executor_module, "SAFETY_GRACE", 0.3)
+        breaker = CircuitBreaker("test.pool", min_calls=1)
+        executor = Executor(retry_policy=RetryPolicy(max_retries=0), breaker=breaker)
+        raws = executor.run(_payloads(2), workers=2, timeout=0.2, runner=alarm_blocking_runner)
+        assert [(raw["status"], raw["timeout"], raw["attempts"]) for raw in raws] == [
+            ("error", True, 1)
+        ] * 2
+        assert executor._pool is None and executor.pool_workers == 0
+        assert clean_metrics.gauge("repro_executor_pool_workers").as_value() == 0
+        assert breaker.state == "open"
 
     @needs_alarm
     def test_inline_and_broken_pool_fallback_retry_alike(self, tmp_path, clean_metrics):
