@@ -18,7 +18,7 @@ so that comparisons isolate the synthesis/ordering strategies:
   only the SABRE step of the shared ``route`` stage.
 """
 
-from repro.baselines.base import BaselineCompiler, BaselineResult
+from repro.baselines.base import BaselineCompiler
 from repro.baselines.naive import NaiveCompiler
 from repro.baselines.paulihedral import PaulihedralCompiler
 from repro.baselines.tetris import TetrisCompiler
@@ -27,7 +27,6 @@ from repro.baselines.qaan import TwoQANCompiler
 
 __all__ = [
     "BaselineCompiler",
-    "BaselineResult",
     "NaiveCompiler",
     "PaulihedralCompiler",
     "TetrisCompiler",

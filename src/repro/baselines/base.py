@@ -12,14 +12,10 @@ from :mod:`repro.pipeline`.
 
 from __future__ import annotations
 
-from repro.core.compiler import CompilationResult
 from repro.pipeline.compiler import PipelineCompiler
 from repro.pipeline.options import as_terms  # noqa: F401  (re-export)
 from repro.pipeline.stage import Pipeline
 from repro.pipeline.stages import backend_stages
-
-#: Baselines reuse the same result dataclass as PHOENIX.
-BaselineResult = CompilationResult
 
 
 class BaselineCompiler(PipelineCompiler):

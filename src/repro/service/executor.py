@@ -2,8 +2,8 @@
 
 :class:`Executor` runs serialized job payloads and picks *how* from the
 worker count alone: one worker (or one payload) runs inline in this
-process; more fan out, one pool future per job, across a ``fork``-based
-process pool that the executor owns, with
+process; more fan out, at most ``workers`` jobs in flight at a time,
+across a ``fork``-based process pool that the executor owns, with
 
 * one warm pool per executor: the first batch that fans out forks it
   and warms its workers (they pre-import the compiler and workload
@@ -14,8 +14,8 @@ process pool that the executor owns, with
   ``SIGALRM`` (a slow job becomes an error result without killing or
   blocking its worker),
 * bounded retry under a shared :class:`~repro.service.resilience.RetryPolicy`
-  — a job whose attempt timed out or whose worker died is re-executed
-  (re-dispatched to the pool while it is healthy, inline once it is
+  — a job whose attempt timed out or whose worker died goes back to the
+  front of the queue (to the pool while it is healthy, inline once it is
   broken), with exponential seeded-jitter backoff on inline retries,
 * a :class:`~repro.service.resilience.CircuitBreaker` guarding the pool:
   while it is open, batches run inline instead of re-paying the
@@ -24,19 +24,19 @@ process pool that the executor owns, with
   payload order no matter which worker finished first, with per-job
   errors captured as result dicts rather than raised.
 
-Every inline attempt — a one-worker batch, the open-breaker and no-pool
-fallbacks, a pool that breaks mid-dispatch, a job whose worker died —
-goes through one attempt loop, so a job reports the same ``attempts``
-and retry counts whichever way it ended up inline.
+Inline and pooled batches run the same dispatch loop (inline is one
+slot), and one rule decides retry or finish for every attempt, so a job
+reports the same ``attempts`` and retry counts whichever way it ran.
+Jobs a broken or wedged pool strands, queued or retried, run inline.
 
 ``run(payloads)`` takes a sequence of JSON-compatible payload dicts and
 returns one raw result dict per payload, in order.  A raw result always
 carries ``status`` ("ok" or "error"), ``elapsed``, and ``attempts``;
 timeouts additionally carry ``timeout: True`` and jobs skipped by a
 cancel token carry ``cancelled: True``: once the token is set, every job
-that has not started is skipped and the started ones finish (on the pool
-the token is read each time a result comes back, so a job the pool
-starts before then still runs).  The payload runner is pluggable
+that has not started is skipped and the started ones finish (a job
+waits in the executor's queue, not the pool's, until it starts).  The
+payload runner is pluggable
 (``runner=``) so the retry/timeout machinery is testable without
 compiling anything; the default runner :func:`execute_payload` compiles
 one serialized compilation job exactly as
@@ -52,6 +52,7 @@ import signal
 import threading
 import time
 import traceback
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
@@ -255,8 +256,9 @@ def _count(metric: str, where: str) -> None:
 
 
 class _Run:
-    """One :meth:`Executor.run` call: per-payload state plus the one
-    inline attempt loop and the pool dispatch/collection loop."""
+    """One :meth:`Executor.run` call: per-payload state and the one
+    dispatch loop, which runs inline (no pool: one slot) or keeps at most
+    ``workers`` jobs in flight on the pool."""
 
     def __init__(
         self,
@@ -275,9 +277,9 @@ class _Run:
         self.policy = policy
         self.results: List[Optional[RawResult]] = [None] * len(payloads)
         self.attempts = [0] * len(payloads)
+        self.queue = deque(range(len(payloads)))  # positions not yet started
         self.pending: Dict[Future, int] = {}  # future -> position
-        self.pool_broken = False  # dispatch failed: no more submissions
-        self.pool_failed = False  # the breaker records a failure
+        self.pool_failed = False  # no more submissions; the breaker records a failure
         self.wedged = False  # workers outlived the safety timeout
         self.fell_back = False
 
@@ -290,42 +292,54 @@ class _Run:
         if self.progress is not None:
             self.progress(position, raw)
 
-    def may_retry(self, position: int, raw: RawResult) -> bool:
-        return (
-            _retryable(self.policy, raw)
-            and self.attempts[position] <= self.policy.max_retries
-            and not self.cancelled()
-        )
+    def dispatch(self, pool: Optional[ProcessPoolExecutor], workers: int) -> None:
+        """The dispatch loop: start queued jobs, on the pool while it is
+        healthy (at most ``workers`` in flight) and else inline, and collect
+        results until every job has finished.  Once the token is set,
+        every queued job finishes as cancelled; in-flight ones finish."""
+        while self.queue or self.pending:
+            if self.queue and self.cancelled():
+                position = self.queue.popleft()
+                self.finish(position, _cancelled_result(self.payloads[position]))
+            elif not self.queue or len(self.pending) >= workers:
+                self.collect()
+            elif pool is None or self.pool_failed:
+                if pool is not None:
+                    self.count_fallback()
+                position = self.queue.popleft()
+                raw = run_payload_with_timeout(self.payloads[position], self.timeout, self.runner)
+                self.settle(position, raw, INLINE)
+            else:
+                self.submit(pool, self.queue.popleft())
 
-    # -- inline ---------------------------------------------------------
-    def attempt_inline(self, position: int) -> None:
-        """The attempt loop: run one payload here until it succeeds, its
-        retry budget is spent, or a drain starts."""
+    def settle(self, position: int, raw: RawResult, where: str, died: bool = False) -> None:
+        """Retry or finish one attempt: a timed-out, crashed (``died``) or,
+        under ``retry_errors``, failed attempt goes back to the front of the
+        queue while its retry budget lasts and no drain has started."""
+        self.attempts[position] += 1
+        if raw.get("timeout"):
+            _count("repro_executor_timeouts_total", where)
+        if (
+            not (died or _retryable(self.policy, raw))
+            or self.attempts[position] > self.policy.max_retries
+            or self.cancelled()
+        ):
+            self.finish(position, raw)
+            return
         payload = self.payloads[position]
         token = payload.get("name", payload.get("index", position))
-        while True:
-            self.attempts[position] += 1
-            raw = run_payload_with_timeout(payload, self.timeout, self.runner)
-            if raw.get("timeout"):
-                _count("repro_executor_timeouts_total", INLINE)
-            if not self.may_retry(position, raw):
-                self.finish(position, raw)
-                return
+        if where == INLINE:
+            # A pool retry does not sleep: it queues behind the in-flight
+            # jobs, and sleeping would stall collection for all of them.
             self.policy.backoff(self.attempts[position], token)
-            _count("repro_executor_retries_total", INLINE)
-            logger.info(
-                "retrying failed job %s (attempt %d/%d)",
-                token,
-                self.attempts[position] + 1,
-                self.policy.max_retries + 1,
-            )
-
-    def run_inline(self) -> None:
-        for position in range(len(self.payloads)):
-            if self.cancelled():
-                self.finish(position, _cancelled_result(self.payloads[position]))
-            else:
-                self.attempt_inline(position)
+        _count("repro_executor_retries_total", where)
+        logger.info(
+            "retrying failed job %s (attempt %d/%d)",
+            token,
+            self.attempts[position] + 1,
+            self.policy.max_retries + 1,
+        )
+        self.queue.appendleft(position)
 
     def count_fallback(self) -> None:
         # The fallback *decision* is counted once per batch, not once per
@@ -334,10 +348,7 @@ class _Run:
             self.fell_back = True
             obs_metrics.counter("repro_executor_inline_fallbacks_total").inc()
 
-    # -- pool -----------------------------------------------------------
-    def submit(self, pool: ProcessPoolExecutor, position: int) -> bool:
-        if self.pool_broken:
-            return False
+    def submit(self, pool: ProcessPoolExecutor, position: int) -> None:
         try:
             faultlab.fire("executor.dispatch")
             future = pool.submit(
@@ -346,63 +357,42 @@ class _Run:
         except (RuntimeError, faultlab.InjectedFault):
             # Pool already broken/shut down, or the fault lab decided
             # dispatch fails today: same fallback either way.
-            self.pool_broken = self.pool_failed = True
+            self.pool_failed = True
             obs_metrics.counter("repro_executor_broken_pools_total").inc()
             logger.warning(
                 "process pool broke; remaining jobs fall back to inline execution"
             )
-            return False
-        self.pending[future] = position
-        return True
-
-    def pool_result(self, pool: ProcessPoolExecutor, position: int, raw: RawResult) -> None:
-        self.attempts[position] += 1
-        if raw.get("timeout"):
-            _count("repro_executor_timeouts_total", POOL)
-        if not self.may_retry(position, raw):
-            self.finish(position, raw)
+            self.queue.appendleft(position)
             return
-        _count("repro_executor_retries_total", POOL)
-        logger.info(
-            "re-dispatching failed job %s (attempt %d/%d)",
-            self.payloads[position].get("name", position),
-            self.attempts[position] + 1,
-            self.policy.max_retries + 1,
-        )
-        # No backoff sleep here: a re-dispatched job queues behind the
-        # in-flight jobs, and sleeping would stall result collection for
-        # every other job.
-        if not self.submit(pool, position):
-            self.count_fallback()
-            self.attempt_inline(position)
+        self.pending[future] = position
 
-    def worker_died(self, position: int, error: str) -> None:
-        """The pool broke under this job: retry it inline."""
-        if not self.pool_failed:
-            logger.warning(
-                "a pool worker died; retrying its jobs inline: %s",
-                error.strip().splitlines()[-1] if error.strip() else error,
-            )
-        self.pool_failed = True
-        self.attempts[position] += 1
-        if self.attempts[position] <= self.policy.max_retries and not self.cancelled():
-            _count("repro_executor_retries_total", POOL)
-            self.count_fallback()
-            self.attempt_inline(position)
-        else:
-            self.finish(position, _error_result(self.payloads[position], error))
-
-    def drain_queued(self) -> None:
-        """Drain mode: cancel the jobs that have not started (they report
-        as cancelled), let running jobs finish."""
-        for future in list(self.pending):
-            if future.cancel():
-                position = self.pending.pop(future)
-                self.finish(position, _cancelled_result(self.payloads[position]))
+    def collect(self) -> None:
+        """Wait for the next pool result; a worker that died fails the pool
+        (its job retries inline), and workers wedged past the safety
+        timeout abandon it."""
+        done, _ = wait(self.pending, timeout=self.safety_timeout(), return_when=FIRST_COMPLETED)
+        if not done:
+            self.abandon_wedged()
+        for future in done:
+            position = self.pending.pop(future)
+            try:
+                raw = future.result()
+            except BaseException:
+                error = traceback.format_exc()
+                if not self.pool_failed:
+                    logger.warning(
+                        "a pool worker died; retrying its jobs inline: %s",
+                        error.strip().splitlines()[-1] if error.strip() else error,
+                    )
+                self.pool_failed = True
+                raw = _error_result(self.payloads[position], error)
+                self.settle(position, raw, POOL, died=True)
+            else:
+                self.settle(position, raw, POOL)
 
     def abandon_wedged(self) -> None:
         """Hard-wedged workers: record timeouts and give up on the pool."""
-        self.wedged = True
+        self.wedged = self.pool_failed = True
         logger.error(
             "%d in-flight job(s) exceeded the safety timeout; abandoning the pool",
             len(self.pending),
@@ -414,37 +404,6 @@ class _Run:
                 position, _timeout_result(self.payloads[position], self.timeout or 0.0, 0.0)
             )
         self.pending.clear()
-
-    def run_pool(self, pool: ProcessPoolExecutor) -> None:
-        for position in range(len(self.payloads)):
-            if self.cancelled():
-                self.finish(position, _cancelled_result(self.payloads[position]))
-            elif not self.submit(pool, position):
-                # Pool broke mid-dispatch: this job (and, via the
-                # pool_broken latch, every later one) runs inline.
-                self.count_fallback()
-                self.attempt_inline(position)
-        while self.pending:
-            if self.cancelled():
-                self.drain_queued()
-                if not self.pending:
-                    break
-            done, _ = wait(
-                self.pending,
-                timeout=self.safety_timeout(),
-                return_when=FIRST_COMPLETED,
-            )
-            if not done:
-                self.abandon_wedged()
-                break
-            for future in done:
-                position = self.pending.pop(future)
-                try:
-                    raw = future.result()
-                except BaseException:
-                    self.worker_died(position, traceback.format_exc())
-                else:
-                    self.pool_result(pool, position, raw)
 
     def safety_timeout(self) -> Optional[float]:
         # The in-worker alarm should always fire first; this outer net only
@@ -469,7 +428,8 @@ class Executor:
 
     ``run`` goes inline when ``workers <= 1``, when there is a single
     payload, while the pool ``breaker`` is open, or when no pool can be
-    forked here; otherwise every payload becomes one future on the pool.
+    forked here; otherwise it keeps at most ``workers`` jobs in flight on
+    the pool and submits the next queued job as each one finishes.
     ``retry_policy`` defaults to one retry of a timed-out or crashed job;
     inline retry after a broken pool assumes failures are transient
     infrastructure issues, not jobs that deterministically kill their
@@ -535,9 +495,9 @@ class Executor:
         workers = max(1, min(int(workers or default_worker_count(count)), count))
         pool = self._pool_for(workers, count) if workers > 1 else None
         if pool is None:
-            run.run_inline()
+            run.dispatch(None, 1)
         else:
-            self._fan_out(run, pool)
+            self._fan_out(run, pool, workers)
         return run.ordered()
 
     def _pool_for(self, workers: int, count: int) -> Optional[ProcessPoolExecutor]:
@@ -564,9 +524,9 @@ class Executor:
             )
         return pool
 
-    def _fan_out(self, run: _Run, pool: ProcessPoolExecutor) -> None:
+    def _fan_out(self, run: _Run, pool: ProcessPoolExecutor, workers: int) -> None:
         try:
-            run.run_pool(pool)
+            run.dispatch(pool, workers)
         except BaseException:
             run.pool_failed = True
             raise
@@ -574,7 +534,7 @@ class Executor:
             # Every allow() gets exactly one outcome, so a half-open probe
             # can never wedge the breaker.  A sick pool is worthless warm:
             # it is discarded, so the next batch forks fresh.
-            if run.pool_failed or run.wedged:
+            if run.pool_failed:
                 self._discard_pool(wait=not run.wedged)
                 self.breaker.record_failure()
             else:

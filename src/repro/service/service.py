@@ -335,7 +335,8 @@ class CompilationService:
         ``workers=None`` uses the service's ``max_workers``, else
         ``min(#misses, cpu_count)``; ``workers <= 1`` runs everything inline
         (deterministic and fork-free, useful in tests and restricted
-        environments).  ``progress`` is called once per job as it
+        environments), more keep at most ``workers`` misses in the pool at
+        a time.  ``progress`` is called once per job as it
         completes, with its outcome: ``hit``, ``resume``, ``dedup``,
         ``miss`` or ``error``.  A cache entry or journal record that does
         not decode is logged and compiled as a miss, and the fresh result
@@ -345,10 +346,11 @@ class CompilationService:
         terminal job outcome to a crash-safe write-ahead log;
         ``resume=True`` additionally replays terminal outcomes already in
         that journal instead of recompiling them.  ``cancel`` is a
-        :class:`threading.Event`: once set, jobs that have not started are
-        skipped (``cancelled: True`` error results) while in-flight jobs
-        drain normally — :class:`repro.service.resilience.shutdown_guard`
-        sets it on the first SIGINT/SIGTERM.
+        :class:`threading.Event`: once set, every job that has not started
+        is skipped (a ``cancelled`` result, never journaled, so a resume
+        compiles it) while the in-flight ones finish normally —
+        :class:`repro.service.resilience.shutdown_guard` sets it on the
+        first SIGINT/SIGTERM.
         """
         wal, owns_wal = open_journal(journal)
         try:

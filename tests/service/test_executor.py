@@ -223,6 +223,20 @@ class TestPool:
         assert all(raw["status"] == "error" for raw in raws)
         assert all("attempts" in raw for raw in raws)
 
+    def test_a_drain_skips_every_job_not_yet_started(self):
+        # The first finished job sets the token: the other job in flight
+        # finishes, and the 4 still queued never start.
+        cancel = threading.Event()
+        with Executor() as executor:
+            raws = executor.run(
+                _payloads(6), workers=2, runner=echo_runner, cancel=cancel,
+                progress=lambda position, raw: cancel.set(),
+            )
+        assert [raw["status"] for raw in raws].count("ok") == 2
+        cancelled = [raw for raw in raws if raw.get("cancelled")]
+        assert len(cancelled) == 4
+        assert all(raw["attempts"] == 0 for raw in cancelled)
+
     def test_empty_payload_list(self):
         assert Executor().run([], workers=2) == []
 

@@ -9,6 +9,7 @@ from repro.service import service as service_module
 from repro.service.cache import MemoryCacheStore
 from repro.service.journal import BatchJournal, load_journal, open_journal
 from repro.service.service import CompilationJob, CompilationService
+from repro.workloads.registry import workload_from_spec
 
 
 class TestBatchJournal:
@@ -244,3 +245,33 @@ class TestServiceResume:
         assert all(job_result.ok for job_result in resumed)
         assert not any(job_result.resumed for job_result in resumed)
         assert resumed[1].deduplicated
+
+    def test_a_drained_pool_batch_resumes_the_jobs_it_skipped(self, tmp_path):
+        # The first finished job sets the token: the job still in flight
+        # on the 2-worker pool finishes, the 4 queued ones are skipped and
+        # stay resumable, and a resume replays 2 and compiles 4.
+        path = tmp_path / "run.wal"
+        jobs = [
+            CompilationJob(
+                f"kp-{seed}",
+                workload_from_spec(f"kpauli:n=5,num_terms=6,k=2,seed={seed}").to_terms(),
+            )
+            for seed in range(6)
+        ]
+        cancel = threading.Event()
+        with CompilationService(cache=MemoryCacheStore()) as service:
+            drained = service.compile_many(
+                jobs, workers=2, journal=str(path), cancel=cancel,
+                progress=lambda event: cancel.set(),
+            )
+        assert [job_result.outcome for job_result in drained].count("miss") == 2
+        assert sum(job_result.cancelled for job_result in drained) == 4
+        assert len(load_journal(path)[0]) == 2
+
+        outcomes = []
+        resumed = CompilationService(cache=MemoryCacheStore()).compile_many(
+            jobs, workers=1, journal=str(path), resume=True,
+            progress=lambda event: outcomes.append(event.outcome),
+        )
+        assert all(job_result.ok for job_result in resumed)
+        assert sorted(outcomes) == ["miss"] * 4 + ["resume"] * 2

@@ -10,6 +10,7 @@ raises a bound says why.
 
 import json
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,11 @@ RESUMED_BATCHES = 3
 #: workers than the pool has re-forks once.
 POOL_FORKS_PER_TWO_BATCHES = 1
 POOL_FORKS_PER_WIDER_SECOND_BATCH = 2
+
+#: Unfinished pool futures per worker at any submission: the executor
+#: keeps at most ``workers`` jobs in the pool, so a drain can skip every
+#: job that has not started.
+POOL_FUTURES_IN_FLIGHT_PER_WORKER = 1
 
 #: The committed ``repro-json-1`` result payloads.
 V1_FIXTURES = sorted((Path(__file__).parents[1] / "serialize" / "fixtures").glob("v1_*.json"))
@@ -308,3 +314,24 @@ def test_fanned_out_batches_share_one_pool(widths, forks, monkeypatch):
             assert [result.outcome for result in results] == ["miss"] * width
     assert counts["acquires"] == len(widths)  # every batch fanned out
     assert counts["forks"] == forks
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_pool_holds_at_most_workers_jobs(workers, monkeypatch):
+    in_flight = []
+    futures = []
+    submit = ProcessPoolExecutor.submit
+
+    def counted_submit(self, *args, **kwargs):
+        # A future the executor has collected is done before it submits
+        # the next one, so the count here is exact.
+        in_flight.append(1 + sum(not future.done() for future in futures))
+        futures.append(submit(self, *args, **kwargs))
+        return futures[-1]
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", counted_submit)
+    with CompilationService(cache=open_cache(None)) as service:
+        results = service.compile_many(_fan_out_batch(0, 3 * workers), workers=workers)
+    assert [result.outcome for result in results] == ["miss"] * (3 * workers)
+    assert len(futures) == 3 * workers
+    assert max(in_flight) <= workers * POOL_FUTURES_IN_FLIGHT_PER_WORKER
