@@ -304,8 +304,11 @@ class _Run:
             elif not self.queue or len(self.pending) >= workers:
                 self.collect()
             elif pool is None or self.pool_failed:
-                if pool is not None:
-                    self.count_fallback()
+                if pool is not None and not self.fell_back:
+                    # Counted once per batch, not once per job: a broken
+                    # pool is one event however many jobs it strands.
+                    self.fell_back = True
+                    obs_metrics.counter("repro_executor_inline_fallbacks_total").inc()
                 position = self.queue.popleft()
                 raw = run_payload_with_timeout(self.payloads[position], self.timeout, self.runner)
                 self.settle(position, raw, INLINE)
@@ -340,13 +343,6 @@ class _Run:
             self.policy.max_retries + 1,
         )
         self.queue.appendleft(position)
-
-    def count_fallback(self) -> None:
-        # The fallback *decision* is counted once per batch, not once per
-        # job: a broken pool is one event however many jobs it strands.
-        if not self.fell_back:
-            self.fell_back = True
-            obs_metrics.counter("repro_executor_inline_fallbacks_total").inc()
 
     def submit(self, pool: ProcessPoolExecutor, position: int) -> None:
         try:
