@@ -8,15 +8,16 @@ benchmark lists.
 
 Every benchmark module carries the ``slow`` marker (registered in
 ``pyproject.toml``, alongside ``perf`` for wall-clock comparisons and
-``fuzz`` for the seeded randomized suites), so a fast deterministic tier-1
-loop is one flag away: ``pytest -m 'not slow'``.  Determinism is a hard
+``fuzz`` for the seeded randomized suites), so a quicker loop without them
+is one flag away: ``pytest -m 'not slow'``.  Tier-1 is the full
+``python -m pytest -x -q``, benchmarks included.  Determinism is a hard
 rule here: all randomized inputs must derive from explicit seeds
 (``np.random.default_rng(<seed>)``), never from the bare ``np.random.*``
 global state, so that reruns and selections are order-independent.
 
 The printed rows (and the ``benchmarks/results/*.txt`` files written as a
-side effect) are the reproduction counterpart of the paper's tables; see
-EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+side effect) are the reproduction counterpart of the paper's tables; the
+committed ``benchmarks/results/`` tables are the recorded measurements.
 """
 
 from __future__ import annotations

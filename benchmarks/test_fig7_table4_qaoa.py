@@ -52,9 +52,10 @@ def test_fig7_table4_qaoa(benchmark, heavy_hex_topology):
     write_report("fig7_table4_qaoa", table)
 
     # Both compilers must produce topology-respecting circuits; the relative
-    # ordering is recorded in EXPERIMENTS.md (this reproduction's simplified
-    # SABRE router does not exploit gate commutation, which costs PHOENIX
-    # part of the advantage the paper reports).
+    # ordering is recorded in benchmarks/results/fig7_table4_qaoa.txt (this
+    # reproduction's simplified SABRE router does not exploit gate
+    # commutation, which costs PHOENIX part of the advantage the paper
+    # reports).
     for name in programs:
         for label in ("2qan", "phoenix"):
             circuit = results[name][label].circuit

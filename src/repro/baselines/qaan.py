@@ -12,7 +12,9 @@ executable.  This reproduction is an ordinary stage pipeline: a per-term
 * at each step, execute every remaining interaction whose qubits are
   adjacent, and
 * otherwise insert the SWAP that minimises the summed distance of the
-  remaining interactions.
+  remaining interactions, unless it returns to a placement already held
+  since the last executed interaction (the greedy search would cycle):
+  then move the closest remaining pair one hop along a shortest path.
 
 The shared post-route passes (rebase, optimisation, SU(4) consolidation,
 metrics and routing overhead) then run exactly as for every other compiler.
@@ -67,6 +69,9 @@ class TwoQANRouteStage(RouteStage):
         implemented: List[PauliTerm] = []
         swap_count = 0
         guard = 0
+        # Mappings stood in since the last executed term: the search is
+        # deterministic, so returning to one would loop forever.
+        visited = set()
         while remaining:
             guard += 1
             if guard > 200 * (len(terms) + 1):  # pragma: no cover - safety net
@@ -91,8 +96,10 @@ class TwoQANRouteStage(RouteStage):
                     still_waiting.append(term)
             remaining = still_waiting
             if not remaining or progressed:
+                visited.clear()
                 continue
             # Stuck: insert the SWAP minimising the remaining total distance.
+            visited.add(tuple(mapping.values()))
             best_swap = None
             best_cost = None
             reverse = {phys: logical_q for logical_q, phys in mapping.items()}
@@ -116,7 +123,18 @@ class TwoQANRouteStage(RouteStage):
                 if best_cost is None or cost < best_cost - 1e-12:
                     best_cost = cost
                     best_swap = (phys_a, phys_b)
+                    best_trial = trial
             phys_a, phys_b = best_swap
+            if tuple(best_trial.values()) in visited:
+                pair = min(
+                    (term.support() for term in remaining),
+                    key=lambda pair: distances[mapping[pair[0]], mapping[pair[1]]],
+                )
+                phys_a, target = mapping[pair[0]], mapping[pair[1]]
+                phys_b = min(
+                    n for n in topology.neighbors(phys_a)
+                    if distances[n, target] < distances[phys_a, target]
+                )
             routed.swap(phys_a, phys_b)
             swap_count += 1
             if phys_a in reverse:

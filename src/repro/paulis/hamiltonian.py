@@ -17,7 +17,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.paulis.pauli import PauliString, PauliTerm, labels_to_bits
+from repro.paulis.pauli import PauliString, PauliTerm, labels_to_bits, pauli_sum_matrix
 
 
 class Hamiltonian:
@@ -146,16 +146,8 @@ class Hamiltonian:
         return program_fingerprint(self, canonical=canonical)
 
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix representation (only sensible for small registers)."""
-        if self.num_qubits > 14:
-            raise ValueError(
-                "refusing to build a dense matrix for more than 14 qubits"
-            )
-        dim = 2**self.num_qubits
-        mat = np.zeros((dim, dim), dtype=complex)
-        for coeff, string in self._terms:
-            mat += coeff * string.to_matrix()
-        return mat
+        """Dense matrix representation (at most 14 qubits)."""
+        return pauli_sum_matrix(self.num_qubits, self._terms)
 
     def __repr__(self) -> str:
         return f"Hamiltonian(num_qubits={self.num_qubits}, num_terms={len(self)})"

@@ -12,11 +12,11 @@ tracked.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.utils.maths import kron_all
+from repro.paulis.packed import popcount
 
 _BITS_TO_LABEL = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 
@@ -32,12 +32,8 @@ _BYTE_OF_CODE = np.frombuffer(b"IXZY", dtype=np.uint8)
 _CODE_OF_BYTE = np.full(256, 4, dtype=np.uint8)
 _CODE_OF_BYTE[_BYTE_OF_CODE] = _CODE_OF_BYTE[_BYTE_OF_CODE | 0x20] = np.arange(4)
 
-_PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+#: ``i**k`` for ``k`` in 0..3.
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
 
 
 class PauliString:
@@ -168,11 +164,26 @@ class PauliString:
             z[dest] = self.z[local]
         return PauliString(x, z, sign=self.sign)
 
+    def action(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The string as a signed permutation of the computational basis.
+
+        Returns ``(rows, phases)`` with ``P|j> = phases[j] |rows[j]>``:
+        ``rows[j] = j ^ x`` and ``phases[j] = sign * i**#Y *
+        (-1)**popcount(j & z)``, where ``x`` and ``z`` are the string's bit
+        masks and qubit 0 is the most significant bit.  Every dense Pauli
+        object (matrices, sums, exponentials) is built from this.
+        """
+        weights = 1 << np.arange(self.num_qubits - 1, -1, -1)
+        basis = np.arange(2**self.num_qubits, dtype=np.uint64)
+        rows = basis ^ np.uint64(weights[self.x].sum())
+        odd = popcount(basis & np.uint64(weights[self.z].sum())) & 1
+        phase = self.sign * _POWERS_OF_I[np.count_nonzero(self.x & self.z) % 4]
+        return rows.astype(np.intp), np.where(odd == 1, -phase, phase)
+
     def to_matrix(self) -> np.ndarray:
-        """Dense matrix of the (signed) Pauli string; qubit 0 is the
-        leftmost tensor factor (most significant)."""
-        mats = [_PAULI_MATRICES[self.pauli_on(q)] for q in range(self.num_qubits)]
-        return self.sign * kron_all(mats)
+        """Dense matrix of the (signed) Pauli string: :meth:`action`
+        scattered into a ``2^n x 2^n`` array."""
+        return pauli_sum_matrix(self.num_qubits, [(1.0, self)])
 
     # ------------------------------------------------------------------
     # Dunder protocol
@@ -196,6 +207,25 @@ class PauliString:
 
     def copy(self) -> "PauliString":
         return PauliString(self.x, self.z, sign=self.sign)
+
+
+def pauli_sum_matrix(
+    num_qubits: int, weighted: Iterable[Tuple[complex, PauliString]]
+) -> np.ndarray:
+    """Dense matrix of ``sum_j c_j P_j`` over ``(c_j, P_j)`` pairs.
+
+    Adds each term's ``c_j * phases`` at its :meth:`PauliString.action`
+    entries, in term order.  Refuses more than 14 qubits.
+    """
+    if num_qubits > 14:
+        raise ValueError("refusing to build a dense matrix for more than 14 qubits")
+    dim = 2**num_qubits
+    matrix = np.zeros((dim, dim), dtype=complex)
+    columns = np.arange(dim)
+    for coefficient, string in weighted:
+        rows, phases = string.action()
+        matrix[rows, columns] += coefficient * phases
+    return matrix
 
 
 def _pauli_product_phase(xa: bool, za: bool, xb: bool, zb: bool) -> int:

@@ -14,7 +14,7 @@ from typing import Dict, Iterator, List, Tuple
 import numpy as np
 
 from repro.paulis.hamiltonian import Hamiltonian
-from repro.paulis.pauli import PauliString, PauliTerm
+from repro.paulis.pauli import PauliString, PauliTerm, pauli_sum_matrix
 
 _Key = Tuple[bytes, bytes]
 
@@ -100,11 +100,7 @@ class QubitOperator:
         return all(abs(coeff.real) < atol for coeff, _ in self.items())
 
     def to_matrix(self) -> np.ndarray:
-        dim = 2**self.num_qubits
-        matrix = np.zeros((dim, dim), dtype=complex)
-        for coeff, string in self.items():
-            matrix += coeff * string.to_matrix()
-        return matrix
+        return pauli_sum_matrix(self.num_qubits, self.items())
 
     # ------------------------------------------------------------------
     # Conversions

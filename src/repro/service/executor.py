@@ -538,11 +538,18 @@ class Executor:
 
     # -- pool lifecycle -------------------------------------------------
     def _discard_pool(self, wait: bool = True) -> None:
+        """Shut the pool down.  ``wait=False`` is for a wedged pool: its
+        workers may never return, so they are terminated."""
         pool, self._pool = self._pool, None
         self._pool_workers = 0
         if pool is not None:
             obs_metrics.gauge("repro_executor_pool_workers").set(0)
+            # Private, but 3.14's terminate_workers() is the only public form.
+            workers = list((pool._processes or {}).values())
             pool.shutdown(wait=wait, cancel_futures=True)
+            if not wait:
+                for process in workers:
+                    process.terminate()
 
     def _acquire_pool(self, workers: int) -> Optional[ProcessPoolExecutor]:
         """The warm pool when it is wide enough, else a fresh fork."""

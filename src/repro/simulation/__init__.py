@@ -9,11 +9,7 @@ against the exact evolution ``exp(-iHt)``.
 from repro.simulation.statevector import apply_circuit, zero_state
 from repro.simulation.unitary import circuit_unitary
 from repro.simulation.evolution import exact_evolution_unitary, trotter_terms
-from repro.simulation.fidelity import (
-    unitary_infidelity,
-    process_fidelity,
-    states_overlap,
-)
+from repro.simulation.fidelity import unitary_infidelity
 
 __all__ = [
     "apply_circuit",
@@ -22,6 +18,4 @@ __all__ = [
     "exact_evolution_unitary",
     "trotter_terms",
     "unitary_infidelity",
-    "process_fidelity",
-    "states_overlap",
 ]

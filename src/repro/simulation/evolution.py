@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-import scipy.linalg
 
 from repro.paulis.hamiltonian import Hamiltonian
 from repro.paulis.pauli import PauliTerm
@@ -18,6 +17,8 @@ from repro.paulis.pauli import PauliTerm
 
 def exact_evolution_unitary(hamiltonian: Hamiltonian, time: float) -> np.ndarray:
     """The ideal evolution ``exp(-i H t)`` as a dense unitary."""
+    import scipy.linalg  # deferred: the only SciPy use in the package
+
     matrix = hamiltonian.to_matrix()
     return scipy.linalg.expm(-1j * time * matrix)
 
@@ -57,20 +58,22 @@ def trotter_terms(
 
 def pauli_exponential_unitary(term: PauliTerm) -> np.ndarray:
     """Dense unitary of a single Pauli exponentiation ``exp(-i c P)``."""
-    matrix = term.string.to_matrix()
-    return scipy.linalg.expm(-1j * term.coefficient * matrix)
+    return terms_unitary([term])
 
 
 def terms_unitary(terms: List[PauliTerm]) -> np.ndarray:
     """Dense unitary of an ordered list of Pauli exponentiations.
 
     The first term in the list is applied first (rightmost in the operator
-    product), matching circuit order.
+    product), matching circuit order.  Since ``P^2 = I``, each term is
+    ``U <- cos(c) U - i sin(c) (P U)``, where ``P U`` gathers the rows of
+    ``U`` along :meth:`~repro.paulis.PauliString.action`.
     """
     if not terms:
         raise ValueError("empty term list")
-    dim = 2 ** terms[0].num_qubits
-    unitary = np.eye(dim, dtype=complex)
+    unitary = np.eye(2 ** terms[0].num_qubits, dtype=complex)
     for term in terms:
-        unitary = pauli_exponential_unitary(term) @ unitary
+        rows, phases = term.string.action()
+        product = phases[rows, None] * unitary[rows]  # P U
+        unitary = np.cos(term.coefficient) * unitary - 1j * np.sin(term.coefficient) * product
     return unitary

@@ -19,18 +19,3 @@ def unitary_infidelity(ideal: np.ndarray, actual: np.ndarray) -> float:
     dim = ideal.shape[0]
     overlap = abs(np.trace(ideal.conj().T @ actual)) / dim
     return float(max(0.0, 1.0 - overlap))
-
-
-def process_fidelity(ideal: np.ndarray, actual: np.ndarray) -> float:
-    """``|Tr(U† V)|^2 / N^2`` — entanglement fidelity of the two unitaries."""
-    dim = ideal.shape[0]
-    return float(abs(np.trace(ideal.conj().T @ actual)) ** 2 / dim**2)
-
-
-def states_overlap(state_a: np.ndarray, state_b: np.ndarray) -> float:
-    """``|<a|b>|^2`` for two statevectors."""
-    a = np.asarray(state_a, dtype=complex).ravel()
-    b = np.asarray(state_b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        raise ValueError("statevectors must have the same dimension")
-    return float(abs(np.vdot(a, b)) ** 2)

@@ -18,12 +18,14 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 
 def apply_gate(state: np.ndarray, gate, num_qubits: int) -> np.ndarray:
-    """Apply one gate to a statevector and return the new statevector."""
+    """Apply one gate to a statevector, or to each column of a ``(2^n, m)``
+    array of them, and return the result."""
     matrix = gate.matrix()
     qubits = gate.qubits
     k = len(qubits)
-    # Reshape into a rank-n tensor with one axis per qubit (axis j = qubit j).
-    tensor = state.reshape([2] * num_qubits)
+    # Reshape into a rank-n tensor with one axis per qubit (axis j = qubit j),
+    # plus the column axis if there is one.
+    tensor = state.reshape([2] * num_qubits + list(state.shape[1:]))
     axes = list(qubits)
     # Move the gate's qubit axes to the front, contract, then move back.
     tensor = np.moveaxis(tensor, axes, range(k))
@@ -32,7 +34,7 @@ def apply_gate(state: np.ndarray, gate, num_qubits: int) -> np.ndarray:
     tensor = matrix @ tensor
     tensor = tensor.reshape(tensor_shape)
     tensor = np.moveaxis(tensor, range(k), axes)
-    return tensor.reshape(-1)
+    return tensor.reshape(state.shape)
 
 
 def apply_circuit(circuit, state: np.ndarray | None = None) -> np.ndarray:

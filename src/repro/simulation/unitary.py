@@ -12,33 +12,17 @@ _MAX_DENSE_QUBITS = 14
 def circuit_unitary(circuit) -> np.ndarray:
     """Dense unitary of a circuit; qubit 0 is the most significant bit.
 
-    The unitary is built column-by-column by applying the circuit to each
-    computational-basis state, which reuses the tensor-contraction kernel
-    of the statevector simulator and avoids materialising per-gate
-    ``2^n x 2^n`` matrices.
+    The circuit runs on every computational-basis state at once: the
+    identity's columns go through the statevector kernel
+    :func:`~repro.simulation.statevector.apply_gate`, so no per-gate
+    ``2^n x 2^n`` matrix is materialised.
     """
     n = circuit.num_qubits
     if n > _MAX_DENSE_QUBITS:
         raise ValueError(
             f"refusing to build a dense unitary for {n} qubits (max {_MAX_DENSE_QUBITS})"
         )
-    dim = 2**n
-    # Apply all gates to the full identity matrix at once: treat the column
-    # index as a batch dimension.
-    unitary = np.eye(dim, dtype=complex)
+    unitary = np.eye(2**n, dtype=complex)
     for gate in circuit:
-        # Apply gate to every column.  Reshape to (2,)*n + (dim,) and reuse
-        # the same contraction as the statevector path, vectorised over
-        # columns for speed.
-        matrix = gate.matrix()
-        qubits = gate.qubits
-        k = len(qubits)
-        tensor = unitary.reshape([2] * n + [dim])
-        tensor = np.moveaxis(tensor, list(qubits), range(k))
-        moved_shape = tensor.shape
-        tensor = tensor.reshape(2**k, -1)
-        tensor = matrix @ tensor
-        tensor = tensor.reshape(moved_shape)
-        tensor = np.moveaxis(tensor, range(k), list(qubits))
-        unitary = tensor.reshape(dim, dim)
+        unitary = apply_gate(unitary, gate, n)
     return unitary

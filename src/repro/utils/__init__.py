@@ -1,10 +1,9 @@
 """Small shared utilities used across the PHOENIX reproduction."""
 
 from repro.utils.validation import check_qubit_index
-from repro.utils.maths import geometric_mean, kron_all
+from repro.utils.maths import geometric_mean
 
 __all__ = [
     "check_qubit_index",
     "geometric_mean",
-    "kron_all",
 ]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -20,15 +20,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if np.any(arr <= 0):
         raise ValueError("geometric mean requires strictly positive values")
     return float(np.exp(np.mean(np.log(arr))))
-
-
-def kron_all(matrices: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left-to-right.
-
-    ``kron_all([A, B, C])`` returns ``A ⊗ B ⊗ C``.  An empty sequence
-    returns the 1x1 identity.
-    """
-    result = np.eye(1, dtype=complex)
-    for mat in matrices:
-        result = np.kron(result, mat)
-    return result

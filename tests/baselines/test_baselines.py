@@ -13,6 +13,7 @@ from repro.baselines import (
 from repro.baselines.tket_like import partition_commuting_runs
 from repro.hardware.topology import Topology
 from repro.paulis.pauli import PauliTerm
+from repro.qaoa import qaoa_benchmark_program
 from repro.simulation.evolution import terms_unitary
 from repro.simulation.unitary import circuit_unitary
 
@@ -86,3 +87,15 @@ class TestTwoQAN:
                 assert topology.are_connected(*gate.qubits)
         assert len(result.implemented_terms) == len(qaoa_line_program)
         assert result.metrics.swap_count >= 0
+
+    def test_reg3_24_on_heavy_hex_completes(self):
+        # The greedy SWAP search cycles on this program unless the
+        # scheduler breaks out of a revisited mapping.
+        terms = qaoa_benchmark_program("Reg3-24")
+        topology = Topology.ibm_manhattan()
+        result = TwoQANCompiler(topology=topology).compile(terms)
+        for gate in result.circuit:
+            if gate.is_two_qubit():
+                assert topology.are_connected(*gate.qubits)
+        key = lambda term: (term.to_label(), term.coefficient)
+        assert sorted(map(key, result.implemented_terms)) == sorted(map(key, terms))

@@ -14,4 +14,6 @@ these.
 * :mod:`tests.oracles.sabre` — the dict-based SABRE placement and router.
 * :mod:`tests.oracles.reference_passes` — the back-end passes
   (cancellation, rotation merging, rebase, metrics, SU(4) consolidation).
+* :mod:`tests.oracles.dense` — Kronecker-product Pauli matrices, the
+  per-term dense sum and the ``expm`` product of Pauli exponentiations.
 """

@@ -5,6 +5,7 @@ ship them to workers; cross-attempt and cross-process state goes through
 marker files, never module globals.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -57,7 +58,7 @@ def alarm_blocking_runner(payload):
     """Blocks ``SIGALRM`` (as uninterruptible native code would ignore
     it) and outlives its budget plus the safety grace."""
     signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGALRM})
-    time.sleep(2.0)
+    time.sleep(payload.get("sleep", 2.0))
     return {"index": payload["index"], "status": "ok", "value": payload["value"]}
 
 
@@ -253,18 +254,25 @@ class TestPool:
     @needs_alarm
     def test_wedged_workers_time_out_and_discard_the_pool(self, monkeypatch, clean_metrics):
         """Workers that ignore the in-worker alarm trip the outer safety
-        net: their jobs end as timeouts, the pool is discarded and the
-        breaker records a failure."""
+        net: their jobs end as timeouts, the pool is discarded, its workers
+        are stopped and the breaker records a failure."""
         monkeypatch.setattr(executor_module, "SAFETY_GRACE", 0.3)
         breaker = CircuitBreaker("test.pool", min_calls=1)
         executor = Executor(retry_policy=RetryPolicy(max_retries=0), breaker=breaker)
-        raws = executor.run(_payloads(2), workers=2, timeout=0.2, runner=alarm_blocking_runner)
+        before = {child.pid for child in multiprocessing.active_children()}
+        raws = executor.run(
+            _payloads(2, sleep=30.0), workers=2, timeout=0.2, runner=alarm_blocking_runner
+        )
         assert [(raw["status"], raw["timeout"], raw["attempts"]) for raw in raws] == [
             ("error", True, 1)
         ] * 2
         assert executor._pool is None and executor.pool_workers == 0
         assert clean_metrics.gauge("repro_executor_pool_workers").as_value() == 0
         assert breaker.state == "open"
+        deadline = time.monotonic() + 5.0
+        while [c for c in multiprocessing.active_children() if c.pid not in before]:
+            assert time.monotonic() < deadline, "a wedged pool worker outlived the batch"
+            time.sleep(0.05)
 
     @needs_alarm
     def test_inline_and_broken_pool_fallback_retry_alike(self, tmp_path, clean_metrics):
